@@ -72,7 +72,6 @@ from .script_resolver import (
     ScriptDocument,
     ScriptRef,
     extract_script_refs,
-    resolve_scripts,
 )
 
 __version__ = "0.1.0"

@@ -17,10 +17,10 @@ from .config_model import (
     parse_config,
     resolve_stage_name,
 )
-from .ingest import ManifestEntry, FetchPolicy, NotFound, RateLimited, materialize
+from .ingest import ManifestEntry, FetchPolicy, NotFound, materialize
 from .placement import classify_pipeline
 from .registry import PipelineToolProfile, Registry, profile_pipeline
-from .script_resolver import FileTree, ScriptDocument, collect_script_documents
+from .script_resolver import FileTree, collect_script_documents
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class PipelineAnalysis:
     record: PipelineRecord
     config: PipelineConfig
     profile: PipelineToolProfile
-    scripts: list[ScriptDocument]
     warnings: list[str] = field(default_factory=list)
 
 
@@ -88,7 +87,6 @@ def analyze_document(
         record=record,
         config=cfg,
         profile=profile,
-        scripts=scripts,
         warnings=warnings,
     )
 
@@ -127,7 +125,7 @@ def _process_entry(
         )
     except NotFound as exc:
         return EntryResult(entry.repo_slug, "skipped", message=str(exc))
-    except (RateLimited, Exception) as exc:  # noqa: BLE001 - entry isolation
+    except Exception as exc:  # noqa: BLE001 - entry isolation
         return EntryResult(entry.repo_slug, "failed", message=str(exc))
     try:
         analysis = analyze_document(doc, tree, registry, options)
@@ -159,32 +157,18 @@ def scan_entries(
 
         bucket = TokenBucket(policy.max_requests_per_hour, clock)
 
-    results: dict[str, EntryResult] = {}
+    def process(entry: ManifestEntry) -> EntryResult:
+        return _process_entry(entry, registry, options, policy, session, clock, bucket)
+
     if workers <= 1 or len(entries) <= 1:
-        for entry in entries:
-            results[entry.repo_slug] = _process_entry(
-                entry, registry, options, policy, session, clock, bucket
-            )
+        results = list(map(process, entries))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                entry.repo_slug: pool.submit(
-                    _process_entry,
-                    entry,
-                    registry,
-                    options,
-                    policy,
-                    session,
-                    clock,
-                    bucket,
-                )
-                for entry in entries
-            }
-            for slug, future in futures.items():
-                results[slug] = future.result()
+            results = list(pool.map(process, entries))
+    by_slug = {result.slug: result for result in results}
 
     aggregator = Aggregator(registry.version)
-    ordered = [results[slug] for slug in sorted(results)]
+    ordered = [by_slug[slug] for slug in sorted(by_slug)]
     warnings: list[str] = []
     for entry_result in ordered:
         if entry_result.status == "ok":

@@ -119,36 +119,28 @@ def _job_restriction(
     return False, []
 
 
+def _late_merging_readings(
+    cfg: PipelineConfig, profile: PipelineToolProfile
+) -> tuple[bool, bool, Evidence]:
+    """All-jobs and any-job readings plus the restricted jobs' evidence."""
+    job_indexes = profile.job_indexes()
+    evidence: Evidence = []
+    restricted_jobs = 0
+    for index in job_indexes:
+        restricted, job_evidence = _job_restriction(cfg, cfg.jobs[index])
+        if restricted:
+            restricted_jobs += 1
+            evidence.extend(job_evidence)
+    all_jobs = bool(job_indexes) and restricted_jobs == len(job_indexes)
+    return all_jobs, restricted_jobs > 0, evidence
+
+
 def detect_late_merging(
     cfg: PipelineConfig, profile: PipelineToolProfile
 ) -> tuple[bool, Evidence]:
     """All-jobs reading: every tool-bearing job is push+main/master only."""
-    job_indexes = profile.job_indexes()
-    if not job_indexes:
-        return False, []
-    evidence: Evidence = []
-    all_restricted = True
-    for index in job_indexes:
-        restricted, job_evidence = _job_restriction(cfg, cfg.jobs[index])
-        if restricted:
-            evidence.extend(job_evidence)
-        else:
-            all_restricted = False
-    if not all_restricted:
-        return False, []
-    return True, evidence
-
-
-def detect_late_merging_any_job(
-    cfg: PipelineConfig, profile: PipelineToolProfile
-) -> tuple[bool, Evidence]:
-    """Any-job reading, emitted alongside the default for comparability."""
-    evidence: Evidence = []
-    for index in profile.job_indexes():
-        restricted, job_evidence = _job_restriction(cfg, cfg.jobs[index])
-        if restricted:
-            evidence.extend(job_evidence)
-    return bool(evidence), evidence
+    late_all, _, evidence = _late_merging_readings(cfg, profile)
+    return late_all, evidence if late_all else []
 
 
 def detect_skip_on_failure(cfg: PipelineConfig) -> tuple[bool, Evidence]:
@@ -194,16 +186,12 @@ def evaluate(
     late_merging_mode: str = LATE_MERGING_MODE_PIPELINE,
 ) -> FindingSet:
     """Run all four rules and assemble the FindingSet."""
-    late_all, late_all_evidence = detect_late_merging(cfg, profile)
-    late_any, late_any_evidence = detect_late_merging_any_job(cfg, profile)
+    late_all, late_any, late_evidence = _late_merging_readings(cfg, profile)
     skip, skip_evidence = detect_skip_on_failure(cfg)
     absent, absent_evidence = detect_absent_feedback(cfg)
     email, email_evidence = detect_email_only(cfg)
 
-    if late_merging_mode == LATE_MERGING_MODE_JOB:
-        late, late_evidence = late_any, late_any_evidence
-    else:
-        late, late_evidence = late_all, late_all_evidence
+    late = late_any if late_merging_mode == LATE_MERGING_MODE_JOB else late_all
 
     evidence: dict[str, Evidence] = {}
     if late:

@@ -37,19 +37,10 @@ class PhaseKind(enum.Enum):
     AFTER_DEPLOY = "after_deploy"
     AFTER_SCRIPT = "after_script"
 
-    @property
-    def order(self) -> int:
-        return _PHASE_ORDER[self]
-
-    @property
-    def in_deploy_family(self) -> bool:
-        return self in DEPLOY_PHASES
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
 
-_PHASE_ORDER = {kind: i for i, kind in enumerate(PhaseKind)}
 PHASE_BY_NAME = {kind.value: kind for kind in PhaseKind}
 
 DEPLOY_PHASES = frozenset(
@@ -231,20 +222,28 @@ def _scalar_text(value: Any) -> str | None:
     return None
 
 
-def _command_texts(phase: PhaseKind, value: Any, warnings: list[str]) -> list[str]:
+def _command_texts(
+    phase: PhaseKind, value: Any, warnings: list[str], enclosing: tuple[int, ...]
+) -> list[str]:
     """Flatten a phase entry into shell command strings, preserving order.
 
     Mapping values are deployment-provider blocks: for deploy-family phases
     the nested ``script`` key (the script provider's command) is extracted;
-    elsewhere a mapping is ignored with a warning.
+    elsewhere a mapping is ignored with a warning.  `enclosing` holds the ids
+    of the lists around `value`; a list nested in itself through a YAML alias
+    raises MalformedDocument.
     """
+    if isinstance(value, list):
+        if id(value) in enclosing:
+            raise MalformedDocument(f"list nested in itself in phase '{phase.value}'")
+        enclosing = (*enclosing, id(value))
     texts: list[str] = []
     for item in _as_list(value):
         scalar = _scalar_text(item)
         if scalar is not None:
             texts.append(scalar)
         elif isinstance(item, list):
-            texts.extend(_command_texts(phase, item, warnings))
+            texts.extend(_command_texts(phase, item, warnings, enclosing))
         elif isinstance(item, Mapping):
             if phase in DEPLOY_PHASES:
                 for nested in _as_list(item.get("script")):
@@ -269,7 +268,7 @@ def _phase_commands(
     for phase in PhaseKind:
         if phase.value not in entry:
             continue
-        texts = _command_texts(phase, entry[phase.value], warnings)
+        texts = _command_texts(phase, entry[phase.value], warnings, ())
         phases[phase] = [
             CommandLine(text, phase, job_index, i) for i, text in enumerate(texts)
         ]

@@ -283,14 +283,6 @@ class RemoteTree:
             self.clock.sleep(min(2.0 * attempts, 30.0))
 
 
-def _read_local_file(root: str, path: str) -> str | None:
-    full = os.path.join(root, path)
-    if not os.path.isfile(full):
-        return None
-    with open(full, "rb") as handle:
-        return handle.read().decode("utf-8", errors="replace")
-
-
 def materialize(
     entry: ManifestEntry,
     policy: FetchPolicy | None = None,
@@ -305,32 +297,20 @@ def materialize(
     declared script paths through a lazily fetching tree.
     """
     policy = policy or FetchPolicy()
-    allowed = frozenset(entry.script_paths)
     if entry.is_local:
-        content = _read_local_file(entry.local_root, entry.config_path)
-        if content is None:
-            raise NotFound(f"{entry.repo_slug}: missing {entry.config_path}")
-        tree = LocalTree(entry.local_root, allowed=allowed)
-        tree.provenance[entry.config_path] = {
-            "source": os.path.join(entry.local_root, entry.config_path),
-            "sha256": _digest(content),
-        }
-        doc = RawDocument(entry.repo_slug, entry.config_path, content)
-        return doc, tree
+        tree = LocalTree(entry.local_root)
+    else:
+        if session is None:
+            import requests
 
-    if session is None:
-        import requests
-
-        session = requests.Session()
-    if bucket is None:
-        bucket = TokenBucket(policy.max_requests_per_hour, clock)
-    # config fetch first (unrestricted), then restrict reads to scripts
-    tree = RemoteTree(
-        entry.remote_base_url, policy, session, bucket, clock, allowed=None
-    )
+            session = requests.Session()
+        if bucket is None:
+            bucket = TokenBucket(policy.max_requests_per_hour, clock)
+        tree = RemoteTree(entry.remote_base_url, policy, session, bucket, clock)
+    # config read first (unrestricted), then restrict reads to scripts
     content = tree.read(entry.config_path)
     if content is None:
         raise NotFound(f"{entry.repo_slug}: missing {entry.config_path}")
-    tree.allowed = allowed
+    tree.allowed = frozenset(entry.script_paths)
     doc = RawDocument(entry.repo_slug, entry.config_path, content)
     return doc, tree

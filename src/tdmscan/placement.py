@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Mapping
 
 from .config_model import (
@@ -27,6 +28,7 @@ from .registry import (
     PipelineToolProfile,
     SOURCE_CONFIG,
     SOURCE_SCRIPT,
+    compile_anchored,
 )
 from .script_resolver import (
     ScriptDocument,
@@ -72,18 +74,9 @@ _SCRIPT_CEREMONY_HEADS = _CEREMONY_HEADS | frozenset(
     }
 )
 
-_literal_cache: dict[str, re.Pattern[str]] = {}
-
-
+@lru_cache(maxsize=None)
 def _anchored_literal(text: str) -> re.Pattern[str]:
-    pattern = _literal_cache.get(text)
-    if pattern is None:
-        boundary = "[\\s;|&()<>'\"`:,]"
-        pattern = re.compile(
-            f"(?:^|(?<={boundary}))(?:{re.escape(text)})(?=$|{boundary})"
-        )
-        _literal_cache[text] = pattern
-    return pattern
+    return compile_anchored(re.escape(text))
 
 
 @dataclass
@@ -151,19 +144,13 @@ def _script_runs_only_tools(
 def _action_is_tool_script(
     action: str,
     cmd_for_refs,
-    scripts: Mapping[str, ScriptDocument] | None,
+    scripts: Mapping[str, ScriptDocument],
     job_detections: list[Detection],
 ) -> bool:
-    from dataclasses import replace
-
     pseudo = replace(cmd_for_refs, text=action)
     refs = extract_script_refs(pseudo)
     if not refs:
         return False
-    if scripts is None:
-        # Without script contents, accept when every ref has detections.
-        paths = {d.script_path for d in job_detections if d.source == SOURCE_SCRIPT}
-        return all(ref.normalized_path in paths for ref in refs)
     for ref in refs:
         doc = scripts.get(ref.normalized_path)
         if doc is None or not _script_runs_only_tools(
@@ -176,7 +163,7 @@ def _action_is_tool_script(
 def _runs_only_tdm(
     job: Job,
     job_detections: list[Detection],
-    scripts: Mapping[str, ScriptDocument] | None,
+    scripts: Mapping[str, ScriptDocument],
 ) -> bool:
     for phase in PhaseKind:
         if phase in SETUP_PHASES or phase not in job.phases:
@@ -211,7 +198,7 @@ def classify_placement(
     cfg: PipelineConfig,
     job: Job,
     profile: PipelineToolProfile,
-    scripts: Mapping[str, ScriptDocument] | None = None,
+    scripts: Mapping[str, ScriptDocument],
 ) -> PlacementKind:
     """Dedicated stage, dedicated job, or mixed job, for one detected job.
 
@@ -273,7 +260,7 @@ def classify_timing(cfg: PipelineConfig, det: Detection) -> TimingKind:
 def classify_pipeline(
     cfg: PipelineConfig,
     profile: PipelineToolProfile,
-    scripts: Mapping[str, ScriptDocument] | None = None,
+    scripts: Mapping[str, ScriptDocument],
 ) -> list[PlacementResult]:
     """One PlacementResult per detection-bearing job, in job order."""
     results: list[PlacementResult] = []

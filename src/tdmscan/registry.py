@@ -18,7 +18,6 @@ from typing import Any, Iterable, Mapping
 from .config_model import PhaseKind, PipelineConfig, iter_command_lines
 from .script_resolver import (
     ScriptDocument,
-    extract_script_refs,
     is_installer_segment,
     split_segments,
 )
@@ -336,15 +335,14 @@ def profile_pipeline(
     registry: Registry,
     *,
     install_exclusion: bool = True,
-    attribution: Mapping[str, list] | None = None,
+    attribution: Mapping[str, list],
 ) -> PipelineToolProfile:
     """Merge config-line and script-content detections into a tool profile.
 
-    `scripts` are the documents resolved from the pipeline's commands; when
-    `attribution` (path -> referencing commands) is not supplied, one level
-    of references is re-derived from the config.  Per tool, the invocation
-    style is direct, script, or both; a tool counts once per pipeline no
-    matter how many detections it has.
+    `scripts` and `attribution` (path -> referencing commands) are the two
+    results of `collect_script_documents` over the pipeline's commands.  Per
+    tool, the invocation style is direct, script, or both; a tool counts once
+    per pipeline no matter how many detections it has.
     """
     detections: list[Detection] = []
     for cmd in iter_command_lines(cfg):
@@ -352,15 +350,6 @@ def profile_pipeline(
             SOURCE_CONFIG, cmd.phase, cmd.job_index, ordinal_base=cmd.ordinal
         )
         detections.extend(detect_in_text(cmd.text, registry, ctx, install_exclusion))
-
-    if attribution is None:
-        derived: dict[str, list] = {}
-        for cmd in iter_command_lines(cfg):
-            for ref in extract_script_refs(cmd):
-                holders = derived.setdefault(ref.normalized_path, [])
-                if cmd not in holders:
-                    holders.append(cmd)
-        attribution = derived
 
     by_path = {doc.path: doc for doc in scripts}
     for path in sorted(attribution):

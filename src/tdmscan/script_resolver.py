@@ -210,20 +210,6 @@ def extract_script_refs(
     return refs
 
 
-def resolve_scripts(refs: list[ScriptRef], tree: FileTree) -> list[ScriptDocument]:
-    """One ScriptDocument per distinct normalized path; absence is data."""
-    docs: list[ScriptDocument] = []
-    seen: set[str] = set()
-    for ref in refs:
-        path = ref.normalized_path
-        if path in seen:
-            continue
-        seen.add(path)
-        content = tree.read(path)
-        docs.append(ScriptDocument(path, content, content is not None))
-    return docs
-
-
 def collect_script_documents(
     commands: Iterable[CommandLine],
     tree: FileTree,

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
-from tdmscan import RawDocument, parse_config, shipped_registry
+from tdmscan import RawDocument, parse_config, profile_pipeline, shipped_registry
+from tdmscan.config_model import iter_command_lines
+from tdmscan.script_resolver import MappingTree, collect_script_documents
 
 FIXTURES_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 CORPUS_DIR = os.path.join(FIXTURES_DIR, "corpus")
@@ -61,3 +63,14 @@ def corpus_labels():
 
 def make_doc(content: str, slug: str = "acme/demo") -> RawDocument:
     return RawDocument(slug, ".travis.yml", content)
+
+
+def collect_scripts(cfg, files=None):
+    """(scripts, attribution) for `cfg`'s commands over an in-memory tree."""
+    return collect_script_documents(iter_command_lines(cfg), MappingTree(files or {}))
+
+
+def profile_of(registry, cfg, files=None):
+    """The tool profile of `cfg`, with scripts read from `files`."""
+    scripts, attribution = collect_scripts(cfg, files)
+    return profile_pipeline(cfg, scripts, registry, attribution=attribution)

@@ -9,20 +9,18 @@ from tdmscan.antipatterns import (
     evaluate,
 )
 from tdmscan.config_model import parse_config
-from tdmscan.registry import profile_pipeline
 
-from conftest import make_doc
+from conftest import make_doc, profile_of
 
 
-def build(registry, text, scripts=None):
+def build(registry, text):
     cfg = parse_config(make_doc(text))
-    profile = profile_pipeline(cfg, scripts or [], registry)
-    return cfg, profile
+    return cfg, profile_of(registry, cfg)
 
 
 class TestLateMerging:
     def test_example_config_not_flagged(self, registry, example_config):
-        profile = profile_pipeline(example_config, [], registry)
+        profile = profile_of(registry, example_config)
         flagged, _ = detect_late_merging(example_config, profile)
         assert flagged is False
 

@@ -48,12 +48,16 @@ class TestAnalyze:
         json.loads(out)  # raises if polluted
 
     def test_empty_file_exits_2(self, capsys, tmp_path):
-        empty = tmp_path / ".travis.yml"
-        empty.write_text("")
-        code, out, err = run_cli(capsys, "analyze", str(empty))
-        assert code == 2
-        assert "NotAPipeline" in err
-        assert out == ""
+        config = tmp_path / ".travis.yml"
+        for content, error in [
+            ("", "NotAPipeline"),
+            ("script: &s [flake8, *s]\n", "MalformedDocument"),
+        ]:
+            config.write_text(content)
+            code, out, err = run_cli(capsys, "analyze", str(config))
+            assert code == 2
+            assert error in err
+            assert out == ""
 
     def test_directory_with_scripts(self, capsys, tmp_path):
         (tmp_path / "ci").mkdir()

@@ -72,6 +72,9 @@ class TestMinimalConfigs:
             )
         )
         assert len(list(iter_command_lines(cfg))) == 4
+        # an acyclic list reused through aliases is not a cycle
+        cfg = parse_config(make_doc("x: &a [one, two]\nscript: [*a, [*a]]\n"))
+        assert len(list(iter_command_lines(cfg))) == 4
 
 
 class TestGate:
@@ -94,6 +97,8 @@ class TestGate:
     def test_parse_config_raises_malformed(self):
         with pytest.raises(MalformedDocument):
             parse_config(make_doc("language: python\n\t badly: indented: twice:\n"))
+        with pytest.raises(MalformedDocument):
+            parse_config(make_doc("script: &s [flake8, *s]\n"))
 
     def test_top_level_list_is_not_a_pipeline(self):
         with pytest.raises(NotAPipeline):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -161,6 +162,10 @@ class TestLocalMaterialize:
         tree2.read("ci/lint.sh")
         assert tree1.provenance == tree2.provenance
         assert all("sha256" in p for p in tree1.provenance.values())
+        config = os.path.join(root, ".travis.yml")
+        with open(config, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        assert tree1.provenance[".travis.yml"] == {"source": config, "sha256": digest}
 
     def test_local_tree_rejects_escapes(self, tmp_path):
         tree = LocalTree(str(tmp_path))

@@ -10,23 +10,21 @@ from tdmscan.placement import (
     classify_timing,
 )
 from tdmscan.registry import profile_pipeline
-from tdmscan.script_resolver import ScriptDocument
 
-from conftest import make_doc
+from conftest import collect_scripts, make_doc, profile_of
 
 
-def analyzed(registry, text, scripts=None):
+def analyzed(registry, text, files=None):
     cfg = parse_config(make_doc(text))
-    docs = list(scripts or [])
-    profile = profile_pipeline(cfg, docs, registry)
-    by_path = {d.path: d for d in docs}
-    return cfg, profile, by_path
+    scripts, attribution = collect_scripts(cfg, files)
+    profile = profile_pipeline(cfg, scripts, registry, attribution=attribution)
+    return cfg, profile, {d.path: d for d in scripts}
 
 
 class TestPlacement:
     def test_example_lint_stage_is_dedicated_stage(self, registry, example_config):
-        profile = profile_pipeline(example_config, [], registry)
-        kind = classify_placement(example_config, example_config.jobs[0], profile)
+        profile = profile_of(registry, example_config)
+        kind = classify_placement(example_config, example_config.jobs[0], profile, {})
         assert kind is PlacementKind.DEDICATED_STAGE
 
     def test_shared_stage_tool_job_is_dedicated_job(self, registry):
@@ -90,24 +88,26 @@ class TestPlacement:
         assert classify_placement(cfg, cfg.jobs[0], profile, scripts) is PlacementKind.DEDICATED_JOB
 
     def test_all_tool_script_is_dedicated(self, registry):
-        script = ScriptDocument("ci/lint.sh", "#!/bin/sh\nset -e\npylint src\n", True)
         cfg, profile, scripts = analyzed(
-            registry, "language: python\nscript: ./ci/lint.sh\n", [script]
+            registry,
+            "language: python\nscript: ./ci/lint.sh\n",
+            {"ci/lint.sh": "#!/bin/sh\nset -e\npylint src\n"},
         )
         assert classify_placement(cfg, cfg.jobs[0], profile, scripts) is PlacementKind.DEDICATED_JOB
 
     def test_mixed_script_is_mixed(self, registry):
-        script = ScriptDocument("ci/all.sh", "pylint src\npytest -q\n", True)
         cfg, profile, scripts = analyzed(
-            registry, "language: python\nscript: ./ci/all.sh\n", [script]
+            registry,
+            "language: python\nscript: ./ci/all.sh\n",
+            {"ci/all.sh": "pylint src\npytest -q\n"},
         )
         assert classify_placement(cfg, cfg.jobs[0], profile, scripts) is PlacementKind.MIXED_JOB
 
     def test_unresolved_script_forces_mixed(self, registry):
-        script = ScriptDocument("gone.sh", None, False)
         cfg, profile, scripts = analyzed(
-            registry, "language: python\nscript:\n  - ./gone.sh\n  - flake8 .\n", [script]
+            registry, "language: python\nscript:\n  - ./gone.sh\n  - flake8 .\n"
         )
+        assert scripts["gone.sh"].resolved is False
         assert classify_placement(cfg, cfg.jobs[0], profile, scripts) is PlacementKind.MIXED_JOB
 
     def test_two_tools_only_is_still_dedicated_with_flag(self, registry):
@@ -152,7 +152,7 @@ class TestPlacement:
 
 class TestTiming:
     def test_example_flake8_is_pre_deployment(self, registry, example_config):
-        profile = profile_pipeline(example_config, [], registry)
+        profile = profile_of(registry, example_config)
         (detection,) = profile.all_detections()
         assert classify_timing(example_config, detection) is TimingKind.PRE_DEPLOYMENT
 
@@ -196,7 +196,7 @@ class TestTiming:
         assert classify_timing(cfg, detection) is TimingKind.POST_DEPLOYMENT
 
     def test_stage_before_deploy_stage_is_pre(self, registry, example_config):
-        profile = profile_pipeline(example_config, [], registry)
+        profile = profile_of(registry, example_config)
         (detection,) = profile.all_detections()
         assert classify_timing(example_config, detection) is TimingKind.PRE_DEPLOYMENT
 
@@ -235,8 +235,8 @@ class TestTiming:
 
 class TestClassifyPipeline:
     def test_every_detection_gets_exactly_one_timing(self, registry, example_config):
-        profile = profile_pipeline(example_config, [], registry)
-        results = classify_pipeline(example_config, profile)
+        profile = profile_of(registry, example_config)
+        results = classify_pipeline(example_config, profile, {})
         timed = [d for r in results for d in r.timings]
         assert sorted(timed, key=str) == sorted(profile.all_detections(), key=str)
 

@@ -14,12 +14,9 @@ from tdmscan.registry import (
     UnknownEnumValue,
     detect_in_text,
     load_registry,
-    profile_pipeline,
     shipped_registry,
 )
-from tdmscan.script_resolver import ScriptDocument
-
-from conftest import make_doc
+from conftest import make_doc, profile_of
 
 CTX = SourceContext(SOURCE_CONFIG, PhaseKind.SCRIPT, 0)
 
@@ -168,15 +165,14 @@ class TestDetectInText:
 
 class TestProfilePipeline:
     def test_example_profile_is_flake8_direct(self, registry, example_config):
-        profile = profile_pipeline(example_config, [], registry)
+        profile = profile_of(registry, example_config)
         assert {t: u.invocation for t, u in profile.tools.items()} == {
             "flake8": "direct"
         }
 
     def test_script_only_invocation(self, registry):
         cfg = parse_config(make_doc("language: python\nscript: ./lint.sh\n"))
-        scripts = [ScriptDocument("lint.sh", "pylint src/", True)]
-        profile = profile_pipeline(cfg, scripts, registry)
+        profile = profile_of(registry, cfg, {"lint.sh": "pylint src/"})
         assert {t: u.invocation for t, u in profile.tools.items()} == {
             "pylint": "script"
         }
@@ -185,8 +181,7 @@ class TestProfilePipeline:
         cfg = parse_config(
             make_doc("language: python\nscript:\n  - flake8 .\n  - bash ci/extra.sh\n")
         )
-        scripts = [ScriptDocument("ci/extra.sh", "flake8 -q", True)]
-        profile = profile_pipeline(cfg, scripts, registry)
+        profile = profile_of(registry, cfg, {"ci/extra.sh": "flake8 -q"})
         usage = profile.tools["flake8"]
         assert usage.invocation == "both"
         sources = {d.source for d in usage.detections}
@@ -194,13 +189,12 @@ class TestProfilePipeline:
 
     def test_unresolved_script_contributes_nothing(self, registry):
         cfg = parse_config(make_doc("language: python\nscript: ./lint.sh\n"))
-        scripts = [ScriptDocument("lint.sh", None, False)]
-        profile = profile_pipeline(cfg, scripts, registry)
+        profile = profile_of(registry, cfg)
         assert profile.tools == {}
 
     def test_profiling_is_idempotent(self, registry, example_config):
-        first = profile_pipeline(example_config, [], registry)
-        second = profile_pipeline(example_config, [], registry)
+        first = profile_of(registry, example_config)
+        second = profile_of(registry, example_config)
         assert first == second
 
     def test_sonarcloud_addon_relabels(self, registry):
@@ -210,12 +204,12 @@ class TestProfilePipeline:
                 "script: sonar-scanner\n"
             )
         )
-        profile = profile_pipeline(cfg, [], registry)
+        profile = profile_of(registry, cfg)
         assert list(profile.tools) == ["sonarcloud"]
 
     def test_plain_sonar_scanner_stays_sonarqube(self, registry):
         cfg = parse_config(make_doc("language: java\nscript: sonar-scanner\n"))
-        profile = profile_pipeline(cfg, [], registry)
+        profile = profile_of(registry, cfg)
         assert list(profile.tools) == ["sonarqube"]
 
     def test_explicit_sonarqube_token_never_relabeled(self, registry):
@@ -225,7 +219,7 @@ class TestProfilePipeline:
                 "script: gradle sonarqube\n"
             )
         )
-        profile = profile_pipeline(cfg, [], registry)
+        profile = profile_of(registry, cfg)
         assert list(profile.tools) == ["sonarqube"]
 
 

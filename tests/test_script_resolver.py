@@ -7,7 +7,6 @@ from tdmscan.script_resolver import (
     extract_script_refs,
     is_installer_segment,
     normalize_script_path,
-    resolve_scripts,
     split_actions,
     split_segments,
 )
@@ -87,8 +86,9 @@ class TestNormalization:
 class TestResolution:
     def test_present_and_missing(self):
         tree = MappingTree({"ci/lint.sh": "flake8 ."})
-        refs = extract_script_refs(cmd("bash ci/lint.sh && bash missing.sh"))
-        docs = resolve_scripts(refs, tree)
+        docs, _ = collect_script_documents(
+            [cmd("bash ci/lint.sh && bash missing.sh")], tree
+        )
         assert [(d.path, d.resolved) for d in docs] == [
             ("ci/lint.sh", True),
             ("missing.sh", False),
@@ -97,12 +97,11 @@ class TestResolution:
 
     def test_same_path_resolves_once(self):
         tree = MappingTree({"a.sh": "x"})
-        refs = extract_script_refs(cmd("./a.sh")) + extract_script_refs(cmd("bash a.sh"))
-        docs = resolve_scripts(refs, tree)
+        docs, _ = collect_script_documents([cmd("./a.sh"), cmd("bash a.sh")], tree)
         assert len(docs) == 1
 
     def test_resolution_never_fabricates(self):
-        docs = resolve_scripts(extract_script_refs(cmd("./gone.sh")), MappingTree({}))
+        docs, _ = collect_script_documents([cmd("./gone.sh")], MappingTree({}))
         assert docs[0].resolved is False
         assert docs[0].content is None
 
