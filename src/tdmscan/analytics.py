@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from itertools import combinations
 from typing import Any, Iterable, Mapping
@@ -74,8 +74,6 @@ class PipelineRecord:
     profile: PipelineToolProfile
     placements: list[PlacementResult]
     findings: FindingSet
-    stage_labels: dict[str, int] = field(default_factory=dict)
-    job_count: int = 1
 
 
 @dataclass

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -11,15 +10,13 @@ from .antipatterns import LATE_MERGING_MODE_PIPELINE, evaluate
 from .config_model import (
     MalformedDocument,
     NotAPipeline,
-    PipelineConfig,
     RawDocument,
     iter_command_lines,
     parse_config,
-    resolve_stage_name,
 )
 from .ingest import ManifestEntry, FetchPolicy, NotFound, materialize
 from .placement import classify_pipeline
-from .registry import PipelineToolProfile, Registry, profile_pipeline
+from .registry import Registry, profile_pipeline
 from .script_resolver import FileTree, collect_script_documents
 
 
@@ -35,8 +32,6 @@ class PipelineAnalysis:
     """Everything derived from one pipeline, plus collected warnings."""
 
     record: PipelineRecord
-    config: PipelineConfig
-    profile: PipelineToolProfile
     warnings: list[str] = field(default_factory=list)
 
 
@@ -72,23 +67,13 @@ def analyze_document(
     placements = classify_pipeline(cfg, profile, scripts_by_path)
     findings = evaluate(cfg, profile, late_merging_mode=options.late_merging_mode)
 
-    stage_labels = Counter(
-        resolve_stage_name(cfg.jobs[index]) for index in profile.job_indexes()
-    )
     record = PipelineRecord(
         repo_slug=doc.repo_slug,
         profile=profile,
         placements=placements,
         findings=findings,
-        stage_labels=dict(stage_labels),
-        job_count=len(cfg.jobs),
     )
-    return PipelineAnalysis(
-        record=record,
-        config=cfg,
-        profile=profile,
-        warnings=warnings,
-    )
+    return PipelineAnalysis(record=record, warnings=warnings)
 
 
 @dataclass

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .analytics import CorpusReport, UnsupportedFormat, export_csv_bundle, export_json
 from .analyzer import AnalysisOptions, analyze_document, scan_entries
@@ -81,7 +82,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict output to one format (default: both)",
     )
-    scan.add_argument("--workers", type=int, default=1, metavar="N")
+    scan.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help=(
+            "analyze entries on N threads (default 1); threads overlap only "
+            "remote fetches, so a local scan is CPU-bound and runs no faster"
+        ),
+    )
 
     validate = sub.add_parser(
         "registry-validate", help="validate a registry file (default: shipped)"
@@ -110,8 +120,8 @@ def _options(args) -> AnalysisOptions:
     )
 
 
-def _analysis_json(analysis) -> dict:
-    profile = analysis.profile
+def _analysis_json(analysis, path: str) -> dict:
+    profile = analysis.record.profile
     detections = [
         {
             "tool": d.tool_id,
@@ -143,12 +153,12 @@ def _analysis_json(analysis) -> dict:
     findings = analysis.record.findings
     return {
         "repo": analysis.record.repo_slug,
-        "path": analysis.config.source.path,
+        "path": path,
         "tools": {t: profile.tools[t].invocation for t in profile.tool_ids()},
         "detections": detections,
         "placements": placements,
         "timing": timing_totals,
-        "stage_labels": analysis.record.stage_labels,
+        "stage_labels": Counter(p.stage_label for p in analysis.record.placements),
         "findings": {
             **findings.as_dict(),
             "late_merging_all_jobs": findings.late_merging_all_jobs,
@@ -177,16 +187,19 @@ def _cmd_analyze(args) -> int:
 
     registry = _load_registry(args)
     config_path, root = _find_config(args.path)
-    with open(config_path, "rb") as handle:
-        content = handle.read().decode("utf-8", errors="replace")
+    tree = LocalTree(root)
+    rel = os.path.relpath(config_path, root)
+    content = tree.read(rel)
+    if content is None:
+        raise FileNotFoundError(f"no such file: {config_path}")
     slug = os.path.basename(os.path.abspath(root))
-    doc = RawDocument(slug, os.path.relpath(config_path, root), content)
+    doc = RawDocument(slug, rel, content)
     try:
-        analysis = analyze_document(doc, LocalTree(root), registry, _options(args))
+        analysis = analyze_document(doc, tree, registry, _options(args))
     except (NotAPipeline, MalformedDocument) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NOT_A_PIPELINE
-    json.dump(_analysis_json(analysis), sys.stdout, sort_keys=True, indent=2)
+    json.dump(_analysis_json(analysis, doc.path), sys.stdout, sort_keys=True, indent=2)
     print()
     return EXIT_OK
 

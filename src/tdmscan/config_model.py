@@ -129,7 +129,7 @@ class PipelineConfig:
     allow_failures_present: bool = False
     global_branch_only: list[str] | None = None
     global_condition: str | None = None
-    has_deploy: bool = False
+    post_deploy_stages: frozenset[str] = frozenset()
     raw: Mapping[str, Any] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
@@ -377,6 +377,19 @@ def _build_job(
     )
 
 
+def _post_deploy_stages(declared: list[str], jobs: list[Job]) -> frozenset[str]:
+    """Stage labels strictly after the first stage holding a deploying job.
+
+    Stage order is the declared stages, then undeclared labels in job order;
+    a repeated label counts at its first position.
+    """
+    order = list(dict.fromkeys([*declared, *map(resolve_stage_name, jobs)]))
+    deploying = [order.index(resolve_stage_name(job)) for job in jobs if job.deploys]
+    if not deploying:
+        return frozenset()
+    return frozenset(order[min(deploying) + 1 :])
+
+
 def parse_config(doc: RawDocument) -> PipelineConfig:
     """Parse one raw configuration into a :class:`PipelineConfig`.
 
@@ -431,10 +444,6 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
         else None
     )
 
-    has_deploy = any(job.deploys for job in jobs) or any(
-        phase in DEPLOY_PHASES for phase in global_phases
-    )
-
     return PipelineConfig(
         source=doc,
         declared_stage_order=declared_stage_order,
@@ -445,7 +454,7 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
         allow_failures_present=allow_failures,
         global_branch_only=_branch_only(data.get("branches")),
         global_condition=None if global_condition is None else str(global_condition),
-        has_deploy=has_deploy,
+        post_deploy_stages=_post_deploy_stages(declared_stage_order, jobs),
         raw=data,
         warnings=warnings,
     )

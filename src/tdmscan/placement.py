@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Mapping
 
 from .config_model import (
-    IMPLICIT_STAGE,
     PhaseKind,
     PipelineConfig,
     Job,
@@ -216,23 +215,6 @@ def classify_placement(
     return PlacementKind.MIXED_JOB
 
 
-def _effective_stage_order(cfg: PipelineConfig) -> list[str]:
-    order = list(cfg.declared_stage_order)
-    for job in cfg.jobs:
-        label = resolve_stage_name(job)
-        if label not in order:
-            order.append(label)
-    return order
-
-
-def _first_deploy_stage_index(cfg: PipelineConfig) -> int | None:
-    order = _effective_stage_order(cfg)
-    indexes = [
-        order.index(resolve_stage_name(job)) for job in cfg.jobs if job.deploys
-    ]
-    return min(indexes) if indexes else None
-
-
 def classify_timing(cfg: PipelineConfig, det: Detection) -> TimingKind:
     """Pre-deployment gate or post-deployment report, for one detection.
 
@@ -248,12 +230,8 @@ def classify_timing(cfg: PipelineConfig, det: Detection) -> TimingKind:
         and job.deploys
     ):
         return TimingKind.POST_DEPLOYMENT
-    if cfg.has_deploy:
-        first_deploy = _first_deploy_stage_index(cfg)
-        if first_deploy is not None:
-            order = _effective_stage_order(cfg)
-            if order.index(resolve_stage_name(job)) > first_deploy:
-                return TimingKind.POST_DEPLOYMENT
+    if resolve_stage_name(job) in cfg.post_deploy_stages:
+        return TimingKind.POST_DEPLOYMENT
     return TimingKind.PRE_DEPLOYMENT
 
 

@@ -340,9 +340,11 @@ def profile_pipeline(
     """Merge config-line and script-content detections into a tool profile.
 
     `scripts` and `attribution` (path -> referencing commands) are the two
-    results of `collect_script_documents` over the pipeline's commands.  Per
-    tool, the invocation style is direct, script, or both; a tool counts once
-    per pipeline no matter how many detections it has.
+    results of `collect_script_documents` over the pipeline's commands.  Each
+    script is scanned once; its detections are copied to every referencing
+    command's phase and job.  Per tool, the invocation style is direct,
+    script, or both; a tool counts once per pipeline no matter how many
+    detections it has.
     """
     detections: list[Detection] = []
     for cmd in iter_command_lines(cfg):
@@ -356,10 +358,13 @@ def profile_pipeline(
         doc = by_path.get(path)
         if doc is None or not doc.resolved or doc.content is None:
             continue
-        for cmd in attribution[path]:
-            ctx = SourceContext(SOURCE_SCRIPT, cmd.phase, cmd.job_index, path)
+        commands = attribution[path]
+        first = commands[0]
+        ctx = SourceContext(SOURCE_SCRIPT, first.phase, first.job_index, path)
+        found = detect_in_text(doc.content, registry, ctx, install_exclusion)
+        for cmd in commands:
             detections.extend(
-                detect_in_text(doc.content, registry, ctx, install_exclusion)
+                replace(d, phase=cmd.phase, job_index=cmd.job_index) for d in found
             )
 
     detections = list(dict.fromkeys(detections))

@@ -86,7 +86,7 @@ def test_criterion_1_worked_example_end_to_end(registry):
     analysis = analyze_document(doc, _EmptyTree(), registry, AnalysisOptions())
     elapsed = time.monotonic() - start
 
-    profile = analysis.profile
+    profile = analysis.record.profile
     assert {t: profile.tools[t].invocation for t in profile.tool_ids()} == {
         "flake8": "direct"
     }
@@ -142,7 +142,7 @@ def test_criterion_3_inclusion_exclusion():
         profile = PipelineToolProfile(
             tools={tool: ToolUsage(invocation=invocation, detections=())}
         )
-        return PipelineRecord(slug, profile, [], FindingSet(), {}, 1)
+        return PipelineRecord(slug, profile, [], FindingSet())
 
     # Reference per-tool rows: direct + script - pipelines = both overlap.
     for tool, (_, _, _, direct, script, pipelines) in REFERENCE_TOOL_TABLE.items():
@@ -179,7 +179,7 @@ def test_criterion_3_inclusion_exclusion():
                 }
             )
             records.append(
-                PipelineRecord(f"c{corpus_index}-r{i}", profile, [], FindingSet(), {}, 1)
+                PipelineRecord(f"c{corpus_index}-r{i}", profile, [], FindingSet())
             )
             tool_sets.append(sorted(tools))
         report = aggregate(records)
@@ -242,7 +242,7 @@ def test_criterion_5_hand_labeled_corpus(registry, corpus_labels):
             continue
         assert "skipped" not in expected, slug
 
-        profile = analysis.profile
+        profile = analysis.record.profile
         got_tools = {t: profile.tools[t].invocation for t in profile.tool_ids()}
         assert got_tools == expected["tools"], slug
         distinct_tools.update(got_tools)

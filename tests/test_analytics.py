@@ -40,8 +40,6 @@ def make_record(slug, tool_invocations, findings=None):
         profile=make_profile(tool_invocations),
         placements=[],
         findings=findings or FindingSet(),
-        stage_labels={},
-        job_count=1,
     )
 
 

@@ -23,7 +23,7 @@ class TestParseListing:
         assert len(example_config.jobs) == 4
 
     def test_has_deploy(self, example_config):
-        assert example_config.has_deploy is True
+        assert any(job.deploys for job in example_config.jobs)
 
     def test_no_notifications(self, example_config):
         assert example_config.notifications is None
@@ -50,7 +50,7 @@ class TestMinimalConfigs:
     def test_implicit_job(self):
         cfg = parse_config(make_doc("language: python\nscript: pytest\n"))
         assert len(cfg.jobs) == 1
-        assert cfg.has_deploy is False
+        assert not any(job.deploys for job in cfg.jobs)
         script = cfg.jobs[0].phases[PhaseKind.SCRIPT]
         assert [c.text for c in script] == ["pytest"]
         assert resolve_stage_name(cfg.jobs[0]) == "implicit"
@@ -209,7 +209,7 @@ class TestWarningsAndEdgeCases:
         )
         assert PhaseKind.DEPLOY in cfg.jobs[0].phases
         assert cfg.jobs[0].phases[PhaseKind.DEPLOY] == []
-        assert cfg.has_deploy is True
+        assert cfg.jobs[0].deploys
 
     def test_deploy_script_provider_commands(self):
         cfg = parse_config(
@@ -225,6 +225,108 @@ class TestWarningsAndEdgeCases:
     def test_branch_only_scalar(self):
         cfg = parse_config(make_doc("script: x\nbranches:\n  only: master\n"))
         assert cfg.global_branch_only == ["master"]
+
+
+class TestPostDeployStages:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            pytest.param(
+                "stages: [test, report]\n"
+                "jobs:\n"
+                "  include:\n"
+                "    - stage: test\n"
+                "      script: x\n"
+                "    - stage: report\n"
+                "      script: y\n",
+                set(),
+                id="no-deploy",
+            ),
+            pytest.param(
+                "stages: [test, deploy]\n"
+                "jobs:\n"
+                "  include:\n"
+                "    - stage: test\n"
+                "      script: x\n"
+                "    - stage: deploy\n"
+                "      deploy:\n"
+                "        provider: pypi\n",
+                set(),
+                id="deploy-in-last-stage",
+            ),
+            pytest.param(
+                "stages: [test, deploy, report]\n"
+                "jobs:\n"
+                "  include:\n"
+                "    - stage: test\n"
+                "      script: x\n"
+                "    - stage: deploy\n"
+                "      deploy:\n"
+                "        provider: pypi\n"
+                "    - stage: report\n"
+                "      script: y\n",
+                {"report"},
+                id="stage-after-deploy",
+            ),
+            pytest.param(
+                "stages: [test]\n"
+                "jobs:\n"
+                "  include:\n"
+                "    - stage: early\n"
+                "      script: x\n"
+                "    - stage: publish\n"
+                "      deploy:\n"
+                "        provider: pypi\n"
+                "    - stage: late\n"
+                "      script: y\n"
+                "    - stage: test\n"
+                "      script: z\n",
+                {"late"},
+                id="undeclared-after-declared-in-job-order",
+            ),
+            pytest.param(
+                "stages: [test, deploy, test]\n"
+                "jobs:\n"
+                "  include:\n"
+                "    - stage: deploy\n"
+                "      deploy:\n"
+                "        provider: pypi\n"
+                "    - stage: test\n"
+                "      script: x\n"
+                "    - stage: report\n"
+                "      script: y\n",
+                {"report"},
+                id="repeated-label-counts-at-first-position",
+            ),
+            pytest.param(
+                "jobs:\n"
+                "  include:\n"
+                "    - script: x\n"
+                "      deploy:\n"
+                "        provider: pypi\n"
+                "    - stage: report\n"
+                "      script: y\n",
+                {"report"},
+                id="deploy-in-implicit-stage",
+            ),
+            pytest.param(
+                "stages: [test, report]\n"
+                "deploy:\n"
+                "  provider: pypi\n"
+                "jobs:\n"
+                "  include:\n"
+                "    - stage: test\n"
+                "      script: x\n"
+                "    - stage: report\n"
+                "      script: y\n",
+                {"report"},
+                id="global-deploy-with-include",
+            ),
+        ],
+    )
+    def test_post_deploy_stages(self, text, expected):
+        cfg = parse_config(make_doc(text))
+        assert cfg.post_deploy_stages == frozenset(expected)
 
 
 class TestNotifications:

@@ -1,6 +1,8 @@
 import pytest
+import yaml
+from hypothesis import given, strategies as st
 
-from tdmscan.config_model import parse_config
+from tdmscan.config_model import PhaseKind, parse_config, resolve_stage_name
 from tdmscan.placement import (
     NoDetectionInJob,
     PlacementKind,
@@ -9,7 +11,7 @@ from tdmscan.placement import (
     classify_placement,
     classify_timing,
 )
-from tdmscan.registry import profile_pipeline
+from tdmscan.registry import SOURCE_CONFIG, Detection, profile_pipeline
 
 from conftest import collect_scripts, make_doc, profile_of
 
@@ -205,7 +207,7 @@ class TestTiming:
             registry,
             "script: flake8 .\nafter_script: shellcheck run.sh\nafter_success: pylint x\n",
         )
-        assert cfg.has_deploy is False
+        assert not any(job.deploys for job in cfg.jobs)
         for detection in profile.all_detections():
             assert classify_timing(cfg, detection) is TimingKind.PRE_DEPLOYMENT
 
@@ -251,3 +253,49 @@ class TestClassifyPipeline:
         results = classify_pipeline(cfg, profile, scripts)
         assert [r.job_index for r in results] == [1]
         assert results[0].stage_label == "implicit"
+
+
+def _reference_timing(cfg, det):
+    """The timing rule restated per detection, walking the stage order."""
+    job = cfg.jobs[det.job_index]
+    if det.phase is PhaseKind.AFTER_DEPLOY:
+        return TimingKind.POST_DEPLOYMENT
+    if det.phase in (PhaseKind.AFTER_SUCCESS, PhaseKind.AFTER_SCRIPT) and job.deploys:
+        return TimingKind.POST_DEPLOYMENT
+    order = list(cfg.declared_stage_order)
+    for other in cfg.jobs:
+        if resolve_stage_name(other) not in order:
+            order.append(resolve_stage_name(other))
+    deploying = [order.index(resolve_stage_name(o)) for o in cfg.jobs if o.deploys]
+    if deploying and order.index(resolve_stage_name(job)) > min(deploying):
+        return TimingKind.POST_DEPLOYMENT
+    return TimingKind.PRE_DEPLOYMENT
+
+
+_LABELS = st.sampled_from(["lint", "test", "deploy", "report"])
+
+
+@given(
+    declared=st.lists(_LABELS, max_size=4),
+    jobs=st.lists(
+        st.tuples(st.one_of(st.none(), _LABELS), st.booleans()), min_size=1, max_size=5
+    ),
+    global_deploy=st.booleans(),
+    phase=st.sampled_from(list(PhaseKind)),
+)
+def test_timing_matches_stage_order_walk(declared, jobs, global_deploy, phase):
+    include = []
+    for stage, deploys in jobs:
+        entry = {"script": "make"}
+        if stage is not None:
+            entry["stage"] = stage
+        if deploys:
+            entry["deploy"] = {"provider": "pypi"}
+        include.append(entry)
+    data = {"stages": declared, "jobs": {"include": include}}
+    if global_deploy:
+        data["deploy"] = {"provider": "pypi"}
+    cfg = parse_config(make_doc(yaml.safe_dump(data)))
+    for job in cfg.jobs:
+        det = Detection("flake8", SOURCE_CONFIG, None, phase, job.index, "flake8", 0)
+        assert classify_timing(cfg, det) is _reference_timing(cfg, det)

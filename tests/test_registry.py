@@ -3,6 +3,7 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
+from tdmscan import registry as registry_module
 from tdmscan.config_model import PhaseKind, parse_config
 from tdmscan.registry import (
     DuplicateToolId,
@@ -191,6 +192,42 @@ class TestProfilePipeline:
         cfg = parse_config(make_doc("language: python\nscript: ./lint.sh\n"))
         profile = profile_of(registry, cfg)
         assert profile.tools == {}
+
+    def test_shared_script_is_scanned_once(self, registry, monkeypatch):
+        cfg = parse_config(
+            make_doc(
+                "jobs:\n"
+                "  include:\n"
+                "    - script: ./ci/lint.sh\n"
+                "    - script: ./ci/lint.sh\n"
+                "      after_success: ./ci/lint.sh\n"
+                "    - script: ./ci/lint.sh\n"
+            )
+        )
+        script = "flake8 src\npylint src\n"
+        scanned = []
+        real_detect = registry_module.detect_in_text
+
+        def counting_detect(text, *args, **kwargs):
+            scanned.append(text)
+            return real_detect(text, *args, **kwargs)
+
+        monkeypatch.setattr(registry_module, "detect_in_text", counting_detect)
+        profile = profile_of(registry, cfg, {"ci/lint.sh": script})
+        assert scanned.count(script) == 1
+        from_script = [d for d in profile.all_detections() if d.source == SOURCE_SCRIPT]
+        assert {d.job_index for d in from_script} == {0, 1, 2}
+        assert sorted((d.job_index, d.phase.value, d.tool_id) for d in from_script) == [
+            (0, "script", "flake8"),
+            (0, "script", "pylint"),
+            (1, "after_success", "flake8"),
+            (1, "after_success", "pylint"),
+            (1, "script", "flake8"),
+            (1, "script", "pylint"),
+            (2, "script", "flake8"),
+            (2, "script", "pylint"),
+        ]
+        assert {d.line_ordinal for d in from_script} == {0, 1}
 
     def test_profiling_is_idempotent(self, registry, example_config):
         first = profile_of(registry, example_config)
