@@ -193,7 +193,7 @@ def _cmd_analyze(args) -> int:
     if content is None:
         raise FileNotFoundError(f"no such file: {config_path}")
     slug = os.path.basename(os.path.abspath(root))
-    doc = RawDocument(slug, rel, content)
+    doc = RawDocument(slug, rel, content, invalid_utf8=rel in tree.undecodable)
     try:
         analysis = analyze_document(doc, tree, registry, _options(args))
     except (NotAPipeline, MalformedDocument) as exc:

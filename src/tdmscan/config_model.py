@@ -13,6 +13,26 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Mapping
 
 import yaml
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.resolver import Resolver
+
+# libyaml produces the parse events when PyYAML ships it; the pure-Python
+# reader, scanner and parser do otherwise.  Nodes are always built by
+# PyYAML's Python composer: libyaml's own composer recurses on the C stack
+# and crashes the process on deeply nested input, where this one raises
+# RecursionError.
+_LIBYAML = yaml.__with_libyaml__
+if _LIBYAML:
+    from yaml.cyaml import CParser
+
+    _EVENT_SOURCE: tuple[type, ...] = (CParser,)
+else:
+    from yaml.parser import Parser
+    from yaml.reader import Reader
+    from yaml.scanner import Scanner
+
+    _EVENT_SOURCE = (Reader, Scanner, Parser)
 
 
 class MalformedDocument(ValueError):
@@ -79,6 +99,8 @@ class RawDocument:
     repo_slug: str
     path: str
     content: str
+    # The reader replaced invalid UTF-8 bytes while decoding `content`.
+    invalid_utf8: bool = False
 
 
 @dataclass(frozen=True)
@@ -134,11 +156,22 @@ class PipelineConfig:
     warnings: list[str] = field(default_factory=list)
 
 
-class _TrackingLoader(yaml.SafeLoader):
-    """SafeLoader that records duplicate mapping keys (last one wins)."""
+class _TrackingLoader(Composer, *_EVENT_SOURCE, SafeConstructor, Resolver):
+    """Safe loader that records duplicate mapping keys (last one wins).
+
+    `Composer` comes first so that its methods override CParser's composer.
+    """
 
     def __init__(self, stream):
-        super().__init__(stream)
+        Composer.__init__(self)
+        if _LIBYAML:
+            CParser.__init__(self, stream)
+        else:
+            Reader.__init__(self, stream)
+            Scanner.__init__(self)
+            Parser.__init__(self)
+        SafeConstructor.__init__(self)
+        Resolver.__init__(self)
         self.duplicate_keys: list[str] = []
 
     def construct_mapping(self, node, deep=False):
@@ -157,13 +190,18 @@ class _TrackingLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep=deep)
 
 
-def _decode(content: str | bytes, warnings: list[str]) -> str:
+def _decode(doc: RawDocument, warnings: list[str]) -> str:
+    """The document's text; bytes content is decoded as UTF-8 here."""
+    content = doc.content
+    replaced = doc.invalid_utf8
     if isinstance(content, bytes):
         try:
-            return content.decode("utf-8")
+            content = content.decode("utf-8")
         except UnicodeDecodeError:
-            warnings.append("invalid UTF-8 bytes replaced during decoding")
-            return content.decode("utf-8", errors="replace")
+            content = content.decode("utf-8", errors="replace")
+            replaced = True
+    if replaced:
+        warnings.append("invalid UTF-8 bytes replaced during decoding")
     return content
 
 
@@ -188,7 +226,7 @@ def is_travis_pipeline(doc: RawDocument) -> bool:
     ``language``).  Malformed YAML returns False rather than raising.
     """
     try:
-        text = _decode(doc.content, [])
+        text = _decode(doc, [])
         data, _ = _load_yaml(text)
     except Exception:
         return False
@@ -398,10 +436,11 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
     never fails on unknown keys; those are preserved in ``raw`` and ignored.
     """
     warnings: list[str] = []
-    text = _decode(doc.content, warnings)
+    text = _decode(doc, warnings)
     try:
         data, dup_warnings = _load_yaml(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:
+        # libyaml takes UTF-8, so a lone surrogate fails while encoding.
         raise MalformedDocument(f"{doc.path}: {exc}") from exc
     warnings.extend(dup_warnings)
 
@@ -445,7 +484,7 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
     )
 
     return PipelineConfig(
-        source=doc,
+        source=replace(doc, content=text),
         declared_stage_order=declared_stage_order,
         stage_conditions=stage_conditions,
         jobs=jobs,

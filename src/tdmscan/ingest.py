@@ -192,13 +192,15 @@ class LocalTree:
     """File tree over a local directory; optionally limited to listed paths.
 
     Never touches the network.  Reads record a sha256 digest per path in
-    ``provenance``.
+    ``provenance``; files decoded with replacement characters because they
+    hold invalid UTF-8 are listed in ``undecodable``.
     """
 
     def __init__(self, root: str, allowed: frozenset[str] | None = None):
         self.root = root
         self.allowed = allowed
         self.provenance: dict[str, dict[str, str]] = {}
+        self.undecodable: set[str] = set()
 
     def read(self, path: str) -> str | None:
         if path.startswith("/") or any(part == ".." for part in path.split("/")):
@@ -209,8 +211,13 @@ class LocalTree:
         if not os.path.isfile(full):
             return None
         with open(full, "rb") as handle:
-            content = handle.read().decode("utf-8", errors="replace")
-        self.provenance[path] = {"source": full, "sha256": _digest(content)}
+            data = handle.read()
+        try:
+            content = data.decode("utf-8")
+        except UnicodeDecodeError:
+            content = data.decode("utf-8", errors="replace")
+            self.undecodable.add(path)
+        self.provenance[path] = {"source": full, "sha256": hashlib.sha256(data).hexdigest()}
         return content
 
 
@@ -312,5 +319,10 @@ def materialize(
     if content is None:
         raise NotFound(f"{entry.repo_slug}: missing {entry.config_path}")
     tree.allowed = frozenset(entry.script_paths)
-    doc = RawDocument(entry.repo_slug, entry.config_path, content)
+    doc = RawDocument(
+        entry.repo_slug,
+        entry.config_path,
+        content,
+        invalid_utf8=entry.is_local and entry.config_path in tree.undecodable,
+    )
     return doc, tree

@@ -113,6 +113,22 @@ def _action_has_detection(action: str, detections: list[Detection]) -> bool:
     return False
 
 
+@lru_cache(maxsize=256)
+def _substantial_lines(content: str) -> frozenset[int]:
+    """Indexes of the script lines with an action that is not ceremony."""
+    lines = set()
+    for index, line in enumerate(content.splitlines()):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if any(
+            not _is_ceremony(action, _SCRIPT_CEREMONY_HEADS)
+            for action in split_actions(stripped)
+        ):
+            lines.add(index)
+    return frozenset(lines)
+
+
 def _script_runs_only_tools(
     path: str,
     doc: ScriptDocument,
@@ -126,18 +142,7 @@ def _script_runs_only_tools(
         for d in job_detections
         if d.source == SOURCE_SCRIPT and d.script_path == path
     }
-    for index, line in enumerate(doc.content.splitlines()):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        substantial = False
-        for action in split_actions(stripped):
-            if not _is_ceremony(action, _SCRIPT_CEREMONY_HEADS):
-                substantial = True
-                break
-        if substantial and index not in detected_lines:
-            return False
-    return True
+    return _substantial_lines(doc.content) <= detected_lines
 
 
 def _action_is_tool_script(

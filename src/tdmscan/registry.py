@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from .config_model import PhaseKind, PipelineConfig, iter_command_lines
 from .script_resolver import (
@@ -99,6 +100,28 @@ class Registry:
 
     def __len__(self) -> int:
         return len(self.tools)
+
+    @cached_property
+    def _unions(self) -> tuple[re.Pattern[str], re.Pattern[str]] | None:
+        """All tools' patterns as one anchored alternation, forward and reversed.
+
+        Group k+1 of the forward union is tool k; group k+1 of the reversed
+        union is tool n-1-k.  None when a pattern has capture groups, which
+        would shift the numbering (and backreferences need them), or when
+        the registry is empty.
+        """
+        if not self.tools or any(
+            pattern.groups for tool in self.tools for pattern in tool.compiled
+        ):
+            return None
+        alternatives = [
+            "(" + "|".join(f"(?:{pattern})" for pattern in tool.patterns) + ")"
+            for tool in self.tools
+        ]
+        return (
+            compile_anchored("|".join(alternatives)),
+            compile_anchored("|".join(reversed(alternatives))),
+        )
 
 
 @dataclass(frozen=True)
@@ -243,6 +266,41 @@ def shipped_registry() -> Registry:
     return registry
 
 
+def _candidate_tools(registry: Registry, parts: list[str]) -> Sequence[ToolSpec]:
+    """The tools, in registry order, that can match somewhere in `parts`.
+
+    Every tool whose own patterns find a match is included.  At each
+    position where the forward union matches, it names the first tool
+    matching there and the reversed union the last; only the tools in
+    between are tried one by one.
+    """
+    unions = registry._unions
+    if unions is None:
+        return registry.tools
+    forward, backward = unions
+    tools = registry.tools
+    hits: set[int] = set()
+    for part in parts:
+        pos = 0
+        # `re` clamps `pos` to the end, so an empty match there would repeat
+        # forever without this bound.
+        while pos <= len(part):
+            found = forward.search(part, pos)
+            if found is None:
+                break
+            start = found.start()
+            first = found.lastindex - 1
+            last = len(tools) - backward.match(part, start).lastindex
+            hits.update((first, last))
+            for index in range(first + 1, last):
+                if index not in hits and any(
+                    pattern.match(part, start) for pattern in tools[index].compiled
+                ):
+                    hits.add(index)
+            pos = start + 1
+    return [tools[index] for index in sorted(hits)]
+
+
 def detect_in_text(
     text: str,
     registry: Registry,
@@ -270,7 +328,7 @@ def detect_in_text(
             parts = [stripped]
         if not parts:
             continue
-        for tool in registry.tools:
+        for tool in _candidate_tools(registry, parts):
             matched: str | None = None
             for pattern in tool.compiled:
                 for part in parts:

@@ -10,6 +10,9 @@ from tdmscan.cli import main
 from conftest import CORPUS_DIR, EXAMPLE_CONFIG
 
 
+INVALID_UTF8_CONFIG = b"# caf\xe9 \xff\xfe\nlanguage: python\nscript:\n  - mypy pkg\n"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -69,6 +72,14 @@ class TestAnalyze:
         assert data["tools"] == {"shellcheck": "script"}
         assert any(d["script"] == "ci/check.sh" for d in data["detections"])
 
+    def test_invalid_utf8_config_warns(self, capsys, tmp_path):
+        (tmp_path / ".travis.yml").write_bytes(INVALID_UTF8_CONFIG)
+        code, out, _ = run_cli(capsys, "analyze", str(tmp_path))
+        assert code == 0
+        data = json.loads(out)
+        assert data["warnings"] == ["invalid UTF-8 bytes replaced during decoding"]
+        assert data["tools"] == {"mypy": "direct"}
+
     def test_missing_path_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", str(tmp_path / "nope"))
         assert code == 1
@@ -116,6 +127,17 @@ class TestScan:
         assert (out_dir / "tools.csv").is_file()
         assert "pipelines analyzed: 38" in out
         assert "pipelines with tools: 36" in out
+
+    def test_invalid_utf8_config_warns(self, capsys, tmp_path):
+        entry = tmp_path / "corpus" / "latin1"
+        entry.mkdir(parents=True)
+        (entry / ".travis.yml").write_bytes(INVALID_UTF8_CONFIG)
+        code, out, err = run_cli(
+            capsys, "scan", str(tmp_path / "corpus"), "--out", str(tmp_path / "out")
+        )
+        assert code == 0
+        assert "latin1: invalid UTF-8 bytes replaced during decoding" in err
+        assert "warnings: 1" in out
 
     def test_scan_deterministic(self, capsys, tmp_path):
         first = tmp_path / "r1"

@@ -199,6 +199,15 @@ class TestWarningsAndEdgeCases:
         cfg = parse_config(doc)
         assert any("UTF-8" in w for w in cfg.warnings)
 
+    def test_bytes_content_is_str_after_parsing(self):
+        doc = RawDocument("a/b", ".travis.yml", b"language: python\nscript: ok\xff\n")
+        assert parse_config(doc).source.content == "language: python\nscript: ok\ufffd\n"
+
+    def test_reader_replacement_flag_warns(self):
+        doc = RawDocument("a/b", ".travis.yml", "script: ok\ufffd\n", invalid_utf8=True)
+        assert parse_config(doc).warnings == ["invalid UTF-8 bytes replaced during decoding"]
+        assert parse_config(make_doc("script: ok\ufffd\n")).warnings == []
+
     def test_unknown_keys_preserved(self):
         cfg = parse_config(make_doc("language: go\nfrobnicate: 12\nscript: x\n"))
         assert cfg.raw["frobnicate"] == 12

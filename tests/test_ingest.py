@@ -167,6 +167,26 @@ class TestLocalMaterialize:
             digest = hashlib.sha256(handle.read()).hexdigest()
         assert tree1.provenance[".travis.yml"] == {"source": config, "sha256": digest}
 
+    def test_invalid_utf8_config_is_flagged(self, tmp_path):
+        root = tmp_path / "repo"
+        root.mkdir()
+        raw = b"language: python\nscript: ok\xff\xfe\n"
+        (root / ".travis.yml").write_bytes(raw)
+        entry = ManifestEntry("a/b", ".travis.yml", (), local_root=str(root))
+        doc, tree = materialize(entry)
+        assert doc.invalid_utf8 is True
+        assert isinstance(doc.content, str) and "\ufffd" in doc.content
+        assert tree.undecodable == {".travis.yml"}
+        # The digest is of the bytes on disk, not of the replaced text.
+        assert tree.provenance[".travis.yml"]["sha256"] == hashlib.sha256(raw).hexdigest()
+
+    def test_valid_config_is_not_flagged(self, tmp_path):
+        root = self.make_repo(tmp_path)
+        entry = ManifestEntry("a/b", ".travis.yml", ("ci/lint.sh",), local_root=root)
+        doc, tree = materialize(entry)
+        assert doc.invalid_utf8 is False
+        assert tree.undecodable == set()
+
     def test_local_tree_rejects_escapes(self, tmp_path):
         tree = LocalTree(str(tmp_path))
         assert tree.read("../etc/passwd") is None

@@ -2,6 +2,7 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
+from tdmscan import placement
 from tdmscan.config_model import PhaseKind, parse_config, resolve_stage_name
 from tdmscan.placement import (
     NoDetectionInJob,
@@ -253,6 +254,31 @@ class TestClassifyPipeline:
         results = classify_pipeline(cfg, profile, scripts)
         assert [r.job_index for r in results] == [1]
         assert results[0].stage_label == "implicit"
+
+    def test_shared_script_lines_classified_once(self, registry, monkeypatch):
+        script = "set -e\nflake8 src\npylint src\n"
+        cfg, profile, scripts = analyzed(
+            registry,
+            "jobs:\n"
+            "  include:\n"
+            "    - script: ./ci/lint.sh\n"
+            "    - script: ./ci/lint.sh\n"
+            "    - script: ./ci/lint.sh\n",
+            {"ci/lint.sh": script},
+        )
+        classified = []
+        real_is_ceremony = placement._is_ceremony
+
+        def counting_is_ceremony(action, heads):
+            if heads is placement._SCRIPT_CEREMONY_HEADS:
+                classified.append(action)
+            return real_is_ceremony(action, heads)
+
+        monkeypatch.setattr(placement, "_is_ceremony", counting_is_ceremony)
+        placement._substantial_lines.cache_clear()
+        results = classify_pipeline(cfg, profile, scripts)
+        assert [r.placement for r in results] == [PlacementKind.DEDICATED_JOB] * 3
+        assert classified == ["set -e", "flake8 src", "pylint src"]
 
 
 def _reference_timing(cfg, det):

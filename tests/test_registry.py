@@ -1,7 +1,7 @@
 import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tdmscan import registry as registry_module
 from tdmscan.config_model import PhaseKind, parse_config
@@ -11,12 +11,14 @@ from tdmscan.registry import (
     RegistryError,
     SOURCE_CONFIG,
     SOURCE_SCRIPT,
+    Detection,
     SourceContext,
     UnknownEnumValue,
     detect_in_text,
     load_registry,
     shipped_registry,
 )
+from tdmscan.script_resolver import is_installer_segment, split_segments
 from conftest import make_doc, profile_of
 
 CTX = SourceContext(SOURCE_CONFIG, PhaseKind.SCRIPT, 0)
@@ -325,3 +327,118 @@ def test_every_tool_has_a_firing_sample(registry):
     for tool_id, line in samples.items():
         detections = detect_in_text(line, registry, CTX)
         assert tool_id in tool_ids(detections), f"{tool_id} missed {line!r}"
+
+
+# --- matcher differential: union prefilter vs the per-tool loop ---------------
+
+
+def _per_tool_detect(text, registry, ctx, install_exclusion):
+    """detect_in_text as a plain loop over every tool, pattern and part."""
+    detections = []
+    for line_index, line in enumerate(text.splitlines()):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if install_exclusion:
+            parts = [
+                segment
+                for segment in split_segments(stripped)
+                if not is_installer_segment(segment)
+            ]
+        else:
+            parts = [stripped]
+        if not parts:
+            continue
+        for tool in registry.tools:
+            matched = None
+            for pattern in tool.compiled:
+                for part in parts:
+                    found = pattern.search(part)
+                    if found:
+                        matched = found.group(0)
+                        break
+                if matched:
+                    break
+            if matched:
+                detections.append(
+                    Detection(
+                        tool_id=tool.id,
+                        source=ctx.source,
+                        script_path=ctx.script_path,
+                        phase=ctx.phase,
+                        job_index=ctx.job_index,
+                        matched_text=matched,
+                        line_ordinal=ctx.ordinal_base + line_index,
+                    )
+                )
+    return detections
+
+
+def _small_registry(pattern_lists):
+    return load_registry(
+        {
+            "version": "t",
+            "tools": [
+                {
+                    "id": f"t{index}",
+                    "display_name": f"T{index}",
+                    "patterns": patterns,
+                    "tool_type": "linter",
+                    "tdm_activity": ["identification"],
+                    "debt_type": "code",
+                }
+                for index, patterns in enumerate(pattern_lists)
+            ],
+        }
+    )
+
+
+# Patterns that overlap at one position, match the empty string, or look ahead.
+_POOL = ["a", "ab?", "a+", "c*", "b", "ab", "a b", "b|c", "a(?=b)", "(?:ab)+", "[ab]c?"]
+_BACKREFERENCE = r"(a)\1"
+_TEXT = st.lists(
+    st.sampled_from(
+        ["a", "b", "c", "ab", " ", ";", "&&", "|", "(", ")", "'", "#", "\n", "-", "/",
+         "pip install ", "x"]
+    ),
+    max_size=16,
+).map("".join)
+
+
+@st.composite
+def _registries(draw):
+    pattern_lists = draw(
+        st.lists(st.lists(st.sampled_from(_POOL), min_size=1, max_size=3), min_size=1, max_size=5)
+    )
+    if draw(st.booleans()):
+        pattern_lists.insert(
+            draw(st.integers(0, len(pattern_lists))), [_BACKREFERENCE]
+        )
+    return _small_registry(pattern_lists)
+
+
+@given(_registries(), st.lists(_TEXT, min_size=1, max_size=5), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_detect_matches_per_tool_loop(registry, texts, install_exclusion):
+    for text in texts:
+        assert detect_in_text(text, registry, CTX, install_exclusion) == _per_tool_detect(
+            text, registry, CTX, install_exclusion
+        )
+
+
+def test_backreference_disables_the_union():
+    registry = _small_registry([["a"], [_BACKREFERENCE]])
+    assert registry._unions is None
+    assert tool_ids(detect_in_text("aa ; a", registry, CTX)) == ["t0", "t1"]
+
+
+def test_shipped_registry_has_unions(registry):
+    assert registry._unions is not None
+
+
+def test_empty_matching_pattern_terminates():
+    # `c*` matches the empty string after the trailing `(`; the scan must stop
+    # there rather than search again from the same clamped position.
+    registry = _small_registry([["c*"], ["a"]])
+    assert tool_ids(detect_in_text("a (", registry, CTX, install_exclusion=False)) == ["t1"]
+    assert detect_in_text("x (", registry, CTX, install_exclusion=False) == []
