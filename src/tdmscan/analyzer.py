@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -18,6 +19,10 @@ from .ingest import ManifestEntry, FetchPolicy, NotFound, materialize
 from .placement import classify_pipeline
 from .registry import Registry, profile_pipeline
 from .script_resolver import FileTree, collect_script_documents
+
+# Chunks per worker in a pooled scan: enough that one chunk of large
+# pipelines does not leave the other workers idle at the end.
+_CHUNKS_PER_WORKER = 8
 
 
 @dataclass(frozen=True)
@@ -78,10 +83,12 @@ def analyze_document(
 
 @dataclass
 class EntryResult:
+    """One entry's outcome; an ``ok`` entry's record is already aggregated."""
+
     slug: str
     status: str  # "ok" | "skipped" | "failed"
-    analysis: PipelineAnalysis | None = None
     message: str = ""
+    warnings: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -97,6 +104,7 @@ class ScanResult:
 
 def _process_entry(
     entry: ManifestEntry,
+    aggregator: Aggregator,
     registry: Registry,
     options: AnalysisOptions,
     policy: FetchPolicy,
@@ -118,7 +126,119 @@ def _process_entry(
         return EntryResult(entry.repo_slug, "skipped", message=str(exc))
     except Exception as exc:  # noqa: BLE001 - entry isolation
         return EntryResult(entry.repo_slug, "failed", message=str(exc))
-    return EntryResult(entry.repo_slug, "ok", analysis=analysis)
+    aggregator.add(analysis.record)
+    return EntryResult(entry.repo_slug, "ok", warnings=analysis.warnings)
+
+
+def _scan_chunk(
+    entries: list[ManifestEntry],
+    registry: Registry,
+    options: AnalysisOptions,
+    policy: FetchPolicy,
+    session=None,
+    clock=None,
+    bucket=None,
+) -> tuple[Aggregator, list[EntryResult]]:
+    """Analyze entries in order, folding every ``ok`` record into one aggregator."""
+    aggregator = Aggregator(registry.version)
+    results = [
+        _process_entry(
+            entry, aggregator, registry, options, policy, session, clock, bucket
+        )
+        for entry in entries
+    ]
+    return aggregator, results
+
+
+# What every chunk of a process-pool scan shares; set in each worker by
+# _init_worker and inherited through fork, so nothing is pickled per chunk.
+_worker_context: tuple = ()
+
+
+def _init_worker(
+    registry: Registry, options: AnalysisOptions, policy: FetchPolicy
+) -> None:
+    global _worker_context
+    _worker_context = (registry, options, policy)
+
+
+def _scan_chunk_in_worker(
+    entries: list[ManifestEntry],
+) -> tuple[Aggregator, list[EntryResult]]:
+    return _scan_chunk(entries, *_worker_context)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunks(entries: list[ManifestEntry], workers: int) -> list[list[ManifestEntry]]:
+    """Contiguous chunks, several per worker (see _CHUNKS_PER_WORKER)."""
+    size = max(1, len(entries) // (workers * _CHUNKS_PER_WORKER))
+    return [entries[start : start + size] for start in range(0, len(entries), size)]
+
+
+def _scan_local(
+    entries: list[ManifestEntry],
+    registry: Registry,
+    options: AnalysisOptions,
+    policy: FetchPolicy,
+    workers: int,
+) -> list[tuple[Aggregator, list[EntryResult]]]:
+    """Local entries are CPU-bound: shard them across forked processes.
+
+    The pool has at most one process per usable CPU.  With one process, or
+    where ``fork`` does not exist, the entries run here, in this process.
+    """
+    processes = max(1, min(workers, _usable_cpus()))
+    chunks = _chunks(entries, processes)
+    processes = min(processes, len(chunks))
+    if processes > 1:
+        import multiprocessing
+
+        # Forked workers inherit the loaded package and registry; spawned
+        # ones would import tdmscan again.
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            processes = 1
+    if processes <= 1:
+        return [_scan_chunk(entries, registry, options, policy)]
+
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        processes,
+        mp_context=context,
+        initializer=_init_worker,
+        initargs=(registry, options, policy),
+    ) as pool:
+        return list(pool.map(_scan_chunk_in_worker, chunks))
+
+
+def _scan_remote(
+    entries: list[ManifestEntry],
+    registry: Registry,
+    options: AnalysisOptions,
+    policy: FetchPolicy,
+    session,
+    clock,
+    workers: int,
+) -> list[tuple[Aggregator, list[EntryResult]]]:
+    """Remote fetches wait on I/O: overlap them on threads sharing one rate limit."""
+    from .ingest import TokenBucket
+
+    bucket = TokenBucket(policy.max_requests_per_hour, clock)
+
+    def scan(chunk: list[ManifestEntry]) -> tuple[Aggregator, list[EntryResult]]:
+        return _scan_chunk(chunk, registry, options, policy, session, clock, bucket)
+
+    if workers <= 1 or len(entries) <= 1:
+        return [scan(entries)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(scan, _chunks(entries, workers)))
 
 
 def scan_entries(
@@ -132,36 +252,32 @@ def scan_entries(
 ) -> ScanResult:
     """Analyze every entry and aggregate; failures are isolated per entry.
 
-    Results are merged in slug order, so the report is deterministic no
-    matter how many workers run or in which order entries complete.
+    Local entries run in up to ``workers`` processes, at most one per usable
+    CPU.  A manifest with remote entries runs on ``workers`` threads that
+    share the caller's session and one rate limit.  Entries are processed in
+    slug order (the last entry wins a repeated slug) and the partial
+    aggregates are merged in that order, so the report is the same for any
+    number of workers.
     """
     policy = policy or FetchPolicy()
-    bucket = None
-    if any(not entry.is_local for entry in entries):
-        from .ingest import TokenBucket
-
-        bucket = TokenBucket(policy.max_requests_per_hour, clock)
-
-    def process(entry: ManifestEntry) -> EntryResult:
-        return _process_entry(entry, registry, options, policy, session, clock, bucket)
-
-    if workers <= 1 or len(entries) <= 1:
-        results = list(map(process, entries))
+    by_slug = {entry.repo_slug: entry for entry in entries}
+    ordered = [by_slug[slug] for slug in sorted(by_slug)]
+    if all(entry.is_local for entry in ordered):
+        parts = _scan_local(ordered, registry, options, policy, workers)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(process, entries))
-    by_slug = {result.slug: result for result in results}
+        parts = _scan_remote(ordered, registry, options, policy, session, clock, workers)
 
     aggregator = Aggregator(registry.version)
-    ordered = [by_slug[slug] for slug in sorted(by_slug)]
+    results: list[EntryResult] = []
+    for part, part_results in parts:
+        aggregator.merge(part)
+        results.extend(part_results)
     warnings: list[str] = []
-    for entry_result in ordered:
-        if entry_result.status == "ok":
-            aggregator.add(entry_result.analysis.record)
+    for result in results:
+        if result.status == "ok":
             warnings.extend(
-                f"{entry_result.slug}: {message}"
-                for message in entry_result.analysis.warnings
+                f"{result.slug}: {message}" for message in result.warnings
             )
         else:
-            warnings.append(f"{entry_result.slug}: {entry_result.message}")
-    return ScanResult(report=aggregator.report(), entries=ordered, warnings=warnings)
+            warnings.append(f"{result.slug}: {result.message}")
+    return ScanResult(report=aggregator.report(), entries=results, warnings=warnings)

@@ -88,8 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "analyze entries on N threads (default 1); threads overlap only "
-            "remote fetches, so a local scan is CPU-bound and runs no faster"
+            "analyze entries with N workers (default 1): local entries run in "
+            "N processes, at most one per usable CPU; manifests with remote "
+            "entries run on N threads that share one fetch rate limit"
         ),
     )
 

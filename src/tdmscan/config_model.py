@@ -21,7 +21,7 @@ from yaml.resolver import Resolver
 # reader, scanner and parser do otherwise.  Nodes are always built by
 # PyYAML's Python composer: libyaml's own composer recurses on the C stack
 # and crashes the process on deeply nested input, where this one raises
-# RecursionError.
+# RecursionError, which parse_config reports as MalformedDocument.
 _LIBYAML = yaml.__with_libyaml__
 if _LIBYAML:
     from yaml.cyaml import CParser
@@ -442,6 +442,9 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
     except (yaml.YAMLError, UnicodeEncodeError) as exc:
         # libyaml takes UTF-8, so a lone surrogate fails while encoding.
         raise MalformedDocument(f"{doc.path}: {exc}") from exc
+    except RecursionError as exc:
+        # The Python composer recurses once per nesting level.
+        raise MalformedDocument(f"{doc.path}: YAML nested too deeply") from exc
     warnings.extend(dup_warnings)
 
     if not isinstance(data, Mapping) or not any(

@@ -55,6 +55,7 @@ class TestAnalyze:
         for content, error in [
             ("", "NotAPipeline"),
             ("script: &s [flake8, *s]\n", "MalformedDocument"),
+            ("script: " + "[" * 600 + "]" * 600 + "\n", "MalformedDocument"),
         ]:
             config.write_text(content)
             code, out, err = run_cli(capsys, "analyze", str(config))

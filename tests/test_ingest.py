@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import sys
+import types
 
 import pytest
 
+from tdmscan.analyzer import scan_entries
 from tdmscan.ingest import (
     DuplicateSlug,
     FetchPolicy,
@@ -300,3 +303,48 @@ class TestTokenBucket:
     def test_invalid_policy(self):
         with pytest.raises(ValueError):
             FetchPolicy(max_requests_per_hour=0)
+
+
+class TestRemoteScan:
+    def test_two_workers_fetch_through_the_callers_session(self, monkeypatch, registry):
+        # Remote entries run on threads in this process, so the caller's
+        # session sees every request and the entries share one rate limit.
+        # A scan that dropped the session would open a default one; make
+        # that fail at once instead of reaching the network.
+        def no_default_session():
+            raise AssertionError("the caller's session was not used")
+
+        monkeypatch.setitem(
+            sys.modules, "requests", types.SimpleNamespace(Session=no_default_session)
+        )
+        base_a = "https://raw.example.org/acme/a/main"
+        base_b = "https://raw.example.org/acme/b/main"
+        session = FakeSession(
+            {
+                f"{base_a}/.travis.yml": [FakeResponse(200, "script: flake8 .\n")],
+                f"{base_b}/.travis.yml": [FakeResponse(200, "script: ./ci/lint.sh\n")],
+                f"{base_b}/ci/lint.sh": [FakeResponse(200, "pylint src\n")],
+            }
+        )
+        clock = FakeClock()
+        entries = [
+            ManifestEntry("acme/b", ".travis.yml", ("ci/lint.sh",), remote_base_url=base_b),
+            ManifestEntry("acme/a", ".travis.yml", (), remote_base_url=base_a),
+        ]
+        result = scan_entries(
+            entries,
+            registry,
+            policy=FetchPolicy(max_requests_per_hour=2),
+            session=session,
+            clock=clock,
+            workers=2,
+        )
+        assert [(e.slug, e.status) for e in result.entries] == [
+            ("acme/a", "ok"),
+            ("acme/b", "ok"),
+        ]
+        assert sorted(url for url, _ in session.calls) == sorted(session.responses)
+        assert sorted(result.report.tool_table) == ["flake8", "pylint"]
+        # 3 requests on one 2/hour budget: the third waits 1800 s.  Separate
+        # budgets per entry would never wait.
+        assert clock.time == pytest.approx(1800.0)
