@@ -225,8 +225,9 @@ class RemoteTree:
     """Lazily fetches raw files over HTTPS, honoring a shared rate limit.
 
     404 responses resolve to None (absence is data); throttled or failing
-    responses are retried within the policy's budget, then raise
-    RateLimited.  Fetches are cached so re-reads cost nothing.
+    responses and transport errors are retried within the policy's budget,
+    then raise RateLimited.  Any other exception from the session propagates
+    at once.  Fetches are cached so re-reads cost nothing.
     """
 
     def __init__(
@@ -273,13 +274,16 @@ class RemoteTree:
         while True:
             self.bucket.acquire()
             attempts += 1
+            # Only transport errors are retried (requests' exceptions are
+            # OSErrors); anything else fails the entry with its own message.
             try:
                 response = self.session.get(
                     url, timeout=self.policy.timeout, headers=self._headers()
                 )
-                status = response.status_code
-            except Exception:
+            except OSError:
                 status = None
+            else:
+                status = response.status_code
             if status == 200:
                 return response.text
             if status == 404:

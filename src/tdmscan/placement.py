@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping
@@ -73,7 +74,7 @@ _SCRIPT_CEREMONY_HEADS = _CEREMONY_HEADS | frozenset(
     }
 )
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _anchored_literal(text: str) -> re.Pattern[str]:
     return compile_anchored(re.escape(text))
 
@@ -193,9 +194,22 @@ def _runs_only_tdm(
     return True
 
 
-def _stage_job_count(cfg: PipelineConfig, job: Job) -> int:
-    label = resolve_stage_name(job)
-    return sum(1 for other in cfg.jobs if resolve_stage_name(other) == label)
+def _stage_sizes(cfg: PipelineConfig) -> Counter[str]:
+    """Number of jobs per stage label."""
+    return Counter(resolve_stage_name(job) for job in cfg.jobs)
+
+
+def _placement(
+    job: Job,
+    job_detections: list[Detection],
+    scripts: Mapping[str, ScriptDocument],
+    stage_sizes: Counter[str],
+) -> PlacementKind:
+    if _runs_only_tdm(job, job_detections, scripts):
+        if job.stage_name is not None and stage_sizes[job.stage_name] == 1:
+            return PlacementKind.DEDICATED_STAGE
+        return PlacementKind.DEDICATED_JOB
+    return PlacementKind.MIXED_JOB
 
 
 def classify_placement(
@@ -213,11 +227,7 @@ def classify_placement(
     job_detections = profile.detections_for_job(job.index)
     if not job_detections:
         raise NoDetectionInJob(f"job {job.index} has no detections")
-    if _runs_only_tdm(job, job_detections, scripts):
-        if job.stage_name is not None and _stage_job_count(cfg, job) == 1:
-            return PlacementKind.DEDICATED_STAGE
-        return PlacementKind.DEDICATED_JOB
-    return PlacementKind.MIXED_JOB
+    return _placement(job, job_detections, scripts, _stage_sizes(cfg))
 
 
 def classify_timing(cfg: PipelineConfig, det: Detection) -> TimingKind:
@@ -247,11 +257,12 @@ def classify_pipeline(
 ) -> list[PlacementResult]:
     """One PlacementResult per detection-bearing job, in job order."""
     results: list[PlacementResult] = []
+    stage_sizes = _stage_sizes(cfg)
     for job in cfg.jobs:
         job_detections = profile.detections_for_job(job.index)
         if not job_detections:
             continue
-        placement = classify_placement(cfg, job, profile, scripts)
+        placement = _placement(job, job_detections, scripts, stage_sizes)
         timings = {d: classify_timing(cfg, d) for d in job_detections}
         tool_count = len({d.tool_id for d in job_detections})
         results.append(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from importlib import resources
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -41,6 +41,11 @@ INVOCATION_BOTH = "both"
 # like `myflake8fork`, and env assignments must not match.
 _BOUNDARY_CLASS = "[\\s;|&()<>'\"`:,]"
 _EXPECTED_TOOL_COUNT = 38
+
+# Per-registry memo of the tool hits on one stripped line: at most this many
+# lines, each at most this long (longer lines are matched every time).
+_LINE_MEMO_SIZE = 4096
+_LINE_MEMO_MAX_CHARS = 256
 
 
 class RegistryError(ValueError):
@@ -123,6 +128,20 @@ class Registry:
             compile_anchored("|".join(reversed(alternatives))),
         )
 
+    @cached_property
+    def _line_memo(self):
+        """`_line_hits` for this registry, memoized on (line, install_exclusion).
+
+        Bound to the instance, so a lookup never hashes the tool specs.
+        """
+        return lru_cache(maxsize=_LINE_MEMO_SIZE)(partial(_line_hits, self))
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The memo is per process and cannot be pickled; a copy builds its own.
+        state = dict(self.__dict__)
+        state.pop("_line_memo", None)
+        return state
+
 
 @dataclass(frozen=True)
 class SourceContext:
@@ -158,7 +177,11 @@ class ToolUsage:
 
 @dataclass
 class PipelineToolProfile:
-    """All tool usages found in one pipeline, keyed by tool id."""
+    """All tool usages found in one pipeline, keyed by tool id.
+
+    `tools` is not changed after construction: the per-job index is built
+    from it once.
+    """
 
     tools: dict[str, ToolUsage]
 
@@ -171,11 +194,19 @@ class PipelineToolProfile:
             out.extend(self.tools[tool_id].detections)
         return out
 
+    @cached_property
+    def _by_job(self) -> dict[int, list[Detection]]:
+        """all_detections grouped by job index, each group in that order."""
+        grouped: dict[int, list[Detection]] = {}
+        for detection in self.all_detections():
+            grouped.setdefault(detection.job_index, []).append(detection)
+        return grouped
+
     def detections_for_job(self, job_index: int) -> list[Detection]:
-        return [d for d in self.all_detections() if d.job_index == job_index]
+        return list(self._by_job.get(job_index, ()))
 
     def job_indexes(self) -> list[int]:
-        return sorted({d.job_index for d in self.all_detections()})
+        return sorted(self._by_job)
 
 
 def _require(record: Mapping[str, Any], key: str, where: str) -> Any:
@@ -301,6 +332,36 @@ def _candidate_tools(registry: Registry, parts: list[str]) -> Sequence[ToolSpec]
     return [tools[index] for index in sorted(hits)]
 
 
+def _line_hits(
+    registry: Registry, stripped: str, install_exclusion: bool
+) -> tuple[tuple[str, str], ...]:
+    """(tool id, matched text) per tool found on one stripped, non-comment line."""
+    if install_exclusion:
+        parts = [
+            segment
+            for segment in split_segments(stripped)
+            if not is_installer_segment(segment)
+        ]
+    else:
+        parts = [stripped]
+    if not parts:
+        return ()
+    hits = []
+    for tool in _candidate_tools(registry, parts):
+        matched: str | None = None
+        for pattern in tool.compiled:
+            for part in parts:
+                found = pattern.search(part)
+                if found:
+                    matched = found.group(0)
+                    break
+            if matched:
+                break
+        if matched:
+            hits.append((tool.id, matched))
+    return tuple(hits)
+
+
 def detect_in_text(
     text: str,
     registry: Registry,
@@ -313,43 +374,28 @@ def detect_in_text(
     is `#` are comments and skipped.  With `install_exclusion` on, shell
     segments that merely install a package manager's payload are ignored.
     """
+    memo = registry._line_memo
     detections: list[Detection] = []
     for line_index, line in enumerate(text.splitlines()):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if install_exclusion:
-            parts = [
-                segment
-                for segment in split_segments(stripped)
-                if not is_installer_segment(segment)
-            ]
+        if len(stripped) <= _LINE_MEMO_MAX_CHARS:
+            hits = memo(stripped, install_exclusion)
         else:
-            parts = [stripped]
-        if not parts:
-            continue
-        for tool in _candidate_tools(registry, parts):
-            matched: str | None = None
-            for pattern in tool.compiled:
-                for part in parts:
-                    found = pattern.search(part)
-                    if found:
-                        matched = found.group(0)
-                        break
-                if matched:
-                    break
-            if matched:
-                detections.append(
-                    Detection(
-                        tool_id=tool.id,
-                        source=ctx.source,
-                        script_path=ctx.script_path,
-                        phase=ctx.phase,
-                        job_index=ctx.job_index,
-                        matched_text=matched,
-                        line_ordinal=ctx.ordinal_base + line_index,
-                    )
+            hits = _line_hits(registry, stripped, install_exclusion)
+        for tool_id, matched in hits:
+            detections.append(
+                Detection(
+                    tool_id=tool_id,
+                    source=ctx.source,
+                    script_path=ctx.script_path,
+                    phase=ctx.phase,
+                    job_index=ctx.job_index,
+                    matched_text=matched,
+                    line_ordinal=ctx.ordinal_base + line_index,
                 )
+            )
     return detections
 
 

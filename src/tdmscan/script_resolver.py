@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Protocol
 
 from .config_model import CommandLine
@@ -26,6 +27,11 @@ _WRAPPERS = frozenset(
     {"sudo", "time", "env", "nice", "travis_retry", "travis_wait", "xvfb-run"}
 )
 _INTERPRETER_BASES = frozenset({"sh", "bash"})
+
+# Memo of the reference events of one stripped line: at most this many
+# lines, each at most this long (longer lines are tokenized every time).
+_REF_MEMO_SIZE = 1024
+_REF_MEMO_MAX_CHARS = 256
 
 
 @dataclass(frozen=True)
@@ -164,31 +170,53 @@ def _interpreter_argument(tokens: list[str]) -> str | None:
     return None
 
 
+def _line_ref_events(stripped: str) -> tuple[tuple[str | None, str | None], ...]:
+    """(token, warning) per reference event on one stripped, non-comment line.
+
+    A rejected token is (None, warning); an accepted one carries a warning
+    only when it holds an unresolved variable.
+    """
+    events: list[tuple[str | None, str | None]] = []
+    for segment in split_segments(stripped):
+        tokens = shell_tokens(segment)
+        interp_arg = _interpreter_argument(tokens)
+        for token in tokens:
+            if not (
+                token.endswith(SCRIPT_SUFFIXES)
+                or token.startswith("./")
+                or token == interp_arg
+            ):
+                continue
+            if token.startswith("/") or _has_parent_segment(token):
+                events.append(
+                    (None, f"rejected script reference outside repository: {token}")
+                )
+            elif "$" in token:
+                events.append(
+                    (token, f"script reference with unresolved variable: {token}")
+                )
+            else:
+                events.append((token, None))
+    return tuple(events)
+
+
+_memo_line_ref_events = lru_cache(maxsize=_REF_MEMO_SIZE)(_line_ref_events)
+
+
 def _iter_ref_tokens(text: str, warnings: list[str] | None) -> Iterable[str]:
     for line in text.splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        for segment in split_segments(stripped):
-            tokens = shell_tokens(segment)
-            interp_arg = _interpreter_argument(tokens)
-            for token in tokens:
-                if (
-                    token.endswith(SCRIPT_SUFFIXES)
-                    or token.startswith("./")
-                    or token == interp_arg
-                ):
-                    if token.startswith("/") or _has_parent_segment(token):
-                        if warnings is not None:
-                            warnings.append(
-                                f"rejected script reference outside repository: {token}"
-                            )
-                        continue
-                    if "$" in token and warnings is not None:
-                        warnings.append(
-                            f"script reference with unresolved variable: {token}"
-                        )
-                    yield token
+        if len(stripped) <= _REF_MEMO_MAX_CHARS:
+            events = _memo_line_ref_events(stripped)
+        else:
+            events = _line_ref_events(stripped)
+        for token, warning in events:
+            if warning is not None and warnings is not None:
+                warnings.append(warning)
+            if token is not None:
+                yield token
 
 
 def extract_script_refs(

@@ -58,6 +58,18 @@ class FakeSession:
         return items[0]
 
 
+class RaisingSession:
+    """A session whose every request raises `error`."""
+
+    def __init__(self, error):
+        self.error = error
+        self.calls = []
+
+    def get(self, url, timeout=None, headers=None):
+        self.calls.append(url)
+        raise self.error
+
+
 class RefusingSession:
     def get(self, *args, **kwargs):
         raise AssertionError("network access attempted in local mode")
@@ -258,6 +270,31 @@ class TestRemoteMaterialize:
         doc, _ = materialize(self.entry(), session=session, clock=clock)
         assert doc.content == "script: x\n"
         assert clock.sleeps  # backed off once
+
+    def test_non_transport_error_fails_the_entry_at_once(self, registry):
+        clock = FakeClock()
+        session = RaisingSession(TypeError("get() got an unexpected keyword"))
+        result = scan_entries(
+            [self.entry()],
+            registry,
+            policy=FetchPolicy(max_requests_per_hour=2),
+            session=session,
+            clock=clock,
+        )
+        assert len(session.calls) == 1
+        assert clock.sleeps == []
+        assert [(e.status, e.message) for e in result.entries] == [
+            ("failed", "get() got an unexpected keyword")
+        ]
+
+    def test_transport_error_is_retried_until_rate_limited(self):
+        clock = FakeClock()
+        session = RaisingSession(ConnectionError("connection reset"))
+        policy = FetchPolicy(max_requests_per_hour=1000, retry_budget=2)
+        with pytest.raises(RateLimited):
+            materialize(self.entry(), policy=policy, session=session, clock=clock)
+        assert len(session.calls) == 3
+        assert clock.sleeps == [2.0, 4.0]
 
     def test_auth_token_header_from_env(self, monkeypatch):
         monkeypatch.setenv("TDMSCAN_FETCH_TOKEN", "sekret")

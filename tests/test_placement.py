@@ -12,7 +12,12 @@ from tdmscan.placement import (
     classify_placement,
     classify_timing,
 )
-from tdmscan.registry import SOURCE_CONFIG, Detection, profile_pipeline
+from tdmscan.registry import (
+    SOURCE_CONFIG,
+    Detection,
+    PipelineToolProfile,
+    profile_pipeline,
+)
 
 from conftest import collect_scripts, make_doc, profile_of
 
@@ -279,6 +284,45 @@ class TestClassifyPipeline:
         results = classify_pipeline(cfg, profile, scripts)
         assert [r.placement for r in results] == [PlacementKind.DEDICATED_JOB] * 3
         assert classified == ["set -e", "flake8 src", "pylint src"]
+
+    def test_detections_and_stages_indexed_once_per_pipeline(self, registry, monkeypatch):
+        jobs = 40
+        cfg, profile, scripts = analyzed(
+            registry,
+            "jobs:\n  include:\n"
+            + "".join(
+                f"    - stage: s{i % 4}\n      script: flake8 src/p{i}\n"
+                for i in range(jobs)
+            )
+            + "    - stage: solo\n      script: pylint src\n",
+        )
+        indexed = []
+        stage_lookups = []
+        real_all_detections = PipelineToolProfile.all_detections
+        real_resolve_stage_name = placement.resolve_stage_name
+
+        def counting_all_detections(self):
+            indexed.append(self)
+            return real_all_detections(self)
+
+        def counting_resolve_stage_name(job):
+            stage_lookups.append(job.index)
+            return real_resolve_stage_name(job)
+
+        monkeypatch.setattr(PipelineToolProfile, "all_detections", counting_all_detections)
+        monkeypatch.setattr(placement, "resolve_stage_name", counting_resolve_stage_name)
+        results = classify_pipeline(cfg, profile, scripts)
+        assert [r.placement for r in results] == [PlacementKind.DEDICATED_JOB] * jobs + [
+            PlacementKind.DEDICATED_STAGE
+        ]
+        assert indexed == [profile]
+        # Once per job for the stage sizes and once for its label, plus once
+        # per detection for its timing: linear, not one pass per job.
+        assert len(stage_lookups) == 3 * (jobs + 1)
+        assert profile.detections_for_job(3) == [
+            d for d in real_all_detections(profile) if d.job_index == 3
+        ]
+        assert profile.job_indexes() == list(range(jobs + 1))
 
 
 def _reference_timing(cfg, det):

@@ -1,3 +1,4 @@
+import pickle
 import string
 
 import pytest
@@ -442,3 +443,83 @@ def test_empty_matching_pattern_terminates():
     registry = _small_registry([["c*"], ["a"]])
     assert tool_ids(detect_in_text("a (", registry, CTX, install_exclusion=False)) == ["t1"]
     assert detect_in_text("x (", registry, CTX, install_exclusion=False) == []
+
+
+# --- line memo: memoized per-line hits vs the per-tool loop -------------------
+
+_SHIPPED = shipped_registry()
+# Lines for both the drawn registries (a, b, c) and the shipped one.
+_LINE = st.lists(
+    st.sampled_from(
+        ["a", "b", "c", "ab", " ", ";", "&&", "|", "(", "'", "#", "-", "/", "x",
+         "pip install ", "flake8 ", "pylint", "eslint .", "sudo ", "npm i "]
+    ),
+    max_size=8,
+).map("".join)
+
+
+@given(_registries(), st.lists(_LINE, min_size=1, max_size=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_line_memo_matches_per_tool_loop(drawn, pool, data):
+    # Lines repeat across texts, registries and install_exclusion values, so
+    # hits are read back under every combination in one sequence.
+    steps = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([drawn, _SHIPPED]),
+                st.booleans(),
+                st.lists(st.sampled_from(pool), max_size=6).map("\n".join),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    for registry, install_exclusion, text in steps:
+        assert detect_in_text(text, registry, CTX, install_exclusion) == _per_tool_detect(
+            text, registry, CTX, install_exclusion
+        )
+
+
+def test_line_memo_is_bounded():
+    registry = shipped_registry()
+    bound = registry_module._LINE_MEMO_SIZE
+    lines = [f"flake8 src/p{i} && pip install pylint{i}" for i in range(bound + 200)]
+    first = [detect_in_text(line, registry, CTX) for line in lines]
+    info = registry._line_memo.cache_info()
+    assert info.misses == len(lines)
+    assert info.currsize == bound
+    # The oldest lines were evicted; matching them again gives the same hits.
+    for line, detections in zip(lines[:300], first[:300]):
+        assert detect_in_text(line, registry, CTX) == detections
+        assert detections == _per_tool_detect(line, registry, CTX, True)
+    assert registry._line_memo.cache_info().currsize == bound
+
+
+def test_long_lines_skip_the_line_memo():
+    registry = shipped_registry()
+    line = "flake8 " + "x" * registry_module._LINE_MEMO_MAX_CHARS
+    detections = detect_in_text(line, registry, CTX)
+    assert tool_ids(detections) == ["flake8"]
+    assert detections == _per_tool_detect(line, registry, CTX, True)
+    assert registry._line_memo.cache_info().currsize == 0
+
+
+def test_line_memo_is_per_instance_and_lazy(monkeypatch):
+    first, second = shipped_registry(), shipped_registry()
+    assert "_line_memo" not in first.__dict__
+    # A lookup never hashes the registry (that walks every ToolSpec).
+    monkeypatch.setattr(
+        registry_module.Registry, "__hash__", lambda self: pytest.fail("hashed")
+    )
+    assert tool_ids(detect_in_text("pylint src", first, CTX)) == ["pylint"]
+    assert second._line_memo is not first._line_memo
+    assert second._line_memo.cache_info().currsize == 0
+
+
+def test_registry_with_a_line_memo_pickles():
+    registry = shipped_registry()
+    detect_in_text("flake8 .", registry, CTX)
+    copy = pickle.loads(pickle.dumps(registry))
+    assert copy == registry
+    assert "_line_memo" not in copy.__dict__
+    assert tool_ids(detect_in_text("flake8 .", copy, CTX)) == ["flake8"]

@@ -1,12 +1,14 @@
-"""scan_entries: the same results for any worker count, pooled or not."""
+"""scan_entries: the same results for any worker count, pooled or not, and
+with warm or cold line memos."""
 
 import concurrent.futures
 import multiprocessing
 import os
+from dataclasses import replace
 
 import pytest
 
-from tdmscan import analyzer
+from tdmscan import analyzer, script_resolver, shipped_registry
 from tdmscan.analytics import export_csv_bundle, export_json
 from tdmscan.analyzer import scan_entries
 from tdmscan.cli import _entries_from_directory
@@ -70,3 +72,28 @@ def test_serial_scan_runs_in_this_process(monkeypatch, registry, cpus, get_conte
     result = scan_entries(entries, registry, workers=64)
     assert pids == [os.getpid()] * len(entries)
     assert result.succeeded == len(entries) - 1
+
+
+def test_warm_line_memos_give_identical_scans():
+    # One fresh registry in this process: the first scan fills the line
+    # memos, the second and the duplicated entries read them back.
+    registry = shipped_registry()
+    script_resolver._memo_line_ref_events.cache_clear()
+    entries = _entries_from_directory(CORPUS_DIR)
+    cold = scan_entries(entries, registry)
+    warm = scan_entries(entries, registry)
+    assert registry._line_memo.cache_info().hits > 0
+    assert export_json(warm.report) == export_json(cold.report)
+    assert export_csv_bundle(warm.report) == export_csv_bundle(cold.report)
+    assert _outcomes(warm) == _outcomes(cold)
+
+    copies = [replace(e, repo_slug=f"copy-{e.repo_slug}") for e in entries]
+    doubled = scan_entries(entries + copies, registry)
+    by_slug = {e.slug: e for e in doubled.entries}
+    for entry in entries:
+        original = by_slug[entry.repo_slug]
+        copy = by_slug[f"copy-{entry.repo_slug}"]
+        assert copy.status == original.status
+        assert copy.message.replace("copy-", "", 1) == original.message
+        assert copy.warnings == original.warnings
+    assert _outcomes(doubled)[: len(entries)] == _outcomes(cold)

@@ -1,12 +1,18 @@
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from tdmscan import script_resolver
 from tdmscan.config_model import CommandLine, PhaseKind
 from tdmscan.script_resolver import (
+    SCRIPT_SUFFIXES,
     MappingTree,
+    _has_parent_segment,
+    _interpreter_argument,
+    _iter_ref_tokens,
     collect_script_documents,
     extract_script_refs,
     is_installer_segment,
     normalize_script_path,
+    shell_tokens,
     split_actions,
     split_segments,
 )
@@ -161,3 +167,118 @@ def test_no_ref_escapes_root(text):
     for ref in extract_script_refs(cmd(text)):
         assert not ref.normalized_path.startswith("/")
         assert ".." not in ref.normalized_path.split("/")
+
+
+# --- reference memo: memoized per-line events vs the uncached loop -----------
+
+
+def _uncached_ref_tokens(text, warnings):
+    """_iter_ref_tokens as a plain loop over every line, segment and token."""
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        for segment in split_segments(stripped):
+            tokens = shell_tokens(segment)
+            interp_arg = _interpreter_argument(tokens)
+            for token in tokens:
+                if (
+                    token.endswith(SCRIPT_SUFFIXES)
+                    or token.startswith("./")
+                    or token == interp_arg
+                ):
+                    if token.startswith("/") or _has_parent_segment(token):
+                        if warnings is not None:
+                            warnings.append(
+                                f"rejected script reference outside repository: {token}"
+                            )
+                        continue
+                    if "$" in token and warnings is not None:
+                        warnings.append(
+                            f"script reference with unresolved variable: {token}"
+                        )
+                    yield token
+
+
+_REF_LINES = [
+    "bash ci/lint.sh --strict",
+    "./a.sh && $DIR/b.sh ; sh ../up.sh",
+    "/usr/local/bin/setup.sh",
+    "source ${HOME}/env.sh | bash ../../x.bash",
+    "sudo bash $CI/../run.sh",
+    "flake8 . && ./configure",
+    "# bash hidden.sh",
+    "",
+    ". ./env.sh",
+]
+_REF_TEXT_LINE = st.one_of(
+    st.sampled_from(_REF_LINES),
+    st.text(alphabet="ab./$ &;|#-", max_size=20),
+)
+
+
+@given(st.lists(_REF_TEXT_LINE, min_size=1, max_size=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_ref_memo_matches_uncached_loop(pool, data):
+    # Lines repeat with and without a warnings list, in either order.
+    steps = data.draw(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.sampled_from(pool), max_size=6).map("\n".join),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    for collect, text in steps:
+        expected_warnings: list[str] = []
+        expected = list(_uncached_ref_tokens(text, expected_warnings))
+        warnings = [] if collect else None
+        assert list(_iter_ref_tokens(text, warnings)) == expected
+        if collect:
+            assert warnings == expected_warnings
+
+
+def test_warnings_survive_a_first_sighting_without_a_list():
+    script_resolver._memo_line_ref_events.cache_clear()
+    text = "$D/x.sh && bash ../y.sh\nsh ../z.sh ; ./$W.sh"
+    assert list(_iter_ref_tokens(text, None)) == ["$D/x.sh", "./$W.sh"]
+    warnings = ["earlier"]
+    assert list(_iter_ref_tokens(text, warnings)) == ["$D/x.sh", "./$W.sh"]
+    assert script_resolver._memo_line_ref_events.cache_info().hits == 2
+    assert warnings == [
+        "earlier",
+        "script reference with unresolved variable: $D/x.sh",
+        "rejected script reference outside repository: ../y.sh",
+        "rejected script reference outside repository: ../z.sh",
+        "script reference with unresolved variable: ./$W.sh",
+    ]
+
+
+def test_ref_memo_is_bounded():
+    memo = script_resolver._memo_line_ref_events
+    memo.cache_clear()
+    bound = script_resolver._REF_MEMO_SIZE
+    lines = [f"bash ci/$V{i}.sh" for i in range(bound + 100)]
+    first = []
+    for line in lines:
+        warnings: list[str] = []
+        first.append((list(_iter_ref_tokens(line, warnings)), warnings))
+    assert memo.cache_info().misses == len(lines)
+    assert memo.cache_info().currsize == bound
+    # The oldest lines were evicted; tokenizing them again gives the same events.
+    for line, result in zip(lines[:200], first[:200]):
+        warnings = []
+        assert (list(_iter_ref_tokens(line, warnings)), warnings) == result
+        expected_warnings: list[str] = []
+        assert list(_uncached_ref_tokens(line, expected_warnings)) == result[0]
+        assert expected_warnings == result[1]
+    assert memo.cache_info().currsize == bound
+
+
+def test_long_lines_skip_the_ref_memo():
+    script_resolver._memo_line_ref_events.cache_clear()
+    line = "bash ci/x.sh " + "-" * script_resolver._REF_MEMO_MAX_CHARS
+    assert paths(line) == ["ci/x.sh"]
+    assert script_resolver._memo_line_ref_events.cache_info().currsize == 0
