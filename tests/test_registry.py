@@ -447,7 +447,6 @@ def test_empty_matching_pattern_terminates():
 
 # --- line memo: memoized per-line hits vs the per-tool loop -------------------
 
-_SHIPPED = shipped_registry()
 # Lines for both the drawn registries (a, b, c) and the shipped one.
 _LINE = st.lists(
     st.sampled_from(
@@ -460,13 +459,13 @@ _LINE = st.lists(
 
 @given(_registries(), st.lists(_LINE, min_size=1, max_size=6), st.data())
 @settings(max_examples=200, deadline=None)
-def test_line_memo_matches_per_tool_loop(drawn, pool, data):
+def test_line_memo_matches_per_tool_loop(registry, drawn, pool, data):
     # Lines repeat across texts, registries and install_exclusion values, so
     # hits are read back under every combination in one sequence.
     steps = data.draw(
         st.lists(
             st.tuples(
-                st.sampled_from([drawn, _SHIPPED]),
+                st.sampled_from([drawn, registry]),
                 st.booleans(),
                 st.lists(st.sampled_from(pool), max_size=6).map("\n".join),
             ),
@@ -474,9 +473,9 @@ def test_line_memo_matches_per_tool_loop(drawn, pool, data):
             max_size=12,
         )
     )
-    for registry, install_exclusion, text in steps:
-        assert detect_in_text(text, registry, CTX, install_exclusion) == _per_tool_detect(
-            text, registry, CTX, install_exclusion
+    for chosen, install_exclusion, text in steps:
+        assert detect_in_text(text, chosen, CTX, install_exclusion) == _per_tool_detect(
+            text, chosen, CTX, install_exclusion
         )
 
 
