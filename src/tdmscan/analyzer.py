@@ -5,24 +5,33 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from .analytics import Aggregator, CorpusReport, PipelineRecord
-from .antipatterns import LATE_MERGING_MODE_PIPELINE, evaluate
+from .antipatterns import LATE_MERGING_MODE_PIPELINE, FindingSet, evaluate
 from .config_model import (
+    CommandLine,
     MalformedDocument,
     NotAPipeline,
+    PipelineConfig,
     RawDocument,
     iter_command_lines,
     parse_config,
 )
 from .ingest import ManifestEntry, FetchPolicy, NotFound, materialize
-from .placement import classify_pipeline
-from .registry import Registry, profile_pipeline
-from .script_resolver import FileTree, collect_script_documents
+from .memo import AdmissionMemo
+from .placement import PlacementResult, classify_pipeline
+from .registry import PipelineToolProfile, Registry, profile_pipeline
+from .script_resolver import FileTree, ScriptDocument, collect_script_documents
 
 # Chunks per worker in a pooled scan: enough that one chunk of large
 # pipelines does not leave the other workers idle at the end.
 _CHUNKS_PER_WORKER = 8
+
+# Per-process memo of parsed configs and their command lines: at most this
+# many configs.  Parsing does not depend on the registry, so all share it.
+_PARSE_MEMO_SIZE = 256
+_parse_memo = AdmissionMemo(_PARSE_MEMO_SIZE)
 
 
 @dataclass(frozen=True)
@@ -40,27 +49,18 @@ class PipelineAnalysis:
     warnings: list[str] = field(default_factory=list)
 
 
-def analyze_document(
-    doc: RawDocument,
-    tree: FileTree,
-    registry: Registry,
-    options: AnalysisOptions = AnalysisOptions(),
-) -> PipelineAnalysis:
-    """Parse, resolve scripts, detect tools, classify, and evaluate rules.
-
-    Raises NotAPipeline / MalformedDocument for unanalyzable input.
-    """
+def _parse(doc: RawDocument) -> tuple[PipelineConfig, tuple[CommandLine, ...]]:
     cfg = parse_config(doc)
-    warnings = list(cfg.warnings)
+    return cfg, tuple(iter_command_lines(cfg))
 
-    commands = list(iter_command_lines(cfg))
-    scripts, attribution = collect_script_documents(
-        commands, tree, recursive=options.recursive_scripts, warnings=warnings
-    )
-    for script in scripts:
-        if not script.resolved:
-            warnings.append(f"unresolved script reference: {script.path}")
 
+def _derive(
+    cfg: PipelineConfig,
+    scripts: list[ScriptDocument],
+    attribution: dict[str, list[CommandLine]],
+    registry: Registry,
+    options: AnalysisOptions,
+) -> tuple[PipelineToolProfile, list[PlacementResult], FindingSet]:
     profile = profile_pipeline(
         cfg,
         scripts,
@@ -71,7 +71,42 @@ def analyze_document(
     scripts_by_path = {script.path: script for script in scripts}
     placements = classify_pipeline(cfg, profile, scripts_by_path)
     findings = evaluate(cfg, profile, late_merging_mode=options.late_merging_mode)
+    return profile, placements, findings
 
+
+def analyze_document(
+    doc: RawDocument,
+    tree: FileTree,
+    registry: Registry,
+    options: AnalysisOptions = AnalysisOptions(),
+) -> PipelineAnalysis:
+    """Parse, resolve scripts, detect tools, classify, and evaluate rules.
+
+    Raises NotAPipeline / MalformedDocument for unanalyzable input.
+
+    A config's parse is memoized on its path and content, and the derived
+    profile, placements and findings on that plus `options`, the path and
+    content of every script the tree gave, and `registry`.  Both memos
+    store a result on its second sighting (see memo.AdmissionMemo); only
+    the slug and the warnings are the entry's own.  The record's profile,
+    placements and findings may be shared with other records and must not
+    be mutated.
+    """
+    source = (doc.path, doc.content, doc.invalid_utf8)
+    cfg, commands = _parse_memo.get(source, partial(_parse, doc))
+    warnings = list(cfg.warnings)
+
+    scripts, attribution = collect_script_documents(
+        commands, tree, recursive=options.recursive_scripts, warnings=warnings
+    )
+    for script in scripts:
+        if not script.resolved:
+            warnings.append(f"unresolved script reference: {script.path}")
+
+    key = (source, options, tuple((script.path, script.content) for script in scripts))
+    profile, placements, findings = registry._analysis_memo.get(
+        key, partial(_derive, cfg, scripts, attribution, registry, options)
+    )
     record = PipelineRecord(
         repo_slug=doc.repo_slug,
         profile=profile,

@@ -107,9 +107,9 @@ def _is_ceremony(action: str, heads: frozenset[str]) -> bool:
     return tokens[0] in heads or is_installer_segment(action)
 
 
-def _action_has_detection(action: str, detections: list[Detection]) -> bool:
-    for detection in detections:
-        if _anchored_literal(detection.matched_text).search(action):
+def _action_has_detection(action: str, matched_texts: tuple[str, ...]) -> bool:
+    for text in matched_texts:
+        if _anchored_literal(text).search(action):
             return True
     return False
 
@@ -173,11 +173,15 @@ def _runs_only_tdm(
     for phase in PhaseKind:
         if phase in SETUP_PHASES or phase not in job.phases:
             continue
-        config_dets = [
-            d
-            for d in job_detections
-            if d.source == SOURCE_CONFIG and d.phase == phase
-        ]
+        # Whether any detection matches an action depends only on the
+        # distinct matched texts, not on their order or repeats.
+        config_texts = tuple(
+            dict.fromkeys(
+                d.matched_text
+                for d in job_detections
+                if d.source == SOURCE_CONFIG and d.phase == phase
+            )
+        )
         for cmd in job.phases[phase]:
             for line in cmd.text.splitlines():
                 stripped = line.strip()
@@ -186,7 +190,7 @@ def _runs_only_tdm(
                 for action in split_actions(stripped):
                     if _is_ceremony(action, _CEREMONY_HEADS):
                         continue
-                    if _action_has_detection(action, config_dets):
+                    if _action_has_detection(action, config_texts):
                         continue
                     if _action_is_tool_script(action, cmd, scripts, job_detections):
                         continue

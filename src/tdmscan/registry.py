@@ -17,6 +17,7 @@ from importlib import resources
 from typing import Any, Iterable, Mapping, Sequence
 
 from .config_model import PhaseKind, PipelineConfig, iter_command_lines
+from .memo import AdmissionMemo
 from .script_resolver import (
     ScriptDocument,
     is_installer_segment,
@@ -46,6 +47,9 @@ _EXPECTED_TOOL_COUNT = 38
 # lines, each at most this long (longer lines are matched every time).
 _LINE_MEMO_SIZE = 4096
 _LINE_MEMO_MAX_CHARS = 256
+# Per-registry memo of whole-pipeline analysis results (see
+# analyzer.analyze_document): at most this many pipelines.
+_ANALYSIS_MEMO_SIZE = 256
 
 
 class RegistryError(ValueError):
@@ -136,10 +140,16 @@ class Registry:
         """
         return lru_cache(maxsize=_LINE_MEMO_SIZE)(partial(_line_hits, self))
 
+    @cached_property
+    def _analysis_memo(self) -> AdmissionMemo:
+        """analyzer.analyze_document's results under this registry."""
+        return AdmissionMemo(_ANALYSIS_MEMO_SIZE)
+
     def __getstate__(self) -> dict[str, Any]:
-        # The memo is per process and cannot be pickled; a copy builds its own.
+        # The memos are per process and cannot be pickled; a copy builds its own.
         state = dict(self.__dict__)
         state.pop("_line_memo", None)
+        state.pop("_analysis_memo", None)
         return state
 
 

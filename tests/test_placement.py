@@ -1,9 +1,9 @@
 import pytest
 import yaml
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tdmscan import placement
-from tdmscan.config_model import PhaseKind, parse_config, resolve_stage_name
+from tdmscan.config_model import SETUP_PHASES, PhaseKind, parse_config, resolve_stage_name
 from tdmscan.placement import (
     NoDetectionInJob,
     PlacementKind,
@@ -18,6 +18,7 @@ from tdmscan.registry import (
     PipelineToolProfile,
     profile_pipeline,
 )
+from tdmscan.script_resolver import split_actions
 
 from conftest import collect_scripts, make_doc, profile_of
 
@@ -369,3 +370,124 @@ def test_timing_matches_stage_order_walk(declared, jobs, global_deploy, phase):
     for job in cfg.jobs:
         det = Detection("flake8", SOURCE_CONFIG, None, phase, job.index, "flake8", 0)
         assert classify_timing(cfg, det) is _reference_timing(cfg, det)
+
+
+# --- "runs only tool work": distinct matched texts vs every detection ---------
+
+
+def _per_detection_runs_only_tdm(job, job_detections, scripts):
+    """placement._runs_only_tdm restated with one search per config detection."""
+    for phase in PhaseKind:
+        if phase in SETUP_PHASES or phase not in job.phases:
+            continue
+        config_dets = [
+            d for d in job_detections if d.source == SOURCE_CONFIG and d.phase == phase
+        ]
+        for cmd in job.phases[phase]:
+            for line in cmd.text.splitlines():
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                for action in split_actions(stripped):
+                    if placement._is_ceremony(action, placement._CEREMONY_HEADS):
+                        continue
+                    if any(
+                        placement._anchored_literal(d.matched_text).search(action)
+                        for d in config_dets
+                    ):
+                        continue
+                    if placement._action_is_tool_script(
+                        action, cmd, scripts, job_detections
+                    ):
+                        continue
+                    return False
+    return True
+
+
+_COMMANDS = st.sampled_from(
+    [
+        "flake8 .",
+        "python -m flake8 src",
+        "pylint src && flake8",
+        "black --check . | tee black.log",
+        "eslint . ; pytest",
+        "echo linting",
+        "cd src",
+        "make test",
+        "pip install flake8",
+        "./ci/lint.sh",
+        "bash ci/mixed.sh",
+        "./ci/missing.sh",
+        "# flake8 in a comment",
+        "sudo flake8 --count",
+    ]
+)
+_SCRIPT_FILES = {"ci/lint.sh": "set -e\nflake8 src\npylint src\n", "ci/mixed.sh": "flake8\nmake\n"}
+
+
+@given(
+    jobs=st.lists(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                phase: st.lists(_COMMANDS, min_size=1, max_size=4)
+                for phase in ("script", "after_success", "install", "after_deploy")
+            },
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_runs_only_tdm_matches_per_detection_loop(registry, jobs, data):
+    include = [job or {"script": "flake8"} for job in jobs]
+    cfg, profile, scripts = analyzed(
+        registry, yaml.safe_dump({"jobs": {"include": include}}), _SCRIPT_FILES
+    )
+    for job in cfg.jobs:
+        detections = profile.detections_for_job(job.index)
+        # Any order and any repeats: only the set of matched texts counts.
+        shuffled = data.draw(st.permutations(detections))
+        drawn = shuffled + shuffled[: data.draw(st.integers(0, len(shuffled)))]
+        expected = _per_detection_runs_only_tdm(job, detections, scripts)
+        assert placement._runs_only_tdm(job, drawn, scripts) is expected
+
+
+def _alias_fan_out(depth):
+    """`[flake8, pylint]` repeated 10**depth times through nested aliases."""
+    lines = ["language: python", "x0: &a0 [flake8, pylint]"]
+    for level in range(1, depth + 1):
+        lines.append(f"x{level}: &a{level} [{', '.join([f'*a{level - 1}'] * 10)}]")
+    return "\n".join([*lines, f"script: *a{depth}"]) + "\n"
+
+
+def test_alias_fan_out_searches_each_action_once_per_distinct_text(
+    registry, monkeypatch
+):
+    # 20,000 commands in one job: one search per (action, distinct matched
+    # text) is 40,000 at most, where one per detection was about 1e8.
+    cfg, profile, scripts = analyzed(registry, _alias_fan_out(4))
+    actions = sum(len(commands) for commands in cfg.jobs[0].phases.values())
+    assert actions == 20_000
+    searches = []
+    real_anchored_literal = placement._anchored_literal
+
+    class CountingPattern:
+        def __init__(self, pattern):
+            self.pattern = pattern
+
+        def search(self, text):
+            searches.append(self.pattern.pattern)
+            return self.pattern.search(text)
+
+    monkeypatch.setattr(
+        placement,
+        "_anchored_literal",
+        lambda text: CountingPattern(real_anchored_literal(text)),
+    )
+    results = classify_pipeline(cfg, profile, scripts)
+    assert [(r.placement, r.multi_tool, len(r.timings)) for r in results] == [
+        (PlacementKind.DEDICATED_JOB, True, 20_000)
+    ]
+    assert 0 < len(searches) <= 2 * actions

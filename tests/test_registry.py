@@ -19,7 +19,8 @@ from tdmscan.registry import (
     load_registry,
     shipped_registry,
 )
-from tdmscan.script_resolver import is_installer_segment, split_segments
+from tdmscan.analyzer import analyze_document
+from tdmscan.script_resolver import MappingTree, is_installer_segment, split_segments
 from conftest import make_doc, profile_of
 
 CTX = SourceContext(SOURCE_CONFIG, PhaseKind.SCRIPT, 0)
@@ -518,7 +519,14 @@ def test_line_memo_is_per_instance_and_lazy(monkeypatch):
 def test_registry_with_a_line_memo_pickles():
     registry = shipped_registry()
     detect_in_text("flake8 .", registry, CTX)
+    doc = make_doc("script: flake8 .\n")
+    for _ in range(2):
+        analyze_document(doc, MappingTree({}), registry)
+    assert registry._analysis_memo._values
     copy = pickle.loads(pickle.dumps(registry))
     assert copy == registry
     assert "_line_memo" not in copy.__dict__
+    assert "_analysis_memo" not in copy.__dict__
     assert tool_ids(detect_in_text("flake8 .", copy, CTX)) == ["flake8"]
+    analysis = analyze_document(doc, MappingTree({}), copy)
+    assert analysis.record.profile.tool_ids() == ["flake8"]

@@ -1,19 +1,29 @@
-"""scan_entries: the same results for any worker count, pooled or not, and
-with warm or cold line memos."""
+"""scan_entries and analyze_document: the same results for any worker count,
+pooled or not, and with warm or cold line and pipeline memos."""
 
 import concurrent.futures
 import multiprocessing
 import os
+import sys
+import types
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from tdmscan import analyzer, script_resolver, shipped_registry
+from tdmscan import registry as registry_module
 from tdmscan.analytics import export_csv_bundle, export_json
-from tdmscan.analyzer import scan_entries
-from tdmscan.cli import _entries_from_directory
+from tdmscan.analyzer import AnalysisOptions, analyze_document, scan_entries
+from tdmscan.cli import _analysis_json, _entries_from_directory
+from tdmscan.config_model import MalformedDocument, NotAPipeline, RawDocument
+from tdmscan.ingest import FetchPolicy, ManifestEntry, materialize
+from tdmscan.memo import AdmissionMemo
+from tdmscan.registry import Registry
+from tdmscan.script_resolver import MappingTree
 
 from conftest import CORPUS_DIR
+from test_ingest import FakeClock, FakeResponse, FakeSession
 
 
 def _outcomes(result):
@@ -97,3 +107,235 @@ def test_warm_line_memos_give_identical_scans():
         assert copy.message.replace("copy-", "", 1) == original.message
         assert copy.warnings == original.warnings
     assert _outcomes(doubled)[: len(entries)] == _outcomes(cold)
+
+
+# --- whole-pipeline memos: a hit gives what a cold analysis gives -------------
+
+
+def _cold_parse_memo(monkeypatch):
+    monkeypatch.setattr(
+        analyzer, "_parse_memo", AdmissionMemo(analyzer._PARSE_MEMO_SIZE)
+    )
+
+
+def _analyze_cold(monkeypatch, doc, tree, registry, options=AnalysisOptions()):
+    """analyze_document with memos that have seen nothing yet."""
+    _cold_parse_memo(monkeypatch)
+    registry.__dict__.pop("_analysis_memo", None)
+    return analyze_document(doc, tree, registry, options)
+
+
+def _entry_outcome(monkeypatch, entry, registry):
+    doc, tree = materialize(entry)
+    try:
+        analysis = _analyze_cold(monkeypatch, doc, tree, registry)
+    except (NotAPipeline, MalformedDocument) as exc:
+        return "skipped", str(exc), []
+    return "ok", _analysis_json(analysis, doc.path), analysis.warnings
+
+
+def test_duplicated_corpus_matches_entry_by_entry_analysis(monkeypatch):
+    # Three slugs per entry: a config's second sighting stores its analysis
+    # and the third reads it back.
+    entries = _entries_from_directory(CORPUS_DIR)
+    tripled = [
+        replace(entry, repo_slug=f"{prefix}{entry.repo_slug}")
+        for prefix in ("", "copy1-", "copy2-")
+        for entry in entries
+    ]
+    reference_registry = shipped_registry()
+    expected = {
+        entry.repo_slug: _entry_outcome(monkeypatch, entry, reference_registry)
+        for entry in tripled
+    }
+
+    _cold_parse_memo(monkeypatch)
+    registry = shipped_registry()
+    analyses = {}
+    parsed = []
+    real_analyze, real_parse = analyzer.analyze_document, analyzer.parse_config
+
+    def recording_analyze(doc, tree, registry, options):
+        analysis = real_analyze(doc, tree, registry, options)
+        analyses[doc.repo_slug] = _analysis_json(analysis, doc.path)
+        return analysis
+
+    def counting_parse(doc):
+        parsed.append(doc.content)
+        return real_parse(doc)
+
+    monkeypatch.setattr(analyzer, "analyze_document", recording_analyze)
+    monkeypatch.setattr(analyzer, "parse_config", counting_parse)
+    result = scan_entries(tripled, registry)
+
+    assert sorted(e.slug for e in result.entries) == sorted(expected)
+    for outcome in result.entries:
+        status, detail, warnings = expected[outcome.slug]
+        assert outcome.status == status, outcome.slug
+        if status == "ok":
+            assert analyses[outcome.slug] == detail, outcome.slug
+            assert outcome.warnings == warnings, outcome.slug
+        else:
+            assert outcome.message == detail, outcome.slug
+    ok = [slug for slug, (status, _, _) in expected.items() if status == "ok"]
+    assert len(ok) == 3 * (len(entries) - 1)
+    # One key per slug of every pipeline with tools, copies included.
+    with_tools = sorted(slug for slug in ok if expected[slug][1]["tools"])
+    assert len(with_tools) > 3 * 30
+    assert sorted(result.report.findings_per_pipeline) == with_tools
+    # Each pipeline is parsed on its first two sightings; a failure is never
+    # stored, so the not-a-pipeline entry is parsed on all three.
+    counts = Counter(parsed)
+    with open(os.path.join(CORPUS_DIR, "34-not-a-pipeline", ".travis.yml")) as handle:
+        assert counts.pop(handle.read()) == 3
+    assert set(counts.values()) == {2}
+    assert registry._analysis_memo._values
+
+
+_LINT_CONFIG = (
+    "language: python\n"
+    "install: pip install flake8\n"
+    "script:\n"
+    "  - ./ci/lint.sh\n"
+    "  - flake8 .\n"
+)
+_LINT_FILES = {"ci/lint.sh": "pylint src\n"}
+
+
+def _without_pylint(registry):
+    return Registry(
+        tools=tuple(tool for tool in registry.tools if tool.id != "pylint"),
+        version=registry.version,
+    )
+
+
+# How each variant differs from the memoized base analysis.
+_VARIANTS = {
+    "script-content": {"files": {"ci/lint.sh": "bandit -r src\n"}},
+    "missing-script": {"files": {}},
+    "path": {"path": "ci/.travis.yml"},
+    "invalid-utf8": {"invalid_utf8": True},
+    "install-exclusion": {"options": AnalysisOptions(install_exclusion=False)},
+    "late-merging-mode": {"options": AnalysisOptions(late_merging_mode="job")},
+    "recursive-scripts": {"options": AnalysisOptions(recursive_scripts=True)},
+    "registry": {"registry": _without_pylint},
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+def test_memoized_analysis_is_not_shared_across_a_difference(monkeypatch, variant):
+    _cold_parse_memo(monkeypatch)
+    registry = shipped_registry()
+    base_doc = RawDocument("acme/base", ".travis.yml", _LINT_CONFIG)
+    base = [
+        analyze_document(base_doc, MappingTree(_LINT_FILES), registry)
+        for _ in range(3)
+    ]
+    assert base[2].record.profile is base[1].record.profile
+
+    change = _VARIANTS[variant]
+    doc = RawDocument(
+        "acme/variant",
+        change.get("path", base_doc.path),
+        _LINT_CONFIG,
+        invalid_utf8=change.get("invalid_utf8", False),
+    )
+    files = change.get("files", _LINT_FILES)
+    options = change.get("options", AnalysisOptions())
+    other = change.get("registry")
+    variant_registry = other(registry) if other else registry
+    analysis = analyze_document(doc, MappingTree(files), variant_registry, options)
+    assert analysis.record.profile is not base[2].record.profile
+    assert analysis.record.findings is not base[2].record.findings
+
+    reference_registry = other(shipped_registry()) if other else shipped_registry()
+    reference = _analyze_cold(
+        monkeypatch, doc, MappingTree(files), reference_registry, options
+    )
+    assert _analysis_json(analysis, doc.path) == _analysis_json(reference, doc.path)
+    assert analysis.warnings == reference.warnings
+
+
+@pytest.mark.parametrize(
+    "content, error",
+    [("script: [unclosed\n", MalformedDocument), ("just: data\n", NotAPipeline)],
+    ids=["malformed", "not-a-pipeline"],
+)
+def test_failures_keep_their_own_messages(monkeypatch, content, error):
+    _cold_parse_memo(monkeypatch)
+    registry = shipped_registry()
+    for path in ["a/.travis.yml"] * 3 + ["b/.travis.yml"] * 3 + ["a/.travis.yml"]:
+        with pytest.raises(error) as raised:
+            analyze_document(
+                RawDocument(f"acme/{path}", path, content), MappingTree({}), registry
+            )
+        assert str(raised.value).startswith(f"{path}: ")
+    assert not analyzer._parse_memo._values
+
+
+def test_memos_store_on_the_second_sighting_and_stay_bounded(monkeypatch):
+    _cold_parse_memo(monkeypatch)
+    registry = shipped_registry()
+    bound = analyzer._PARSE_MEMO_SIZE
+    assert registry_module._ANALYSIS_MEMO_SIZE == bound
+    docs = [
+        RawDocument(f"acme/p{i}", ".travis.yml", f"script: flake8 src/p{i}\n")
+        for i in range(bound + 40)
+    ]
+    for doc in docs:
+        analyze_document(doc, MappingTree({}), registry)
+    assert not analyzer._parse_memo._values
+    assert not registry._analysis_memo._values
+    for doc in docs:
+        copy = replace(doc, repo_slug=f"copy-{doc.repo_slug}")
+        analysis = analyze_document(copy, MappingTree({}), registry)
+        assert analysis.record.repo_slug == copy.repo_slug
+    assert len(analyzer._parse_memo._values) == bound
+    assert len(registry._analysis_memo._values) == bound
+
+
+def test_remote_scan_on_two_threads_matches_one(monkeypatch):
+    def no_default_session():
+        raise AssertionError("the caller's session was not used")
+
+    monkeypatch.setitem(
+        sys.modules, "requests", types.SimpleNamespace(Session=no_default_session)
+    )
+    configs = {
+        "direct": ("script: flake8 .\n", {}),
+        "script": ("script: ./ci/lint.sh\n", {"ci/lint.sh": "pylint src\n"}),
+        "missing": ("script: ./ci/lint.sh && make\n", {}),
+    }
+    responses = {}
+    entries = []
+    for index in range(24):
+        name = sorted(configs)[index % 3]
+        config, files = configs[name]
+        base = f"https://raw.example.org/acme/{name}{index}/main"
+        responses[f"{base}/.travis.yml"] = [FakeResponse(200, config)]
+        for path, text in files.items():
+            responses[f"{base}/{path}"] = [FakeResponse(200, text)]
+        entries.append(
+            ManifestEntry(
+                f"acme/{name}{index:02d}", ".travis.yml", ("ci/lint.sh",), remote_base_url=base
+            )
+        )
+
+    def scan(workers):
+        _cold_parse_memo(monkeypatch)
+        return scan_entries(
+            entries,
+            shipped_registry(),
+            policy=FetchPolicy(max_requests_per_hour=10_000),
+            session=FakeSession(responses),
+            clock=FakeClock(),
+            workers=workers,
+        )
+
+    two = scan(2)
+    one = scan(1)
+    assert _outcomes(two) == _outcomes(one)
+    assert [e.status for e in one.entries] == ["ok"] * len(entries)
+    assert export_json(two.report) == export_json(one.report)
+    assert export_csv_bundle(two.report) == export_csv_bundle(one.report)
+    assert sorted(one.report.tool_table) == ["flake8", "pylint"]
