@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, NamedTuple
 
 import yaml
 from yaml.composer import Composer
@@ -56,6 +56,11 @@ class PhaseKind(enum.Enum):
     DEPLOY = "deploy"
     AFTER_DEPLOY = "after_deploy"
     AFTER_SCRIPT = "after_script"
+
+    # Members are singletons and compare by identity, so the identity hash
+    # is consistent with equality; Enum's own hashes the name in Python,
+    # once per record hash or dict lookup on the hot path.
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -103,9 +108,12 @@ class RawDocument:
     invalid_utf8: bool = False
 
 
-@dataclass(frozen=True)
-class CommandLine:
-    """A single shell command entry within a job phase."""
+class CommandLine(NamedTuple):
+    """A single shell command entry within a job phase.
+
+    A named tuple: it equals, hashes and orders as the plain tuple of its
+    fields.
+    """
 
     text: str
     phase: PhaseKind
@@ -115,7 +123,11 @@ class CommandLine:
 
 @dataclass
 class Job:
-    """One execution unit; jobs of the same stage run in parallel."""
+    """One execution unit; jobs of the same stage run in parallel.
+
+    `phases` holds the phases the job runs, its own and the inherited
+    global ones alike, keyed in lifecycle (`PhaseKind`) order.
+    """
 
     index: int
     stage_name: str | None = None
@@ -300,16 +312,28 @@ def _command_texts(
 
 
 def _phase_commands(
-    entry: Mapping[str, Any], job_index: int, warnings: list[str]
+    entry: Mapping[str, Any],
+    job_index: int,
+    warnings: list[str],
+    inherited: Mapping[PhaseKind, list[CommandLine]] | None = None,
 ) -> dict[PhaseKind, list[CommandLine]]:
+    """The commands of each phase `entry` declares, keyed in lifecycle order.
+
+    A phase that `entry` does not declare takes `inherited`'s commands,
+    built at `job_index`.
+    """
     phases: dict[PhaseKind, list[CommandLine]] = {}
-    for phase in PhaseKind:
-        if phase.value not in entry:
-            continue
-        texts = _command_texts(phase, entry[phase.value], warnings, ())
-        phases[phase] = [
-            CommandLine(text, phase, job_index, i) for i, text in enumerate(texts)
-        ]
+    for name, phase in PHASE_BY_NAME.items():
+        if name in entry:
+            texts = _command_texts(phase, entry[name], warnings, ())
+            phases[phase] = [
+                CommandLine(text, phase, job_index, i) for i, text in enumerate(texts)
+            ]
+        elif inherited and phase in inherited:
+            phases[phase] = [
+                CommandLine(cmd.text, phase, job_index, cmd.ordinal)
+                for cmd in inherited[phase]
+            ]
     return phases
 
 
@@ -397,11 +421,8 @@ def _build_job(
     global_phases: dict[PhaseKind, list[CommandLine]],
     warnings: list[str],
 ) -> Job:
-    phases = _phase_commands(entry, index, warnings)
     # Globals apply only where the job does not override that phase.
-    for phase, commands in global_phases.items():
-        if phase not in phases:
-            phases[phase] = [replace(cmd, job_index=index) for cmd in commands]
+    phases = _phase_commands(entry, index, warnings, global_phases)
     stage = entry.get("stage")
     name = entry.get("name")
     condition = entry.get("if")
@@ -468,14 +489,10 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
     global_condition = data.get("if")
     if not jobs:
         # A config with only global phases runs as exactly one implicit job.
-        implicit_phases = {
-            phase: [replace(cmd, job_index=0) for cmd in commands]
-            for phase, commands in global_phases.items()
-        }
         jobs = [
             Job(
                 index=0,
-                phases=implicit_phases,
+                phases=_phase_commands({}, 0, warnings, global_phases),
                 condition=None if global_condition is None else str(global_condition),
             )
         ]
@@ -503,8 +520,10 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
 
 
 def iter_command_lines(cfg: PipelineConfig) -> Iterator[CommandLine]:
-    """All job command lines in deterministic (job, phase, ordinal) order."""
+    """All job command lines in deterministic (job, phase, ordinal) order.
+
+    Phase order is `Job.phases`' key order, which is lifecycle order.
+    """
     for job in cfg.jobs:
-        for phase in PhaseKind:
-            for cmd in job.phases.get(phase, ()):
-                yield cmd
+        for commands in job.phases.values():
+            yield from commands

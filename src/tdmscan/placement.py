@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
@@ -152,7 +152,7 @@ def _action_is_tool_script(
     scripts: Mapping[str, ScriptDocument],
     job_detections: list[Detection],
 ) -> bool:
-    pseudo = replace(cmd_for_refs, text=action)
+    pseudo = cmd_for_refs._replace(text=action)
     refs = extract_script_refs(pseudo)
     if not refs:
         return False
@@ -170,8 +170,8 @@ def _runs_only_tdm(
     job_detections: list[Detection],
     scripts: Mapping[str, ScriptDocument],
 ) -> bool:
-    for phase in PhaseKind:
-        if phase in SETUP_PHASES or phase not in job.phases:
+    for phase, commands in job.phases.items():
+        if phase in SETUP_PHASES:
             continue
         # Whether any detection matches an action depends only on the
         # distinct matched texts, not on their order or repeats.
@@ -182,7 +182,7 @@ def _runs_only_tdm(
                 if d.source == SOURCE_CONFIG and d.phase == phase
             )
         )
-        for cmd in job.phases[phase]:
+        for cmd in commands:
             for line in cmd.text.splitlines():
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
@@ -259,7 +259,11 @@ def classify_pipeline(
     profile: PipelineToolProfile,
     scripts: Mapping[str, ScriptDocument],
 ) -> list[PlacementResult]:
-    """One PlacementResult per detection-bearing job, in job order."""
+    """One PlacementResult per detection-bearing job, in job order.
+
+    A detection's timing depends only on its job and phase, so
+    classify_timing runs once per phase among each job's detections.
+    """
     results: list[PlacementResult] = []
     stage_sizes = _stage_sizes(cfg)
     for job in cfg.jobs:
@@ -267,7 +271,13 @@ def classify_pipeline(
         if not job_detections:
             continue
         placement = _placement(job, job_detections, scripts, stage_sizes)
-        timings = {d: classify_timing(cfg, d) for d in job_detections}
+        kinds: dict[PhaseKind, TimingKind] = {}
+        timings: dict[Detection, TimingKind] = {}
+        for d in job_detections:
+            kind = kinds.get(d.phase)
+            if kind is None:
+                kind = kinds[d.phase] = classify_timing(cfg, d)
+            timings[d] = kind
         tool_count = len({d.tool_id for d in job_detections})
         results.append(
             PlacementResult(

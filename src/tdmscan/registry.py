@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from importlib import resources
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .config_model import PhaseKind, PipelineConfig, iter_command_lines
 from .memo import AdmissionMemo
@@ -153,9 +153,8 @@ class Registry:
         return state
 
 
-@dataclass(frozen=True)
-class SourceContext:
-    """Where a scanned text comes from, for detection attribution."""
+class SourceContext(NamedTuple):
+    """Where a scanned text comes from, for detection attribution; a tuple."""
 
     source: str
     phase: PhaseKind
@@ -164,9 +163,12 @@ class SourceContext:
     ordinal_base: int = 0
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One tool sighting on one line of config or script text."""
+class Detection(NamedTuple):
+    """One tool sighting on one line of config or script text.
+
+    A named tuple: it equals, hashes and orders as the plain tuple of its
+    fields.
+    """
 
     tool_id: str
     source: str
@@ -385,6 +387,7 @@ def detect_in_text(
     segments that merely install a package manager's payload are ignored.
     """
     memo = registry._line_memo
+    source, phase, job_index, script_path, ordinal_base = ctx
     detections: list[Detection] = []
     for line_index, line in enumerate(text.splitlines()):
         stripped = line.strip()
@@ -397,13 +400,13 @@ def detect_in_text(
         for tool_id, matched in hits:
             detections.append(
                 Detection(
-                    tool_id=tool_id,
-                    source=ctx.source,
-                    script_path=ctx.script_path,
-                    phase=ctx.phase,
-                    job_index=ctx.job_index,
-                    matched_text=matched,
-                    line_ordinal=ctx.ordinal_base + line_index,
+                    tool_id,
+                    source,
+                    script_path,
+                    phase,
+                    job_index,
+                    matched,
+                    ordinal_base + line_index,
                 )
             )
     return detections
@@ -436,7 +439,7 @@ def _disambiguate_sonar(
     if not _sonarcloud_flavored(cfg, scripts):
         return detections
     return [
-        replace(d, tool_id="sonarcloud")
+        d._replace(tool_id="sonarcloud")
         if d.tool_id == "sonarqube" and "sonar-scanner" in d.matched_text
         else d
         for d in detections
@@ -455,10 +458,10 @@ def profile_pipeline(
 
     `scripts` and `attribution` (path -> referencing commands) are the two
     results of `collect_script_documents` over the pipeline's commands.  Each
-    script is scanned once; its detections are copied to every referencing
-    command's phase and job.  Per tool, the invocation style is direct,
-    script, or both; a tool counts once per pipeline no matter how many
-    detections it has.
+    script is scanned once, at its first referencing command's phase and
+    job, and its detections are built again at every other one's.  Per
+    tool, the invocation style is direct, script, or both; a tool counts
+    once per pipeline no matter how many detections it has.
     """
     detections: list[Detection] = []
     for cmd in iter_command_lines(cfg):
@@ -476,9 +479,14 @@ def profile_pipeline(
         first = commands[0]
         ctx = SourceContext(SOURCE_SCRIPT, first.phase, first.job_index, path)
         found = detect_in_text(doc.content, registry, ctx, install_exclusion)
-        for cmd in commands:
+        detections.extend(found)
+        for cmd in commands[1:]:
+            phase, job_index = cmd.phase, cmd.job_index
             detections.extend(
-                replace(d, phase=cmd.phase, job_index=cmd.job_index) for d in found
+                [
+                    Detection(tool_id, source, script_path, phase, job_index, text, line)
+                    for tool_id, source, script_path, _, _, text, line in found
+                ]
             )
 
     detections = list(dict.fromkeys(detections))

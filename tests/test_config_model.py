@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tdmscan.config_model import (
+    PHASE_BY_NAME,
     MalformedDocument,
     NotAPipeline,
     PhaseKind,
@@ -178,6 +179,13 @@ class TestAliasesAndMerging:
         assert [c.text for c in first.phases[PhaseKind.BEFORE_SCRIPT]] == ["setup"]
         assert first.phases[PhaseKind.BEFORE_SCRIPT][0].job_index == 0
         assert [c.text for c in second.phases[PhaseKind.BEFORE_SCRIPT]] == ["own"]
+
+    def test_earlier_global_phase_merges_in_lifecycle_order(self):
+        cfg = parse_config(
+            make_doc("before_install: setup\njobs:\n  include:\n    - script: lint\n")
+        )
+        assert list(cfg.jobs[0].phases) == [PhaseKind.BEFORE_INSTALL, PhaseKind.SCRIPT]
+        assert [c.text for c in iter_command_lines(cfg)] == ["setup", "lint"]
 
     def test_env_matrix_not_expanded(self):
         cfg = parse_config(
@@ -388,3 +396,42 @@ def test_parse_is_deterministic(data):
     first = parse_config(make_doc(text))
     second = parse_config(make_doc(text))
     assert first == second
+
+
+# --- Job.phases keys in lifecycle order ----------------------------------------
+
+_PHASE_NAMES = st.lists(st.sampled_from(list(PHASE_BY_NAME)), unique=True)
+
+
+@given(global_names=_PHASE_NAMES, job_names=st.lists(_PHASE_NAMES, max_size=3))
+def test_job_phases_are_in_lifecycle_order(global_names, job_names):
+    import yaml
+
+    # Phases are written in the drawn order, not in lifecycle order.
+    data = {name: [f"g-{name}"] for name in global_names}
+    if job_names:
+        data["jobs"] = {
+            "include": [
+                {name: [f"j{index}-{name}"] for name in names}
+                for index, names in enumerate(job_names)
+            ]
+        }
+    else:
+        data["language"] = "python"
+    cfg = parse_config(make_doc(yaml.safe_dump(data, sort_keys=False)))
+
+    assert len(cfg.jobs) == max(1, len(job_names))
+    for job, names in zip(cfg.jobs, job_names or [[]]):
+        assert list(job.phases) == [kind for kind in PhaseKind if kind in job.phases]
+        assert set(job.phases) == {PHASE_BY_NAME[name] for name in [*names, *global_names]}
+        for phase, commands in job.phases.items():
+            owner = f"j{job.index}" if phase.value in names else "g"
+            assert commands == [(f"{owner}-{phase.value}", phase, job.index, 0)]
+    # The walk iter_command_lines did before phases were kept in order.
+    walked = [
+        cmd
+        for job in cfg.jobs
+        for phase in PhaseKind
+        for cmd in job.phases.get(phase, ())
+    ]
+    assert list(iter_command_lines(cfg)) == walked

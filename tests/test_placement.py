@@ -1,9 +1,20 @@
+import os
+
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 from tdmscan import placement
-from tdmscan.config_model import SETUP_PHASES, PhaseKind, parse_config, resolve_stage_name
+from tdmscan.config_model import (
+    SETUP_PHASES,
+    NotAPipeline,
+    PhaseKind,
+    RawDocument,
+    iter_command_lines,
+    parse_config,
+    resolve_stage_name,
+)
+from tdmscan.ingest import LocalTree
 from tdmscan.placement import (
     NoDetectionInJob,
     PlacementKind,
@@ -18,9 +29,9 @@ from tdmscan.registry import (
     PipelineToolProfile,
     profile_pipeline,
 )
-from tdmscan.script_resolver import split_actions
+from tdmscan.script_resolver import collect_script_documents, split_actions
 
-from conftest import collect_scripts, make_doc, profile_of
+from conftest import CORPUS_DIR, collect_scripts, make_doc, profile_of
 
 
 def analyzed(registry, text, files=None):
@@ -318,7 +329,8 @@ class TestClassifyPipeline:
         ]
         assert indexed == [profile]
         # Once per job for the stage sizes and once for its label, plus once
-        # per detection for its timing: linear, not one pass per job.
+        # per phase with detections for its timing: linear, not one pass per
+        # job.
         assert len(stage_lookups) == 3 * (jobs + 1)
         assert profile.detections_for_job(3) == [
             d for d in real_all_detections(profile) if d.job_index == 3
@@ -491,3 +503,116 @@ def test_alias_fan_out_searches_each_action_once_per_distinct_text(
         (PlacementKind.DEDICATED_JOB, True, 20_000)
     ]
     assert 0 < len(searches) <= 2 * actions
+
+
+# --- timing classified once per (job, phase) -----------------------------------
+
+
+def _assert_timings_per_detection(cfg, profile, scripts):
+    """Each result's timings equal classify_timing per detection of its job."""
+    results = classify_pipeline(cfg, profile, scripts)
+    for result in results:
+        job_detections = profile.detections_for_job(result.job_index)
+        expected = {d: classify_timing(cfg, d) for d in job_detections}
+        assert result.timings == expected
+        assert list(result.timings) == job_detections
+    return results
+
+
+def test_timings_match_per_detection_classification_on_fixtures(registry):
+    analyzed_slugs, not_pipelines = [], []
+    for slug in sorted(os.listdir(CORPUS_DIR)):
+        slug_dir = os.path.join(CORPUS_DIR, slug)
+        with open(os.path.join(slug_dir, ".travis.yml"), encoding="utf-8") as handle:
+            doc = RawDocument(slug, ".travis.yml", handle.read())
+        try:
+            cfg = parse_config(doc)
+        except NotAPipeline:
+            not_pipelines.append(slug)
+            continue
+        scripts, attribution = collect_script_documents(
+            iter_command_lines(cfg), LocalTree(slug_dir)
+        )
+        profile = profile_pipeline(cfg, scripts, registry, attribution=attribution)
+        _assert_timings_per_detection(cfg, profile, {d.path: d for d in scripts})
+        analyzed_slugs.append(slug)
+    assert len(analyzed_slugs) == 38
+    assert not_pipelines == ["34-not-a-pipeline"]
+
+
+_TIMED_PHASES = ("script", "after_success", "after_script", "after_deploy")
+_TIMED_COMMANDS = st.lists(
+    st.sampled_from(["flake8 .", "pylint src", "./ci/lint.sh", "make"]),
+    min_size=1,
+    max_size=3,
+)
+_TIMED_FILES = {"ci/lint.sh": "flake8 src\nmake\nbandit -r src\n"}
+
+
+@given(
+    declared=st.lists(_LABELS, max_size=3, unique=True),
+    jobs=st.lists(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "stage": _LABELS,
+                "deploy": st.just({"provider": "pypi"}),
+                **{phase: _TIMED_COMMANDS for phase in _TIMED_PHASES},
+            },
+        ),
+        max_size=5,
+    ),
+    global_phases=st.fixed_dictionaries(
+        {},
+        optional={
+            "deploy": st.just({"provider": "pypi"}),
+            **{phase: _TIMED_COMMANDS for phase in _TIMED_PHASES},
+        },
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_timings_match_per_detection_classification_on_matrices(
+    registry, declared, jobs, global_phases
+):
+    data = {"language": "python", "stages": declared, **global_phases}
+    if jobs:
+        data["jobs"] = {"include": jobs}
+    cfg, profile, scripts = analyzed(registry, yaml.safe_dump(data), _TIMED_FILES)
+    _assert_timings_per_detection(cfg, profile, scripts)
+
+
+def test_shared_script_matrix_classifies_timing_once_per_job_phase(
+    registry, monkeypatch
+):
+    # 400 jobs in 5 stages, each running one shared 200-line tool script;
+    # the last stage deploys, so its after_success runs are post-deployment.
+    tools = ["flake8", "pylint", "black --check", "mypy", "bandit -r"]
+    script = "".join(f"{tools[i % len(tools)]} src/m{i}\n" for i in range(200))
+    include = []
+    for i in range(400):
+        job = {"stage": f"s{i % 5}", "script": "./ci/lint.sh"}
+        if i % 5 == 4:
+            job.update(deploy={"provider": "pypi"}, after_success="./ci/lint.sh")
+        include.append(job)
+    text = yaml.safe_dump({"stages": [f"s{k}" for k in range(5)], "jobs": {"include": include}})
+    cfg, profile, scripts = analyzed(registry, text, {"ci/lint.sh": script})
+    calls = []
+    real_classify_timing = placement.classify_timing
+
+    def counting_classify_timing(cfg, det):
+        calls.append((det.job_index, det.phase))
+        return real_classify_timing(cfg, det)
+
+    monkeypatch.setattr(placement, "classify_timing", counting_classify_timing)
+    # The reference side of the differential calls the unpatched function.
+    results = _assert_timings_per_detection(cfg, profile, scripts)
+    assert len(results) == 400
+    assert sum(len(result.timings) for result in results) == 96_000
+    assert {kind for result in results[4::5] for kind in result.timings.values()} == {
+        TimingKind.PRE_DEPLOYMENT,
+        TimingKind.POST_DEPLOYMENT,
+    }
+    job_phases = {(d.job_index, d.phase) for d in profile.all_detections()}
+    assert len(job_phases) == 480
+    assert len(calls) == len(set(calls))
+    assert set(calls) == job_phases

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdmscan import registry as registry_module
-from tdmscan.config_model import PhaseKind, parse_config
+from tdmscan.config_model import CommandLine, PhaseKind, parse_config
 from tdmscan.registry import (
     DuplicateToolId,
     InvalidPattern,
@@ -530,3 +530,74 @@ def test_registry_with_a_line_memo_pickles():
     assert tool_ids(detect_in_text("flake8 .", copy, CTX)) == ["flake8"]
     analysis = analyze_document(doc, MappingTree({}), copy)
     assert analysis.record.profile.tool_ids() == ["flake8"]
+
+
+# --- the hot-path records are named tuples --------------------------------------
+
+
+@pytest.mark.parametrize(
+    "record_type, values",
+    [
+        (
+            Detection,
+            dict(
+                tool_id="flake8",
+                source=SOURCE_SCRIPT,
+                script_path="ci/lint.sh",
+                phase=PhaseKind.AFTER_SUCCESS,
+                job_index=2,
+                matched_text="flake8",
+                line_ordinal=5,
+            ),
+        ),
+        (
+            CommandLine,
+            dict(text="flake8 .", phase=PhaseKind.INSTALL, job_index=1, ordinal=3),
+        ),
+        (
+            SourceContext,
+            dict(
+                source=SOURCE_SCRIPT,
+                phase=PhaseKind.DEPLOY,
+                job_index=0,
+                script_path="ci/x.sh",
+                ordinal_base=4,
+            ),
+        ),
+    ],
+    ids=["Detection", "CommandLine", "SourceContext"],
+)
+def test_records_are_value_tuples(record_type, values):
+    record = record_type(**values)
+    assert record._fields == tuple(values)
+    assert record == record_type(*values.values()) == tuple(values.values())
+    assert hash(record) == hash(record_type(*values.values()))
+    assert len({record, record_type(**values)}) == 1
+    first_field = next(iter(values))
+    assert record._replace(**{first_field: "other"}) != record
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and type(copy) is record_type
+
+
+def test_source_context_defaults_to_no_script_at_ordinal_zero():
+    assert CTX == (SOURCE_CONFIG, PhaseKind.SCRIPT, 0, None, 0)
+
+
+def test_sonarcloud_relabel_changes_only_the_tool_id(registry):
+    cfg = parse_config(
+        make_doc(
+            "language: java\naddons:\n  sonarcloud:\n    organization: o\n"
+            "jobs:\n  include:\n    - script: ./ci/scan.sh\n    - script: ./ci/scan.sh\n"
+        )
+    )
+    script = "sonar-scanner -Dsonar.projectKey=k\n"
+    profile = profile_of(registry, cfg, {"ci/scan.sh": script})
+    scanned = detect_in_text(
+        script, registry, SourceContext(SOURCE_SCRIPT, PhaseKind.SCRIPT, 0, "ci/scan.sh")
+    )
+    assert tool_ids(scanned) == ["sonarqube"]
+    assert list(profile.tools) == ["sonarcloud"]
+    assert profile.tools["sonarcloud"].detections == tuple(
+        scanned[0]._replace(tool_id="sonarcloud", job_index=job) for job in (0, 1)
+    )
+    assert {type(d) for d in profile.all_detections()} == {Detection}
