@@ -6,9 +6,6 @@ from .analytics import (
     CorpusReport,
     DivisionByZero,
     PipelineRecord,
-    UnsupportedFormat,
-    aggregate,
-    export_report,
     percent,
 )
 from .analyzer import AnalysisOptions, PipelineAnalysis, analyze_document, scan_entries

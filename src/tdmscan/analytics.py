@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from itertools import combinations
-from typing import Any, Iterable, Mapping
+from operator import itemgetter
+from typing import Any, Callable, Mapping, get_args, get_origin, get_type_hints
 
 from .antipatterns import FINDING_NAMES, FindingSet
 from .placement import PlacementKind, PlacementResult, TimingKind
@@ -30,17 +31,6 @@ from .registry import (
 
 SCHEMA_VERSION = "1.0"
 
-CSV_FILES = (
-    "tools.csv",
-    "cooccurrence.csv",
-    "antipatterns.csv",
-    "antipattern_matrix.csv",
-    "per_tool_antipattern.csv",
-    "stage_names.csv",
-    "placement.csv",
-    "timing.csv",
-)
-
 _SOURCES = ("direct", "script")
 _PLACEMENT_ORDER = (
     PlacementKind.DEDICATED_STAGE.value,
@@ -52,10 +42,6 @@ _TIMING_ORDER = (TimingKind.PRE_DEPLOYMENT.value, TimingKind.POST_DEPLOYMENT.val
 
 class DivisionByZero(ZeroDivisionError):
     """percent() was called with a zero denominator."""
-
-
-class UnsupportedFormat(ValueError):
-    """export_report() received an unknown format name."""
 
 
 def percent(numerator: int, denominator: int) -> float:
@@ -97,95 +83,59 @@ class CorpusReport:
     findings_count_histogram: dict[int, int]
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "registry_version": self.registry_version,
-            "totals": dict(self.totals),
-            "tool_table": {t: dict(row) for t, row in sorted(self.tool_table.items())},
-            "tools_per_pipeline": {
-                str(k): v for k, v in sorted(self.tools_per_pipeline.items())
-            },
-            "cooccurrence": [
-                {"tools": [a, b], "pipelines": n}
-                for (a, b), n in sorted(
-                    self.cooccurrence.items(), key=lambda kv: (-kv[1], kv[0])
-                )
-            ],
-            "antipattern_prevalence": {
-                f: dict(row) for f, row in self.antipattern_prevalence.items()
-            },
-            "antipattern_matrix": {
-                f: dict(row) for f, row in self.antipattern_matrix.items()
-            },
-            "per_tool_antipattern": {
-                t: {f: dict(cell) for f, cell in rows.items()}
-                for t, rows in sorted(self.per_tool_antipattern.items())
-            },
-            "stage_names": {s: dict(row) for s, row in sorted(self.stage_names.items())},
-            "placement": {s: dict(row) for s, row in self.placement.items()},
-            "timing": {s: dict(row) for s, row in self.timing.items()},
-            "late_merging_counts": dict(self.late_merging_counts),
-            "findings_per_pipeline": {
-                slug: dict(flags)
-                for slug, flags in sorted(self.findings_per_pipeline.items())
-            },
-            "findings_count_histogram": {
-                str(k): v for k, v in sorted(self.findings_count_histogram.items())
-            },
+        data = {
+            name: _coerce(hint, getattr(self, name), key=str)
+            for name, hint in _FIELD_TYPES.items()
         }
+        data["cooccurrence"] = [
+            {"tools": list(pair), "pipelines": n}
+            for pair, n in _ranked(self.cooccurrence)
+        ]
+        return data
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "CorpusReport":
-        return cls(
-            schema_version=str(data.get("schema_version", SCHEMA_VERSION)),
-            registry_version=str(data.get("registry_version", "")),
-            totals={k: int(v) for k, v in data.get("totals", {}).items()},
-            tool_table={
-                t: {k: int(v) for k, v in row.items()}
-                for t, row in data.get("tool_table", {}).items()
-            },
-            tools_per_pipeline={
-                int(k): int(v) for k, v in data.get("tools_per_pipeline", {}).items()
-            },
-            cooccurrence={
-                (entry["tools"][0], entry["tools"][1]): int(entry["pipelines"])
-                for entry in data.get("cooccurrence", [])
-            },
-            antipattern_prevalence={
-                f: dict(row) for f, row in data.get("antipattern_prevalence", {}).items()
-            },
-            antipattern_matrix={
-                f: {k: int(v) for k, v in row.items()}
-                for f, row in data.get("antipattern_matrix", {}).items()
-            },
-            per_tool_antipattern={
-                t: {f: dict(cell) for f, cell in rows.items()}
-                for t, rows in data.get("per_tool_antipattern", {}).items()
-            },
-            stage_names={
-                s: {k: int(v) for k, v in row.items()}
-                for s, row in data.get("stage_names", {}).items()
-            },
-            placement={
-                s: {k: int(v) for k, v in row.items()}
-                for s, row in data.get("placement", {}).items()
-            },
-            timing={
-                s: {k: int(v) for k, v in row.items()}
-                for s, row in data.get("timing", {}).items()
-            },
-            late_merging_counts={
-                k: int(v) for k, v in data.get("late_merging_counts", {}).items()
-            },
-            findings_per_pipeline={
-                slug: {k: bool(v) for k, v in flags.items()}
-                for slug, flags in data.get("findings_per_pipeline", {}).items()
-            },
-            findings_count_histogram={
-                int(k): int(v)
-                for k, v in data.get("findings_count_histogram", {}).items()
-            },
-        )
+        data = _coerce(dict[str, Any], data)
+        defaults = {"schema_version": SCHEMA_VERSION, "registry_version": ""}
+        fields = {
+            name: _coerce(hint, data.get(name, defaults.get(name, {})))
+            for name, hint in _FIELD_TYPES.items()
+        }
+        cooccurrence = {}
+        for entry in data.get("cooccurrence", []):
+            tool_a, tool_b = entry["tools"]
+            cooccurrence[(tool_a, tool_b)] = int(entry["pipelines"])
+        return cls(cooccurrence=cooccurrence, **fields)
+
+
+# Every field converts to and from JSON by its annotation, except the
+# tuple-keyed `cooccurrence`, which JSON holds as a ranked list.
+_FIELD_TYPES = {
+    name: hint
+    for name, hint in get_type_hints(CorpusReport).items()
+    if name != "cooccurrence"
+}
+
+
+def _coerce(hint: Any, value: Any, key: Callable[[Any], Any] | None = None) -> Any:
+    """`value` as the type `hint` names, nested dicts included.
+
+    Dict keys go through `key` when given (``str`` on the way to JSON, which
+    keeps ``"10"`` before ``"2"`` under ``sort_keys``) and through the
+    hint's key type otherwise.
+    """
+    if get_origin(hint) is dict:
+        if not isinstance(value, dict):
+            raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+        key_type, value_type = get_args(hint)
+        convert = key or key_type
+        return {convert(k): _coerce(value_type, v, key) for k, v in value.items()}
+    return value if hint is Any else hint(value)
+
+
+def _ranked(table: Mapping[Any, Any], count=lambda value: value) -> list[tuple]:
+    """`table`'s items, largest count first, ties by key."""
+    return sorted(table.items(), key=lambda item: (-count(item[1]), item[0]))
 
 
 class Aggregator:
@@ -379,125 +329,101 @@ class Aggregator:
         )
 
 
-def aggregate(
-    records: Iterable[PipelineRecord], registry_version: str = ""
-) -> CorpusReport:
-    """Fold a stream of records into a CorpusReport."""
-    aggregator = Aggregator(registry_version)
-    for record in records:
-        aggregator.add(record)
-    return aggregator.report()
-
-
-def _csv_bytes(header: list[str], rows: list[list[Any]]) -> bytes:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().encode("utf-8")
-
-
 def export_json(report: CorpusReport) -> bytes:
     text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
     return (text + "\n").encode("utf-8")
 
 
+def _ranked_rows(
+    table: Mapping[str, Mapping[str, int]], key_column: str, count_column: str
+) -> list[dict[str, Any]]:
+    return [
+        {key_column: key, **row}
+        for key, row in _ranked(table, itemgetter(count_column))
+    ]
+
+
+def _per_source_rows(
+    table: Mapping[str, Mapping[str, int]], column: str, kinds, sources
+) -> list[dict[str, Any]]:
+    return [
+        {"source": source, column: kind, "jobs": table.get(source, {}).get(kind, 0)}
+        for source in sources
+        for kind in kinds
+    ]
+
+
+def _percent_row(cells: Mapping[str, Any], **labels: str) -> dict[str, Any]:
+    return {**cells, **labels, "percent": f"{cells['percent']:.1f}"}
+
+
+def _csv_tables(report: CorpusReport) -> dict[str, tuple[tuple[str, ...], list]]:
+    """Each CSV file of the bundle as (header, rows)."""
+    prevalence = report.antipattern_prevalence
+    matrix = report.antipattern_matrix
+    # A corpus without tools gets placement and timing headers only.
+    sources = _SOURCES if report.totals.get("pipelines_with_tools") else ()
+    return {
+        "tools.csv": (
+            ("tool", "pipelines", "direct", "script", "both"),
+            _ranked_rows(report.tool_table, "tool", "pipelines"),
+        ),
+        "cooccurrence.csv": (
+            ("tool_a", "tool_b", "pipelines"),
+            [
+                {"tool_a": a, "tool_b": b, "pipelines": n}
+                for (a, b), n in _ranked(report.cooccurrence)
+            ],
+        ),
+        "antipatterns.csv": (
+            ("finding", "count", "percent"),
+            [
+                _percent_row(prevalence[name], finding=name)
+                for name in FINDING_NAMES
+                if name in prevalence
+            ],
+        ),
+        "antipattern_matrix.csv": (
+            ("finding", *FINDING_NAMES),
+            [
+                {**matrix[name], "finding": name, name: ""}
+                for name in FINDING_NAMES
+                if name in matrix
+            ],
+        ),
+        "per_tool_antipattern.csv": (
+            ("tool", "finding", "pipelines_with_tool", "with_finding", "percent"),
+            [
+                _percent_row(rows[name], tool=tool, finding=name)
+                for tool, rows in sorted(report.per_tool_antipattern.items())
+                for name in FINDING_NAMES
+                if name in rows
+            ],
+        ),
+        "stage_names.csv": (
+            ("stage", "direct_jobs", "script_jobs", "total"),
+            _ranked_rows(report.stage_names, "stage", "total"),
+        ),
+        "placement.csv": (
+            ("source", "placement", "jobs"),
+            _per_source_rows(report.placement, "placement", _PLACEMENT_ORDER, sources),
+        ),
+        "timing.csv": (
+            ("source", "timing", "jobs"),
+            _per_source_rows(report.timing, "timing", _TIMING_ORDER, sources),
+        ),
+    }
+
+
 def export_csv_bundle(report: CorpusReport) -> dict[str, bytes]:
-    files: dict[str, bytes] = {}
-
-    tool_rows = [
-        [tool, row["pipelines"], row["direct"], row["script"], row["both"]]
-        for tool, row in sorted(
-            report.tool_table.items(), key=lambda kv: (-kv[1]["pipelines"], kv[0])
+    files = {}
+    for name, (header, rows) in _csv_tables(report).items():
+        buffer = io.StringIO()
+        # The header orders each row's cells; a cell the row lacks is 0.
+        writer = csv.DictWriter(
+            buffer, header, restval=0, extrasaction="ignore", lineterminator="\n"
         )
-    ]
-    files["tools.csv"] = _csv_bytes(
-        ["tool", "pipelines", "direct", "script", "both"], tool_rows
-    )
-
-    cooc_rows = [
-        [a, b, n]
-        for (a, b), n in sorted(
-            report.cooccurrence.items(), key=lambda kv: (-kv[1], kv[0])
-        )
-    ]
-    files["cooccurrence.csv"] = _csv_bytes(["tool_a", "tool_b", "pipelines"], cooc_rows)
-
-    ap_rows = [
-        [name, row["count"], f"{row['percent']:.1f}"]
-        for name in FINDING_NAMES
-        if (row := report.antipattern_prevalence.get(name)) is not None
-    ]
-    files["antipatterns.csv"] = _csv_bytes(["finding", "count", "percent"], ap_rows)
-
-    matrix_rows = []
-    for row_name in FINDING_NAMES:
-        cells = report.antipattern_matrix.get(row_name)
-        if cells is None:
-            continue
-        matrix_rows.append(
-            [row_name]
-            + [
-                ("" if col == row_name else cells.get(col, 0))
-                for col in FINDING_NAMES
-            ]
-        )
-    files["antipattern_matrix.csv"] = _csv_bytes(
-        ["finding", *FINDING_NAMES], matrix_rows
-    )
-
-    per_tool_rows = []
-    for tool, rows in sorted(report.per_tool_antipattern.items()):
-        for name in FINDING_NAMES:
-            cell = rows.get(name)
-            if cell is None:
-                continue
-            per_tool_rows.append(
-                [
-                    tool,
-                    name,
-                    cell["pipelines_with_tool"],
-                    cell["with_finding"],
-                    f"{cell['percent']:.1f}",
-                ]
-            )
-    files["per_tool_antipattern.csv"] = _csv_bytes(
-        ["tool", "finding", "pipelines_with_tool", "with_finding", "percent"],
-        per_tool_rows,
-    )
-
-    stage_rows = [
-        [label, row["direct_jobs"], row["script_jobs"], row["total"]]
-        for label, row in sorted(
-            report.stage_names.items(), key=lambda kv: (-kv[1]["total"], kv[0])
-        )
-    ]
-    files["stage_names.csv"] = _csv_bytes(
-        ["stage", "direct_jobs", "script_jobs", "total"], stage_rows
-    )
-
-    placement_rows = []
-    timing_rows = []
-    if report.totals.get("pipelines_with_tools"):
-        for source in _SOURCES:
-            for kind in _PLACEMENT_ORDER:
-                placement_rows.append(
-                    [source, kind, report.placement.get(source, {}).get(kind, 0)]
-                )
-            for kind in _TIMING_ORDER:
-                timing_rows.append(
-                    [source, kind, report.timing.get(source, {}).get(kind, 0)]
-                )
-    files["placement.csv"] = _csv_bytes(["source", "placement", "jobs"], placement_rows)
-    files["timing.csv"] = _csv_bytes(["source", "timing", "jobs"], timing_rows)
-
+        writer.writeheader()
+        writer.writerows(rows)
+        files[name] = buffer.getvalue().encode("utf-8")
     return files
-
-
-def export_report(report: CorpusReport, format: str) -> dict[str, bytes]:
-    """Serialize a report; returns {filename: content} for the chosen format."""
-    if format == "json":
-        return {"report.json": export_json(report)}
-    if format == "csv-bundle" or format == "csv":
-        return export_csv_bundle(report)
-    raise UnsupportedFormat(f"unknown format {format!r}")

@@ -15,7 +15,7 @@ import os
 import sys
 from collections import Counter
 
-from .analytics import CorpusReport, UnsupportedFormat, export_csv_bundle, export_json
+from .analytics import CorpusReport, export_csv_bundle, export_json
 from .analyzer import AnalysisOptions, analyze_document, scan_entries
 from .antipatterns import LATE_MERGING_MODE_JOB, LATE_MERGING_MODE_PIPELINE
 from .config_model import (
@@ -288,12 +288,7 @@ def _cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    try:
-        written = _write_outputs(report, args.out, args.format)
-    except UnsupportedFormat as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_ERROR
-    for path in written:
+    for path in _write_outputs(report, args.out, args.format):
         print(path)
     return EXIT_OK
 

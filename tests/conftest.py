@@ -3,7 +3,13 @@ import os
 
 import pytest
 
-from tdmscan import RawDocument, parse_config, profile_pipeline, shipped_registry
+from tdmscan import (
+    Aggregator,
+    RawDocument,
+    parse_config,
+    profile_pipeline,
+    shipped_registry,
+)
 from tdmscan.config_model import iter_command_lines
 from tdmscan.script_resolver import MappingTree, collect_script_documents
 
@@ -74,3 +80,11 @@ def profile_of(registry, cfg, files=None):
     """The tool profile of `cfg`, with scripts read from `files`."""
     scripts, attribution = collect_scripts(cfg, files)
     return profile_pipeline(cfg, scripts, registry, attribution=attribution)
+
+
+def fold_records(records, registry_version=""):
+    """The CorpusReport of `records`, folded through one Aggregator."""
+    aggregator = Aggregator(registry_version)
+    for record in records:
+        aggregator.add(record)
+    return aggregator.report()

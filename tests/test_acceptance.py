@@ -11,7 +11,7 @@ import time
 
 import yaml
 
-from tdmscan.analytics import aggregate, export_csv_bundle, export_json, percent
+from tdmscan.analytics import export_csv_bundle, export_json, percent
 from tdmscan.analyzer import AnalysisOptions, analyze_document, scan_entries
 from tdmscan.antipatterns import detect_absent_feedback, detect_email_only
 from tdmscan.cli import _entries_from_directory
@@ -25,7 +25,7 @@ from tdmscan.config_model import (
 from tdmscan.ingest import LocalTree
 from tdmscan.registry import SOURCE_CONFIG, SourceContext, detect_in_text
 
-from conftest import CORPUS_DIR, EXAMPLE_CONFIG, make_doc
+from conftest import CORPUS_DIR, EXAMPLE_CONFIG, fold_records, make_doc
 
 # Tool metadata and pipeline/direct/script reference counts pinned for
 # acceptance: (tool_type, tdm_activity, debt_type, direct, script, pipelines).
@@ -153,7 +153,7 @@ def test_criterion_3_inclusion_exclusion():
             + [record(f"{tool}-s{i}", tool, "script") for i in range(script - overlap)]
             + [record(f"{tool}-b{i}", tool, "both") for i in range(overlap)]
         )
-        row = aggregate(records).tool_table[tool]
+        row = fold_records(records).tool_table[tool]
         assert row["direct"] == direct
         assert row["script"] == script
         assert row["pipelines"] == pipelines
@@ -182,7 +182,7 @@ def test_criterion_3_inclusion_exclusion():
                 PipelineRecord(f"c{corpus_index}-r{i}", profile, [], FindingSet())
             )
             tool_sets.append(sorted(tools))
-        report = aggregate(records)
+        report = fold_records(records)
         # brute force: nested loops, no shared code with the aggregator
         expected_pairs = {}
         expected_pipelines = {}

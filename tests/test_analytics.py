@@ -9,15 +9,14 @@ from tdmscan.analytics import (
     CorpusReport,
     DivisionByZero,
     PipelineRecord,
-    UnsupportedFormat,
-    aggregate,
     export_csv_bundle,
     export_json,
-    export_report,
     percent,
 )
 from tdmscan.antipatterns import FindingSet
 from tdmscan.registry import PipelineToolProfile, ToolUsage
+
+from conftest import fold_records
 
 TOOL_POOL = [
     "flake8", "shellcheck", "pylint", "cppcheck", "eslint",
@@ -67,12 +66,13 @@ class TestPercent:
 
 class TestAggregateBasics:
     def test_single_pipeline_pair(self):
-        report = aggregate([make_record("r1", {"flake8": "direct", "pylint": "direct"})])
+        record = make_record("r1", {"flake8": "direct", "pylint": "direct"})
+        report = fold_records([record])
         assert report.cooccurrence[("flake8", "pylint")] == 1
         assert report.tools_per_pipeline == {2: 1}
 
     def test_tool_counts_once_per_pipeline(self):
-        report = aggregate([make_record("r1", {"flake8": "both"})])
+        report = fold_records([make_record("r1", {"flake8": "both"})])
         row = report.tool_table["flake8"]
         assert row == {"pipelines": 1, "direct": 1, "script": 1, "both": 1}
 
@@ -84,7 +84,7 @@ class TestAggregateBasics:
             records.append(make_record(f"s{i}", {"shellcheck": "script"}))
         for i in range(14):
             records.append(make_record(f"b{i}", {"shellcheck": "both"}))
-        report = aggregate(records)
+        report = fold_records(records)
         row = report.tool_table["shellcheck"]
         assert row["direct"] == 69
         assert row["script"] == 672
@@ -98,7 +98,7 @@ class TestAggregateBasics:
             make_record("b", {"flake8": "direct", "mypy": "direct"}),
             make_record("c", {}),
         ]
-        report = aggregate(records)
+        report = fold_records(records)
         assert sum(report.tools_per_pipeline.values()) == 2
         assert report.totals["pipelines"] == 3
         assert report.totals["pipelines_with_tools"] == 2
@@ -107,7 +107,7 @@ class TestAggregateBasics:
         findings = FindingSet(
             skip_on_failure=True, absent_feedback=True, late_merging_any_job=False
         )
-        report = aggregate(
+        report = fold_records(
             [
                 make_record("a", {"flake8": "direct"}, findings),
                 make_record("b", {"flake8": "direct"}),
@@ -164,7 +164,7 @@ def test_cooccurrence_matches_brute_force_oracle():
     rng = random.Random(20117)
     for _ in range(50):
         records, tool_sets = random_corpus(rng, rng.randint(1, 25))
-        report = aggregate(records)
+        report = fold_records(records)
         pipelines, pairs, histogram = brute_force_tables(tool_sets)
         assert {t: r["pipelines"] for t, r in report.tool_table.items()} == pipelines
         assert report.cooccurrence == pairs
@@ -183,7 +183,7 @@ def test_merge_equals_single_pass(seed):
     for record in records[cut:]:
         right.add(record)
     left.merge(right)
-    assert left.report() == aggregate(records, "v1")
+    assert left.report() == fold_records(records, "v1")
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -206,8 +206,8 @@ def test_merge_is_commutative(seed):
 class TestExport:
     def test_json_deterministic(self):
         records = [make_record("a", {"flake8": "direct", "mypy": "script"})]
-        first = export_json(aggregate(records))
-        second = export_json(aggregate(records))
+        first = export_json(fold_records(records))
+        second = export_json(fold_records(records))
         assert first == second
 
     def test_csv_bundle_deterministic(self):
@@ -215,12 +215,12 @@ class TestExport:
             make_record("a", {"flake8": "direct"}),
             make_record("b", {"mypy": "script", "flake8": "both"}),
         ]
-        first = export_csv_bundle(aggregate(records))
-        second = export_csv_bundle(aggregate(records))
+        first = export_csv_bundle(fold_records(records))
+        second = export_csv_bundle(fold_records(records))
         assert first == second
 
     def test_bundle_has_all_files(self):
-        bundle = export_csv_bundle(aggregate([]))
+        bundle = export_csv_bundle(fold_records([]))
         assert sorted(bundle) == sorted(
             [
                 "tools.csv",
@@ -235,25 +235,25 @@ class TestExport:
         )
 
     def test_empty_corpus_headers_only(self):
-        bundle = export_csv_bundle(aggregate([]))
+        bundle = export_csv_bundle(fold_records([]))
         for name, blob in bundle.items():
             lines = blob.decode().strip().splitlines()
             assert len(lines) == 1, name
 
-    def test_unsupported_format(self):
-        with pytest.raises(UnsupportedFormat):
-            export_report(aggregate([]), "xml")
-
-    def test_export_report_dispatch(self):
-        report = aggregate([make_record("a", {"flake8": "direct"})])
-        assert list(export_report(report, "json")) == ["report.json"]
-        assert "tools.csv" in export_report(report, "csv-bundle")
-        assert export_report(report, "csv") == export_report(report, "csv-bundle")
+    def test_int_keys_sort_as_json_strings(self):
+        records = [
+            make_record("few", {tool: "direct" for tool in TOOL_POOL[:2]}),
+            make_record("all", {tool: "direct" for tool in TOOL_POOL}),
+        ]
+        assert len(TOOL_POOL) == 10
+        text = export_json(fold_records(records)).decode()
+        assert '"tools_per_pipeline": {\n    "10": 1,\n    "2": 1\n  }' in text
+        assert '"findings_count_histogram": {\n    "0": 2\n  }' in text
 
     def test_report_roundtrips_through_json(self):
         findings = FindingSet(absent_feedback=True)
         records = [make_record("a", {"flake8": "direct"}, findings)]
-        report = aggregate(records, "v1")
+        report = fold_records(records, "v1")
         import json
 
         data = json.loads(export_json(report).decode())
@@ -261,6 +261,6 @@ class TestExport:
 
     def test_csv_percent_has_one_decimal(self):
         findings = FindingSet(absent_feedback=True)
-        report = aggregate([make_record("a", {"flake8": "direct"}, findings)])
+        report = fold_records([make_record("a", {"flake8": "direct"}, findings)])
         text = export_csv_bundle(report)["antipatterns.csv"].decode()
         assert "absent_feedback,1,100.0" in text

@@ -332,6 +332,48 @@ class TestReportCommand:
         code, _, err = run_cli(capsys, "report", str(path))
         assert code == 1
 
+    def test_json_round_trip(self, capsys, tmp_path):
+        scan_out = tmp_path / "scan"
+        run_cli(capsys, "scan", CORPUS_DIR, "--out", str(scan_out), "--format", "json")
+        converted = tmp_path / "converted"
+        code, _, _ = run_cli(
+            capsys,
+            "report",
+            str(scan_out / "report.json"),
+            "--out",
+            str(converted),
+            "--format",
+            "json",
+        )
+        assert code == 0
+        saved = (scan_out / "report.json").read_bytes()
+        assert (converted / "report.json").read_bytes() == saved
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "[]",
+            '{"tool_table": []}',
+            '{"cooccurrence": [{"tools": ["a"], "pipelines": 1}]}',
+            '{"tools_per_pipeline": {"x": 1}}',
+        ],
+        ids=["top-level-list", "table-not-object", "one-tool-pair", "non-int-key"],
+    )
+    def test_malformed_report_exits_1(self, capsys, tmp_path, content):
+        path = tmp_path / "r.json"
+        path.write_text(content)
+        out_dir = str(tmp_path / "out")
+        code, _, err = run_cli(capsys, "report", str(path), "--out", out_dir)
+        assert code == 1
+        assert err.startswith("cannot read report: ")
+
+
+@pytest.mark.parametrize("command", ["scan", "report"])
+def test_unknown_format_exits_2(capsys, tmp_path, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(tmp_path), "--format", "xml"])
+    assert exit_info.value.code == 2
+
 
 def test_throughput_10k_configs_under_60s(registry):
     """Single-worker engineering target on synthetic small configs."""
