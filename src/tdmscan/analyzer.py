@@ -6,6 +6,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NoReturn
 
 from .analytics import Aggregator, CorpusReport, PipelineRecord
 from .antipatterns import LATE_MERGING_MODE_PIPELINE, FindingSet, evaluate
@@ -24,8 +25,8 @@ from .placement import PlacementResult, classify_pipeline
 from .registry import PipelineToolProfile, Registry, profile_pipeline
 from .script_resolver import FileTree, ScriptDocument, collect_script_documents
 
-# Chunks per worker in a pooled scan: enough that one chunk of large
-# pipelines does not leave the other workers idle at the end.
+# Chunks per worker in a sharded scan, dealt round-robin: enough that the
+# workers' shares hold a similar mix of small and large pipelines.
 _CHUNKS_PER_WORKER = 8
 
 # Per-process memo of parsed configs and their command lines: at most this
@@ -185,24 +186,6 @@ def _scan_chunk(
     return aggregator, results
 
 
-# What every chunk of a process-pool scan shares; set in each worker by
-# _init_worker and inherited through fork, so nothing is pickled per chunk.
-_worker_context: tuple = ()
-
-
-def _init_worker(
-    registry: Registry, options: AnalysisOptions, policy: FetchPolicy
-) -> None:
-    global _worker_context
-    _worker_context = (registry, options, policy)
-
-
-def _scan_chunk_in_worker(
-    entries: list[ManifestEntry],
-) -> tuple[Aggregator, list[EntryResult]]:
-    return _scan_chunk(entries, *_worker_context)
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -222,35 +205,134 @@ def _scan_local(
     policy: FetchPolicy,
     workers: int,
 ) -> list[tuple[Aggregator, list[EntryResult]]]:
-    """Local entries are CPU-bound: shard them across forked processes.
+    """Local entries are CPU-bound: shard them across this and forked processes.
 
-    The pool has at most one process per usable CPU.  With one process, or
-    where ``fork`` does not exist, the entries run here, in this process.
+    There are at most ``workers`` processes, one per usable CPU, and never
+    more than there are chunks.  This process scans one share of the chunks
+    and ``processes - 1`` children forked from it scan the rest, so they
+    inherit the loaded package and registry and nothing is pickled on the
+    way in.  With one process, or where ``os.fork`` does not exist, every
+    entry runs here.
     """
     processes = max(1, min(workers, _usable_cpus()))
     chunks = _chunks(entries, processes)
     processes = min(processes, len(chunks))
-    if processes > 1:
-        import multiprocessing
-
-        # Forked workers inherit the loaded package and registry; spawned
-        # ones would import tdmscan again.
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            processes = 1
-    if processes <= 1:
+    if processes <= 1 or not hasattr(os, "fork"):
         return [_scan_chunk(entries, registry, options, policy)]
+    return _scan_forked(chunks, processes, registry, options, policy)
 
-    from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(
-        processes,
-        mp_context=context,
-        initializer=_init_worker,
-        initargs=(registry, options, policy),
-    ) as pool:
-        return list(pool.map(_scan_chunk_in_worker, chunks))
+def _scan_forked(
+    chunks: list[list[ManifestEntry]],
+    processes: int,
+    registry: Registry,
+    options: AnalysisOptions,
+    policy: FetchPolicy,
+) -> list[tuple[Aggregator, list[EntryResult]]]:
+    """Chunk ``i`` is scanned by worker ``i % processes``; worker 0 is this process.
+
+    Each child sends its ``(chunk index, Aggregator, results)`` list up its
+    own pipe and is reaped here, and the parts are returned in chunk order.
+    A child's exception is raised here.  If anything fails in this process,
+    every child not yet reaped is killed and reaped before it propagates.
+    """
+
+    def share(worker: int) -> list[tuple[int, Aggregator, list[EntryResult]]]:
+        return [
+            (index, *_scan_chunk(chunks[index], registry, options, policy))
+            for index in range(worker, len(chunks), processes)
+        ]
+
+    # Imported and compiled once, before the fork, so every child inherits
+    # both: a child that imported pickle itself began its first chunk about
+    # 8 ms later.
+    import pickle  # noqa: F401
+
+    registry._unions
+    children: dict[int, int] = {}  # child pid -> read end of its pipe
+    try:
+        for worker in range(1, processes):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                for sibling_fd in children.values():
+                    os.close(sibling_fd)
+                _report_and_exit(write_fd, partial(share, worker))
+            os.close(write_fd)
+            children[pid] = read_fd
+        parts = share(0)
+        for pid, read_fd in list(children.items()):
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            os.close(read_fd)
+            del children[pid]
+            _, status = os.waitpid(pid, 0)
+            parts.extend(_child_parts(pid, status, data))
+    finally:
+        for pid, read_fd in children.items():
+            import signal  # only failures need it; importing it costs about 1 ms
+
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    parts.sort(key=lambda part: part[0])
+    return [(aggregator, results) for _, aggregator, results in parts]
+
+
+def _report_and_exit(write_fd: int, scan) -> NoReturn:
+    """In a forked child: run ``scan``, pickle its outcome into the pipe, exit.
+
+    The child leaves through ``os._exit`` whatever happens, so it never
+    unwinds into its caller's frames or runs the parent's exit handlers.
+    It exits 0 only once its outcome is written.  An exception that does
+    not survive pickling is sent as a RuntimeError carrying its repr.
+    """
+    import pickle
+
+    status = 1
+    try:
+        try:
+            outcome = (True, scan())
+        except BaseException as exc:  # noqa: BLE001 - sent to the parent
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # noqa: BLE001 - any pickling failure
+                exc = RuntimeError(f"scan worker raised {exc!r}")
+            outcome = (False, exc)
+        data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _child_parts(
+    pid: int, status: int, data: bytes
+) -> list[tuple[int, Aggregator, list[EntryResult]]]:
+    """A reaped child's parts, or the exception it reported or died of."""
+    import pickle
+
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        import signal
+
+        raise RuntimeError(
+            f"scan worker {pid} was killed by signal {-code} "
+            f"({signal.strsignal(-code)}) before reporting"
+        )
+    if code:
+        raise RuntimeError(f"scan worker {pid} exited with status {code} before reporting")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
 
 
 def _scan_remote(
@@ -288,11 +370,12 @@ def scan_entries(
     """Analyze every entry and aggregate; failures are isolated per entry.
 
     Local entries run in up to ``workers`` processes, at most one per usable
-    CPU.  A manifest with remote entries runs on ``workers`` threads that
-    share the caller's session and one rate limit.  Entries are processed in
-    slug order (the last entry wins a repeated slug) and the partial
-    aggregates are merged in that order, so the report is the same for any
-    number of workers.
+    CPU: the calling process scans one share of them and ``N - 1`` children
+    forked from it scan the rest (see _scan_local).  A manifest with remote
+    entries runs on ``workers`` threads that share the caller's session and
+    one rate limit.  Entries are processed in slug order (the last entry
+    wins a repeated slug) and the partial aggregates are merged in that
+    order, so the report is the same for any number of workers.
     """
     policy = policy or FetchPolicy()
     by_slug = {entry.repo_slug: entry for entry in entries}

@@ -89,8 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "analyze entries with N workers (default 1): local entries run in "
-            "N processes, at most one per usable CPU; manifests with remote "
-            "entries run on N threads that share one fetch rate limit"
+            "at most N processes, one per usable CPU, where this process scans "
+            "one share and N-1 forked children scan the rest; manifests with "
+            "remote entries run on N threads that share one fetch rate limit"
         ),
     )
 
@@ -211,11 +212,13 @@ def _entries_from_directory(root: str) -> list[ManifestEntry]:
         slug_dir = os.path.join(root, name)
         if not os.path.isdir(slug_dir):
             continue
+        # Every walked path starts with slug_dir and a separator, so slicing
+        # gives what os.path.relpath would, without normalizing each path.
+        prefix = len(slug_dir) + 1
         script_paths = []
         for dirpath, _dirnames, filenames in os.walk(slug_dir):
-            for filename in sorted(filenames):
-                rel = os.path.relpath(os.path.join(dirpath, filename), slug_dir)
-                rel = rel.replace(os.sep, "/")
+            for filename in filenames:
+                rel = os.path.join(dirpath, filename)[prefix:].replace(os.sep, "/")
                 if rel != CONFIG_FILENAME:
                     script_paths.append(rel)
         entries.append(
@@ -229,21 +232,29 @@ def _entries_from_directory(root: str) -> list[ManifestEntry]:
     return entries
 
 
-def _write_outputs(report: CorpusReport, out_dir: str, fmt: str | None) -> list[str]:
+def _render(report: CorpusReport, fmt: str | None) -> dict[str, bytes]:
+    """Every output file's bytes by file name, in the order they are written."""
+    files = {}
+    if fmt in (None, "json"):
+        files["report.json"] = export_json(report)
+    if fmt in (None, "csv"):
+        files.update(export_csv_bundle(report))
+    return files
+
+
+def _write_files(files: dict[str, bytes], out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    if fmt in (None, "json"):
-        path = os.path.join(out_dir, "report.json")
+    for name, blob in files.items():
+        path = os.path.join(out_dir, name)
         with open(path, "wb") as handle:
-            handle.write(export_json(report))
+            handle.write(blob)
         written.append(path)
-    if fmt in (None, "csv"):
-        for name, blob in export_csv_bundle(report).items():
-            path = os.path.join(out_dir, name)
-            with open(path, "wb") as handle:
-                handle.write(blob)
-            written.append(path)
     return written
+
+
+def _write_outputs(report: CorpusReport, out_dir: str, fmt: str | None) -> list[str]:
+    return _write_files(_render(report, fmt), out_dir)
 
 
 def _cmd_scan(args) -> int:
@@ -285,10 +296,13 @@ def _cmd_report(args) -> int:
     try:
         with open(args.path, encoding="utf-8") as handle:
             report = CorpusReport.from_json_dict(json.load(handle))
+        # Rendered before anything is written: a row without a column the
+        # export reads fails here and leaves no partial output.
+        files = _render(report, args.format)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    for path in _write_outputs(report, args.out, args.format):
+    for path in _write_files(files, args.out):
         print(path)
     return EXIT_OK
 

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from tdmscan.cli import main
+from tdmscan.cli import _entries_from_directory, main
+from tdmscan.ingest import ManifestEntry
 
 from conftest import CORPUS_DIR, EXAMPLE_CONFIG
 
@@ -242,6 +243,66 @@ class TestScan:
         assert "tools.csv" in os.listdir(out_dir2)
 
 
+def _entries_by_relpath(root):
+    """Directory enumeration with os.path.relpath: the reference construction."""
+    entries = []
+    for name in sorted(os.listdir(root)):
+        slug_dir = os.path.join(root, name)
+        if not os.path.isdir(slug_dir):
+            continue
+        scripts = []
+        for dirpath, _, filenames in os.walk(slug_dir):
+            for filename in filenames:
+                rel = os.path.relpath(os.path.join(dirpath, filename), slug_dir)
+                rel = rel.replace(os.sep, "/")
+                if rel != ".travis.yml":
+                    scripts.append(rel)
+        entries.append(
+            ManifestEntry(name, ".travis.yml", tuple(sorted(scripts)), local_root=slug_dir)
+        )
+    return entries
+
+
+def _nested_corpus(tmp_path):
+    root = tmp_path / "corpus"
+    files = [
+        "acme/.travis.yml",
+        "acme/build.sh",
+        "acme/ci/lint.sh",
+        "acme/ci/deep/er/run.sh",
+        "acme/sub/.travis.yml",
+        "beta/.travis.yml",
+        "empty/.keep",
+    ]
+    for rel in files:
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("script: flake8 .\n")
+    (root / "not-a-slug.txt").write_text("")
+    return str(root)
+
+
+@pytest.mark.parametrize("layout", ["fixture-corpus", "nested", "nested-trailing-sep"])
+def test_enumeration_matches_relpath_construction(tmp_path, layout):
+    if layout == "fixture-corpus":
+        root = CORPUS_DIR
+    else:
+        root = _nested_corpus(tmp_path)
+        if layout == "nested-trailing-sep":
+            root += os.sep
+    entries = _entries_from_directory(root)
+    assert entries == _entries_by_relpath(root)
+    if layout != "fixture-corpus":
+        acme = entries[0]
+        assert acme.script_paths == (
+            "build.sh",
+            "ci/deep/er/run.sh",
+            "ci/lint.sh",
+            "sub/.travis.yml",
+        )
+        assert [e.repo_slug for e in entries] == ["acme", "beta", "empty"]
+
+
 class TestRegistryValidate:
     def test_shipped_registry_ok(self, capsys):
         code, out, _ = run_cli(capsys, "registry-validate")
@@ -356,16 +417,26 @@ class TestReportCommand:
             '{"tool_table": []}',
             '{"cooccurrence": [{"tools": ["a"], "pipelines": 1}]}',
             '{"tools_per_pipeline": {"x": 1}}',
+            '{"per_tool_antipattern": {"t": {"absent_feedback": {}}}}',
+            '{"antipattern_prevalence": {"absent_feedback": {"count": 1}}}',
         ],
-        ids=["top-level-list", "table-not-object", "one-tool-pair", "non-int-key"],
+        ids=[
+            "top-level-list",
+            "table-not-object",
+            "one-tool-pair",
+            "non-int-key",
+            "per-tool-row-without-percent",
+            "prevalence-row-without-percent",
+        ],
     )
     def test_malformed_report_exits_1(self, capsys, tmp_path, content):
         path = tmp_path / "r.json"
         path.write_text(content)
-        out_dir = str(tmp_path / "out")
-        code, _, err = run_cli(capsys, "report", str(path), "--out", out_dir)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "report", str(path), "--out", str(out_dir))
         assert code == 1
         assert err.startswith("cannot read report: ")
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["scan", "report"])

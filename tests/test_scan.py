@@ -1,10 +1,15 @@
 """scan_entries and analyze_document: the same results for any worker count,
-pooled or not, and with warm or cold line and pipeline memos."""
+forked or not, and with warm or cold line and pipeline memos; a forked
+child's failure reaches the caller and leaves no process behind."""
 
-import concurrent.futures
-import multiprocessing
+import json
 import os
+import re
+import signal
+import subprocess
 import sys
+import textwrap
+import time
 import types
 from collections import Counter
 from dataclasses import replace
@@ -30,21 +35,32 @@ def _outcomes(result):
     return [(e.slug, e.status, e.message, e.warnings) for e in result.entries]
 
 
-def test_worker_counts_give_identical_scans(monkeypatch, registry):
-    # Two usable CPUs even on a one-CPU machine, so the pool really runs.
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs even on a one-CPU machine, so a child is forked.
+
+    Every test using it must leave no child process behind, zombie or not.
+    """
     monkeypatch.setattr(analyzer, "_usable_cpus", lambda: 2)
-    pools = []
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+def test_worker_counts_give_identical_scans(monkeypatch, registry, two_cpus):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
     entries = _entries_from_directory(CORPUS_DIR)
     one = scan_entries(entries, registry, workers=1)
+    assert forks == []
     two = scan_entries(entries, registry, workers=2)
-    assert pools == [2]
+    assert forks == [1]
     assert export_json(two.report) == export_json(one.report)
     assert export_csv_bundle(two.report) == export_csv_bundle(one.report)
     assert _outcomes(two) == _outcomes(one)
@@ -52,24 +68,20 @@ def test_worker_counts_give_identical_scans(monkeypatch, registry):
     assert two.warnings == one.warnings
 
 
-def _no_fork(method=None):
-    raise ValueError(f"cannot find context for {method!r}")
-
-
 @pytest.mark.parametrize(
-    "cpus, get_context",
-    [(1, multiprocessing.get_context), (2, _no_fork)],
-    ids=["one-usable-cpu", "no-fork"],
+    "cpus, has_fork", [(1, True), (2, False)], ids=["one-usable-cpu", "no-fork"]
 )
-def test_serial_scan_runs_in_this_process(monkeypatch, registry, cpus, get_context):
+def test_serial_scan_runs_in_this_process(monkeypatch, registry, cpus, has_fork):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    if has_fork:
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+        def refuse():
+            raise AssertionError("a child process was forked")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+    else:
+        monkeypatch.delattr(os, "fork")
     pids = []
     analyze_document = analyzer.analyze_document
 
@@ -82,6 +94,128 @@ def test_serial_scan_runs_in_this_process(monkeypatch, registry, cpus, get_conte
     result = scan_entries(entries, registry, workers=64)
     assert pids == [os.getpid()] * len(entries)
     assert result.succeeded == len(entries) - 1
+
+
+def _in_child(monkeypatch, action):
+    """Make every chunk scanned outside this process run ``action`` first."""
+    parent = os.getpid()
+    scan_chunk = analyzer._scan_chunk
+
+    def wrapped(*args, **kwargs):
+        if os.getpid() != parent:
+            action()
+        return scan_chunk(*args, **kwargs)
+
+    monkeypatch.setattr(analyzer, "_scan_chunk", wrapped)
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+class Unloadable(Exception):
+    """Pickles, but unpickling calls ``Unloadable(message)`` and fails."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+
+
+def _raise(exc):
+    def action():
+        raise exc
+
+    return action
+
+
+@pytest.mark.parametrize(
+    "action, error, message",
+    [
+        (_raise(LookupError("no such tool: x")), LookupError, "no such tool: x"),
+        (
+            _raise(Unpicklable("opaque")),
+            RuntimeError,
+            re.escape("scan worker raised Unpicklable('opaque')"),
+        ),
+        (
+            _raise(Unloadable("needs a code", 7)),
+            RuntimeError,
+            re.escape("scan worker raised Unloadable('needs a code')"),
+        ),
+        (
+            lambda: os._exit(3),
+            RuntimeError,
+            r"scan worker \d+ exited with status 3 before reporting",
+        ),
+        (
+            lambda: os.kill(os.getpid(), signal.SIGKILL),
+            RuntimeError,
+            rf"scan worker \d+ was killed by signal {int(signal.SIGKILL)} "
+            rf"\({signal.strsignal(signal.SIGKILL)}\) before reporting",
+        ),
+    ],
+    ids=["raises", "raises-unpicklable", "raises-unloadable", "exits", "killed"],
+)
+def test_child_failure_reaches_the_caller(
+    monkeypatch, registry, two_cpus, action, error, message
+):
+    _in_child(monkeypatch, action)
+    entries = _entries_from_directory(CORPUS_DIR)
+    with pytest.raises(error) as raised:
+        scan_entries(entries, registry, workers=2)
+    assert type(raised.value) is error
+    assert re.fullmatch(message, str(raised.value))
+
+
+def test_failure_in_this_process_kills_the_child(monkeypatch, registry, two_cpus):
+    parent = os.getpid()
+    scan_chunk = analyzer._scan_chunk
+
+    def wrapped(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        if not slept:
+            slept.append(1)
+            time.sleep(5)  # a child that is waited for, not killed, takes this long
+        return scan_chunk(*args, **kwargs)
+
+    slept = []
+    monkeypatch.setattr(analyzer, "_scan_chunk", wrapped)
+    entries = _entries_from_directory(CORPUS_DIR)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        scan_entries(entries, registry, workers=2)
+    assert time.monotonic() - start < 4
+
+
+def test_two_worker_scan_imports_no_pool_module():
+    code = textwrap.dedent(
+        f"""
+        import json, os, sys
+        from tdmscan import analyzer, shipped_registry
+        from tdmscan.cli import _entries_from_directory
+
+        analyzer._usable_cpus = lambda: 2
+        forks = []
+        real_fork = os.fork
+        os.fork = lambda: forks.append(1) or real_fork()
+        entries = _entries_from_directory({CORPUS_DIR!r})
+        result = analyzer.scan_entries(entries, shipped_registry(), workers=2)
+        modules = ["multiprocessing", "concurrent.futures.process"]
+        print(json.dumps({{
+            "forks": len(forks),
+            "ok": result.succeeded,
+            "imported": [name for name in modules if name in sys.modules],
+        }}))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(analyzer.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"forks": 1, "ok": 38, "imported": []}
 
 
 def test_warm_line_memos_give_identical_scans():
