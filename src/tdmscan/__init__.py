@@ -13,7 +13,6 @@ from .antipatterns import (
     FindingSet,
     detect_absent_feedback,
     detect_email_only,
-    detect_late_merging,
     detect_skip_on_failure,
     evaluate,
 )
@@ -26,7 +25,6 @@ from .config_model import (
     PhaseKind,
     PipelineConfig,
     RawDocument,
-    is_travis_pipeline,
     parse_config,
     resolve_stage_name,
 )
@@ -42,12 +40,10 @@ from .ingest import (
     materialize,
 )
 from .placement import (
-    NoDetectionInJob,
     PlacementKind,
     PlacementResult,
     TimingKind,
     classify_pipeline,
-    classify_placement,
     classify_timing,
 )
 from .registry import (

@@ -200,11 +200,10 @@ class Aggregator:
         self.findings_histogram[len(true_names)] += 1
 
         for placement in record.placements:
-            for source in placement.sources():
+            for source, timing in placement.source_timings.items():
                 label = "direct" if source == SOURCE_CONFIG else "script"
                 self.stage_rows[(placement.stage_label, label)] += 1
                 self.placement_rows[(label, placement.placement.value)] += 1
-                timing = placement.timing_for_source(source)
                 self.timing_rows[(label, timing.value)] += 1
 
     def merge(self, other: "Aggregator") -> None:

@@ -104,14 +104,12 @@ def _job_restriction(
 ) -> tuple[bool, Evidence]:
     condition = job.condition or cfg.global_condition
     if condition and _condition_restricts_to_main_push(condition):
-        path = (
-            f"jobs.include[{job.index}].if" if job.condition else "if"
-        )
+        path = f"{job.entry_path}.if" if job.condition and job.entry_path else "if"
         return True, [(path, condition)]
     if _branch_only_restricts(job.branch_only) and not _condition_reenables_pr(
         condition
     ):
-        return True, [(f"jobs.include[{job.index}].branches.only", _excerpt(job.branch_only))]
+        return True, [(f"{job.entry_path}.branches.only", _excerpt(job.branch_only))]
     if _branch_only_restricts(cfg.global_branch_only) and not _condition_reenables_pr(
         condition
     ):
@@ -133,14 +131,6 @@ def _late_merging_readings(
             evidence.extend(job_evidence)
     all_jobs = bool(job_indexes) and restricted_jobs == len(job_indexes)
     return all_jobs, restricted_jobs > 0, evidence
-
-
-def detect_late_merging(
-    cfg: PipelineConfig, profile: PipelineToolProfile
-) -> tuple[bool, Evidence]:
-    """All-jobs reading: every tool-bearing job is push+main/master only."""
-    late_all, _, evidence = _late_merging_readings(cfg, profile)
-    return late_all, evidence if late_all else []
 
 
 def detect_skip_on_failure(cfg: PipelineConfig) -> tuple[bool, Evidence]:

@@ -140,9 +140,9 @@ def _analysis_json(analysis, path: str) -> dict:
     timing_totals = {"pre_deployment": 0, "post_deployment": 0}
     for placement in analysis.record.placements:
         timings = {"pre_deployment": 0, "post_deployment": 0}
-        for kind in placement.timings.values():
-            timings[kind.value] += 1
-            timing_totals[kind.value] += 1
+        for kind, count in placement.timing_counts.items():
+            timings[kind.value] += count
+            timing_totals[kind.value] += count
         placements.append(
             {
                 "job": placement.job_index,

@@ -135,6 +135,9 @@ class Job:
     phases: dict[PhaseKind, list[CommandLine]] = field(default_factory=dict)
     condition: str | None = None
     branch_only: list[str] | None = None
+    # Where the job's entry sits in the config, e.g. `jobs.include[1]`; None
+    # for the implicit job of a config with only global phases.
+    entry_path: str | None = None
 
     @property
     def deploys(self) -> bool:
@@ -228,23 +231,6 @@ def _load_yaml(text: str) -> tuple[Any, list[str]]:
         for key in loader.duplicate_keys
     ]
     return data, warnings
-
-
-def is_travis_pipeline(doc: RawDocument) -> bool:
-    """Minimal-validity gate filtering non-pipeline YAML before analysis.
-
-    True iff the document parses as YAML and its top-level mapping contains
-    at least one lifecycle key (a phase name, ``jobs``, ``matrix`` or
-    ``language``).  Malformed YAML returns False rather than raising.
-    """
-    try:
-        text = _decode(doc, [])
-        data, _ = _load_yaml(text)
-    except Exception:
-        return False
-    if not isinstance(data, Mapping):
-        return False
-    return any(str(key) in LIFECYCLE_KEYS for key in data)
 
 
 def resolve_stage_name(job: Job) -> str:
@@ -400,22 +386,29 @@ def _parse_stages(
     return order, conditions
 
 
-def _include_entries(raw: Mapping[str, Any]) -> tuple[list[Any], bool]:
-    """Job entries plus allow_failures presence under `jobs`/`matrix` aliases."""
-    entries: list[Any] = []
+def _include_entries(raw: Mapping[str, Any]) -> tuple[list[tuple[str, Any]], bool]:
+    """(path, entry) per job entry and allow_failures presence under `jobs`/`matrix`."""
+    entries: list[tuple[str, Any]] = []
     allow_failures = False
     for key in ("jobs", "matrix"):
         block = raw.get(key)
         if isinstance(block, Mapping):
-            entries.extend(_as_list(block.get("include")))
+            include = block.get("include")
+            if isinstance(include, list):
+                entries.extend(
+                    (f"{key}.include[{i}]", entry) for i, entry in enumerate(include)
+                )
+            elif include is not None:
+                entries.append((f"{key}.include", include))
             if "allow_failures" in block:
                 allow_failures = True
         elif isinstance(block, list):
-            entries.extend(block)
+            entries.extend((f"{key}[{i}]", entry) for i, entry in enumerate(block))
     return entries, allow_failures
 
 
 def _build_job(
+    path: str,
     entry: Mapping[str, Any],
     index: int,
     global_phases: dict[PhaseKind, list[CommandLine]],
@@ -433,6 +426,7 @@ def _build_job(
         phases=phases,
         condition=None if condition is None else str(condition),
         branch_only=_branch_only(entry.get("branches")),
+        entry_path=path,
     )
 
 
@@ -480,11 +474,11 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
 
     entries, allow_failures = _include_entries(data)
     jobs: list[Job] = []
-    for entry in entries:
+    for path, entry in entries:
         if not isinstance(entry, Mapping):
             warnings.append(f"ignored non-mapping job entry: {entry!r}")
             continue
-        jobs.append(_build_job(entry, len(jobs), global_phases, warnings))
+        jobs.append(_build_job(path, entry, len(jobs), global_phases, warnings))
 
     global_condition = data.get("if")
     if not jobs:

@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .config_model import (
     PhaseKind,
@@ -52,13 +52,8 @@ class PlacementKind(enum.Enum):
 class TimingKind(enum.Enum):
     PRE_DEPLOYMENT = "pre_deployment"
     POST_DEPLOYMENT = "post_deployment"
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-class NoDetectionInJob(ValueError):
-    """classify_placement requires a job with at least one detection."""
 
 
 # Shell ceremony ignored by the "runs only the tool" test.
@@ -81,23 +76,19 @@ def _anchored_literal(text: str) -> re.Pattern[str]:
 
 @dataclass
 class PlacementResult:
-    """Classification of one detection-bearing job."""
+    """Classification of one detection-bearing job.
+
+    `source_timings` maps each detection source of the job, in sorted
+    order, to post when any of its detections is post, else pre;
+    `timing_counts` counts the job's detections per timing kind.
+    """
 
     job_index: int
     stage_label: str
     placement: PlacementKind
-    timings: dict[Detection, TimingKind]
+    source_timings: dict[str, TimingKind]
+    timing_counts: dict[TimingKind, int]
     multi_tool: bool
-
-    def sources(self) -> list[str]:
-        return sorted({d.source for d in self.timings})
-
-    def timing_for_source(self, source: str) -> TimingKind:
-        """Post when any detection of `source` is post, else pre."""
-        values = [t for d, t in self.timings.items() if d.source == source]
-        if any(t is TimingKind.POST_DEPLOYMENT for t in values):
-            return TimingKind.POST_DEPLOYMENT
-        return TimingKind.PRE_DEPLOYMENT
 
 
 def _is_ceremony(action: str, heads: frozenset[str]) -> bool:
@@ -130,45 +121,17 @@ def _substantial_lines(content: str) -> frozenset[int]:
     return frozenset(lines)
 
 
-def _script_runs_only_tools(
-    path: str,
-    doc: ScriptDocument,
-    job_detections: list[Detection],
-) -> bool:
-    """Every substantial line of the script carries a detection."""
-    if not doc.resolved or doc.content is None:
-        return False
-    detected_lines = {
-        d.line_ordinal
-        for d in job_detections
-        if d.source == SOURCE_SCRIPT and d.script_path == path
-    }
-    return _substantial_lines(doc.content) <= detected_lines
-
-
 def _action_is_tool_script(
-    action: str,
-    cmd_for_refs,
-    scripts: Mapping[str, ScriptDocument],
-    job_detections: list[Detection],
+    action: str, cmd_for_refs, runs_only_tools: Callable[[str], bool]
 ) -> bool:
-    pseudo = cmd_for_refs._replace(text=action)
-    refs = extract_script_refs(pseudo)
-    if not refs:
-        return False
-    for ref in refs:
-        doc = scripts.get(ref.normalized_path)
-        if doc is None or not _script_runs_only_tools(
-            ref.normalized_path, doc, job_detections
-        ):
-            return False
-    return True
+    refs = extract_script_refs(cmd_for_refs._replace(text=action))
+    return bool(refs) and all(runs_only_tools(ref.normalized_path) for ref in refs)
 
 
 def _runs_only_tdm(
     job: Job,
-    job_detections: list[Detection],
-    scripts: Mapping[str, ScriptDocument],
+    config_detections: list[Detection],
+    runs_only_tools: Callable[[str], bool],
 ) -> bool:
     for phase, commands in job.phases.items():
         if phase in SETUP_PHASES:
@@ -176,11 +139,7 @@ def _runs_only_tdm(
         # Whether any detection matches an action depends only on the
         # distinct matched texts, not on their order or repeats.
         config_texts = tuple(
-            dict.fromkeys(
-                d.matched_text
-                for d in job_detections
-                if d.source == SOURCE_CONFIG and d.phase == phase
-            )
+            dict.fromkeys(d.matched_text for d in config_detections if d.phase == phase)
         )
         for cmd in commands:
             for line in cmd.text.splitlines():
@@ -192,46 +151,10 @@ def _runs_only_tdm(
                         continue
                     if _action_has_detection(action, config_texts):
                         continue
-                    if _action_is_tool_script(action, cmd, scripts, job_detections):
+                    if _action_is_tool_script(action, cmd, runs_only_tools):
                         continue
                     return False
     return True
-
-
-def _stage_sizes(cfg: PipelineConfig) -> Counter[str]:
-    """Number of jobs per stage label."""
-    return Counter(resolve_stage_name(job) for job in cfg.jobs)
-
-
-def _placement(
-    job: Job,
-    job_detections: list[Detection],
-    scripts: Mapping[str, ScriptDocument],
-    stage_sizes: Counter[str],
-) -> PlacementKind:
-    if _runs_only_tdm(job, job_detections, scripts):
-        if job.stage_name is not None and stage_sizes[job.stage_name] == 1:
-            return PlacementKind.DEDICATED_STAGE
-        return PlacementKind.DEDICATED_JOB
-    return PlacementKind.MIXED_JOB
-
-
-def classify_placement(
-    cfg: PipelineConfig,
-    job: Job,
-    profile: PipelineToolProfile,
-    scripts: Mapping[str, ScriptDocument],
-) -> PlacementKind:
-    """Dedicated stage, dedicated job, or mixed job, for one detected job.
-
-    Dedicated stage requires an explicitly named stage containing exactly
-    this job; a job that passes the "only tool work" test in a shared or
-    implicit stage is a dedicated job; everything else is mixed.
-    """
-    job_detections = profile.detections_for_job(job.index)
-    if not job_detections:
-        raise NoDetectionInJob(f"job {job.index} has no detections")
-    return _placement(job, job_detections, scripts, _stage_sizes(cfg))
 
 
 def classify_timing(cfg: PipelineConfig, det: Detection) -> TimingKind:
@@ -261,31 +184,77 @@ def classify_pipeline(
 ) -> list[PlacementResult]:
     """One PlacementResult per detection-bearing job, in job order.
 
-    A detection's timing depends only on its job and phase, so
-    classify_timing runs once per phase among each job's detections.
+    Dedicated stage requires an explicitly named stage containing exactly
+    the job; a job that passes the "only tool work" test in a shared or
+    implicit stage is a dedicated job; everything else is mixed.
+
+    Each job reads its config detections and its script sites from the
+    profile; a script's detections are never copied per job.  A detection's
+    timing depends only on its job and phase, so classify_timing runs once
+    per (job, phase) with detections, through one detection there, and the
+    job's detections are counted per (source, phase).
     """
     results: list[PlacementResult] = []
-    stage_sizes = _stage_sizes(cfg)
+    stage_sizes = Counter(resolve_stage_name(job) for job in cfg.jobs)
+    decided: dict[str, bool] = {}
+
+    def runs_only_tools(path: str) -> bool:
+        # Every substantial line of the script carries a detection: that
+        # depends only on the script, so it is decided once, on first lookup.
+        if path not in decided:
+            doc = scripts.get(path)
+            decided[path] = (
+                doc is not None
+                and doc.resolved
+                and doc.content is not None
+                and _substantial_lines(doc.content)
+                <= {d.line_ordinal for d in profile.script_detections(path)}
+            )
+        return decided[path]
+
+    script_tools = {
+        path: {d.tool_id for d in profile.script_detections(path)}
+        for path in profile.sites
+    }
+    jobs = profile.jobs()
     for job in cfg.jobs:
-        job_detections = profile.detections_for_job(job.index)
-        if not job_detections:
+        if job.index not in jobs:
             continue
-        placement = _placement(job, job_detections, scripts, stage_sizes)
-        kinds: dict[PhaseKind, TimingKind] = {}
-        timings: dict[Detection, TimingKind] = {}
-        for d in job_detections:
-            kind = kinds.get(d.phase)
-            if kind is None:
-                kind = kinds[d.phase] = classify_timing(cfg, d)
-            timings[d] = kind
-        tool_count = len({d.tool_id for d in job_detections})
+        config, script_sites = jobs[job.index]
+        probes = {d.phase: d for d in config}
+        tool_ids = {d.tool_id for d in config}
+        counts = [
+            (SOURCE_CONFIG, phase, count)
+            for phase, count in Counter(d.phase for d in config).items()
+        ]
+        for path, phase in script_sites:
+            found = profile.script_detections(path)
+            if phase not in probes:
+                probes[phase] = found[0]._replace(job_index=job.index, phase=phase)
+            counts.append((SOURCE_SCRIPT, phase, len(found)))
+            tool_ids |= script_tools[path]
+        kinds = {phase: classify_timing(cfg, det) for phase, det in probes.items()}
+        source_timings: dict[str, TimingKind] = {}
+        timing_counts: dict[TimingKind, int] = {}
+        for source, phase, count in counts:
+            kind = kinds[phase]
+            timing_counts[kind] = timing_counts.get(kind, 0) + count
+            if source_timings.get(source) is not TimingKind.POST_DEPLOYMENT:
+                source_timings[source] = kind
+        if not _runs_only_tdm(job, config, runs_only_tools):
+            placement = PlacementKind.MIXED_JOB
+        elif job.stage_name is not None and stage_sizes[job.stage_name] == 1:
+            placement = PlacementKind.DEDICATED_STAGE
+        else:
+            placement = PlacementKind.DEDICATED_JOB
         results.append(
             PlacementResult(
                 job_index=job.index,
                 stage_label=resolve_stage_name(job),
                 placement=placement,
-                timings=timings,
-                multi_tool=tool_count >= 2,
+                source_timings=source_timings,
+                timing_counts=timing_counts,
+                multi_tool=len(tool_ids) >= 2,
             )
         )
     return results

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from importlib import resources
+from itertools import groupby
+from operator import attrgetter
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .config_model import PhaseKind, PipelineConfig, iter_command_lines
@@ -187,38 +190,76 @@ class ToolUsage:
     detections: tuple[Detection, ...]
 
 
+JobShare = tuple[list[Detection], list[tuple[str, PhaseKind]]]
+
+
 @dataclass
 class PipelineToolProfile:
     """All tool usages found in one pipeline, keyed by tool id.
 
-    `tools` is not changed after construction: the per-job index is built
-    from it once.
+    A script's detections are kept once, at its first site, and `sites`
+    maps each script path with detections to the deduplicated
+    (job index, phase) sites that run it, the first one included.  Neither
+    is changed after construction: the per-job view is built from them once.
     """
 
     tools: dict[str, ToolUsage]
+    sites: dict[str, tuple[tuple[int, PhaseKind], ...]] = field(default_factory=dict)
 
     def tool_ids(self) -> list[str]:
         return sorted(self.tools)
 
     def all_detections(self) -> list[Detection]:
+        """Every detection, each script's repeated at each of its sites.
+
+        Per tool in id order: the config detections in command order, then
+        per script path in sorted order, site by site, the script's
+        detections in line order.
+        """
         out: list[Detection] = []
         for tool_id in self.tool_ids():
-            out.extend(self.tools[tool_id].detections)
+            for path, group in groupby(
+                self.tools[tool_id].detections, key=attrgetter("script_path")
+            ):
+                if path is None:
+                    out.extend(group)
+                    continue
+                group = list(group)
+                for job_index, phase in self.sites[path]:
+                    out.extend(
+                        d._replace(job_index=job_index, phase=phase) for d in group
+                    )
         return out
 
     @cached_property
-    def _by_job(self) -> dict[int, list[Detection]]:
-        """all_detections grouped by job index, each group in that order."""
-        grouped: dict[int, list[Detection]] = {}
-        for detection in self.all_detections():
-            grouped.setdefault(detection.job_index, []).append(detection)
-        return grouped
+    def _view(self) -> tuple[dict[int, JobShare], dict[str, list[Detection]]]:
+        jobs: defaultdict[int, JobShare] = defaultdict(lambda: ([], []))
+        by_script: defaultdict[str, list[Detection]] = defaultdict(list)
+        for tool_id in self.tool_ids():
+            for detection in self.tools[tool_id].detections:
+                if detection.script_path is None:
+                    jobs[detection.job_index][0].append(detection)
+                else:
+                    by_script[detection.script_path].append(detection)
+        for path, sites in self.sites.items():
+            for job_index, phase in sites:
+                jobs[job_index][1].append((path, phase))
+        return dict(jobs), dict(by_script)
 
-    def detections_for_job(self, job_index: int) -> list[Detection]:
-        return list(self._by_job.get(job_index, ()))
+    def jobs(self) -> dict[int, JobShare]:
+        """Per detection-bearing job index, its config-line detections and the
+        (script path, phase) sites at which it runs a script with detections.
+
+        Built once per profile; not to be mutated.
+        """
+        return self._view[0]
 
     def job_indexes(self) -> list[int]:
-        return sorted(self._by_job)
+        return sorted(self._view[0])
+
+    def script_detections(self, path: str) -> list[Detection]:
+        """The detections of the script at `path`, at its first site."""
+        return self._view[1].get(path, [])
 
 
 def _require(record: Mapping[str, Any], key: str, where: str) -> Any:
@@ -459,9 +500,10 @@ def profile_pipeline(
     `scripts` and `attribution` (path -> referencing commands) are the two
     results of `collect_script_documents` over the pipeline's commands.  Each
     script is scanned once, at its first referencing command's phase and
-    job, and its detections are built again at every other one's.  Per
-    tool, the invocation style is direct, script, or both; a tool counts
-    once per pipeline no matter how many detections it has.
+    job; its detections are kept there, once, beside the deduplicated
+    (job, phase) sites of all its referencing commands.  Per tool, the
+    invocation style is direct, script, or both; a tool counts once per
+    pipeline no matter how many detections it has.
     """
     detections: list[Detection] = []
     for cmd in iter_command_lines(cfg):
@@ -471,6 +513,7 @@ def profile_pipeline(
         detections.extend(detect_in_text(cmd.text, registry, ctx, install_exclusion))
 
     by_path = {doc.path: doc for doc in scripts}
+    sites: dict[str, tuple[tuple[int, PhaseKind], ...]] = {}
     for path in sorted(attribution):
         doc = by_path.get(path)
         if doc is None or not doc.resolved or doc.content is None:
@@ -479,14 +522,10 @@ def profile_pipeline(
         first = commands[0]
         ctx = SourceContext(SOURCE_SCRIPT, first.phase, first.job_index, path)
         found = detect_in_text(doc.content, registry, ctx, install_exclusion)
-        detections.extend(found)
-        for cmd in commands[1:]:
-            phase, job_index = cmd.phase, cmd.job_index
-            detections.extend(
-                [
-                    Detection(tool_id, source, script_path, phase, job_index, text, line)
-                    for tool_id, source, script_path, _, _, text, line in found
-                ]
+        if found:
+            detections.extend(found)
+            sites[path] = tuple(
+                dict.fromkeys((cmd.job_index, cmd.phase) for cmd in commands)
             )
 
     detections = list(dict.fromkeys(detections))
@@ -507,4 +546,4 @@ def profile_pipeline(
         else:
             invocation = INVOCATION_BOTH
         tools[tool_id] = ToolUsage(invocation=invocation, detections=tuple(group))
-    return PipelineToolProfile(tools=tools)
+    return PipelineToolProfile(tools=tools, sites=sites)

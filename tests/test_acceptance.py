@@ -93,7 +93,7 @@ def test_criterion_1_worked_example_end_to_end(registry):
     (placement,) = analysis.record.placements
     assert placement.stage_label == "lint"
     assert placement.placement.value == "dedicated_stage"
-    assert all(t.value == "pre_deployment" for t in placement.timings.values())
+    assert {t.value for t in placement.timing_counts} == {"pre_deployment"}
     findings = analysis.record.findings.as_dict()
     assert findings == {
         "late_merging": False,
@@ -259,7 +259,7 @@ def test_criterion_5_hand_labeled_corpus(registry, corpus_labels):
                 "job": p.job_index,
                 "stage": p.stage_label,
                 "placement": p.placement.value,
-                "timing": sorted({t.value for t in p.timings.values()}),
+                "timing": sorted(t.value for t in p.timing_counts),
                 "multi_tool": p.multi_tool,
             }
             for p in analysis.record.placements

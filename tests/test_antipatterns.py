@@ -1,10 +1,10 @@
+import pytest
 import yaml
 from hypothesis import given, strategies as st
 
 from tdmscan.antipatterns import (
     detect_absent_feedback,
     detect_email_only,
-    detect_late_merging,
     detect_skip_on_failure,
     evaluate,
 )
@@ -21,8 +21,9 @@ def build(registry, text):
 class TestLateMerging:
     def test_example_config_not_flagged(self, registry, example_config):
         profile = profile_of(registry, example_config)
-        flagged, _ = detect_late_merging(example_config, profile)
-        assert flagged is False
+        findings = evaluate(example_config, profile)
+        assert findings.late_merging_all_jobs is False
+        assert findings.evidence.get("late_merging") is None
 
     def test_if_type_push_branch_master(self, registry):
         cfg, profile = build(
@@ -32,17 +33,19 @@ class TestLateMerging:
             "    - if: type = push AND branch = master\n"
             "      script: flake8 .\n",
         )
-        flagged, evidence = detect_late_merging(cfg, profile)
-        assert flagged is True
-        assert evidence
+        findings = evaluate(cfg, profile)
+        assert findings.late_merging_all_jobs is True
+        assert findings.evidence.get("late_merging") == [
+            ("jobs.include[0].if", "type = push AND branch = master")
+        ]
 
     def test_global_branches_only_main(self, registry):
         cfg, profile = build(
             registry, "branches:\n  only: [main]\nscript: flake8 .\n"
         )
-        flagged, evidence = detect_late_merging(cfg, profile)
-        assert flagged is True
-        assert ("branches.only", "[\"main\"]") in evidence
+        findings = evaluate(cfg, profile)
+        assert findings.late_merging_all_jobs is True
+        assert findings.evidence.get("late_merging") == [("branches.only", "[\"main\"]")]
 
     def test_one_unrestricted_job_unflags_pipeline(self, registry):
         cfg, profile = build(
@@ -53,9 +56,9 @@ class TestLateMerging:
             "      script: flake8 a\n"
             "    - script: flake8 b\n",
         )
-        flagged, _ = detect_late_merging(cfg, profile)
-        assert flagged is False
         findings = evaluate(cfg, profile)
+        assert findings.late_merging_all_jobs is False
+        assert findings.evidence.get("late_merging") is None
         assert findings.late_merging_any_job is True
 
     def test_job_mode_uses_any_reading(self, registry):
@@ -80,7 +83,7 @@ class TestLateMerging:
                 registry,
                 f"jobs:\n  include:\n    - if: {condition}\n      script: flake8 .\n",
             )
-            assert detect_late_merging(cfg, profile)[0] is True, condition
+            assert evaluate(cfg, profile).late_merging_all_jobs is True, condition
 
     def test_non_restricting_conditions(self, registry):
         for condition in (
@@ -94,13 +97,15 @@ class TestLateMerging:
                 registry,
                 f"jobs:\n  include:\n    - if: {condition}\n      script: flake8 .\n",
             )
-            assert detect_late_merging(cfg, profile)[0] is False, condition
+            findings = evaluate(cfg, profile)
+            assert findings.late_merging_all_jobs is False, condition
+            assert findings.evidence.get("late_merging") is None, condition
 
     def test_branches_only_superset_not_flagged(self, registry):
         cfg, profile = build(
             registry, "branches:\n  only: [master, dev]\nscript: flake8 .\n"
         )
-        assert detect_late_merging(cfg, profile)[0] is False
+        assert evaluate(cfg, profile).late_merging_all_jobs is False
 
     def test_pr_condition_overrides_branches_only(self, registry):
         cfg, profile = build(
@@ -111,11 +116,58 @@ class TestLateMerging:
             "    - if: type = pull_request\n"
             "      script: flake8 .\n",
         )
-        assert detect_late_merging(cfg, profile)[0] is False
+        assert evaluate(cfg, profile).late_merging_all_jobs is False
 
     def test_no_tools_never_flagged(self, registry):
         cfg, profile = build(registry, "branches:\n  only: [main]\nscript: pytest\n")
-        assert detect_late_merging(cfg, profile)[0] is False
+        assert evaluate(cfg, profile).late_merging_all_jobs is False
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            (
+                "if: type = push AND branch = master\nscript: flake8 .\n",
+                "if",
+            ),
+            (
+                "matrix:\n  include:\n"
+                "    - if: type = push AND branch = master\n      script: flake8 .\n",
+                "matrix.include[0].if",
+            ),
+            (
+                "jobs:\n  include:\n    - not a job\n"
+                "    - if: type = push AND branch = master\n      script: flake8 .\n",
+                "jobs.include[1].if",
+            ),
+            (
+                "jobs:\n  include:\n    - not a job\n"
+                "    - branches: {only: [main]}\n      script: flake8 .\n",
+                "jobs.include[1].branches.only",
+            ),
+            (
+                "jobs:\n  include:\n"
+                "    if: type = push AND branch = master\n    script: flake8 .\n",
+                "jobs.include.if",
+            ),
+            (
+                "jobs:\n  - if: type = push AND branch = master\n    script: flake8 .\n",
+                "jobs[0].if",
+            ),
+        ],
+        ids=[
+            "global-if",
+            "matrix-include",
+            "skipped-entry",
+            "skipped-entry-branches",
+            "lone-include",
+            "jobs-list",
+        ],
+    )
+    def test_evidence_path_names_the_job_entry(self, registry, text, path):
+        cfg, profile = build(registry, text)
+        findings = evaluate(cfg, profile)
+        assert findings.late_merging_all_jobs is True
+        assert [p for p, _ in findings.evidence["late_merging"]] == [path]
 
 
 class TestSkipOnFailure:

@@ -7,7 +7,6 @@ from tdmscan.config_model import (
     NotAPipeline,
     PhaseKind,
     RawDocument,
-    is_travis_pipeline,
     iter_command_lines,
     parse_config,
     resolve_stage_name,
@@ -80,16 +79,19 @@ class TestMinimalConfigs:
 
 class TestGate:
     def test_example_is_pipeline(self, example_doc):
-        assert is_travis_pipeline(example_doc) is True
+        assert len(parse_config(example_doc).jobs) == 4
 
     def test_empty_file(self):
-        assert is_travis_pipeline(make_doc("")) is False
+        with pytest.raises(NotAPipeline):
+            parse_config(make_doc(""))
 
     def test_docker_compose(self):
-        assert is_travis_pipeline(make_doc("services:\n  web:\n    image: nginx\n")) is False
+        with pytest.raises(NotAPipeline):
+            parse_config(make_doc("services:\n  web:\n    image: nginx\n"))
 
-    def test_malformed_yaml_is_false(self):
-        assert is_travis_pipeline(make_doc("a: [unclosed\n  b: }{")) is False
+    def test_malformed_yaml_is_malformed(self):
+        with pytest.raises(MalformedDocument):
+            parse_config(make_doc("a: [unclosed\n  b: }{"))
 
     def test_parse_config_raises_not_a_pipeline(self):
         with pytest.raises(NotAPipeline):

@@ -22,7 +22,6 @@ from tdmscan.analyzer import analyze_document
 from tdmscan.config_model import (
     MalformedDocument,
     _load_yaml,
-    is_travis_pipeline,
     parse_config,
 )
 from tdmscan.script_resolver import MappingTree
@@ -192,9 +191,6 @@ class TestLoneSurrogate:
     def test_parse_config_raises_malformed(self):
         with pytest.raises(MalformedDocument):
             parse_config(make_doc(self.TEXT))
-
-    def test_gate_is_false(self):
-        assert is_travis_pipeline(make_doc(self.TEXT)) is False
 
     def test_analyze_document_raises_malformed(self, registry):
         # analyze_document's MalformedDocument makes the scan entry skipped.

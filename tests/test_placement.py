@@ -1,10 +1,11 @@
 import os
+from collections import Counter
 
-import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 from tdmscan import placement
+from tdmscan import registry as registry_module
 from tdmscan.config_model import (
     SETUP_PHASES,
     NotAPipeline,
@@ -16,20 +17,25 @@ from tdmscan.config_model import (
 )
 from tdmscan.ingest import LocalTree
 from tdmscan.placement import (
-    NoDetectionInJob,
     PlacementKind,
     TimingKind,
     classify_pipeline,
-    classify_placement,
     classify_timing,
 )
 from tdmscan.registry import (
     SOURCE_CONFIG,
+    SOURCE_SCRIPT,
     Detection,
     PipelineToolProfile,
+    SourceContext,
+    detect_in_text,
     profile_pipeline,
 )
-from tdmscan.script_resolver import collect_script_documents, split_actions
+from tdmscan.script_resolver import (
+    collect_script_documents,
+    extract_script_refs,
+    split_actions,
+)
 
 from conftest import CORPUS_DIR, collect_scripts, make_doc, profile_of
 
@@ -41,10 +47,20 @@ def analyzed(registry, text, files=None):
     return cfg, profile, {d.path: d for d in scripts}
 
 
+def placement_of(cfg, profile, scripts, job):
+    """The placement classify_pipeline gives `job`."""
+    (kind,) = [
+        r.placement
+        for r in classify_pipeline(cfg, profile, scripts)
+        if r.job_index == job.index
+    ]
+    return kind
+
+
 class TestPlacement:
     def test_example_lint_stage_is_dedicated_stage(self, registry, example_config):
         profile = profile_of(registry, example_config)
-        kind = classify_placement(example_config, example_config.jobs[0], profile, {})
+        kind = placement_of(example_config, profile, {}, example_config.jobs[0])
         assert kind is PlacementKind.DEDICATED_STAGE
 
     def test_shared_stage_tool_job_is_dedicated_job(self, registry):
@@ -58,14 +74,14 @@ class TestPlacement:
             "    - stage: test\n"
             "      script: flake8 .\n",
         )
-        kind = classify_placement(cfg, cfg.jobs[1], profile, scripts)
+        kind = placement_of(cfg, profile, scripts, cfg.jobs[1])
         assert kind is PlacementKind.DEDICATED_JOB
 
     def test_two_unrelated_commands_is_mixed(self, registry):
         cfg, profile, scripts = analyzed(
             registry, "language: python\nscript:\n  - pytest -q\n  - flake8 .\n"
         )
-        assert classify_placement(cfg, cfg.jobs[0], profile, scripts) is PlacementKind.MIXED_JOB
+        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.MIXED_JOB
 
     def test_setup_phases_excluded(self, registry):
         cfg, profile, scripts = analyzed(
@@ -76,7 +92,7 @@ class TestPlacement:
             "before_script: ./prepare_db.sh\n"
             "script: flake8 .\n",
         )
-        assert classify_placement(cfg, cfg.jobs[0], profile, scripts) is PlacementKind.DEDICATED_JOB
+        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.DEDICATED_JOB
 
     def test_ceremony_commands_ignored(self, registry):
         cfg, profile, scripts = analyzed(
@@ -87,25 +103,25 @@ class TestPlacement:
             "  - export PYTHONPATH=src\n"
             "  - flake8 .\n",
         )
-        assert classify_placement(cfg, cfg.jobs[0], profile, scripts) is PlacementKind.DEDICATED_JOB
+        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.DEDICATED_JOB
 
     def test_installer_segment_counts_as_setup(self, registry):
         cfg, profile, scripts = analyzed(
             registry, "language: python\nscript:\n  - pip install flake8\n  - flake8 .\n"
         )
-        assert classify_placement(cfg, cfg.jobs[0], profile, scripts) is PlacementKind.DEDICATED_JOB
+        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.DEDICATED_JOB
 
     def test_compound_command_with_other_work_is_mixed(self, registry):
         cfg, profile, scripts = analyzed(
             registry, "language: python\nscript: pytest -q && flake8 .\n"
         )
-        assert classify_placement(cfg, cfg.jobs[0], profile, scripts) is PlacementKind.MIXED_JOB
+        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.MIXED_JOB
 
     def test_pipe_chain_is_one_action(self, registry):
         cfg, profile, scripts = analyzed(
             registry, "language: python\nscript: flake8 . | tee lint.log\n"
         )
-        assert classify_placement(cfg, cfg.jobs[0], profile, scripts) is PlacementKind.DEDICATED_JOB
+        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.DEDICATED_JOB
 
     def test_all_tool_script_is_dedicated(self, registry):
         cfg, profile, scripts = analyzed(
@@ -113,7 +129,7 @@ class TestPlacement:
             "language: python\nscript: ./ci/lint.sh\n",
             {"ci/lint.sh": "#!/bin/sh\nset -e\npylint src\n"},
         )
-        assert classify_placement(cfg, cfg.jobs[0], profile, scripts) is PlacementKind.DEDICATED_JOB
+        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.DEDICATED_JOB
 
     def test_mixed_script_is_mixed(self, registry):
         cfg, profile, scripts = analyzed(
@@ -121,14 +137,14 @@ class TestPlacement:
             "language: python\nscript: ./ci/all.sh\n",
             {"ci/all.sh": "pylint src\npytest -q\n"},
         )
-        assert classify_placement(cfg, cfg.jobs[0], profile, scripts) is PlacementKind.MIXED_JOB
+        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.MIXED_JOB
 
     def test_unresolved_script_forces_mixed(self, registry):
         cfg, profile, scripts = analyzed(
             registry, "language: python\nscript:\n  - ./gone.sh\n  - flake8 .\n"
         )
         assert scripts["gone.sh"].resolved is False
-        assert classify_placement(cfg, cfg.jobs[0], profile, scripts) is PlacementKind.MIXED_JOB
+        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.MIXED_JOB
 
     def test_two_tools_only_is_still_dedicated_with_flag(self, registry):
         cfg, profile, scripts = analyzed(
@@ -140,12 +156,11 @@ class TestPlacement:
 
     def test_solo_implicit_tool_job_is_dedicated_job_not_stage(self, registry):
         cfg, profile, scripts = analyzed(registry, "language: python\nscript: flake8 .\n")
-        assert classify_placement(cfg, cfg.jobs[0], profile, scripts) is PlacementKind.DEDICATED_JOB
+        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.DEDICATED_JOB
 
-    def test_no_detection_raises(self, registry):
+    def test_no_detection_no_result(self, registry):
         cfg, profile, scripts = analyzed(registry, "language: python\nscript: pytest\n")
-        with pytest.raises(NoDetectionInJob):
-            classify_placement(cfg, cfg.jobs[0], profile, scripts)
+        assert classify_pipeline(cfg, profile, scripts) == []
 
     def test_order_independent_within_stage(self, registry):
         base = (
@@ -165,8 +180,8 @@ class TestPlacement:
         second = analyzed(
             registry, base.format(a="unit", sa="pytest", b="lint", sb="flake8 .")
         )
-        kind_first = classify_placement(first[0], first[0].jobs[0], first[1], first[2])
-        kind_second = classify_placement(second[0], second[0].jobs[1], second[1], second[2])
+        kind_first = placement_of(*first, first[0].jobs[0])
+        kind_second = placement_of(*second, second[0].jobs[1])
         assert kind_first is kind_second is PlacementKind.DEDICATED_JOB
 
 
@@ -257,8 +272,8 @@ class TestClassifyPipeline:
     def test_every_detection_gets_exactly_one_timing(self, registry, example_config):
         profile = profile_of(registry, example_config)
         results = classify_pipeline(example_config, profile, {})
-        timed = [d for r in results for d in r.timings]
-        assert sorted(timed, key=str) == sorted(profile.all_detections(), key=str)
+        timed = sum(sum(r.timing_counts.values()) for r in results)
+        assert timed == len(profile.all_detections()) == 1
 
     def test_results_cover_only_detected_jobs(self, registry):
         cfg, profile, scripts = analyzed(
@@ -327,14 +342,15 @@ class TestClassifyPipeline:
         assert [r.placement for r in results] == [PlacementKind.DEDICATED_JOB] * jobs + [
             PlacementKind.DEDICATED_STAGE
         ]
-        assert indexed == [profile]
+        assert indexed == []
         # Once per job for the stage sizes and once for its label, plus once
         # per phase with detections for its timing: linear, not one pass per
         # job.
         assert len(stage_lookups) == 3 * (jobs + 1)
-        assert profile.detections_for_job(3) == [
-            d for d in real_all_detections(profile) if d.job_index == 3
-        ]
+        assert profile.jobs()[3] == (
+            [d for d in real_all_detections(profile) if d.job_index == 3],
+            [],
+        )
         assert profile.job_indexes() == list(range(jobs + 1))
 
 
@@ -384,7 +400,52 @@ def test_timing_matches_stage_order_walk(declared, jobs, global_deploy, phase):
         assert classify_timing(cfg, det) is _reference_timing(cfg, det)
 
 
-# --- "runs only tool work": distinct matched texts vs every detection ---------
+# --- per-detection references --------------------------------------------------
+
+
+def _per_command_detections(cfg, scripts, attribution, registry):
+    """profile_pipeline's detections restated per referencing command.
+
+    Each script's detections are built again at every command that
+    references it; the whole list is then deduplicated, sonar-relabelled and
+    grouped by tool in id order.
+    """
+    detections = []
+    for cmd in iter_command_lines(cfg):
+        ctx = SourceContext(SOURCE_CONFIG, cmd.phase, cmd.job_index, ordinal_base=cmd.ordinal)
+        detections += detect_in_text(cmd.text, registry, ctx)
+    by_path = {doc.path: doc for doc in scripts}
+    for path in sorted(attribution):
+        doc = by_path.get(path)
+        if doc is None or not doc.resolved:
+            continue
+        for cmd in attribution[path]:
+            ctx = SourceContext(SOURCE_SCRIPT, cmd.phase, cmd.job_index, path)
+            detections += detect_in_text(doc.content, registry, ctx)
+    detections = registry_module._disambiguate_sonar(
+        cfg, scripts, list(dict.fromkeys(detections)), registry
+    )
+    return sorted(detections, key=lambda d: d.tool_id)
+
+
+def _per_detection_tool_script(action, cmd, scripts, job_detections):
+    """Every script the action runs has a detection on each substantial line,
+    counting only the job's own detections."""
+    refs = extract_script_refs(cmd._replace(text=action))
+    if not refs:
+        return False
+    for ref in refs:
+        doc = scripts.get(ref.normalized_path)
+        if doc is None or not doc.resolved:
+            return False
+        detected = {
+            d.line_ordinal
+            for d in job_detections
+            if d.source == SOURCE_SCRIPT and d.script_path == ref.normalized_path
+        }
+        if not placement._substantial_lines(doc.content) <= detected:
+            return False
+    return True
 
 
 def _per_detection_runs_only_tdm(job, job_detections, scripts):
@@ -408,12 +469,46 @@ def _per_detection_runs_only_tdm(job, job_detections, scripts):
                         for d in config_dets
                     ):
                         continue
-                    if placement._action_is_tool_script(
-                        action, cmd, scripts, job_detections
-                    ):
+                    if _per_detection_tool_script(action, cmd, scripts, job_detections):
                         continue
                     return False
     return True
+
+
+def _assert_matches_per_detection(registry, cfg, scripts, attribution):
+    """The profile and every PlacementResult against the per-detection references.
+
+    Returns the profile and the results.
+    """
+    profile = profile_pipeline(cfg, scripts, registry, attribution=attribution)
+    expected = _per_command_detections(cfg, scripts, attribution, registry)
+    assert profile.all_detections() == expected
+    by_path = {doc.path: doc for doc in scripts}
+    results = classify_pipeline(cfg, profile, by_path)
+    by_job = {}
+    for d in expected:
+        by_job.setdefault(d.job_index, []).append(d)
+    assert [r.job_index for r in results] == sorted(by_job)
+    stage_sizes = Counter(resolve_stage_name(job) for job in cfg.jobs)
+    post, pre = TimingKind.POST_DEPLOYMENT, TimingKind.PRE_DEPLOYMENT
+    for result in results:
+        job = cfg.jobs[result.job_index]
+        job_detections = by_job[job.index]
+        timings = [(d.source, classify_timing(cfg, d)) for d in job_detections]
+        assert result.timing_counts == Counter(kind for _, kind in timings)
+        assert list(result.source_timings.items()) == [
+            (source, post if (source, post) in timings else pre)
+            for source in sorted({source for source, _ in timings})
+        ]
+        if not _per_detection_runs_only_tdm(job, job_detections, by_path):
+            kind = PlacementKind.MIXED_JOB
+        elif job.stage_name is not None and stage_sizes[job.stage_name] == 1:
+            kind = PlacementKind.DEDICATED_STAGE
+        else:
+            kind = PlacementKind.DEDICATED_JOB
+        assert result.placement is kind
+        assert result.multi_tool is (len({d.tool_id for d in job_detections}) >= 2)
+    return profile, results
 
 
 _COMMANDS = st.sampled_from(
@@ -430,11 +525,17 @@ _COMMANDS = st.sampled_from(
         "./ci/lint.sh",
         "bash ci/mixed.sh",
         "./ci/missing.sh",
+        "sh ci/echo.sh",
         "# flake8 in a comment",
         "sudo flake8 --count",
     ]
 )
-_SCRIPT_FILES = {"ci/lint.sh": "set -e\nflake8 src\npylint src\n", "ci/mixed.sh": "flake8\nmake\n"}
+_SCRIPT_FILES = {
+    "ci/lint.sh": "set -e\nflake8 src\npylint src\n",
+    "ci/mixed.sh": "flake8\nmake\n",
+    # Only ceremony: it runs no other work, with or without a detection.
+    "ci/echo.sh": "set -e\necho flake8\n",
+}
 
 
 @given(
@@ -449,21 +550,12 @@ _SCRIPT_FILES = {"ci/lint.sh": "set -e\nflake8 src\npylint src\n", "ci/mixed.sh"
         min_size=1,
         max_size=3,
     ),
-    data=st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_runs_only_tdm_matches_per_detection_loop(registry, jobs, data):
+def test_runs_only_tdm_matches_per_detection_loop(registry, jobs):
     include = [job or {"script": "flake8"} for job in jobs]
-    cfg, profile, scripts = analyzed(
-        registry, yaml.safe_dump({"jobs": {"include": include}}), _SCRIPT_FILES
-    )
-    for job in cfg.jobs:
-        detections = profile.detections_for_job(job.index)
-        # Any order and any repeats: only the set of matched texts counts.
-        shuffled = data.draw(st.permutations(detections))
-        drawn = shuffled + shuffled[: data.draw(st.integers(0, len(shuffled)))]
-        expected = _per_detection_runs_only_tdm(job, detections, scripts)
-        assert placement._runs_only_tdm(job, drawn, scripts) is expected
+    cfg = parse_config(make_doc(yaml.safe_dump({"jobs": {"include": include}})))
+    _assert_matches_per_detection(registry, cfg, *collect_scripts(cfg, _SCRIPT_FILES))
 
 
 def _alias_fan_out(depth):
@@ -499,24 +591,15 @@ def test_alias_fan_out_searches_each_action_once_per_distinct_text(
         lambda text: CountingPattern(real_anchored_literal(text)),
     )
     results = classify_pipeline(cfg, profile, scripts)
-    assert [(r.placement, r.multi_tool, len(r.timings)) for r in results] == [
+    assert [
+        (r.placement, r.multi_tool, sum(r.timing_counts.values())) for r in results
+    ] == [
         (PlacementKind.DEDICATED_JOB, True, 20_000)
     ]
     assert 0 < len(searches) <= 2 * actions
 
 
 # --- timing classified once per (job, phase) -----------------------------------
-
-
-def _assert_timings_per_detection(cfg, profile, scripts):
-    """Each result's timings equal classify_timing per detection of its job."""
-    results = classify_pipeline(cfg, profile, scripts)
-    for result in results:
-        job_detections = profile.detections_for_job(result.job_index)
-        expected = {d: classify_timing(cfg, d) for d in job_detections}
-        assert result.timings == expected
-        assert list(result.timings) == job_detections
-    return results
 
 
 def test_timings_match_per_detection_classification_on_fixtures(registry):
@@ -533,8 +616,7 @@ def test_timings_match_per_detection_classification_on_fixtures(registry):
         scripts, attribution = collect_script_documents(
             iter_command_lines(cfg), LocalTree(slug_dir)
         )
-        profile = profile_pipeline(cfg, scripts, registry, attribution=attribution)
-        _assert_timings_per_detection(cfg, profile, {d.path: d for d in scripts})
+        _assert_matches_per_detection(registry, cfg, scripts, attribution)
         analyzed_slugs.append(slug)
     assert len(analyzed_slugs) == 38
     assert not_pipelines == ["34-not-a-pipeline"]
@@ -577,8 +659,8 @@ def test_timings_match_per_detection_classification_on_matrices(
     data = {"language": "python", "stages": declared, **global_phases}
     if jobs:
         data["jobs"] = {"include": jobs}
-    cfg, profile, scripts = analyzed(registry, yaml.safe_dump(data), _TIMED_FILES)
-    _assert_timings_per_detection(cfg, profile, scripts)
+    cfg = parse_config(make_doc(yaml.safe_dump(data)))
+    _assert_matches_per_detection(registry, cfg, *collect_scripts(cfg, _TIMED_FILES))
 
 
 def test_shared_script_matrix_classifies_timing_once_per_job_phase(
@@ -595,7 +677,8 @@ def test_shared_script_matrix_classifies_timing_once_per_job_phase(
             job.update(deploy={"provider": "pypi"}, after_success="./ci/lint.sh")
         include.append(job)
     text = yaml.safe_dump({"stages": [f"s{k}" for k in range(5)], "jobs": {"include": include}})
-    cfg, profile, scripts = analyzed(registry, text, {"ci/lint.sh": script})
+    cfg = parse_config(make_doc(text))
+    scripts, attribution = collect_scripts(cfg, {"ci/lint.sh": script})
     calls = []
     real_classify_timing = placement.classify_timing
 
@@ -605,10 +688,10 @@ def test_shared_script_matrix_classifies_timing_once_per_job_phase(
 
     monkeypatch.setattr(placement, "classify_timing", counting_classify_timing)
     # The reference side of the differential calls the unpatched function.
-    results = _assert_timings_per_detection(cfg, profile, scripts)
+    profile, results = _assert_matches_per_detection(registry, cfg, scripts, attribution)
     assert len(results) == 400
-    assert sum(len(result.timings) for result in results) == 96_000
-    assert {kind for result in results[4::5] for kind in result.timings.values()} == {
+    assert sum(sum(result.timing_counts.values()) for result in results) == 96_000
+    assert {kind for result in results[4::5] for kind in result.timing_counts} == {
         TimingKind.PRE_DEPLOYMENT,
         TimingKind.POST_DEPLOYMENT,
     }

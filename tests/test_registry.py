@@ -232,6 +232,16 @@ class TestProfilePipeline:
             (2, "script", "pylint"),
         ]
         assert {d.line_ordinal for d in from_script} == {0, 1}
+        # Kept once, at the first site, beside every (job, phase) site.
+        assert [len(usage.detections) for usage in profile.tools.values()] == [1, 1]
+        assert profile.sites == {
+            "ci/lint.sh": (
+                (0, PhaseKind.SCRIPT),
+                (1, PhaseKind.SCRIPT),
+                (1, PhaseKind.AFTER_SUCCESS),
+                (2, PhaseKind.SCRIPT),
+            )
+        }
 
     def test_profiling_is_idempotent(self, registry, example_config):
         first = profile_of(registry, example_config)
@@ -597,7 +607,7 @@ def test_sonarcloud_relabel_changes_only_the_tool_id(registry):
     )
     assert tool_ids(scanned) == ["sonarqube"]
     assert list(profile.tools) == ["sonarcloud"]
-    assert profile.tools["sonarcloud"].detections == tuple(
+    assert profile.all_detections() == [
         scanned[0]._replace(tool_id="sonarcloud", job_index=job) for job in (0, 1)
-    )
+    ]
     assert {type(d) for d in profile.all_detections()} == {Detection}
