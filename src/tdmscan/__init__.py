@@ -61,10 +61,6 @@ from .registry import (
     profile_pipeline,
     shipped_registry,
 )
-from .script_resolver import (
-    ScriptDocument,
-    ScriptRef,
-    extract_script_refs,
-)
+from .script_resolver import ScriptDocument, script_paths
 
 __version__ = "0.1.0"

@@ -344,9 +344,20 @@ def _scan_remote(
     clock,
     workers: int,
 ) -> list[tuple[Aggregator, list[EntryResult]]]:
-    """Remote fetches wait on I/O: overlap them on threads sharing one rate limit."""
+    """Remote fetches wait on I/O: overlap them on threads sharing one rate
+    limit and one session; without the caller's, one is opened for the scan."""
     from .ingest import TokenBucket
 
+    if session is None:
+        try:
+            import requests
+        except ImportError:
+            pass  # each remote entry then fails on the import in materialize
+        else:
+            with requests.Session() as session:
+                return _scan_remote(
+                    entries, registry, options, policy, session, clock, workers
+                )
     bucket = TokenBucket(policy.max_requests_per_hour, clock)
 
     def scan(chunk: list[ManifestEntry]) -> tuple[Aggregator, list[EntryResult]]:

@@ -9,19 +9,20 @@ identical input text always yields a structurally identical model.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Iterator, Mapping, NamedTuple
 
 import yaml
-from yaml.composer import Composer
+from yaml.composer import Composer, ComposerError
 from yaml.constructor import SafeConstructor
 from yaml.resolver import Resolver
 
 # libyaml produces the parse events when PyYAML ships it; the pure-Python
 # reader, scanner and parser do otherwise.  Nodes are always built by
-# PyYAML's Python composer: libyaml's own composer recurses on the C stack
-# and crashes the process on deeply nested input, where this one raises
-# RecursionError, which parse_config reports as MalformedDocument.
+# PyYAML's Python composer, bounded by _TrackingLoader: libyaml's own
+# composer recurses on the C stack and crashes the process on deeply nested
+# input.
 _LIBYAML = yaml.__with_libyaml__
 if _LIBYAML:
     from yaml.cyaml import CParser
@@ -171,10 +172,18 @@ class PipelineConfig:
     warnings: list[str] = field(default_factory=list)
 
 
+# Input bounds of the composer: collections nested at most this deep, and
+# at most this many nodes once every alias is expanded.
+_MAX_DEPTH = 100
+_MAX_NODES = 100_000
+
+
 class _TrackingLoader(Composer, *_EVENT_SOURCE, SafeConstructor, Resolver):
     """Safe loader that records duplicate mapping keys (last one wins).
 
     `Composer` comes first so that its methods override CParser's composer.
+    Composing raises ComposerError for input beyond `_MAX_DEPTH` or
+    `_MAX_NODES`, or for an alias to a collection that encloses it.
     """
 
     def __init__(self, stream):
@@ -188,6 +197,37 @@ class _TrackingLoader(Composer, *_EVENT_SOURCE, SafeConstructor, Resolver):
         SafeConstructor.__init__(self)
         Resolver.__init__(self)
         self.duplicate_keys: list[str] = []
+        self._depth = 0
+        # Expanded size of each composed collection node.
+        self._sizes: dict[yaml.Node, int] = {}
+
+    def compose_sequence_node(self, anchor):
+        return self._bounded(Composer.compose_sequence_node, anchor, False)
+
+    def compose_mapping_node(self, anchor):
+        return self._bounded(Composer.compose_mapping_node, anchor, True)
+
+    def _bounded(self, compose, anchor, pairs: bool):
+        if self._depth == _MAX_DEPTH:
+            mark = self.peek_event().start_mark
+            raise ComposerError(None, None, f"nested over {_MAX_DEPTH} deep", mark)
+        self._depth += 1
+        node = compose(self, anchor)
+        self._depth -= 1
+        size = 1
+        for child in chain.from_iterable(node.value) if pairs else node.value:
+            if isinstance(child, yaml.ScalarNode):
+                size += 1
+            elif child in self._sizes:
+                size += self._sizes[child]
+            else:  # still open: an alias to a collection around it
+                problem = "alias to an enclosing collection"
+                raise ComposerError(None, None, problem, node.start_mark)
+        if size > _MAX_NODES:
+            problem = f"over {_MAX_NODES} nodes with aliases expanded"
+            raise ComposerError(None, None, problem, node.start_mark)
+        self._sizes[node] = size
+        return node
 
     def construct_mapping(self, node, deep=False):
         if isinstance(node, yaml.MappingNode):
@@ -203,21 +243,6 @@ class _TrackingLoader(Composer, *_EVENT_SOURCE, SafeConstructor, Resolver):
                         self.duplicate_keys.append(str(key))
                     seen.add(key)
         return super().construct_mapping(node, deep=deep)
-
-
-def _decode(doc: RawDocument, warnings: list[str]) -> str:
-    """The document's text; bytes content is decoded as UTF-8 here."""
-    content = doc.content
-    replaced = doc.invalid_utf8
-    if isinstance(content, bytes):
-        try:
-            content = content.decode("utf-8")
-        except UnicodeDecodeError:
-            content = content.decode("utf-8", errors="replace")
-            replaced = True
-    if replaced:
-        warnings.append("invalid UTF-8 bytes replaced during decoding")
-    return content
 
 
 def _load_yaml(text: str) -> tuple[Any, list[str]]:
@@ -258,28 +283,20 @@ def _scalar_text(value: Any) -> str | None:
     return None
 
 
-def _command_texts(
-    phase: PhaseKind, value: Any, warnings: list[str], enclosing: tuple[int, ...]
-) -> list[str]:
+def _command_texts(phase: PhaseKind, value: Any, warnings: list[str]) -> list[str]:
     """Flatten a phase entry into shell command strings, preserving order.
 
     Mapping values are deployment-provider blocks: for deploy-family phases
     the nested ``script`` key (the script provider's command) is extracted;
-    elsewhere a mapping is ignored with a warning.  `enclosing` holds the ids
-    of the lists around `value`; a list nested in itself through a YAML alias
-    raises MalformedDocument.
+    elsewhere a mapping is ignored with a warning.
     """
-    if isinstance(value, list):
-        if id(value) in enclosing:
-            raise MalformedDocument(f"list nested in itself in phase '{phase.value}'")
-        enclosing = (*enclosing, id(value))
     texts: list[str] = []
     for item in _as_list(value):
         scalar = _scalar_text(item)
         if scalar is not None:
             texts.append(scalar)
         elif isinstance(item, list):
-            texts.extend(_command_texts(phase, item, warnings, enclosing))
+            texts.extend(_command_texts(phase, item, warnings))
         elif isinstance(item, Mapping):
             if phase in DEPLOY_PHASES:
                 for nested in _as_list(item.get("script")):
@@ -311,7 +328,7 @@ def _phase_commands(
     phases: dict[PhaseKind, list[CommandLine]] = {}
     for name, phase in PHASE_BY_NAME.items():
         if name in entry:
-            texts = _command_texts(phase, entry[name], warnings, ())
+            texts = _command_texts(phase, entry[name], warnings)
             phases[phase] = [
                 CommandLine(text, phase, job_index, i) for i, text in enumerate(texts)
             ]
@@ -451,15 +468,13 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
     never fails on unknown keys; those are preserved in ``raw`` and ignored.
     """
     warnings: list[str] = []
-    text = _decode(doc, warnings)
+    if doc.invalid_utf8:
+        warnings.append("invalid UTF-8 bytes replaced during decoding")
     try:
-        data, dup_warnings = _load_yaml(text)
+        data, dup_warnings = _load_yaml(doc.content)
     except (yaml.YAMLError, UnicodeEncodeError) as exc:
         # libyaml takes UTF-8, so a lone surrogate fails while encoding.
         raise MalformedDocument(f"{doc.path}: {exc}") from exc
-    except RecursionError as exc:
-        # The Python composer recurses once per nesting level.
-        raise MalformedDocument(f"{doc.path}: YAML nested too deeply") from exc
     warnings.extend(dup_warnings)
 
     if not isinstance(data, Mapping) or not any(
@@ -498,7 +513,7 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
     )
 
     return PipelineConfig(
-        source=replace(doc, content=text),
+        source=doc,
         declared_stage_order=declared_stage_order,
         stage_conditions=stage_conditions,
         jobs=jobs,

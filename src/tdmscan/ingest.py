@@ -116,10 +116,15 @@ class TokenBucket:
             self._clock.sleep(wait)
 
 
+def escapes_repo(path: str) -> bool:
+    """True when `path` is absolute or has a `..` segment: not repo-relative."""
+    return path.startswith("/") or ".." in path.split("/")
+
+
 def _validate_rel_path(path: str, where: str) -> str:
     if not isinstance(path, str) or not path:
         raise ManifestParseError(f"{where}: path must be a non-empty string")
-    if path.startswith("/") or any(part == ".." for part in path.split("/")):
+    if escapes_repo(path):
         raise ManifestParseError(f"{where}: path must be repo-relative: {path!r}")
     return path
 
@@ -203,7 +208,7 @@ class LocalTree:
         self.undecodable: set[str] = set()
 
     def read(self, path: str) -> str | None:
-        if path.startswith("/") or any(part == ".." for part in path.split("/")):
+        if escapes_repo(path):
             return None
         if self.allowed is not None and path not in self.allowed:
             return None

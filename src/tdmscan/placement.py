@@ -32,11 +32,11 @@ from .registry import (
 )
 from .script_resolver import (
     ScriptDocument,
-    extract_script_refs,
-    is_installer_segment,
-    shell_tokens,
+    command_lines,
+    command_words,
+    is_installer,
+    script_paths,
     split_actions,
-    strip_wrappers,
 )
 
 
@@ -92,10 +92,8 @@ class PlacementResult:
 
 
 def _is_ceremony(action: str, heads: frozenset[str]) -> bool:
-    tokens = strip_wrappers(shell_tokens(action))
-    if not tokens:
-        return True
-    return tokens[0] in heads or is_installer_segment(action)
+    words = command_words(action)
+    return not words or words[0] in heads or is_installer(words)
 
 
 def _action_has_detection(action: str, matched_texts: tuple[str, ...]) -> bool:
@@ -108,24 +106,19 @@ def _action_has_detection(action: str, matched_texts: tuple[str, ...]) -> bool:
 @lru_cache(maxsize=256)
 def _substantial_lines(content: str) -> frozenset[int]:
     """Indexes of the script lines with an action that is not ceremony."""
-    lines = set()
-    for index, line in enumerate(content.splitlines()):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    return frozenset(
+        index
+        for index, stripped in command_lines(content)
         if any(
             not _is_ceremony(action, _SCRIPT_CEREMONY_HEADS)
             for action in split_actions(stripped)
-        ):
-            lines.add(index)
-    return frozenset(lines)
+        )
+    )
 
 
-def _action_is_tool_script(
-    action: str, cmd_for_refs, runs_only_tools: Callable[[str], bool]
-) -> bool:
-    refs = extract_script_refs(cmd_for_refs._replace(text=action))
-    return bool(refs) and all(runs_only_tools(ref.normalized_path) for ref in refs)
+def _action_is_tool_script(action: str, runs_only_tools: Callable[[str], bool]) -> bool:
+    paths = script_paths(action)
+    return bool(paths) and all(map(runs_only_tools, paths))
 
 
 def _runs_only_tdm(
@@ -142,16 +135,13 @@ def _runs_only_tdm(
             dict.fromkeys(d.matched_text for d in config_detections if d.phase == phase)
         )
         for cmd in commands:
-            for line in cmd.text.splitlines():
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
+            for _, stripped in command_lines(cmd.text):
                 for action in split_actions(stripped):
                     if _is_ceremony(action, _CEREMONY_HEADS):
                         continue
                     if _action_has_detection(action, config_texts):
                         continue
-                    if _action_is_tool_script(action, cmd, runs_only_tools):
+                    if _action_is_tool_script(action, runs_only_tools):
                         continue
                     return False
     return True

@@ -23,7 +23,9 @@ from .config_model import PhaseKind, PipelineConfig, iter_command_lines
 from .memo import AdmissionMemo
 from .script_resolver import (
     ScriptDocument,
-    is_installer_segment,
+    command_lines,
+    command_words,
+    is_installer,
     split_segments,
 )
 
@@ -393,7 +395,7 @@ def _line_hits(
         parts = [
             segment
             for segment in split_segments(stripped)
-            if not is_installer_segment(segment)
+            if not is_installer(command_words(segment))
         ]
     else:
         parts = [stripped]
@@ -430,10 +432,7 @@ def detect_in_text(
     memo = registry._line_memo
     source, phase, job_index, script_path, ordinal_base = ctx
     detections: list[Detection] = []
-    for line_index, line in enumerate(text.splitlines()):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for line_index, stripped in command_lines(text):
         if len(stripped) <= _LINE_MEMO_MAX_CHARS:
             hits = memo(stripped, install_exclusion)
         else:

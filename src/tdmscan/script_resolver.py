@@ -5,6 +5,8 @@ repository; those scripts are part of the analysis corpus.  Extraction is
 heuristic and purely textual: tokens ending in ``.sh``/``.bash``, tokens
 starting with ``./``, and the path argument of an interpreter invocation
 (``sh X``, ``bash X``, ``source X``, ``. X``) count as references.
+Tool detection and placement read shell text through the same primitives:
+`command_lines` for the lines, `command_words` for a segment's words.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Protocol
 
 from .config_model import CommandLine
+from .ingest import escapes_repo
 
 SCRIPT_SUFFIXES = (".sh", ".bash")
 
@@ -32,15 +35,6 @@ _INTERPRETER_BASES = frozenset({"sh", "bash"})
 # lines, each at most this long (longer lines are tokenized every time).
 _REF_MEMO_SIZE = 1024
 _REF_MEMO_MAX_CHARS = 256
-
-
-@dataclass(frozen=True)
-class ScriptRef:
-    """One textual reference from a command line to a repository script."""
-
-    raw_token: str
-    normalized_path: str
-    referencing_command: CommandLine
 
 
 @dataclass(frozen=True)
@@ -68,6 +62,15 @@ class MappingTree:
 
     def read(self, path: str) -> str | None:
         return self._files.get(path)
+
+
+def command_lines(text: str) -> list[tuple[int, str]]:
+    """(line index, stripped line) per line that is neither blank nor a comment."""
+    return [
+        (index, stripped)
+        for index, line in enumerate(text.splitlines())
+        if (stripped := line.strip()) and stripped[0] != "#"
+    ]
 
 
 def split_segments(text: str) -> list[str]:
@@ -109,6 +112,11 @@ def strip_wrappers(tokens: list[str]) -> list[str]:
     return tokens[i:]
 
 
+def command_words(segment: str) -> list[str]:
+    """The segment's tokens from its real command on (see strip_wrappers)."""
+    return strip_wrappers(shell_tokens(segment))
+
+
 _INSTALLER_RULES: tuple[tuple[frozenset[str], frozenset[str]], ...] = (
     (frozenset({"pip", "pip2", "pip3"}), frozenset({"install"})),
     (frozenset({"npm"}), frozenset({"install", "i"})),
@@ -120,17 +128,16 @@ _INSTALLER_RULES: tuple[tuple[frozenset[str], frozenset[str]], ...] = (
 )
 
 
-def is_installer_segment(segment: str) -> bool:
-    """True when the segment's command is a package-manager install."""
-    tokens = strip_wrappers(shell_tokens(segment))
-    if len(tokens) < 2:
+def is_installer(words: list[str]) -> bool:
+    """True when a segment's `command_words` are a package-manager install."""
+    if len(words) < 2:
         return False
-    base = tokens[0].rsplit("/", 1)[-1]
+    base = words[0].rsplit("/", 1)[-1]
     for heads, verbs in _INSTALLER_RULES:
-        if base in heads and tokens[1] in verbs:
+        if base in heads and words[1] in verbs:
             return True
     if base.startswith("python"):
-        rest = tokens[1:]
+        rest = words[1:]
         if len(rest) >= 3 and rest[0] == "-m" and rest[1] == "pip" and rest[2] == "install":
             return True
     return False
@@ -149,10 +156,6 @@ def normalize_script_path(token: str) -> str:
     if not path.strip("./"):
         return ""
     return path
-
-
-def _has_parent_segment(path: str) -> bool:
-    return any(part == ".." for part in path.split("/"))
 
 
 def _interpreter_argument(tokens: list[str]) -> str | None:
@@ -187,7 +190,7 @@ def _line_ref_events(stripped: str) -> tuple[tuple[str | None, str | None], ...]
                 or token == interp_arg
             ):
                 continue
-            if token.startswith("/") or _has_parent_segment(token):
+            if escapes_repo(token):
                 events.append(
                     (None, f"rejected script reference outside repository: {token}")
                 )
@@ -203,11 +206,14 @@ def _line_ref_events(stripped: str) -> tuple[tuple[str | None, str | None], ...]
 _memo_line_ref_events = lru_cache(maxsize=_REF_MEMO_SIZE)(_line_ref_events)
 
 
-def _iter_ref_tokens(text: str, warnings: list[str] | None) -> Iterable[str]:
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+def script_paths(text: str, warnings: list[str] | None = None) -> list[str]:
+    """Normalized paths of the scripts `text` references, each once, in order.
+
+    A pure function of the text; `warnings` (when given) collects rejected
+    root-escaping tokens and variable-bearing tokens.
+    """
+    paths: dict[str, None] = {}
+    for _, stripped in command_lines(text):
         if len(stripped) <= _REF_MEMO_MAX_CHARS:
             events = _memo_line_ref_events(stripped)
         else:
@@ -215,27 +221,9 @@ def _iter_ref_tokens(text: str, warnings: list[str] | None) -> Iterable[str]:
         for token, warning in events:
             if warning is not None and warnings is not None:
                 warnings.append(warning)
-            if token is not None:
-                yield token
-
-
-def extract_script_refs(
-    cmd: CommandLine, warnings: list[str] | None = None
-) -> list[ScriptRef]:
-    """Script references in a command, order-preserving, deduplicated by path.
-
-    A pure function of the command text; `warnings` (when given) collects
-    rejected root-escaping tokens and variable-bearing tokens.
-    """
-    refs: list[ScriptRef] = []
-    seen: set[str] = set()
-    for token in _iter_ref_tokens(cmd.text, warnings):
-        normalized = normalize_script_path(token)
-        if not normalized or normalized in seen:
-            continue
-        seen.add(normalized)
-        refs.append(ScriptRef(token, normalized, cmd))
-    return refs
+            if token is not None and (path := normalize_script_path(token)):
+                paths[path] = None
+    return list(paths)
 
 
 def collect_script_documents(
@@ -253,7 +241,6 @@ def collect_script_documents(
     """
     attribution: dict[str, list[CommandLine]] = {}
     docs: dict[str, ScriptDocument] = {}
-    order: list[str] = []
     queue: list[tuple[str, CommandLine]] = []
     scanned: set[tuple[str, int, str]] = set()
 
@@ -261,28 +248,23 @@ def collect_script_documents(
         holders = attribution.setdefault(path, [])
         if cmd not in holders:
             holders.append(cmd)
+        queue.append((path, cmd))
 
     for cmd in commands:
-        for ref in extract_script_refs(cmd, warnings):
-            attach(ref.normalized_path, cmd)
-            queue.append((ref.normalized_path, cmd))
+        for path in script_paths(cmd.text, warnings):
+            attach(path, cmd)
 
     while queue:
         path, root = queue.pop(0)
         if path not in docs:
             content = tree.read(path)
             docs[path] = ScriptDocument(path, content, content is not None)
-            order.append(path)
         doc = docs[path]
         key = (path, root.job_index, f"{root.phase.value}:{root.ordinal}")
         if not recursive or not doc.resolved or key in scanned:
             continue
         scanned.add(key)
-        for token in _iter_ref_tokens(doc.content or "", warnings):
-            normalized = normalize_script_path(token)
-            if not normalized:
-                continue
-            attach(normalized, root)
-            queue.append((normalized, root))
+        for nested in script_paths(doc.content, warnings):
+            attach(nested, root)
 
-    return [docs[path] for path in order], attribution
+    return list(docs.values()), attribution

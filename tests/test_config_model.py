@@ -204,15 +204,6 @@ class TestWarningsAndEdgeCases:
         assert any("duplicate key" in w for w in cfg.warnings)
         assert [c.text for c in cfg.jobs[0].phases[PhaseKind.SCRIPT]] == ["two"]
 
-    def test_invalid_utf8_replaced(self):
-        doc = RawDocument("a/b", ".travis.yml", b"language: python\nscript: ok\xff\n")
-        cfg = parse_config(doc)
-        assert any("UTF-8" in w for w in cfg.warnings)
-
-    def test_bytes_content_is_str_after_parsing(self):
-        doc = RawDocument("a/b", ".travis.yml", b"language: python\nscript: ok\xff\n")
-        assert parse_config(doc).source.content == "language: python\nscript: ok\ufffd\n"
-
     def test_reader_replacement_flag_warns(self):
         doc = RawDocument("a/b", ".travis.yml", "script: ok\ufffd\n", invalid_utf8=True)
         assert parse_config(doc).warnings == ["invalid UTF-8 bytes replaced during decoding"]

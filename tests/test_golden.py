@@ -1,12 +1,16 @@
 """Golden bytes: the reports over the fixture corpus are pinned by sha256.
 
-A refactor that claims "every report byte unchanged" passes these two tests
-without further evidence.  A change that is meant to alter a report must
+A refactor that claims "every report byte unchanged" passes these tests
+without further evidence.  The default options are pinned, and so are the
+non-default ones that take the other branches of script resolution,
+detection and placement.  A change that is meant to alter a report must
 update the digests and say why.
 """
 
 import hashlib
 import os
+
+import pytest
 
 from tdmscan.cli import main
 
@@ -14,6 +18,15 @@ from conftest import CORPUS_DIR
 
 SCAN_SHA256 = "cd790bbb55ddb78728bf392f6c039765f9f12bde4c221783f890f89953e00749"
 ANALYZE_SHA256 = "eae6bd8b5ca841c3f9ec5cf31713c797eff57466e7c070bde29ed58d3e7bd039"
+
+OTHER_OPTIONS = [
+    "--no-install-exclusion",
+    "--recursive-scripts",
+    "--late-merging-mode",
+    "job",
+]
+OTHER_SCAN_SHA256 = "13b9bd36d68877e42e6a9c58fae2e638c5059b3b3e81877ba12382a889e7e2c8"
+OTHER_ANALYZE_SHA256 = "133c9c634ad072023b13aebbd3dc4d881c2726832c483f9ed954dfbda9c9f1dd"
 
 
 def _scan_digest(out, capsys, *flags) -> str:
@@ -35,17 +48,31 @@ def test_scan_report_bytes_at_two_workers(tmp_path, capsys):
     assert _scan_digest(tmp_path / "out", capsys, "--workers", "2") == SCAN_SHA256
 
 
-def test_analyze_json_bytes(capsys):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_report_bytes_under_other_options(tmp_path, capsys, workers):
+    digest = _scan_digest(tmp_path / "out", capsys, "--workers", workers, *OTHER_OPTIONS)
+    assert digest == OTHER_SCAN_SHA256
+
+
+def _analyze_digest(capsys, *flags) -> str:
     digest = hashlib.sha256()
     names = sorted(os.listdir(CORPUS_DIR))
     assert len(names) == 39
     not_pipelines = []
     for name in names:
-        code = main(["analyze", os.path.join(CORPUS_DIR, name)])
+        code = main(["analyze", os.path.join(CORPUS_DIR, name), *flags])
         if code == 2:
             not_pipelines.append(name)
         else:
             assert code == 0, name
         digest.update(capsys.readouterr().out.encode("utf-8"))
     assert not_pipelines == ["34-not-a-pipeline"]
-    assert digest.hexdigest() == ANALYZE_SHA256
+    return digest.hexdigest()
+
+
+def test_analyze_json_bytes(capsys):
+    assert _analyze_digest(capsys) == ANALYZE_SHA256
+
+
+def test_analyze_json_bytes_under_other_options(capsys):
+    assert _analyze_digest(capsys, *OTHER_OPTIONS) == OTHER_ANALYZE_SHA256

@@ -11,14 +11,16 @@ import importlib.util
 import os
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from tdmscan import config_model
-from tdmscan.analyzer import analyze_document
+from tdmscan import config_model, shipped_registry
+from tdmscan.analyzer import analyze_document, scan_entries
+from tdmscan.cli import _entries_from_directory
 from tdmscan.config_model import (
     MalformedDocument,
     _load_yaml,
@@ -27,6 +29,7 @@ from tdmscan.config_model import (
 from tdmscan.script_resolver import MappingTree
 
 from conftest import CORPUS_DIR, make_doc
+from test_placement import _alias_fan_out
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -225,3 +228,44 @@ def test_deeply_nested_flow_list_ends_in_an_entry_outcome(tmp_path):
     # A negative return code would mean the process died on a signal.
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "skipped"
+
+
+# --- input bounds of the composer ---------------------------------------------
+
+
+@pytest.mark.parametrize("module", [config_model, PURE], ids=["loader", "pure"])
+def test_nesting_bound(module):
+    depth = module._MAX_DEPTH
+    assert module._load_yaml("[" * depth + "]" * depth)[0] is not None
+    with pytest.raises(yaml.composer.ComposerError, match="nested over"):
+        module._load_yaml("[" * (depth + 1) + "]" * (depth + 1))
+
+
+def _scan_one(tmp_path, text):
+    """Status and CPU seconds of a one-entry scan of `text`."""
+    entry = tmp_path / "corpus" / "hostile"
+    entry.mkdir(parents=True)
+    (entry / ".travis.yml").write_text(text)
+    start = time.process_time()
+    result = scan_entries(
+        _entries_from_directory(str(tmp_path / "corpus")), shipped_registry()
+    )
+    return result.entries[0].status, time.process_time() - start
+
+
+@pytest.mark.parametrize("depth", [5, 6, 7])
+def test_alias_fan_out_beyond_the_node_bound_is_skipped(tmp_path, depth):
+    status, seconds = _scan_one(tmp_path, _alias_fan_out(depth))
+    assert status == "skipped"
+    assert seconds < 1.0
+
+
+def test_alias_fan_out_within_the_node_bound_is_ok(tmp_path):
+    assert _scan_one(tmp_path, _alias_fan_out(4))[0] == "ok"
+
+
+@pytest.mark.parametrize(
+    "text", ["m: &m {a: 1, <<: *m}\n", "l: &l [a, [b, *l]]\n"], ids=["merge", "list"]
+)
+def test_collection_nested_in_itself_is_skipped(tmp_path, text):
+    assert _scan_one(tmp_path, "script: flake8\n" + text)[0] == "skipped"

@@ -4,7 +4,7 @@ from collections import Counter
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from tdmscan import placement
+from tdmscan import placement, script_resolver
 from tdmscan import registry as registry_module
 from tdmscan.config_model import (
     SETUP_PHASES,
@@ -33,7 +33,7 @@ from tdmscan.registry import (
 )
 from tdmscan.script_resolver import (
     collect_script_documents,
-    extract_script_refs,
+    script_paths,
     split_actions,
 )
 
@@ -312,6 +312,21 @@ class TestClassifyPipeline:
         assert [r.placement for r in results] == [PlacementKind.DEDICATED_JOB] * 3
         assert classified == ["set -e", "flake8 src", "pylint src"]
 
+    def test_ceremony_check_tokenizes_each_action_once(self, monkeypatch):
+        tokenized = []
+        real_shell_tokens = script_resolver.shell_tokens
+
+        def counting_shell_tokens(segment):
+            tokenized.append(segment)
+            return real_shell_tokens(segment)
+
+        monkeypatch.setattr(script_resolver, "shell_tokens", counting_shell_tokens)
+        monkeypatch.setattr(placement, "shell_tokens", counting_shell_tokens, raising=False)
+        for action in ["flake8 src", "sudo pip install x", "echo hi", "VAR=1", "make | tee"]:
+            tokenized.clear()
+            placement._is_ceremony(action, placement._CEREMONY_HEADS)
+            assert tokenized == [action]
+
     def test_detections_and_stages_indexed_once_per_pipeline(self, registry, monkeypatch):
         jobs = 40
         cfg, profile, scripts = analyzed(
@@ -428,20 +443,20 @@ def _per_command_detections(cfg, scripts, attribution, registry):
     return sorted(detections, key=lambda d: d.tool_id)
 
 
-def _per_detection_tool_script(action, cmd, scripts, job_detections):
+def _per_detection_tool_script(action, scripts, job_detections):
     """Every script the action runs has a detection on each substantial line,
     counting only the job's own detections."""
-    refs = extract_script_refs(cmd._replace(text=action))
-    if not refs:
+    paths = script_paths(action)
+    if not paths:
         return False
-    for ref in refs:
-        doc = scripts.get(ref.normalized_path)
+    for path in paths:
+        doc = scripts.get(path)
         if doc is None or not doc.resolved:
             return False
         detected = {
             d.line_ordinal
             for d in job_detections
-            if d.source == SOURCE_SCRIPT and d.script_path == ref.normalized_path
+            if d.source == SOURCE_SCRIPT and d.script_path == path
         }
         if not placement._substantial_lines(doc.content) <= detected:
             return False
@@ -469,7 +484,7 @@ def _per_detection_runs_only_tdm(job, job_detections, scripts):
                         for d in config_dets
                     ):
                         continue
-                    if _per_detection_tool_script(action, cmd, scripts, job_detections):
+                    if _per_detection_tool_script(action, scripts, job_detections):
                         continue
                     return False
     return True

@@ -20,7 +20,7 @@ from tdmscan.registry import (
     shipped_registry,
 )
 from tdmscan.analyzer import analyze_document
-from tdmscan.script_resolver import MappingTree, is_installer_segment, split_segments
+from tdmscan.script_resolver import MappingTree, command_words, is_installer, split_segments
 from conftest import make_doc, profile_of
 
 CTX = SourceContext(SOURCE_CONFIG, PhaseKind.SCRIPT, 0)
@@ -355,7 +355,7 @@ def _per_tool_detect(text, registry, ctx, install_exclusion):
             parts = [
                 segment
                 for segment in split_segments(stripped)
-                if not is_installer_segment(segment)
+                if not is_installer(command_words(segment))
             ]
         else:
             parts = [stripped]

@@ -473,3 +473,44 @@ def test_remote_scan_on_two_threads_matches_one(monkeypatch):
     assert export_json(two.report) == export_json(one.report)
     assert export_csv_bundle(two.report) == export_csv_bundle(one.report)
     assert sorted(one.report.tool_table) == ["flake8", "pylint"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_remote_scan_without_a_session_opens_one(monkeypatch, workers):
+    responses = {}
+    entries = []
+    for index in range(5):
+        base = f"https://raw.example.org/acme/p{index}/main"
+        responses[f"{base}/.travis.yml"] = [FakeResponse(200, "script: flake8 .\n")]
+        entries.append(
+            ManifestEntry(f"acme/p{index}", ".travis.yml", (), remote_base_url=base)
+        )
+    class ClosingSession(FakeSession):
+        closed = False
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.closed = True
+
+    sessions = []
+
+    def counting_session():
+        sessions.append(ClosingSession(responses))
+        return sessions[-1]
+
+    monkeypatch.setitem(
+        sys.modules, "requests", types.SimpleNamespace(Session=counting_session)
+    )
+    result = scan_entries(
+        entries,
+        shipped_registry(),
+        policy=FetchPolicy(max_requests_per_hour=10_000),
+        clock=FakeClock(),
+        workers=workers,
+    )
+    assert [e.status for e in result.entries] == ["ok"] * 5
+    assert len(sessions) == 1
+    assert len(sessions[0].calls) == 5
+    assert sessions[0].closed

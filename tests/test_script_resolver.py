@@ -2,16 +2,17 @@ from hypothesis import given, settings, strategies as st
 
 from tdmscan import script_resolver
 from tdmscan.config_model import CommandLine, PhaseKind
+from tdmscan.ingest import escapes_repo
 from tdmscan.script_resolver import (
     SCRIPT_SUFFIXES,
     MappingTree,
-    _has_parent_segment,
     _interpreter_argument,
-    _iter_ref_tokens,
     collect_script_documents,
-    extract_script_refs,
-    is_installer_segment,
+    command_lines,
+    command_words,
+    is_installer,
     normalize_script_path,
+    script_paths,
     shell_tokens,
     split_actions,
     split_segments,
@@ -22,61 +23,54 @@ def cmd(text: str) -> CommandLine:
     return CommandLine(text, PhaseKind.SCRIPT, 0, 0)
 
 
-def paths(command_text: str) -> list[str]:
-    return [r.normalized_path for r in extract_script_refs(cmd(command_text))]
-
-
 class TestExtraction:
     def test_interpreter_invocation(self):
-        assert paths("bash ci/run_checks.sh --strict") == ["ci/run_checks.sh"]
+        assert script_paths("bash ci/run_checks.sh --strict") == ["ci/run_checks.sh"]
 
     def test_plain_tool_call_has_no_refs(self):
-        assert paths("flake8 src tests") == []
+        assert script_paths("flake8 src tests") == []
 
     def test_chained_dot_slash_order(self):
-        assert paths("./lint.sh && ./test.sh") == ["lint.sh", "test.sh"]
+        assert script_paths("./lint.sh && ./test.sh") == ["lint.sh", "test.sh"]
 
     def test_source_and_dot(self):
-        assert paths("source env.sh") == ["env.sh"]
-        assert paths(". ./env.sh") == ["env.sh"]
+        assert script_paths("source env.sh") == ["env.sh"]
+        assert script_paths(". ./env.sh") == ["env.sh"]
 
     def test_sh_with_flag_skips_option(self):
-        assert paths("sh -e ci/go.sh") == ["ci/go.sh"]
+        assert script_paths("sh -e ci/go.sh") == ["ci/go.sh"]
 
     def test_suffix_without_interpreter(self):
-        assert paths("run-parts hooks/pre.bash now") == ["hooks/pre.bash"]
+        assert script_paths("run-parts hooks/pre.bash now") == ["hooks/pre.bash"]
 
     def test_dot_slash_without_suffix(self):
-        assert paths("./configure --prefix=/usr") == ["configure"]
+        assert script_paths("./configure --prefix=/usr") == ["configure"]
 
     def test_wrapper_commands_are_transparent(self):
-        assert paths("sudo bash ci/x.sh") == ["ci/x.sh"]
-        assert paths("travis_retry bash ci/x.sh") == ["ci/x.sh"]
+        assert script_paths("sudo bash ci/x.sh") == ["ci/x.sh"]
+        assert script_paths("travis_retry bash ci/x.sh") == ["ci/x.sh"]
 
     def test_duplicates_deduplicated(self):
-        assert paths("./a.sh && a.sh && bash ./a.sh") == ["a.sh"]
+        assert script_paths("./a.sh && a.sh && bash ./a.sh") == ["a.sh"]
 
     def test_comment_lines_skipped(self):
-        assert paths("# bash ci/x.sh") == []
+        assert script_paths("# bash ci/x.sh") == []
 
 
 class TestWarnings:
     def test_parent_segment_rejected(self):
         warnings = []
-        refs = extract_script_refs(cmd("bash ../outside.sh"), warnings)
-        assert refs == []
+        assert script_paths("bash ../outside.sh", warnings) == []
         assert any("outside repository" in w for w in warnings)
 
     def test_absolute_rejected(self):
         warnings = []
-        refs = extract_script_refs(cmd("/usr/local/bin/setup.sh"), warnings)
-        assert refs == []
+        assert script_paths("/usr/local/bin/setup.sh", warnings) == []
         assert any("outside repository" in w for w in warnings)
 
     def test_variable_token_recorded_with_warning(self):
         warnings = []
-        refs = extract_script_refs(cmd("$SCRIPTS_DIR/lint.sh"), warnings)
-        assert [r.normalized_path for r in refs] == ["$SCRIPTS_DIR/lint.sh"]
+        assert script_paths("$SCRIPTS_DIR/lint.sh", warnings) == ["$SCRIPTS_DIR/lint.sh"]
         assert any("unresolved variable" in w for w in warnings)
 
 
@@ -136,44 +130,49 @@ class TestShellHelpers:
     def test_split_segments(self):
         assert split_segments("a && b | c ; d") == ["a", "b", "c", "d"]
 
+    def test_command_lines_skip_blanks_and_comments(self):
+        text = "a && b\n\n  # note\n\tflake8 src  \n#!/bin/sh\n"
+        assert command_lines(text) == [(0, "a && b"), (3, "flake8 src")]
+
     def test_split_actions_keeps_pipes(self):
         assert split_actions("flake8 | tee log && pytest") == ["flake8 | tee log", "pytest"]
 
     def test_installer_detection(self):
-        assert is_installer_segment("pip install flake8")
-        assert is_installer_segment("pip3 install -U pylint")
-        assert is_installer_segment("sudo apt-get install cppcheck")
-        assert is_installer_segment("npm i eslint")
-        assert is_installer_segment("gem install rubocop")
-        assert is_installer_segment("brew install shellcheck")
-        assert is_installer_segment("composer require phpstan")
-        assert is_installer_segment("go install honnef.co/go/tools/cmd/staticcheck@latest")
-        assert is_installer_segment("python -m pip install black")
-        assert not is_installer_segment("flake8 src")
-        assert not is_installer_segment("npm test")
-        assert not is_installer_segment("go vet ./...")
+        def installs(segment):
+            return is_installer(command_words(segment))
+
+        assert installs("pip install flake8")
+        assert installs("pip3 install -U pylint")
+        assert installs("sudo apt-get install cppcheck")
+        assert installs("npm i eslint")
+        assert installs("gem install rubocop")
+        assert installs("brew install shellcheck")
+        assert installs("composer require phpstan")
+        assert installs("go install honnef.co/go/tools/cmd/staticcheck@latest")
+        assert installs("python -m pip install black")
+        assert not installs("flake8 src")
+        assert not installs("npm test")
+        assert not installs("go vet ./...")
 
 
 @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=80))
 def test_extraction_is_pure(text):
-    command = cmd(text)
-    first = [(r.raw_token, r.normalized_path) for r in extract_script_refs(command)]
-    second = [(r.raw_token, r.normalized_path) for r in extract_script_refs(command)]
-    assert first == second
+    assert script_paths(text) == script_paths(text)
 
 
 @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=80))
 def test_no_ref_escapes_root(text):
-    for ref in extract_script_refs(cmd(text)):
-        assert not ref.normalized_path.startswith("/")
-        assert ".." not in ref.normalized_path.split("/")
+    for path in script_paths(text):
+        assert not path.startswith("/")
+        assert ".." not in path.split("/")
 
 
 # --- reference memo: memoized per-line events vs the uncached loop -----------
 
 
 def _uncached_ref_tokens(text, warnings):
-    """_iter_ref_tokens as a plain loop over every line, segment and token."""
+    """The raw reference tokens of script_paths, as a plain loop over every
+    line, segment and token."""
     for line in text.splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -187,7 +186,7 @@ def _uncached_ref_tokens(text, warnings):
                     or token.startswith("./")
                     or token == interp_arg
                 ):
-                    if token.startswith("/") or _has_parent_segment(token):
+                    if escapes_repo(token):
                         if warnings is not None:
                             warnings.append(
                                 f"rejected script reference outside repository: {token}"
@@ -198,6 +197,12 @@ def _uncached_ref_tokens(text, warnings):
                             f"script reference with unresolved variable: {token}"
                         )
                     yield token
+
+
+def _uncached_paths(text, warnings):
+    """script_paths from the uncached tokens: normalized, each once."""
+    normalized = (normalize_script_path(t) for t in _uncached_ref_tokens(text, warnings))
+    return list(dict.fromkeys(path for path in normalized if path))
 
 
 _REF_LINES = [
@@ -233,9 +238,9 @@ def test_ref_memo_matches_uncached_loop(pool, data):
     )
     for collect, text in steps:
         expected_warnings: list[str] = []
-        expected = list(_uncached_ref_tokens(text, expected_warnings))
+        expected = _uncached_paths(text, expected_warnings)
         warnings = [] if collect else None
-        assert list(_iter_ref_tokens(text, warnings)) == expected
+        assert script_paths(text, warnings) == expected
         if collect:
             assert warnings == expected_warnings
 
@@ -243,9 +248,9 @@ def test_ref_memo_matches_uncached_loop(pool, data):
 def test_warnings_survive_a_first_sighting_without_a_list():
     script_resolver._memo_line_ref_events.cache_clear()
     text = "$D/x.sh && bash ../y.sh\nsh ../z.sh ; ./$W.sh"
-    assert list(_iter_ref_tokens(text, None)) == ["$D/x.sh", "./$W.sh"]
+    assert script_paths(text) == ["$D/x.sh", "$W.sh"]
     warnings = ["earlier"]
-    assert list(_iter_ref_tokens(text, warnings)) == ["$D/x.sh", "./$W.sh"]
+    assert script_paths(text, warnings) == ["$D/x.sh", "$W.sh"]
     assert script_resolver._memo_line_ref_events.cache_info().hits == 2
     assert warnings == [
         "earlier",
@@ -264,15 +269,15 @@ def test_ref_memo_is_bounded():
     first = []
     for line in lines:
         warnings: list[str] = []
-        first.append((list(_iter_ref_tokens(line, warnings)), warnings))
+        first.append((script_paths(line, warnings), warnings))
     assert memo.cache_info().misses == len(lines)
     assert memo.cache_info().currsize == bound
     # The oldest lines were evicted; tokenizing them again gives the same events.
     for line, result in zip(lines[:200], first[:200]):
         warnings = []
-        assert (list(_iter_ref_tokens(line, warnings)), warnings) == result
+        assert (script_paths(line, warnings), warnings) == result
         expected_warnings: list[str] = []
-        assert list(_uncached_ref_tokens(line, expected_warnings)) == result[0]
+        assert _uncached_paths(line, expected_warnings) == result[0]
         assert expected_warnings == result[1]
     assert memo.cache_info().currsize == bound
 
@@ -280,5 +285,5 @@ def test_ref_memo_is_bounded():
 def test_long_lines_skip_the_ref_memo():
     script_resolver._memo_line_ref_events.cache_clear()
     line = "bash ci/x.sh " + "-" * script_resolver._REF_MEMO_MAX_CHARS
-    assert paths(line) == ["ci/x.sh"]
+    assert script_paths(line) == ["ci/x.sh"]
     assert script_resolver._memo_line_ref_events.cache_info().currsize == 0
