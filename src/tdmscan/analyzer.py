@@ -19,7 +19,7 @@ from .config_model import (
     iter_command_lines,
     parse_config,
 )
-from .ingest import ManifestEntry, FetchPolicy, NotFound, materialize
+from .ingest import FetchPolicy, FileTooLarge, ManifestEntry, NotFound, materialize
 from .memo import AdmissionMemo
 from .placement import PlacementResult, classify_pipeline
 from .registry import PipelineToolProfile, Registry, profile_pipeline
@@ -152,7 +152,7 @@ def _process_entry(
         doc, tree = materialize(
             entry, policy=policy, session=session, clock=clock, bucket=bucket
         )
-    except NotFound as exc:
+    except (NotFound, FileTooLarge) as exc:
         return EntryResult(entry.repo_slug, "skipped", message=str(exc))
     except Exception as exc:  # noqa: BLE001 - entry isolation
         return EntryResult(entry.repo_slug, "failed", message=str(exc))

@@ -185,20 +185,20 @@ def _find_config(path: str) -> tuple[str, str]:
 
 
 def _cmd_analyze(args) -> int:
-    from .ingest import LocalTree
+    from .ingest import FileTooLarge, LocalTree
 
     registry = _load_registry(args)
     config_path, root = _find_config(args.path)
     tree = LocalTree(root)
     rel = os.path.relpath(config_path, root)
-    content = tree.read(rel)
-    if content is None:
-        raise FileNotFoundError(f"no such file: {config_path}")
-    slug = os.path.basename(os.path.abspath(root))
-    doc = RawDocument(slug, rel, content, invalid_utf8=rel in tree.undecodable)
     try:
+        content = tree.read(rel)
+        if content is None:
+            raise FileNotFoundError(f"no such file: {config_path}")
+        slug = os.path.basename(os.path.abspath(root))
+        doc = RawDocument(slug, rel, content, invalid_utf8=rel in tree.undecodable)
         analysis = analyze_document(doc, tree, registry, _options(args))
-    except (NotAPipeline, MalformedDocument) as exc:
+    except (FileTooLarge, NotAPipeline, MalformedDocument) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NOT_A_PIPELINE
     json.dump(_analysis_json(analysis, doc.path), sys.stdout, sort_keys=True, indent=2)

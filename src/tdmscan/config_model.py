@@ -10,30 +10,40 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import chain
+from types import GeneratorType
 from typing import Any, Iterator, Mapping, NamedTuple
 
 import yaml
-from yaml.composer import Composer, ComposerError
-from yaml.constructor import SafeConstructor
+from yaml.composer import ComposerError
+from yaml.constructor import ConstructorError, SafeConstructor
+from yaml.events import (
+    AliasEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+)
+from yaml.nodes import ScalarNode
 from yaml.resolver import Resolver
 
 # libyaml produces the parse events when PyYAML ships it; the pure-Python
-# reader, scanner and parser do otherwise.  Nodes are always built by
-# PyYAML's Python composer, bounded by _TrackingLoader: libyaml's own
-# composer recurses on the C stack and crashes the process on deeply nested
-# input.
-_LIBYAML = yaml.__with_libyaml__
-if _LIBYAML:
-    from yaml.cyaml import CParser
-
-    _EVENT_SOURCE: tuple[type, ...] = (CParser,)
+# reader, scanner and parser do otherwise.  Either way _load_yaml builds the
+# Python values from the events itself, in one loop over an explicit stack:
+# libyaml's own composer recurses on the C stack and crashes the process on
+# deeply nested input, and PyYAML's Python composer and constructor walk a
+# node tree twice.
+if yaml.__with_libyaml__:
+    from yaml.cyaml import CParser as _EventSource
 else:
     from yaml.parser import Parser
     from yaml.reader import Reader
     from yaml.scanner import Scanner
 
-    _EVENT_SOURCE = (Reader, Scanner, Parser)
+    class _EventSource(Reader, Scanner, Parser):
+        def __init__(self, stream):
+            Reader.__init__(self, stream)
+            Scanner.__init__(self)
+            Parser.__init__(self)
 
 
 class MalformedDocument(ValueError):
@@ -172,90 +182,300 @@ class PipelineConfig:
     warnings: list[str] = field(default_factory=list)
 
 
-# Input bounds of the composer: collections nested at most this deep, and
-# at most this many nodes once every alias is expanded.
+# Input bounds of the loader: collections nested at most this deep, and at
+# most this many nodes once every alias is expanded.
 _MAX_DEPTH = 100
 _MAX_NODES = 100_000
 
+_STR_TAG = "tag:yaml.org,2002:str"
+_NULL_TAG = "tag:yaml.org,2002:null"
+_BOOL_TAG = "tag:yaml.org,2002:bool"
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+_VALUE_TAG = "tag:yaml.org,2002:value"
 
-class _TrackingLoader(Composer, *_EVENT_SOURCE, SafeConstructor, Resolver):
-    """Safe loader that records duplicate mapping keys (last one wins).
+_RESOLVER = Resolver()
+# First characters that some implicit resolver claims; any other plain
+# scalar resolves to a string.
+_RESOLVED_FIRST = Resolver.yaml_implicit_resolvers
+_CONSTRUCTOR = SafeConstructor()
+_CONSTRUCTORS = SafeConstructor.yaml_constructors
+_BOOL_VALUES = SafeConstructor.bool_values
 
-    `Composer` comes first so that its methods override CParser's composer.
-    Composing raises ComposerError for input beyond `_MAX_DEPTH` or
-    `_MAX_NODES`, or for an alias to a collection that encloses it.
+# What an open collection builds: a list, a list of (key, value) pairs
+# (`!!omap`, `!!pairs`, whose entries are mappings of one key), a dict, or
+# a dict that becomes a set (`!!set`).
+_LIST, _PAIR_LIST, _DICT, _SET = range(4)
+_MAPPINGS = (_DICT, _SET)
+_COLLECTION_KINDS = {
+    (False, None): _LIST,
+    (False, "!"): _LIST,
+    (False, "tag:yaml.org,2002:seq"): _LIST,
+    (False, "tag:yaml.org,2002:omap"): _PAIR_LIST,
+    (False, "tag:yaml.org,2002:pairs"): _PAIR_LIST,
+    (True, None): _DICT,
+    (True, "!"): _DICT,
+    (True, "tag:yaml.org,2002:map"): _DICT,
+    (True, "tag:yaml.org,2002:set"): _SET,
+}
+_WARNED_KEY_TYPES = (str, int, float, bool, type(None))
+
+_NO_KEY = object()  # a mapping waits for its next key
+_MERGE = object()  # the merge key `<<`
+_OPEN = object()  # an anchored collection whose end has not arrived
+
+
+class _Open:
+    """A collection whose end event has not arrived yet.
+
+    `start` is the document's node count before it, so the collection's
+    expanded size is the count at its end minus `start`.  `views` holds
+    each element's mapping view (see `_close`) while a sequence might be
+    merged from: when it is anchored or the value of a merge key.
     """
 
-    def __init__(self, stream):
-        Composer.__init__(self)
-        if _LIBYAML:
-            CParser.__init__(self, stream)
-        else:
-            Reader.__init__(self, stream)
-            Scanner.__init__(self)
-            Parser.__init__(self)
-        SafeConstructor.__init__(self)
-        Resolver.__init__(self)
-        self.duplicate_keys: list[str] = []
-        self._depth = 0
-        # Expanded size of each composed collection node.
-        self._sizes: dict[yaml.Node, int] = {}
+    __slots__ = ("kind", "data", "key", "anchor", "start", "views", "merges")
 
-    def compose_sequence_node(self, anchor):
-        return self._bounded(Composer.compose_sequence_node, anchor, False)
+    def __init__(self, kind, anchor, start, views):
+        self.kind = kind
+        self.data = {} if kind in _MAPPINGS else []
+        self.key = _NO_KEY
+        self.anchor = anchor
+        self.start = start
+        self.views = views
+        self.merges = None
 
-    def compose_mapping_node(self, anchor):
-        return self._bounded(Composer.compose_mapping_node, anchor, True)
 
-    def _bounded(self, compose, anchor, pairs: bool):
-        if self._depth == _MAX_DEPTH:
-            mark = self.peek_event().start_mark
-            raise ComposerError(None, None, f"nested over {_MAX_DEPTH} deep", mark)
-        self._depth += 1
-        node = compose(self, anchor)
-        self._depth -= 1
-        size = 1
-        for child in chain.from_iterable(node.value) if pairs else node.value:
-            if isinstance(child, yaml.ScalarNode):
-                size += 1
-            elif child in self._sizes:
-                size += self._sizes[child]
-            else:  # still open: an alias to a collection around it
-                problem = "alias to an enclosing collection"
-                raise ComposerError(None, None, problem, node.start_mark)
-        if size > _MAX_NODES:
-            problem = f"over {_MAX_NODES} nodes with aliases expanded"
-            raise ComposerError(None, None, problem, node.start_mark)
-        self._sizes[node] = size
-        return node
+def _close(frame: _Open) -> tuple[Any, Any]:
+    """(value, mapping view) of a complete collection.
 
-    def construct_mapping(self, node, deep=False):
-        if isinstance(node, yaml.MappingNode):
-            self.flatten_mapping(node)
-            seen = set()
-            for key_node, _value in node.value:
-                try:
-                    key = self.construct_object(key_node, deep=True)
-                except yaml.YAMLError:
-                    continue
-                if isinstance(key, (str, int, float, bool, type(None))):
-                    if key in seen:
-                        self.duplicate_keys.append(str(key))
-                    seen.add(key)
-        return super().construct_mapping(node, deep=deep)
+    The view is what merging the collection contributes: the key/value
+    dict of a mapping, the list of its elements' views for a sequence
+    whose views were kept, None otherwise.
+    """
+    kind = frame.kind
+    data = frame.data
+    if kind is _LIST or kind is _PAIR_LIST:
+        return data, frame.views
+    if frame.merges:
+        # Merged keys come first; each merge source overrides the ones
+        # before it, and the mapping's own keys override them all.
+        merged = {}
+        for source in frame.merges:
+            merged.update(source)
+        merged.update(data)
+        data = merged
+    return (set(data) if kind is _SET else data), data
+
+
+def _merge_sources(view, mark) -> list[dict]:
+    """The mappings a merge key's value contributes, the weakest first."""
+    if type(view) is dict:
+        return [view]
+    if type(view) is list and all(type(item) is dict for item in view):
+        return view[::-1]
+    problem = "expected a mapping or list of mappings for merging"
+    raise ConstructorError("while constructing a mapping", None, problem, mark)
+
+
+def _tagged_scalar(tag: str, event, top: _Open | None) -> Any:
+    """The value of a scalar event whose tag is not the string tag.
+
+    Tags without a fast path go to SafeConstructor's constructor for them.
+    An unknown tag raises ConstructorError, as does a value the constructor
+    rejects with any other exception (`!!int x`, `!!bool maybe`).
+    """
+    value = event.value
+    if tag == _NULL_TAG:
+        return None
+    if tag == _BOOL_TAG:
+        flag = _BOOL_VALUES.get(value.lower())
+        if flag is not None:
+            return flag
+    elif (tag == _MERGE_TAG or tag == _VALUE_TAG) and _at_key(top):
+        # Elsewhere than at a mapping key these tags have no constructor.
+        return _MERGE if tag == _MERGE_TAG else value
+    node = ScalarNode(tag, value, event.start_mark, event.end_mark)
+    constructor = _CONSTRUCTORS.get(tag, _CONSTRUCTORS[None])
+    try:
+        data = constructor(_CONSTRUCTOR, node)
+        if isinstance(data, GeneratorType):
+            list(data)  # a collection constructor: it rejects a scalar node
+    except yaml.YAMLError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - rejected scalar text
+        problem = f"cannot construct {tag}: {exc!r}"
+        raise ConstructorError(None, None, problem, event.start_mark) from exc
+    return data
+
+
+def _at_key(top: _Open | None) -> bool:
+    """True when the next node is a key of a mapping (or set)."""
+    return top is not None and top.kind in _MAPPINGS and top.key is _NO_KEY
 
 
 def _load_yaml(text: str) -> tuple[Any, list[str]]:
-    loader = _TrackingLoader(text)
+    """The one YAML document in `text` as PyYAML's SafeLoader builds it, and
+    a warning per duplicate mapping key (the last occurrence wins).
+
+    One pass over the parse events builds the values on an explicit stack.
+    Scalars take PyYAML's tags and types; an alias gives the anchored object
+    itself; merge keys (`<<`) merge as SafeConstructor does.  Only a
+    mapping's own keys count as duplicates, not the ones it merges.  The
+    warnings come in breadth-first order, as SafeConstructor constructs.
+    An `!!omap`/`!!pairs` entry is read as any mapping, which must hold one
+    key; unlike in PyYAML it may merge, and its key must be hashable.
+    An empty stream gives None.  ComposerError is raised for input nested
+    over `_MAX_DEPTH` deep, over `_MAX_NODES` nodes with every alias
+    expanded, or with an alias to a collection that encloses it.
+    """
+    source = _EventSource(text)
     try:
-        data = loader.get_single_data()
+        source.get_event()  # StreamStartEvent
+        start = source.get_event()
+        if start.__class__ is StreamEndEvent:
+            return None, []
+        data, duplicates = _build(source.get_event)
+        source.get_event()  # DocumentEndEvent
+        event = source.get_event()
+        if event.__class__ is not StreamEndEvent:
+            raise ComposerError(
+                "expected a single document in the stream",
+                start.start_mark,
+                "but found another document",
+                event.start_mark,
+            )
     finally:
-        loader.dispose()
-    warnings = [
-        f"duplicate key '{key}': last occurrence wins"
-        for key in loader.duplicate_keys
+        source.dispose()
+    # A mapping's duplicates are found at their keys; SafeConstructor builds
+    # the mappings level by level, each level in document order.
+    duplicates.sort(key=lambda duplicate: duplicate[:2])
+    return data, [
+        f"duplicate key '{key}': last occurrence wins" for _, _, key in duplicates
     ]
-    return data, warnings
+
+
+def _build(get_event) -> tuple[Any, list[tuple[int, int, str]]]:
+    """The value of the node whose events `get_event` gives next, and its
+    duplicate keys as (nesting level, position of the mapping, key)."""
+    stack: list[_Open] = []
+    top: _Open | None = None
+    anchors: dict[str, Any] = {}  # name -> (value, expanded size, view) | _OPEN
+    total = 0  # nodes so far, aliases expanded
+    duplicates: list[tuple[int, int, str]] = []
+    while True:
+        event = get_event()
+        cls = event.__class__
+        view = None
+        if cls is ScalarEvent:
+            total += 1
+            value = event.value
+            tag = event.tag
+            if tag is None or tag == "!":
+                implicit = event.implicit
+                if implicit[0] and (not value or value[0] in _RESOLVED_FIRST):
+                    tag = _RESOLVER.resolve(ScalarNode, value, implicit)
+                    if tag != _STR_TAG:
+                        value = _tagged_scalar(tag, event, top)
+            elif tag != _STR_TAG:
+                value = _tagged_scalar(tag, event, top)
+            if event.anchor is not None:
+                _define(anchors, event, (value, 1, None))
+        elif cls is AliasEvent:
+            target = anchors.get(event.anchor)
+            if target is None or target is _OPEN:
+                problem = (
+                    f"found undefined alias {event.anchor!r}"
+                    if target is None
+                    else "alias to an enclosing collection"
+                )
+                raise ComposerError(None, None, problem, event.start_mark)
+            value, size, view = target
+            total += size
+            if value is _MERGE and not _at_key(top):
+                problem = "found a merge key that is not a mapping key"
+                raise ConstructorError(None, None, problem, event.start_mark)
+        elif cls is MappingStartEvent or cls is SequenceStartEvent:
+            if len(stack) == _MAX_DEPTH:
+                problem = f"nested over {_MAX_DEPTH} deep"
+                raise ComposerError(None, None, problem, event.start_mark)
+            is_mapping = cls is MappingStartEvent
+            kind = _COLLECTION_KINDS.get((is_mapping, event.tag))
+            if kind is None:
+                node = "mapping" if is_mapping else "sequence"
+                problem = f"cannot construct a {node} tagged {event.tag!r}"
+                raise ConstructorError(None, None, problem, event.start_mark)
+            anchor = event.anchor
+            if anchor is not None:
+                _define(anchors, event, _OPEN)
+            merge_value = top is not None and top.key is _MERGE
+            keep_views = not is_mapping and (anchor is not None or merge_value)
+            top = _Open(kind, anchor, total, [] if keep_views else None)
+            stack.append(top)
+            total += 1
+            if total > _MAX_NODES:
+                raise _too_many(event)
+            continue
+        else:  # the end of the innermost collection
+            frame = stack.pop()
+            top = stack[-1] if stack else None
+            value, view = _close(frame)
+            if frame.anchor is not None:
+                anchors[frame.anchor] = (value, total - frame.start, view)
+        if total > _MAX_NODES:
+            raise _too_many(event)
+
+        # Hand the value to the enclosing collection.
+        if top is None:
+            return value, duplicates
+        kind = top.kind
+        if kind is _LIST:
+            top.data.append(value)
+            if top.views is not None:
+                top.views.append(view)
+        elif kind is _DICT or kind is _SET:
+            key = top.key
+            if key is _NO_KEY:
+                if cls is not ScalarEvent:
+                    try:
+                        hash(value)
+                    except TypeError:
+                        problem = "found unhashable key"
+                        raise ConstructorError(
+                            "while constructing a mapping", None, problem, event.start_mark
+                        ) from None
+                top.key = value
+                continue
+            top.key = _NO_KEY
+            if key is _MERGE:
+                merges = _merge_sources(view, event.start_mark)
+                if top.merges is None:
+                    top.merges = merges
+                else:
+                    top.merges.extend(merges)
+                continue
+            own = top.data
+            if key in own and isinstance(key, _WARNED_KEY_TYPES):
+                duplicates.append((len(stack), top.start, str(key)))
+            own[key] = value
+        else:  # _PAIR_LIST: each entry is a mapping of one key
+            if type(view) is not dict or len(view) != 1:
+                problem = "expected a mapping of one key"
+                raise ConstructorError(None, None, problem, event.start_mark)
+            top.data.extend(view.items())
+            if top.views is not None:
+                top.views.append(view)
+
+
+def _define(anchors: dict[str, Any], event, target) -> None:
+    if event.anchor in anchors:
+        problem = f"found duplicate anchor {event.anchor!r}"
+        raise ComposerError(None, None, problem, event.start_mark)
+    anchors[event.anchor] = target
+
+
+def _too_many(event) -> ComposerError:
+    problem = f"over {_MAX_NODES} nodes with aliases expanded"
+    return ComposerError(None, None, problem, event.start_mark)
 
 
 def resolve_stage_name(job: Job) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import threading
 import time
 from dataclasses import dataclass, field
@@ -21,6 +22,10 @@ from .config_model import RawDocument
 
 MANIFEST_SCHEMA_VERSION = 1
 AUTH_TOKEN_ENV = "TDMSCAN_FETCH_TOKEN"
+
+# The largest config or script analyzed, in bytes: a larger config ends its
+# entry `skipped`, a larger script stays unresolved.
+MAX_FILE_BYTES = 1 << 20
 
 
 class ManifestParseError(ValueError):
@@ -37,6 +42,13 @@ class NotFound(RuntimeError):
 
 class RateLimited(RuntimeError):
     """The retry budget was exhausted on throttled responses."""
+
+
+class FileTooLarge(ValueError):
+    """A file holds more than MAX_FILE_BYTES bytes."""
+
+    def __init__(self, path: str):
+        super().__init__(f"{path} is over the {MAX_FILE_BYTES}-byte cap")
 
 
 @dataclass(frozen=True)
@@ -198,7 +210,8 @@ class LocalTree:
 
     Never touches the network.  Reads record a sha256 digest per path in
     ``provenance``; files decoded with replacement characters because they
-    hold invalid UTF-8 are listed in ``undecodable``.
+    hold invalid UTF-8 are listed in ``undecodable``.  A file over
+    MAX_FILE_BYTES raises FileTooLarge.
     """
 
     def __init__(self, root: str, allowed: frozenset[str] | None = None):
@@ -213,10 +226,22 @@ class LocalTree:
         if self.allowed is not None and path not in self.allowed:
             return None
         full = os.path.join(self.root, path)
-        if not os.path.isfile(full):
+        try:
+            info = os.stat(full)
+        except (OSError, ValueError):
             return None
+        if not stat.S_ISREG(info.st_mode):
+            return None
+        if info.st_size > MAX_FILE_BYTES:
+            raise FileTooLarge(path)
+        # A read sized by the stat, not by the cap: reading up to the cap
+        # would allocate 1 MiB for every file.
         with open(full, "rb") as handle:
-            data = handle.read()
+            data = handle.read(info.st_size + 1)
+            if len(data) > info.st_size:  # the file grew after the stat
+                data += handle.read(MAX_FILE_BYTES + 1 - len(data))
+        if len(data) > MAX_FILE_BYTES:
+            raise FileTooLarge(path)
         try:
             content = data.decode("utf-8")
         except UnicodeDecodeError:
@@ -232,7 +257,8 @@ class RemoteTree:
     404 responses resolve to None (absence is data); throttled or failing
     responses and transport errors are retried within the policy's budget,
     then raise RateLimited.  Any other exception from the session propagates
-    at once.  Fetches are cached so re-reads cost nothing.
+    at once.  A body over MAX_FILE_BYTES raises FileTooLarge.  Fetches are
+    cached so re-reads cost nothing.
     """
 
     def __init__(
@@ -267,14 +293,18 @@ class RemoteTree:
             if path in self._cache:
                 return self._cache[path]
         url = f"{self.base_url}/{path}"
-        content = self._fetch(url)
+        response = self._fetch(url)
+        if response is not None and len(response.content) > MAX_FILE_BYTES:
+            raise FileTooLarge(path)
+        content = None if response is None else response.text
         with self._lock:
             self._cache[path] = content
             if content is not None:
                 self.provenance[path] = {"url": url, "sha256": _digest(content)}
         return content
 
-    def _fetch(self, url: str) -> str | None:
+    def _fetch(self, url: str):
+        """The 200 response for `url`, or None on 404."""
         attempts = 0
         while True:
             self.bucket.acquire()
@@ -290,7 +320,7 @@ class RemoteTree:
             else:
                 status = response.status_code
             if status == 200:
-                return response.text
+                return response
             if status == 404:
                 return None
             if attempts > self.policy.retry_budget:
@@ -309,8 +339,9 @@ def materialize(
     """Produce (RawDocument, tree) for one manifest entry.
 
     Local entries never touch the network.  Remote entries fetch the config
-    eagerly (missing config -> NotFound, the entry is skippable) and expose
-    declared script paths through a lazily fetching tree.
+    eagerly (missing config -> NotFound, over MAX_FILE_BYTES -> FileTooLarge;
+    either way the entry is skippable) and expose declared script paths
+    through a lazily fetching tree.
     """
     policy = policy or FetchPolicy()
     if entry.is_local:

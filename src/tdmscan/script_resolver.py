@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Protocol
 
 from .config_model import CommandLine
-from .ingest import escapes_repo
+from .ingest import FileTooLarge, escapes_repo
 
 SCRIPT_SUFFIXES = (".sh", ".bash")
 
@@ -50,7 +50,10 @@ class FileTree(Protocol):
     """Read-only accessor over repo-relative paths; must allow concurrent reads."""
 
     def read(self, path: str) -> str | None:
-        """Content of `path`, or None when the tree does not contain it."""
+        """Content of `path`, or None when the tree does not contain it.
+
+        May raise FileTooLarge for a file over `ingest.MAX_FILE_BYTES`.
+        """
         ...
 
 
@@ -257,7 +260,12 @@ def collect_script_documents(
     while queue:
         path, root = queue.pop(0)
         if path not in docs:
-            content = tree.read(path)
+            try:
+                content = tree.read(path)
+            except FileTooLarge as exc:
+                content = None
+                if warnings is not None:
+                    warnings.append(f"script not read: {exc}")
             docs[path] = ScriptDocument(path, content, content is not None)
         doc = docs[path]
         key = (path, root.job_index, f"{root.phase.value}:{root.ordinal}")

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from tdmscan.cli import _entries_from_directory, main
-from tdmscan.ingest import ManifestEntry
+from tdmscan.ingest import MAX_FILE_BYTES, ManifestEntry
 
 from conftest import CORPUS_DIR, EXAMPLE_CONFIG
 
@@ -63,6 +63,14 @@ class TestAnalyze:
             assert code == 2
             assert error in err
             assert out == ""
+
+    def test_config_over_the_byte_cap_exits_2(self, capsys, tmp_path):
+        config = tmp_path / ".travis.yml"
+        config.write_text("script: flake8\n" + "#" * MAX_FILE_BYTES + "\n")
+        code, out, err = run_cli(capsys, "analyze", str(config))
+        assert code == 2
+        assert err == f"FileTooLarge: .travis.yml is over the {MAX_FILE_BYTES}-byte cap\n"
+        assert out == ""
 
     def test_directory_with_scripts(self, capsys, tmp_path):
         (tmp_path / "ci").mkdir()

@@ -8,8 +8,10 @@ import pytest
 
 from tdmscan.analyzer import scan_entries
 from tdmscan.ingest import (
+    MAX_FILE_BYTES,
     DuplicateSlug,
     FetchPolicy,
+    FileTooLarge,
     LocalTree,
     ManifestEntry,
     ManifestParseError,
@@ -40,6 +42,7 @@ class FakeResponse:
     def __init__(self, status_code, text=""):
         self.status_code = status_code
         self.text = text
+        self.content = text.encode("utf-8")
 
 
 class FakeSession:
@@ -206,6 +209,102 @@ class TestLocalMaterialize:
         tree = LocalTree(str(tmp_path))
         assert tree.read("../etc/passwd") is None
         assert tree.read("/etc/passwd") is None
+
+
+class TestByteCap:
+    CAP_MESSAGE = f"over the {MAX_FILE_BYTES}-byte cap"
+
+    @staticmethod
+    def padded(text, size):
+        """`text` and a trailing comment line, `size` bytes in all."""
+        return text + "#" * (size - len(text) - 1) + "\n"
+
+    def scan_one(self, tmp_path, files, registry):
+        root = tmp_path / "repo"
+        for rel, text in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+        entry = ManifestEntry(
+            "a/b", ".travis.yml", tuple(sorted(set(files) - {".travis.yml"})),
+            local_root=str(root),
+        )
+        return scan_entries([entry], registry).entries[0]
+
+    def test_file_of_exactly_the_cap_is_read(self, tmp_path):
+        text = self.padded("script: flake8\n", MAX_FILE_BYTES)
+        (tmp_path / ".travis.yml").write_text(text)
+        assert LocalTree(str(tmp_path)).read(".travis.yml") == text
+
+    def test_file_over_the_cap_raises(self, tmp_path):
+        (tmp_path / "big.sh").write_text("x" * (MAX_FILE_BYTES + 1))
+        tree = LocalTree(str(tmp_path))
+        with pytest.raises(FileTooLarge, match=self.CAP_MESSAGE):
+            tree.read("big.sh")
+        assert tree.provenance == {}
+
+    @pytest.mark.parametrize("size", [100, MAX_FILE_BYTES + 1])
+    def test_file_grown_after_the_stat_is_read_to_the_cap(self, tmp_path, monkeypatch, size):
+        (tmp_path / "grown.sh").write_text("x" * size)
+        real_stat = os.stat
+
+        def stat_of_ten_bytes(path):
+            fields = list(real_stat(path))
+            fields[6] = 10  # st_size
+            return os.stat_result(fields)
+
+        monkeypatch.setattr(os, "stat", stat_of_ten_bytes)
+        tree = LocalTree(str(tmp_path))
+        if size > MAX_FILE_BYTES:
+            with pytest.raises(FileTooLarge):
+                tree.read("grown.sh")
+        else:
+            assert tree.read("grown.sh") == "x" * size
+
+    def test_config_over_the_cap_is_skipped(self, tmp_path, registry):
+        text = self.padded("script: flake8\n", MAX_FILE_BYTES + 1)
+        result = self.scan_one(tmp_path, {".travis.yml": text}, registry)
+        assert result.status == "skipped"
+        assert result.message == f".travis.yml is {self.CAP_MESSAGE}"
+
+    def test_script_over_the_cap_is_unresolved_with_a_warning(self, tmp_path, registry):
+        files = {
+            ".travis.yml": "script: bash ci/big.sh && bash ci/small.sh\n",
+            "ci/big.sh": self.padded("flake8 .\n", MAX_FILE_BYTES + 1),
+            "ci/small.sh": self.padded("pylint src\n", MAX_FILE_BYTES),
+        }
+        result = self.scan_one(tmp_path, files, registry)
+        assert result.status == "ok"
+        assert result.warnings == [
+            f"script not read: ci/big.sh is {self.CAP_MESSAGE}",
+            "unresolved script reference: ci/big.sh",
+        ]
+
+    def test_remote_body_over_the_cap(self):
+        base = "https://raw.example.org/acme/demo/main"
+        # Two-byte characters: the cap counts bytes, not characters.
+        session = FakeSession(
+            {
+                f"{base}/.travis.yml": [FakeResponse(200, "script: x\n")],
+                f"{base}/ok.sh": [FakeResponse(200, "é" * (MAX_FILE_BYTES // 2))],
+                f"{base}/big.sh": [FakeResponse(200, "é" * (MAX_FILE_BYTES // 2 + 1))],
+            }
+        )
+        entry = ManifestEntry(
+            "acme/demo", ".travis.yml", ("ok.sh", "big.sh"), remote_base_url=base
+        )
+        _, tree = materialize(entry, session=session, clock=FakeClock())
+        assert len(tree.read("ok.sh")) == MAX_FILE_BYTES // 2
+        with pytest.raises(FileTooLarge, match=self.CAP_MESSAGE):
+            tree.read("big.sh")
+        assert "big.sh" not in tree.provenance
+
+    def test_remote_config_over_the_cap_raises(self):
+        base = "https://raw.example.org/acme/demo/main"
+        body = self.padded("script: x\n", MAX_FILE_BYTES + 1)
+        session = FakeSession({f"{base}/.travis.yml": [FakeResponse(200, body)]})
+        entry = ManifestEntry("acme/demo", ".travis.yml", (), remote_base_url=base)
+        with pytest.raises(FileTooLarge, match=self.CAP_MESSAGE):
+            materialize(entry, session=session, clock=FakeClock())
 
 
 class TestRemoteMaterialize:

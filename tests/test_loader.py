@@ -1,13 +1,15 @@
-"""The YAML loader: libyaml events under PyYAML's Python composer.
+"""The YAML loader: one pass from parse events to Python values.
 
-`_TrackingLoader` takes its events from libyaml when PyYAML ships it and from
-the pure-Python reader, scanner and parser otherwise.  The pure variant is
-the oracle here: it is the same class statement executed with libyaml
-reported missing.  The cases where libyaml reads a document differently are
-pinned one by one below.
+`_load_yaml` takes its events from libyaml when PyYAML ships it and from the
+pure-Python reader, scanner and parser otherwise.  PyYAML's own safe loader
+over the same event source is the oracle for the values it builds; the pure
+variant is `config_model` executed afresh with libyaml reported missing.
+The cases where libyaml reads a document differently are pinned one by one
+below.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -23,15 +25,18 @@ from tdmscan.analyzer import analyze_document, scan_entries
 from tdmscan.cli import _entries_from_directory
 from tdmscan.config_model import (
     MalformedDocument,
+    NotAPipeline,
+    PipelineConfig,
     _load_yaml,
     parse_config,
 )
 from tdmscan.script_resolver import MappingTree
 
-from conftest import CORPUS_DIR, make_doc
+from conftest import CORPUS_DIR, EXAMPLE_CONFIG, make_doc
 from test_placement import _alias_fan_out
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+SAFE_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 needs_libyaml = pytest.mark.skipif(
     not yaml.__with_libyaml__, reason="PyYAML is built without libyaml"
@@ -58,21 +63,16 @@ def _outcome(load, text):
 
 
 def test_pure_variant_uses_the_python_parser():
-    assert yaml.parser.Parser in PURE._TrackingLoader.__mro__
-    assert yaml.composer.Composer in PURE._TrackingLoader.__mro__
+    assert yaml.parser.Parser in PURE._EventSource.__mro__
+    assert PURE._EventSource is not getattr(yaml, "CParser", None)
 
 
 @needs_libyaml
-def test_libyaml_events_under_the_python_composer():
-    mro = config_model._TrackingLoader.__mro__
-    assert yaml.cyaml.CParser in mro
-    assert yaml.parser.Parser not in mro
-    # Composer's methods override CParser's own composer.
-    assert mro.index(yaml.composer.Composer) < mro.index(yaml.cyaml.CParser)
-    assert config_model._TrackingLoader.compose_node is yaml.composer.Composer.compose_node
+def test_libyaml_is_the_event_source():
+    assert config_model._EventSource is yaml.cyaml.CParser
 
 
-# --- differential: both base sets agree on safe_dump output -----------------
+# --- differential: the loader against PyYAML's safe loader -------------------
 
 _KEYS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 _SCALARS = (
@@ -90,8 +90,8 @@ _NESTED = st.recursive(
 
 
 @st.composite
-def _documents(draw):
-    """(yaml text, expected duplicate-key count) from random nested data."""
+def _dumped_documents(draw):
+    """(yaml text, expected duplicate-key count) from safe_dump of random data."""
     data = draw(st.dictionaries(_KEYS, _NESTED, min_size=1, max_size=5))
     if draw(st.booleans()):
         # The same object twice makes safe_dump emit an anchor and an alias.
@@ -118,13 +118,237 @@ def _documents(draw):
     return text, duplicates
 
 
-@given(_documents())
-@settings(max_examples=300, deadline=None)
-def test_loader_matches_pure_python_loader(document):
+# Plain scalars that resolve to each implicit type, and scalars with an
+# explicit tag; every one is valid for its tag.
+_PLAIN = [
+    "a", "flake8", "-x", "1", "-2", "0x1F", "0o17", "1_000", "1.5", "1:20",
+    ".inf", "-.Inf", "yes", "No", "on", "null", "~", "true", "2001-12-14",
+    "2001-12-14 21:59:43.10 -5",
+]
+_TAGGED = [
+    "!!str 1", "!!str yes", "!!int '12'", "!!int 0x1F", "!!float 1",
+    "!!float '-1.5e+3'", "!!bool yes", "!!bool 'off'", "!!null ''", "!!null x",
+    "!!timestamp 2001-12-14", "!!timestamp '2001-12-14t21:59:43.10-05:00'",
+    "!!binary aGVsbG8=",
+]
+_MAP_KEYS = ["a", "b", "c", "script", "'quoted'"]
+_MERGEABLE = ("map", "set")
+
+
+@st.composite
+def _written_documents(draw):
+    """(yaml text, expected duplicate-key count) of a block mapping whose
+    values are flow nodes with anchors, aliases, merge keys and tags.
+
+    An alias names an anchor of an earlier entry, never an open collection,
+    and a document holds at most six aliases, so it stays far below the
+    loader's node bound.
+    """
+    anchors = {}  # anchor name -> node kind
+    aliases = 0
+    duplicates = 0
+
+    def scalar():
+        choice = draw(st.sampled_from(["plain", "quoted", "tagged"]))
+        if choice == "plain":
+            return draw(st.sampled_from(_PLAIN))
+        if choice == "quoted":
+            chars = st.characters(blacklist_categories=("Cs", "Cc"))
+            return json.dumps(draw(st.text(chars, max_size=6)), ensure_ascii=False)
+        return draw(st.sampled_from(_TAGGED))
+
+    def node(depth):
+        """(flow text, kind) of one node."""
+        nonlocal aliases, duplicates
+        kinds = ["scalar"]
+        if depth < 3:
+            # Mostly mappings at the top, so that later entries can merge them.
+            kinds += ["seq", "set", "omap"] + ["map"] * (4 if depth == 0 else 2)
+        if anchors and aliases < 6:
+            kinds.append("alias")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "scalar":
+            return scalar(), kind
+        if kind == "alias":
+            aliases += 1
+            name = draw(st.sampled_from(sorted(anchors)))
+            return f"*{name}", anchors[name]
+        size = draw(st.integers(0, 3))
+        if kind == "seq":
+            tag = draw(st.sampled_from(["", "!!seq "]))
+            items = [node(depth + 1)[0] for _ in range(size)]
+            return f"{tag}[{', '.join(items)}]", kind
+        if kind == "omap":
+            tag = draw(st.sampled_from(["!!omap", "!!pairs"]))
+            items = [
+                f"{{{draw(st.sampled_from(_MAP_KEYS))}: {node(depth + 1)[0]}}}"
+                for _ in range(size)
+            ]
+            return f"{tag} [{', '.join(items)}]", "seq"
+        keys = [draw(st.sampled_from(_MAP_KEYS)) for _ in range(size)]
+        duplicates += len(keys) - len(set(keys))
+        if kind == "set":
+            return f"!!set {{{', '.join(keys)}}}", kind
+        pairs = [f"{key}: {node(depth + 1)[0]}" for key in keys]
+        sources = sorted(name for name, kind in anchors.items() if kind in _MERGEABLE)
+        if sources and aliases < 6 and draw(st.booleans()):
+            merged = draw(st.lists(st.sampled_from(sources), min_size=1, max_size=3, unique=True))
+            aliases += len(merged)
+            value = ", ".join(f"*{name}" for name in merged)
+            if len(merged) > 1 or draw(st.booleans()):
+                value = f"[{value}]"
+            pairs.insert(draw(st.integers(0, len(pairs))), f"<<: {value}")
+        tag = draw(st.sampled_from(["", "!!map "]))
+        return f"{tag}{{{', '.join(pairs)}}}", kind
+
+    lines = []
+    for index in range(draw(st.integers(1, 6))):
+        text, kind = node(0)
+        if not text.startswith("*") and draw(st.integers(0, 3)):
+            anchors[f"a{index}"] = kind
+            text = f"&a{index} {text}"
+        lines.append(f"k{index}: {text}\n")
+    return "".join(lines), duplicates
+
+
+def _assert_same_shape(ours, theirs, seen_ours, seen_theirs):
+    """Same types and key order throughout, and the same collections shared."""
+    assert type(ours) is type(theirs)
+    if not isinstance(ours, (dict, list, tuple, set)):
+        return
+    first_ours = seen_ours.setdefault(id(ours), len(seen_ours))
+    first_theirs = seen_theirs.setdefault(id(theirs), len(seen_theirs))
+    assert first_ours == first_theirs
+    if first_ours < len(seen_ours) - 1:
+        return  # seen before: shared the same way on both sides
+    if isinstance(ours, dict):
+        assert list(ours) == list(theirs)
+        pairs = zip(ours.values(), theirs.values())
+    elif isinstance(ours, set):
+        return
+    else:
+        pairs = zip(ours, theirs)
+    for mine, other in pairs:
+        _assert_same_shape(mine, other, seen_ours, seen_theirs)
+
+
+@given(st.one_of(_dumped_documents(), _written_documents()))
+@settings(max_examples=400, deadline=None)
+def test_loader_matches_safe_loader(document):
     text, duplicates = document
+    try:
+        expected = yaml.load(text, Loader=SAFE_LOADER)
+    except yaml.YAMLError:
+        with pytest.raises(yaml.YAMLError):
+            _load_yaml(text)
+        return
     data, warnings = _load_yaml(text)
-    assert (data, warnings) == PURE._load_yaml(text)
+    assert data == expected
+    _assert_same_shape(data, expected, {}, {})
     assert len(warnings) == duplicates
+
+
+def test_aliased_collections_are_shared():
+    data, _ = _load_yaml("a: &l [1]\nb: &m {x: *l}\nc: [*l, *m]\nd: {<<: *m}\n")
+    assert data["c"][0] is data["a"] and data["c"][1] is data["b"]
+    assert data["b"]["x"] is data["a"]
+    # Merging copies the merged mapping's entries, not the mapping.
+    assert data["d"] == data["b"] and data["d"] is not data["b"]
+    assert data["d"]["x"] is data["a"]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("a: &a {x: 1, y: 2}\nm: {<<: *a, y: 3}\n", {"x": 1, "y": 3}),
+        (
+            "a: &a {x: 1, y: 2}\nb: &b {y: 3, z: 4}\nm: {<<: [*a, *b], w: 0}\n",
+            {"y": 2, "z": 4, "x": 1, "w": 0},
+        ),
+        (
+            "a: &a {x: 1}\nb: &b {x: 5, q: 1}\nm: {<<: *a, k: 1, <<: *b}\n",
+            {"x": 5, "q": 1, "k": 1},
+        ),
+        ("a: &s !!set {b, a}\nm: {<<: *s, c: 1}\n", {"b": None, "a": None, "c": 1}),
+    ],
+    ids=["one", "list", "two-keys", "set"],
+)
+def test_merge_key_order_and_overrides(text, expected):
+    merged = _load_yaml(text)[0]["m"]
+    assert merged == expected and list(merged) == list(expected)
+    assert merged == yaml.load(text, Loader=SAFE_LOADER)["m"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "d: &d {script: a, install: i}\njobs: {include: [{<<: *d, script: b}]}\n",
+        "a: &a {script: x}\nb: &b {script: y}\nm: {<<: [*a, *b]}\n",
+        "a: &a {script: x, script: y}\nm: {<<: *a}\n",
+    ],
+    ids=["override", "merged-twice", "merged-duplicate"],
+)
+def test_merge_overrides_are_not_duplicate_keys(text):
+    _, warnings = _load_yaml(text)
+    duplicates_of_anchor = text.count("script: x, script: y")
+    assert len(warnings) == duplicates_of_anchor
+
+
+def test_explicit_keys_after_a_merge_still_warn():
+    _, warnings = _load_yaml("a: &a {x: 1}\nm: {<<: *a, x: 2, x: 3}\n")
+    assert warnings == ["duplicate key 'x': last occurrence wins"]
+
+
+def test_nested_duplicates_warn_level_by_level():
+    text = "a: {b: {c: 1, c: 2}, b: 3}\nd: {e: 1, e: 2}\nf: 1\nf: 2\n"
+    assert _load_yaml(text)[1] == [
+        "duplicate key 'f': last occurrence wins",
+        "duplicate key 'b': last occurrence wins",
+        "duplicate key 'e': last occurrence wins",
+        "duplicate key 'c': last occurrence wins",
+    ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a: !!int x\n", "a: !!bool maybe\n", "a: !!timestamp x\n", "a: !!float ''\n"],
+)
+def test_rejected_tagged_scalar_is_malformed(text):
+    with pytest.raises(yaml.constructor.ConstructorError):
+        _load_yaml(text)
+    with pytest.raises(MalformedDocument):
+        parse_config(make_doc("script: flake8\n" + text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "? [a]\n: 1\n",
+        "a: &l [1]\n? *l\n: 2\n",
+        "!foo x",
+        "!foo [a]",
+        "!!str [a]",
+        "!!set [a]",
+        "!!omap {a: 1}",
+        "!!omap [{a: 1, b: 2}]",
+        "a: =",
+        "a: <<",
+        "<<: 1",
+        "<<: [*u]",
+        "a: &x 1\nb: &x 2\n",
+        "a: 1\n---\nb: 2\n",
+    ],
+)
+def test_yaml_errors_stay_errors(text):
+    with pytest.raises(yaml.YAMLError):
+        yaml.load(text, Loader=SAFE_LOADER)
+    with pytest.raises(yaml.YAMLError):
+        _load_yaml(text)
+
+
+@pytest.mark.parametrize("text", ["", "# comment only\n", "---\n"])
+def test_empty_document_is_none(text):
+    assert _load_yaml(text) == (None, [])
 
 
 def test_fixture_corpus_loads_identically():
@@ -136,6 +360,49 @@ def test_fixture_corpus_loads_identically():
             assert _outcome(_load_yaml, text) == _outcome(PURE._load_yaml, text)
             checked += 1
     assert checked >= 39
+
+
+# --- fuzz: parse_config ends in a typed outcome --------------------------------
+
+_FUZZ_ALPHABET = "&*!<>|[]{}:,-#'\"\t\n\ufeff abcdefghijklmnopqrstuvwxyzABCXYZ"
+# Keys and indicators too, so that some texts reach the pipeline model.
+_FUZZ_WORDS = [
+    "script: ", "jobs: ", "matrix: ", "include: ", "stages: ", "stage: ",
+    "deploy: ", "language: ", "notifications: ", "email: ", "branches: ",
+    "only: ", "allow_failures: ", "<<: ", "? ", "[a]: ", "{b: c}: ", "\n  ",
+    "\n- ", "!!set ", "!!omap ", "&a ", "*a",
+]
+_FUZZ_TEXT = st.lists(
+    st.sampled_from(_FUZZ_ALPHABET) | st.sampled_from(_FUZZ_WORDS + ["flake8"] * 4),
+    max_size=60,
+).map("".join)
+_FUZZ_BASES = [
+    EXAMPLE_CONFIG,
+    "defaults: &d {script: [flake8, pylint], install: pip install tox}\n"
+    "jobs:\n  include:\n    - <<: *d\n      stage: lint\n    - {<<: [*d], deploy: {script: tox}}\n",
+]
+
+
+@st.composite
+def _edited_configs(draw):
+    """A valid config with a few spans replaced by fuzz text."""
+    text = draw(st.sampled_from(_FUZZ_BASES))
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 8)))
+        text = text[:start] + draw(_FUZZ_TEXT.map(lambda fuzz: fuzz[:6])) + text[end:]
+    return text
+
+
+@given(_FUZZ_TEXT | _edited_configs())
+@settings(max_examples=400, deadline=None)
+def test_parse_config_ends_in_a_typed_outcome(text):
+    start = time.process_time()
+    try:
+        assert isinstance(parse_config(make_doc(text)), PipelineConfig)
+    except (NotAPipeline, MalformedDocument):
+        pass
+    assert time.process_time() - start < 1.0
 
 
 # --- where libyaml reads differently (deliberate) ---------------------------
