@@ -23,7 +23,7 @@ from .ingest import FetchPolicy, FileTooLarge, ManifestEntry, NotFound, material
 from .memo import AdmissionMemo
 from .placement import PlacementResult, classify_pipeline
 from .registry import PipelineToolProfile, Registry, profile_pipeline
-from .script_resolver import FileTree, ScriptDocument, collect_script_documents
+from .script_resolver import FileTree, ScriptDocument, Site, collect_script_documents
 
 # Chunks per worker in a sharded scan, dealt round-robin: enough that the
 # workers' shares hold a similar mix of small and large pipelines.
@@ -58,7 +58,7 @@ def _parse(doc: RawDocument) -> tuple[PipelineConfig, tuple[CommandLine, ...]]:
 def _derive(
     cfg: PipelineConfig,
     scripts: list[ScriptDocument],
-    attribution: dict[str, list[CommandLine]],
+    sites: dict[str, tuple[Site, ...]],
     registry: Registry,
     options: AnalysisOptions,
 ) -> tuple[PipelineToolProfile, list[PlacementResult], FindingSet]:
@@ -67,7 +67,7 @@ def _derive(
         scripts,
         registry,
         install_exclusion=options.install_exclusion,
-        attribution=attribution,
+        sites=sites,
     )
     scripts_by_path = {script.path: script for script in scripts}
     placements = classify_pipeline(cfg, profile, scripts_by_path)
@@ -97,7 +97,7 @@ def analyze_document(
     cfg, commands = _parse_memo.get(source, partial(_parse, doc))
     warnings = list(cfg.warnings)
 
-    scripts, attribution = collect_script_documents(
+    scripts, sites = collect_script_documents(
         commands, tree, recursive=options.recursive_scripts, warnings=warnings
     )
     for script in scripts:
@@ -106,7 +106,7 @@ def analyze_document(
 
     key = (source, options, tuple((script.path, script.content) for script in scripts))
     profile, placements, findings = registry._analysis_memo.get(
-        key, partial(_derive, cfg, scripts, attribution, registry, options)
+        key, partial(_derive, cfg, scripts, sites, registry, options)
     )
     record = PipelineRecord(
         repo_slug=doc.repo_slug,

@@ -211,7 +211,8 @@ class LocalTree:
     Never touches the network.  Reads record a sha256 digest per path in
     ``provenance``; files decoded with replacement characters because they
     hold invalid UTF-8 are listed in ``undecodable``.  A file over
-    MAX_FILE_BYTES raises FileTooLarge.
+    MAX_FILE_BYTES raises FileTooLarge.  A symlink whose target resolves
+    outside the root is absent.
     """
 
     def __init__(self, root: str, allowed: frozenset[str] | None = None):
@@ -227,7 +228,13 @@ class LocalTree:
             return None
         full = os.path.join(self.root, path)
         try:
-            info = os.stat(full)
+            info = os.lstat(full)
+            if stat.S_ISLNK(info.st_mode):
+                full = os.path.realpath(full)
+                root = os.path.realpath(self.root)
+                if os.path.commonpath([full, root]) != root:
+                    return None
+                info = os.stat(full)
         except (OSError, ValueError):
             return None
         if not stat.S_ISREG(info.st_mode):

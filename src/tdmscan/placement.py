@@ -103,7 +103,6 @@ def _action_has_detection(action: str, matched_texts: tuple[str, ...]) -> bool:
     return False
 
 
-@lru_cache(maxsize=256)
 def _substantial_lines(content: str) -> frozenset[int]:
     """Indexes of the script lines with an action that is not ceremony."""
     return frozenset(
@@ -147,20 +146,16 @@ def _runs_only_tdm(
     return True
 
 
-def classify_timing(cfg: PipelineConfig, det: Detection) -> TimingKind:
-    """Pre-deployment gate or post-deployment report, for one detection.
+def classify_timing(cfg: PipelineConfig, job: Job, phase: PhaseKind) -> TimingKind:
+    """Pre-deployment gate or post-deployment report, for `job`'s `phase`.
 
-    Post when the detection runs in after_deploy, in after_success or
-    after_script of a deploying job, or in a stage strictly after the first
-    deploying stage.  Pipelines without deployment are gates throughout.
+    Post in after_deploy, in after_success or after_script of a deploying
+    job, or in a stage strictly after the first deploying stage.  Pipelines
+    without deployment are gates throughout.
     """
-    if det.phase is PhaseKind.AFTER_DEPLOY:
+    if phase is PhaseKind.AFTER_DEPLOY:
         return TimingKind.POST_DEPLOYMENT
-    job = cfg.jobs[det.job_index]
-    if (
-        det.phase in (PhaseKind.AFTER_SUCCESS, PhaseKind.AFTER_SCRIPT)
-        and job.deploys
-    ):
+    if phase in (PhaseKind.AFTER_SUCCESS, PhaseKind.AFTER_SCRIPT) and job.deploys:
         return TimingKind.POST_DEPLOYMENT
     if resolve_stage_name(job) in cfg.post_deploy_stages:
         return TimingKind.POST_DEPLOYMENT
@@ -181,8 +176,8 @@ def classify_pipeline(
     Each job reads its config detections and its script sites from the
     profile; a script's detections are never copied per job.  A detection's
     timing depends only on its job and phase, so classify_timing runs once
-    per (job, phase) with detections, through one detection there, and the
-    job's detections are counted per (source, phase).
+    per (job, phase) with detections, and the job's detections are counted
+    per (source, phase).
     """
     results: list[PlacementResult] = []
     stage_sizes = Counter(resolve_stage_name(job) for job in cfg.jobs)
@@ -211,19 +206,16 @@ def classify_pipeline(
         if job.index not in jobs:
             continue
         config, script_sites = jobs[job.index]
-        probes = {d.phase: d for d in config}
         tool_ids = {d.tool_id for d in config}
         counts = [
             (SOURCE_CONFIG, phase, count)
             for phase, count in Counter(d.phase for d in config).items()
         ]
         for path, phase in script_sites:
-            found = profile.script_detections(path)
-            if phase not in probes:
-                probes[phase] = found[0]._replace(job_index=job.index, phase=phase)
-            counts.append((SOURCE_SCRIPT, phase, len(found)))
+            counts.append((SOURCE_SCRIPT, phase, len(profile.script_detections(path))))
             tool_ids |= script_tools[path]
-        kinds = {phase: classify_timing(cfg, det) for phase, det in probes.items()}
+        phases = dict.fromkeys(phase for _, phase, _ in counts)
+        kinds = {phase: classify_timing(cfg, job, phase) for phase in phases}
         source_timings: dict[str, TimingKind] = {}
         timing_counts: dict[TimingKind, int] = {}
         for source, phase, count in counts:

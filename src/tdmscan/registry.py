@@ -23,6 +23,7 @@ from .config_model import PhaseKind, PipelineConfig, iter_command_lines
 from .memo import AdmissionMemo
 from .script_resolver import (
     ScriptDocument,
+    Site,
     command_lines,
     command_words,
     is_installer,
@@ -159,7 +160,7 @@ class Registry:
 
 
 class SourceContext(NamedTuple):
-    """Where a scanned text comes from, for detection attribution; a tuple."""
+    """Where a scanned text comes from, stamped on its detections; a tuple."""
 
     source: str
     phase: PhaseKind
@@ -206,7 +207,7 @@ class PipelineToolProfile:
     """
 
     tools: dict[str, ToolUsage]
-    sites: dict[str, tuple[tuple[int, PhaseKind], ...]] = field(default_factory=dict)
+    sites: dict[str, tuple[Site, ...]] = field(default_factory=dict)
 
     def tool_ids(self) -> list[str]:
         return sorted(self.tools)
@@ -492,15 +493,14 @@ def profile_pipeline(
     registry: Registry,
     *,
     install_exclusion: bool = True,
-    attribution: Mapping[str, list],
+    sites: Mapping[str, tuple[Site, ...]],
 ) -> PipelineToolProfile:
     """Merge config-line and script-content detections into a tool profile.
 
-    `scripts` and `attribution` (path -> referencing commands) are the two
-    results of `collect_script_documents` over the pipeline's commands.  Each
-    script is scanned once, at its first referencing command's phase and
-    job; its detections are kept there, once, beside the deduplicated
-    (job, phase) sites of all its referencing commands.  Per tool, the
+    `scripts` and `sites` (path -> deduplicated (job, phase) sites) are the
+    two results of `collect_script_documents` over the pipeline's commands.
+    Each script is scanned once, at its first site; its detections are kept
+    there, once, and its sites are stored as given.  Per tool, the
     invocation style is direct, script, or both; a tool counts once per
     pipeline no matter how many detections it has.
     """
@@ -511,21 +511,16 @@ def profile_pipeline(
         )
         detections.extend(detect_in_text(cmd.text, registry, ctx, install_exclusion))
 
-    by_path = {doc.path: doc for doc in scripts}
-    sites: dict[str, tuple[tuple[int, PhaseKind], ...]] = {}
-    for path in sorted(attribution):
-        doc = by_path.get(path)
-        if doc is None or not doc.resolved or doc.content is None:
+    detected_sites: dict[str, tuple[Site, ...]] = {}
+    for doc in sorted(scripts, key=attrgetter("path")):
+        if doc.content is None:
             continue
-        commands = attribution[path]
-        first = commands[0]
-        ctx = SourceContext(SOURCE_SCRIPT, first.phase, first.job_index, path)
+        job_index, phase = sites[doc.path][0]
+        ctx = SourceContext(SOURCE_SCRIPT, phase, job_index, doc.path)
         found = detect_in_text(doc.content, registry, ctx, install_exclusion)
         if found:
             detections.extend(found)
-            sites[path] = tuple(
-                dict.fromkeys((cmd.job_index, cmd.phase) for cmd in commands)
-            )
+            detected_sites[doc.path] = sites[doc.path]
 
     detections = list(dict.fromkeys(detections))
     detections = _disambiguate_sonar(cfg, scripts, detections, registry)
@@ -545,4 +540,4 @@ def profile_pipeline(
         else:
             invocation = INVOCATION_BOTH
         tools[tool_id] = ToolUsage(invocation=invocation, detections=tuple(group))
-    return PipelineToolProfile(tools=tools, sites=sites)
+    return PipelineToolProfile(tools=tools, sites=detected_sites)

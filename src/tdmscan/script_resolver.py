@@ -5,6 +5,8 @@ repository; those scripts are part of the analysis corpus.  Extraction is
 heuristic and purely textual: tokens ending in ``.sh``/``.bash``, tokens
 starting with ``./``, and the path argument of an interpreter invocation
 (``sh X``, ``bash X``, ``source X``, ``. X``) count as references.
+`collect_script_documents` reads each referenced script once and gives the
+(job, phase) sites that run it, which detection, placement and timing read.
 Tool detection and placement read shell text through the same primitives:
 `command_lines` for the lines, `command_words` for a segment's words.
 """
@@ -12,11 +14,12 @@ Tool detection and placement read shell text through the same primitives:
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Protocol
 
-from .config_model import CommandLine
+from .config_model import CommandLine, PhaseKind
 from .ingest import FileTooLarge, escapes_repo
 
 SCRIPT_SUFFIXES = (".sh", ".bash")
@@ -35,6 +38,8 @@ _INTERPRETER_BASES = frozenset({"sh", "bash"})
 # lines, each at most this long (longer lines are tokenized every time).
 _REF_MEMO_SIZE = 1024
 _REF_MEMO_MAX_CHARS = 256
+
+Site = tuple[int, PhaseKind]
 
 
 @dataclass(frozen=True)
@@ -234,31 +239,32 @@ def collect_script_documents(
     tree: FileTree,
     recursive: bool = False,
     warnings: list[str] | None = None,
-) -> tuple[list[ScriptDocument], dict[str, list[CommandLine]]]:
+) -> tuple[list[ScriptDocument], dict[str, tuple[Site, ...]]]:
     """Resolve every script referenced by `commands` against `tree`.
 
-    Returns the documents (first-reference order) and an attribution map
-    from normalized path to the pipeline commands that (transitively) invoke
-    it.  With `recursive` enabled, scripts referenced from resolved scripts
-    are followed too, attributed to the root command; cycles are cut.
+    Returns the documents (first-reference order) and, per normalized path,
+    its sites: the (job index, phase) of each command that (transitively)
+    invokes it, once each, in first-reference order.  With `recursive`,
+    each resolved script's references are read once and inherit its sites;
+    a (path, site) pair is followed once, which cuts cycles.
     """
-    attribution: dict[str, list[CommandLine]] = {}
+    sites: dict[str, dict[Site, None]] = {}
     docs: dict[str, ScriptDocument] = {}
-    queue: list[tuple[str, CommandLine]] = []
-    scanned: set[tuple[str, int, str]] = set()
+    nested: dict[str, list[str]] = {}
+    queue: deque[tuple[str, Site]] = deque()
 
-    def attach(path: str, cmd: CommandLine) -> None:
-        holders = attribution.setdefault(path, [])
-        if cmd not in holders:
-            holders.append(cmd)
-        queue.append((path, cmd))
+    def attach(path: str, site: Site) -> None:
+        held = sites.setdefault(path, {})
+        if site not in held:
+            held[site] = None
+            queue.append((path, site))
 
     for cmd in commands:
         for path in script_paths(cmd.text, warnings):
-            attach(path, cmd)
+            attach(path, (cmd.job_index, cmd.phase))
 
     while queue:
-        path, root = queue.pop(0)
+        path, site = queue.popleft()
         if path not in docs:
             try:
                 content = tree.read(path)
@@ -267,12 +273,9 @@ def collect_script_documents(
                 if warnings is not None:
                     warnings.append(f"script not read: {exc}")
             docs[path] = ScriptDocument(path, content, content is not None)
-        doc = docs[path]
-        key = (path, root.job_index, f"{root.phase.value}:{root.ordinal}")
-        if not recursive or not doc.resolved or key in scanned:
-            continue
-        scanned.add(key)
-        for nested in script_paths(doc.content, warnings):
-            attach(nested, root)
+            if recursive and content is not None:
+                nested[path] = script_paths(content, warnings)
+        for reference in nested.get(path, ()):
+            attach(reference, site)
 
-    return list(docs.values()), attribution
+    return list(docs.values()), {path: tuple(held) for path, held in sites.items()}

@@ -72,14 +72,14 @@ def make_doc(content: str, slug: str = "acme/demo") -> RawDocument:
 
 
 def collect_scripts(cfg, files=None):
-    """(scripts, attribution) for `cfg`'s commands over an in-memory tree."""
+    """(scripts, sites) for `cfg`'s commands over an in-memory tree."""
     return collect_script_documents(iter_command_lines(cfg), MappingTree(files or {}))
 
 
 def profile_of(registry, cfg, files=None):
     """The tool profile of `cfg`, with scripts read from `files`."""
-    scripts, attribution = collect_scripts(cfg, files)
-    return profile_pipeline(cfg, scripts, registry, attribution=attribution)
+    scripts, sites = collect_scripts(cfg, files)
+    return profile_pipeline(cfg, scripts, registry, sites=sites)
 
 
 def fold_records(records, registry_version=""):

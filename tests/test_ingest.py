@@ -210,6 +210,34 @@ class TestLocalMaterialize:
         assert tree.read("../etc/passwd") is None
         assert tree.read("/etc/passwd") is None
 
+    def test_symlink_out_of_the_root_is_unresolved(self, tmp_path, registry):
+        root = self.make_repo(tmp_path)
+        (tmp_path / "outside.sh").write_text("flake8 .\n")
+        os.remove(os.path.join(root, "ci", "lint.sh"))
+        os.symlink(tmp_path / "outside.sh", os.path.join(root, "ci", "lint.sh"))
+        assert LocalTree(root).read("ci/lint.sh") is None
+        entry = ManifestEntry("a/b", ".travis.yml", ("ci/lint.sh",), local_root=root)
+        result = scan_entries([entry], registry).entries[0]
+        assert result.status == "ok"
+        assert result.warnings == ["unresolved script reference: ci/lint.sh"]
+
+    def test_symlink_inside_the_root_is_read(self, tmp_path):
+        root = self.make_repo(tmp_path)
+        os.symlink("lint.sh", os.path.join(root, "ci", "alias.sh"))
+        os.symlink(root, tmp_path / "linked-root")
+        for tree_root in (root, str(tmp_path / "linked-root")):
+            assert LocalTree(tree_root).read("ci/alias.sh") == "flake8 .\n"
+
+    def test_config_symlink_out_of_the_root_is_skipped(self, tmp_path, registry):
+        root = tmp_path / "repo"
+        root.mkdir()
+        (tmp_path / "outside.yml").write_text("script: flake8 .\n")
+        (root / ".travis.yml").symlink_to(tmp_path / "outside.yml")
+        entry = ManifestEntry("a/b", ".travis.yml", (), local_root=str(root))
+        result = scan_entries([entry], registry).entries[0]
+        assert result.status == "skipped"
+        assert result.message == "a/b: missing .travis.yml"
+
 
 class TestByteCap:
     CAP_MESSAGE = f"over the {MAX_FILE_BYTES}-byte cap"
@@ -245,14 +273,14 @@ class TestByteCap:
     @pytest.mark.parametrize("size", [100, MAX_FILE_BYTES + 1])
     def test_file_grown_after_the_stat_is_read_to_the_cap(self, tmp_path, monkeypatch, size):
         (tmp_path / "grown.sh").write_text("x" * size)
-        real_stat = os.stat
+        real_lstat = os.lstat
 
         def stat_of_ten_bytes(path):
-            fields = list(real_stat(path))
+            fields = list(real_lstat(path))
             fields[6] = 10  # st_size
             return os.stat_result(fields)
 
-        monkeypatch.setattr(os, "stat", stat_of_ten_bytes)
+        monkeypatch.setattr(os, "lstat", stat_of_ten_bytes)
         tree = LocalTree(str(tmp_path))
         if size > MAX_FILE_BYTES:
             with pytest.raises(FileTooLarge):

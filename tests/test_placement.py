@@ -42,9 +42,14 @@ from conftest import CORPUS_DIR, collect_scripts, make_doc, profile_of
 
 def analyzed(registry, text, files=None):
     cfg = parse_config(make_doc(text))
-    scripts, attribution = collect_scripts(cfg, files)
-    profile = profile_pipeline(cfg, scripts, registry, attribution=attribution)
+    scripts, sites = collect_scripts(cfg, files)
+    profile = profile_pipeline(cfg, scripts, registry, sites=sites)
     return cfg, profile, {d.path: d for d in scripts}
+
+
+def timing_of(cfg, det):
+    """classify_timing for the job and phase of `det`."""
+    return classify_timing(cfg, cfg.jobs[det.job_index], det.phase)
 
 
 def placement_of(cfg, profile, scripts, job):
@@ -189,7 +194,7 @@ class TestTiming:
     def test_example_flake8_is_pre_deployment(self, registry, example_config):
         profile = profile_of(registry, example_config)
         (detection,) = profile.all_detections()
-        assert classify_timing(example_config, detection) is TimingKind.PRE_DEPLOYMENT
+        assert timing_of(example_config, detection) is TimingKind.PRE_DEPLOYMENT
 
     def test_after_deploy_phase_is_post(self, registry):
         cfg, profile, _ = analyzed(
@@ -197,7 +202,7 @@ class TestTiming:
             "script: make\ndeploy:\n  provider: pypi\nafter_deploy: flake8 src\n",
         )
         (detection,) = profile.all_detections()
-        assert classify_timing(cfg, detection) is TimingKind.POST_DEPLOYMENT
+        assert timing_of(cfg, detection) is TimingKind.POST_DEPLOYMENT
 
     def test_after_success_in_deploying_job_is_post(self, registry):
         cfg, profile, _ = analyzed(
@@ -205,12 +210,12 @@ class TestTiming:
             "script: make\ndeploy:\n  provider: npm\nafter_success: rubocop\n",
         )
         (detection,) = profile.all_detections()
-        assert classify_timing(cfg, detection) is TimingKind.POST_DEPLOYMENT
+        assert timing_of(cfg, detection) is TimingKind.POST_DEPLOYMENT
 
     def test_after_success_without_deploy_is_pre(self, registry):
         cfg, profile, _ = analyzed(registry, "script: make\nafter_success: rubocop\n")
         (detection,) = profile.all_detections()
-        assert classify_timing(cfg, detection) is TimingKind.PRE_DEPLOYMENT
+        assert timing_of(cfg, detection) is TimingKind.PRE_DEPLOYMENT
 
     def test_stage_after_deploy_stage_is_post(self, registry):
         cfg, profile, _ = analyzed(
@@ -228,12 +233,12 @@ class TestTiming:
             "      script: bandit -r src\n",
         )
         (detection,) = profile.all_detections()
-        assert classify_timing(cfg, detection) is TimingKind.POST_DEPLOYMENT
+        assert timing_of(cfg, detection) is TimingKind.POST_DEPLOYMENT
 
     def test_stage_before_deploy_stage_is_pre(self, registry, example_config):
         profile = profile_of(registry, example_config)
         (detection,) = profile.all_detections()
-        assert classify_timing(example_config, detection) is TimingKind.PRE_DEPLOYMENT
+        assert timing_of(example_config, detection) is TimingKind.PRE_DEPLOYMENT
 
     def test_no_deploy_everything_pre(self, registry):
         cfg, profile, _ = analyzed(
@@ -242,7 +247,7 @@ class TestTiming:
         )
         assert not any(job.deploys for job in cfg.jobs)
         for detection in profile.all_detections():
-            assert classify_timing(cfg, detection) is TimingKind.PRE_DEPLOYMENT
+            assert timing_of(cfg, detection) is TimingKind.PRE_DEPLOYMENT
 
     def test_moving_job_later_never_flips_post_to_pre(self, registry):
         # same tool job at each stage position relative to a deploy stage
@@ -264,7 +269,7 @@ class TestTiming:
         ]:
             cfg, profile, _ = analyzed(registry, template.format(stages=stages, where=where))
             (detection,) = profile.all_detections()
-            timings.append(classify_timing(cfg, detection))
+            timings.append(timing_of(cfg, detection))
         assert timings == [TimingKind.PRE_DEPLOYMENT, TimingKind.POST_DEPLOYMENT]
 
 
@@ -307,7 +312,6 @@ class TestClassifyPipeline:
             return real_is_ceremony(action, heads)
 
         monkeypatch.setattr(placement, "_is_ceremony", counting_is_ceremony)
-        placement._substantial_lines.cache_clear()
         results = classify_pipeline(cfg, profile, scripts)
         assert [r.placement for r in results] == [PlacementKind.DEDICATED_JOB] * 3
         assert classified == ["set -e", "flake8 src", "pylint src"]
@@ -412,29 +416,32 @@ def test_timing_matches_stage_order_walk(declared, jobs, global_deploy, phase):
     cfg = parse_config(make_doc(yaml.safe_dump(data)))
     for job in cfg.jobs:
         det = Detection("flake8", SOURCE_CONFIG, None, phase, job.index, "flake8", 0)
-        assert classify_timing(cfg, det) is _reference_timing(cfg, det)
+        assert classify_timing(cfg, job, phase) is _reference_timing(cfg, det)
 
 
 # --- per-detection references --------------------------------------------------
 
 
-def _per_command_detections(cfg, scripts, attribution, registry):
+def _per_command_detections(cfg, scripts, registry):
     """profile_pipeline's detections restated per referencing command.
 
     Each script's detections are built again at every command that
-    references it; the whole list is then deduplicated, sonar-relabelled and
-    grouped by tool in id order.
+    references it, found with script_paths on each command; the whole list
+    is then deduplicated, sonar-relabelled and grouped by tool in id order.
     """
     detections = []
+    referencing = {}
     for cmd in iter_command_lines(cfg):
         ctx = SourceContext(SOURCE_CONFIG, cmd.phase, cmd.job_index, ordinal_base=cmd.ordinal)
         detections += detect_in_text(cmd.text, registry, ctx)
+        for path in script_paths(cmd.text):
+            referencing.setdefault(path, []).append(cmd)
     by_path = {doc.path: doc for doc in scripts}
-    for path in sorted(attribution):
+    for path in sorted(referencing):
         doc = by_path.get(path)
         if doc is None or not doc.resolved:
             continue
-        for cmd in attribution[path]:
+        for cmd in referencing[path]:
             ctx = SourceContext(SOURCE_SCRIPT, cmd.phase, cmd.job_index, path)
             detections += detect_in_text(doc.content, registry, ctx)
     detections = registry_module._disambiguate_sonar(
@@ -490,13 +497,13 @@ def _per_detection_runs_only_tdm(job, job_detections, scripts):
     return True
 
 
-def _assert_matches_per_detection(registry, cfg, scripts, attribution):
+def _assert_matches_per_detection(registry, cfg, scripts, sites):
     """The profile and every PlacementResult against the per-detection references.
 
     Returns the profile and the results.
     """
-    profile = profile_pipeline(cfg, scripts, registry, attribution=attribution)
-    expected = _per_command_detections(cfg, scripts, attribution, registry)
+    profile = profile_pipeline(cfg, scripts, registry, sites=sites)
+    expected = _per_command_detections(cfg, scripts, registry)
     assert profile.all_detections() == expected
     by_path = {doc.path: doc for doc in scripts}
     results = classify_pipeline(cfg, profile, by_path)
@@ -509,7 +516,7 @@ def _assert_matches_per_detection(registry, cfg, scripts, attribution):
     for result in results:
         job = cfg.jobs[result.job_index]
         job_detections = by_job[job.index]
-        timings = [(d.source, classify_timing(cfg, d)) for d in job_detections]
+        timings = [(d.source, timing_of(cfg, d)) for d in job_detections]
         assert result.timing_counts == Counter(kind for _, kind in timings)
         assert list(result.source_timings.items()) == [
             (source, post if (source, post) in timings else pre)
@@ -628,10 +635,10 @@ def test_timings_match_per_detection_classification_on_fixtures(registry):
         except NotAPipeline:
             not_pipelines.append(slug)
             continue
-        scripts, attribution = collect_script_documents(
+        scripts, sites = collect_script_documents(
             iter_command_lines(cfg), LocalTree(slug_dir)
         )
-        _assert_matches_per_detection(registry, cfg, scripts, attribution)
+        _assert_matches_per_detection(registry, cfg, scripts, sites)
         analyzed_slugs.append(slug)
     assert len(analyzed_slugs) == 38
     assert not_pipelines == ["34-not-a-pipeline"]
@@ -693,17 +700,17 @@ def test_shared_script_matrix_classifies_timing_once_per_job_phase(
         include.append(job)
     text = yaml.safe_dump({"stages": [f"s{k}" for k in range(5)], "jobs": {"include": include}})
     cfg = parse_config(make_doc(text))
-    scripts, attribution = collect_scripts(cfg, {"ci/lint.sh": script})
+    scripts, sites = collect_scripts(cfg, {"ci/lint.sh": script})
     calls = []
     real_classify_timing = placement.classify_timing
 
-    def counting_classify_timing(cfg, det):
-        calls.append((det.job_index, det.phase))
-        return real_classify_timing(cfg, det)
+    def counting_classify_timing(cfg, job, phase):
+        calls.append((job.index, phase))
+        return real_classify_timing(cfg, job, phase)
 
     monkeypatch.setattr(placement, "classify_timing", counting_classify_timing)
     # The reference side of the differential calls the unpatched function.
-    profile, results = _assert_matches_per_detection(registry, cfg, scripts, attribution)
+    profile, results = _assert_matches_per_detection(registry, cfg, scripts, sites)
     assert len(results) == 400
     assert sum(sum(result.timing_counts.values()) for result in results) == 96_000
     assert {kind for result in results[4::5] for kind in result.timing_counts} == {

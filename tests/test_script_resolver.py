@@ -1,3 +1,5 @@
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
 from tdmscan import script_resolver
@@ -6,6 +8,7 @@ from tdmscan.ingest import escapes_repo
 from tdmscan.script_resolver import (
     SCRIPT_SUFFIXES,
     MappingTree,
+    ScriptDocument,
     _interpreter_argument,
     collect_script_documents,
     command_lines,
@@ -109,21 +112,134 @@ class TestResolution:
 class TestRecursiveCollection:
     def test_one_level_by_default(self):
         tree = MappingTree({"outer.sh": "bash inner.sh", "inner.sh": "ruff ."})
-        docs, attribution = collect_script_documents([cmd("bash outer.sh")], tree)
+        docs, sites = collect_script_documents([cmd("bash outer.sh")], tree)
         assert [d.path for d in docs] == ["outer.sh"]
-        assert list(attribution) == ["outer.sh"]
+        assert list(sites) == ["outer.sh"]
 
     def test_recursive_follows_and_attributes_root(self):
         root = cmd("bash outer.sh")
         tree = MappingTree({"outer.sh": "bash inner.sh", "inner.sh": "ruff ."})
-        docs, attribution = collect_script_documents([root], tree, recursive=True)
+        docs, sites = collect_script_documents([root], tree, recursive=True)
         assert [d.path for d in docs] == ["outer.sh", "inner.sh"]
-        assert attribution["inner.sh"] == [root]
+        assert sites["inner.sh"] == ((root.job_index, root.phase),)
 
     def test_cycles_terminate(self):
         tree = MappingTree({"a.sh": "bash b.sh", "b.sh": "bash a.sh"})
         docs, _ = collect_script_documents([cmd("bash a.sh")], tree, recursive=True)
         assert sorted(d.path for d in docs) == ["a.sh", "b.sh"]
+
+    def test_recursive_mode_reads_each_script_once(self, monkeypatch):
+        files = {"outer.sh": "bash inner.sh\nbash gone.sh", "inner.sh": "bash outer.sh\nruff ."}
+        site_list = [
+            (job, phase) for job in range(3) for phase in (PhaseKind.SCRIPT, PhaseKind.AFTER_SUCCESS)
+        ]
+        commands = [CommandLine("bash outer.sh", phase, job, 0) for job, phase in site_list]
+        scanned = []
+        real_script_paths = script_resolver.script_paths
+
+        def counting_script_paths(text, warnings=None):
+            scanned.append(text)
+            return real_script_paths(text, warnings)
+
+        monkeypatch.setattr(script_resolver, "script_paths", counting_script_paths)
+        docs, sites = collect_script_documents(commands, MappingTree(files), recursive=True)
+        assert [d.path for d in docs] == ["outer.sh", "inner.sh", "gone.sh"]
+        assert sites == dict.fromkeys(["outer.sh", "inner.sh", "gone.sh"], tuple(site_list))
+        assert Counter(scanned) == {"bash outer.sh": 6, files["outer.sh"]: 1, files["inner.sh"]: 1}
+
+    def test_recursive_warnings_are_recorded_once_per_script(self):
+        tree = MappingTree({"ci/lint.sh": "bash ../up.sh\n$DIR/x.sh\nflake8 ."})
+        commands = [CommandLine("bash ci/lint.sh", PhaseKind.SCRIPT, job, 0) for job in range(3)]
+        warnings = []
+        collect_script_documents(commands, tree, recursive=True, warnings=warnings)
+        assert warnings == [
+            "rejected script reference outside repository: ../up.sh",
+            "script reference with unresolved variable: $DIR/x.sh",
+        ]
+
+
+def _per_root_queue(commands, tree, recursive, warnings):
+    """collect_script_documents restated as a queue of (path, root command),
+    with each path's referencing commands reduced to deduplicated
+    (job, phase) sites at the end.
+
+    A script is scanned again for every root that reaches it; only its
+    first scan records warnings.  The tree never raises FileTooLarge.
+    """
+    referencing = {}
+    docs = {}
+    queue = []
+    scanned = set()
+    warned = set()
+
+    def attach(path, root):
+        holders = referencing.setdefault(path, [])
+        if root not in holders:
+            holders.append(root)
+        queue.append((path, root))
+
+    for root in commands:
+        for path in script_paths(root.text, warnings):
+            attach(path, root)
+    while queue:
+        path, root = queue.pop(0)
+        if path not in docs:
+            content = tree.read(path)
+            docs[path] = ScriptDocument(path, content, content is not None)
+        doc = docs[path]
+        if not recursive or not doc.resolved or (path, root) in scanned:
+            continue
+        scanned.add((path, root))
+        for nested in script_paths(doc.content, [] if path in warned else warnings):
+            attach(nested, root)
+        warned.add(path)
+    sites = {
+        path: tuple(dict.fromkeys((root.job_index, root.phase) for root in roots))
+        for path, roots in referencing.items()
+    }
+    return list(docs.values()), sites
+
+
+_GRAPH_NAMES = ["a.sh", "b.sh", "c.sh", "gone.sh"]
+_GRAPH_LINES = st.one_of(
+    st.sampled_from(_GRAPH_NAMES).map("bash {}".format),
+    st.sampled_from(["flake8 .", "bash ../up.sh", "./$D/x.sh"]),
+)
+
+
+@given(
+    files=st.dictionaries(
+        st.sampled_from(_GRAPH_NAMES[:3]),
+        st.lists(_GRAPH_LINES, max_size=3).map("\n".join),
+    ),
+    roots=st.lists(
+        st.tuples(
+            st.lists(_GRAPH_LINES, min_size=1, max_size=3).map(" && ".join),
+            st.sampled_from([PhaseKind.SCRIPT, PhaseKind.AFTER_SUCCESS]),
+            st.integers(0, 2),
+        ),
+        max_size=6,
+    ),
+    recursive=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_sites_match_the_per_root_queue(files, roots, recursive):
+    # Script graphs with cycles, self-references, missing and shared
+    # scripts, and several commands per (job, phase).
+    commands = []
+    ordinals = Counter()
+    for text, phase, job in roots:
+        commands.append(CommandLine(text, phase, job, ordinals[job, phase]))
+        ordinals[job, phase] += 1
+    tree = MappingTree(files)
+    expected_warnings, warnings = [], []
+    expected_docs, expected_sites = _per_root_queue(
+        commands, tree, recursive, expected_warnings
+    )
+    docs, sites = collect_script_documents(commands, tree, recursive, warnings)
+    assert docs == expected_docs
+    assert list(sites.items()) == list(expected_sites.items())
+    assert warnings == expected_warnings
 
 
 class TestShellHelpers:
