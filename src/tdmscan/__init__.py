@@ -8,7 +8,13 @@ from .analytics import (
     PipelineRecord,
     percent,
 )
-from .analyzer import AnalysisOptions, PipelineAnalysis, analyze_document, scan_entries
+from .analyzer import (
+    AnalysisOptions,
+    PipelineAnalysis,
+    analyze_document,
+    explain_document,
+    scan_entries,
+)
 from .antipatterns import (
     FindingSet,
     detect_absent_feedback,

@@ -1,10 +1,12 @@
 """Corpus-level aggregation into frequency tables and report export.
 
-Counting rules: a tool counts once per pipeline regardless of detection
-multiplicity; co-occurrence counts each unordered tool pair once per
-pipeline; job-level tables count (job, source) rows so a job invoking tools
-both directly and via scripts appears in both columns.  Percentages round
-half away from zero to one decimal.  Exports are byte-deterministic.
+Each pipeline is folded as a PipelineRecord: the counter keys of its
+contribution and its finding flags.  Counting rules: a tool counts once per
+pipeline regardless of detection multiplicity; co-occurrence counts each
+unordered tool pair once per pipeline; job-level tables count (job, source)
+rows so a job invoking tools both directly and via scripts appears in both
+columns.  Percentages round half away from zero to one decimal.  Exports are
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from itertools import combinations
 from operator import itemgetter
-from typing import Any, Callable, Mapping, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Mapping, NamedTuple, get_args, get_origin, get_type_hints
 
 from .antipatterns import FINDING_NAMES, FindingSet
 from .placement import PlacementKind, PlacementResult, TimingKind
@@ -38,6 +40,12 @@ _PLACEMENT_ORDER = (
     PlacementKind.MIXED_JOB.value,
 )
 _TIMING_ORDER = (TimingKind.PRE_DEPLOYMENT.value, TimingKind.POST_DEPLOYMENT.value)
+# The tool table's columns that each invocation style counts in.
+_TOOL_COLUMNS = {
+    INVOCATION_DIRECT: ("pipelines", "direct"),
+    INVOCATION_SCRIPT: ("pipelines", "script"),
+    INVOCATION_BOTH: ("pipelines", "direct", "script", "both"),
+}
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -52,14 +60,52 @@ def percent(numerator: int, denominator: int) -> float:
     return float(value.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-@dataclass
-class PipelineRecord:
-    """Per-pipeline analysis result, the unit of aggregation."""
+class PipelineRecord(NamedTuple):
+    """What the report reads of one pipeline; immutable, so memos may share it.
 
-    repo_slug: str
-    profile: PipelineToolProfile
-    placements: list[PlacementResult]
-    findings: FindingSet
+    `keys` are the pipeline's counter keys, each a tuple of a tag and
+    str/int fields: ``("pipeline",)``; for a pipeline with tools also
+    ``("tools", n)``, ``("findings", n)``, ``("tool", tool, invocation)``,
+    ``("pair", tool_a, tool_b)``, ``("finding", name)``,
+    ``("finding_pair", name_a, name_b)``, ``("tool_finding", tool, name)``,
+    ``("late_merging", "pipeline_mode" | "job_mode")`` per Late Merging
+    reading that holds, and one ``("row", stage label, source, placement,
+    timing)`` per placement source.  `flags` are the four finding booleans in
+    FINDING_NAMES order, or None when the pipeline has no tools.
+    """
+
+    keys: tuple[tuple, ...]
+    flags: tuple[bool, ...] | None
+
+
+_TOOLLESS = PipelineRecord(keys=(("pipeline",),), flags=None)
+
+
+def pipeline_record(
+    profile: PipelineToolProfile, placements: list[PlacementResult], findings: FindingSet
+) -> PipelineRecord:
+    """The PipelineRecord of one analyzed pipeline."""
+    tools = profile.tool_ids()
+    if not tools:
+        return _TOOLLESS
+    flags = tuple(getattr(findings, name) for name in FINDING_NAMES)
+    true_names = [name for name, flag in zip(FINDING_NAMES, flags) if flag]
+    keys = [("pipeline",), ("tools", len(tools)), ("findings", len(true_names))]
+    keys += [("tool", tool, profile.tools[tool].invocation) for tool in tools]
+    keys += [("pair", *pair) for pair in combinations(tools, 2)]
+    keys += [("finding", name) for name in true_names]
+    keys += [("finding_pair", *pair) for pair in combinations(sorted(true_names), 2)]
+    keys += [("tool_finding", tool, name) for tool in tools for name in true_names]
+    if findings.late_merging_all_jobs:
+        keys.append(("late_merging", "pipeline_mode"))
+    if findings.late_merging_any_job:
+        keys.append(("late_merging", "job_mode"))
+    for placement in placements:
+        label, kind = placement.stage_label, placement.placement.value
+        for source, timing in placement.source_timings.items():
+            source = "direct" if source == SOURCE_CONFIG else "script"
+            keys.append(("row", label, source, kind, timing.value))
+    return PipelineRecord(tuple(keys), flags)
 
 
 @dataclass
@@ -141,178 +187,84 @@ def _ranked(table: Mapping[Any, Any], count=lambda value: value) -> list[tuple]:
 class Aggregator:
     """Streaming, mergeable accumulator of PipelineRecords.
 
+    One Counter of every record's keys, plus each tool-bearing pipeline's
+    finding flags by slug; every table is derived from them in report().
     Merging partial aggregators is associative and commutative, so records
     may be produced concurrently and combined at a single merge point.
     """
 
     def __init__(self, registry_version: str = ""):
         self.registry_version = registry_version
-        self.total_pipelines = 0
-        self.pipelines_with_tools = 0
-        self.tool_any: Counter[str] = Counter()
-        self.tool_direct: Counter[str] = Counter()
-        self.tool_script: Counter[str] = Counter()
-        self.tool_both: Counter[str] = Counter()
-        self.histogram: Counter[int] = Counter()
-        self.cooccurrence: Counter[tuple[str, str]] = Counter()
-        self.finding_counts: Counter[str] = Counter()
-        self.finding_pairs: Counter[tuple[str, str]] = Counter()
-        self.per_tool_finding: Counter[tuple[str, str]] = Counter()
-        self.stage_rows: Counter[tuple[str, str]] = Counter()
-        self.placement_rows: Counter[tuple[str, str]] = Counter()
-        self.timing_rows: Counter[tuple[str, str]] = Counter()
-        self.late_all = 0
-        self.late_any = 0
-        self.findings_per_pipeline: dict[str, dict[str, bool]] = {}
-        self.findings_histogram: Counter[int] = Counter()
+        self.counts: Counter[tuple] = Counter()
+        self.findings_per_pipeline: dict[str, tuple[bool, ...]] = {}
 
-    def add(self, record: PipelineRecord) -> None:
-        self.total_pipelines += 1
-        tools = sorted(record.profile.tools)
-        if not tools:
-            return
-        self.pipelines_with_tools += 1
-        self.histogram[len(tools)] += 1
-        for tool in tools:
-            invocation = record.profile.tools[tool].invocation
-            self.tool_any[tool] += 1
-            if invocation in (INVOCATION_DIRECT, INVOCATION_BOTH):
-                self.tool_direct[tool] += 1
-            if invocation in (INVOCATION_SCRIPT, INVOCATION_BOTH):
-                self.tool_script[tool] += 1
-            if invocation == INVOCATION_BOTH:
-                self.tool_both[tool] += 1
-        for pair in combinations(tools, 2):
-            self.cooccurrence[pair] += 1
-
-        flags = record.findings.as_dict()
-        true_names = [name for name in FINDING_NAMES if flags[name]]
-        for name in true_names:
-            self.finding_counts[name] += 1
-        for pair in combinations(true_names, 2):
-            self.finding_pairs[tuple(sorted(pair))] += 1
-        for tool in tools:
-            for name in true_names:
-                self.per_tool_finding[(tool, name)] += 1
-        self.late_all += int(record.findings.late_merging_all_jobs)
-        self.late_any += int(record.findings.late_merging_any_job)
-        self.findings_per_pipeline[record.repo_slug] = flags
-        self.findings_histogram[len(true_names)] += 1
-
-        for placement in record.placements:
-            for source, timing in placement.source_timings.items():
-                label = "direct" if source == SOURCE_CONFIG else "script"
-                self.stage_rows[(placement.stage_label, label)] += 1
-                self.placement_rows[(label, placement.placement.value)] += 1
-                self.timing_rows[(label, timing.value)] += 1
+    def add(self, slug: str, record: PipelineRecord) -> None:
+        self.counts.update(record.keys)
+        if record.flags is not None:
+            self.findings_per_pipeline[slug] = record.flags
 
     def merge(self, other: "Aggregator") -> None:
-        self.total_pipelines += other.total_pipelines
-        self.pipelines_with_tools += other.pipelines_with_tools
-        for name in (
-            "tool_any",
-            "tool_direct",
-            "tool_script",
-            "tool_both",
-            "histogram",
-            "cooccurrence",
-            "finding_counts",
-            "finding_pairs",
-            "per_tool_finding",
-            "stage_rows",
-            "placement_rows",
-            "timing_rows",
-            "findings_histogram",
-        ):
-            getattr(self, name).update(getattr(other, name))
-        self.late_all += other.late_all
-        self.late_any += other.late_any
+        self.counts.update(other.counts)
         self.findings_per_pipeline.update(other.findings_per_pipeline)
 
     def report(self) -> CorpusReport:
-        tool_table = {
-            tool: {
-                "pipelines": self.tool_any[tool],
-                "direct": self.tool_direct[tool],
-                "script": self.tool_script[tool],
-                "both": self.tool_both[tool],
-            }
-            for tool in sorted(self.tool_any)
-        }
+        tables: defaultdict[str, dict[tuple, int]] = defaultdict(dict)
+        for (tag, *fields), n in self.counts.items():
+            tables[tag][tuple(fields)] = n
 
-        denominator = self.pipelines_with_tools
+        tool_table: dict[str, dict[str, int]] = {}
+        for (tool, invocation), n in sorted(tables["tool"].items()):
+            row = tool_table.setdefault(tool, dict.fromkeys(_TOOL_COLUMNS["both"], 0))
+            for column in _TOOL_COLUMNS[invocation]:
+                row[column] += n
+
+        denominator = sum(tables["tools"].values())
         prevalence: dict[str, dict[str, Any]] = {}
-        if denominator:
-            for name in FINDING_NAMES:
-                count = self.finding_counts[name]
-                prevalence[name] = {
-                    "count": count,
-                    "percent": percent(count, denominator),
-                }
-
         matrix: dict[str, dict[str, int]] = {}
-        if denominator:
-            for row in FINDING_NAMES:
-                matrix[row] = {}
-                for col in FINDING_NAMES:
-                    if row == col:
-                        continue
-                    matrix[row][col] = self.finding_pairs[tuple(sorted((row, col)))]
+        for name in FINDING_NAMES if denominator else ():
+            count = tables["finding"].get((name,), 0)
+            prevalence[name] = {"count": count, "percent": percent(count, denominator)}
+            matrix[name] = {
+                other: tables["finding_pair"].get(tuple(sorted((name, other))), 0)
+                for other in FINDING_NAMES
+                if other != name
+            }
 
         per_tool: dict[str, dict[str, dict[str, Any]]] = {}
-        for tool in sorted(self.tool_any):
-            pipelines = self.tool_any[tool]
+        for tool, row in tool_table.items():
             per_tool[tool] = {}
             for name in FINDING_NAMES:
-                with_finding = self.per_tool_finding[(tool, name)]
+                with_finding = tables["tool_finding"].get((tool, name), 0)
                 per_tool[tool][name] = {
-                    "pipelines_with_tool": pipelines,
+                    "pipelines_with_tool": row["pipelines"],
                     "with_finding": with_finding,
-                    "percent": percent(with_finding, pipelines),
+                    "percent": percent(with_finding, row["pipelines"]),
                 }
 
-        direct_jobs = sum(
-            n for (label, source), n in self.stage_rows.items() if source == "direct"
-        )
-        script_jobs = sum(
-            n for (label, source), n in self.stage_rows.items() if source == "script"
-        )
-        stage_names = {}
-        for label in sorted({key[0] for key in self.stage_rows}):
-            direct = self.stage_rows[(label, "direct")]
-            script = self.stage_rows[(label, "script")]
-            stage_names[label] = {
-                "direct_jobs": direct,
-                "script_jobs": script,
-                "total": direct + script,
-            }
-
-        placement = {
-            source: {
-                kind: self.placement_rows[(source, kind)]
-                for kind in _PLACEMENT_ORDER
-            }
-            for source in _SOURCES
-        }
-        timing = {
-            source: {
-                kind: self.timing_rows[(source, kind)] for kind in _TIMING_ORDER
-            }
-            for source in _SOURCES
-        }
+        placement = {source: dict.fromkeys(_PLACEMENT_ORDER, 0) for source in _SOURCES}
+        timing = {source: dict.fromkeys(_TIMING_ORDER, 0) for source in _SOURCES}
+        stage_names: dict[str, dict[str, int]] = {}
+        for (label, source, kind, when), n in sorted(tables["row"].items()):
+            placement[source][kind] += n
+            timing[source][when] += n
+            row = stage_names.setdefault(
+                label, {"direct_jobs": 0, "script_jobs": 0, "total": 0}
+            )
+            row[f"{source}_jobs"] += n
+            row["total"] += n
 
         return CorpusReport(
             schema_version=SCHEMA_VERSION,
             registry_version=self.registry_version,
             totals={
-                "pipelines": self.total_pipelines,
-                "pipelines_with_tools": self.pipelines_with_tools,
-                "direct_jobs": direct_jobs,
-                "script_jobs": script_jobs,
+                "pipelines": tables["pipeline"].get((), 0),
+                "pipelines_with_tools": denominator,
+                "direct_jobs": sum(placement["direct"].values()),
+                "script_jobs": sum(placement["script"].values()),
             },
             tool_table=tool_table,
-            tools_per_pipeline=dict(sorted(self.histogram.items())),
-            cooccurrence=dict(self.cooccurrence),
+            tools_per_pipeline=_by_count(tables["tools"]),
+            cooccurrence=tables["pair"],
             antipattern_prevalence=prevalence,
             antipattern_matrix=matrix,
             per_tool_antipattern=per_tool,
@@ -320,12 +272,20 @@ class Aggregator:
             placement=placement,
             timing=timing,
             late_merging_counts={
-                "pipeline_mode": self.late_all,
-                "job_mode": self.late_any,
+                mode: tables["late_merging"].get((mode,), 0)
+                for mode in ("pipeline_mode", "job_mode")
             },
-            findings_per_pipeline=dict(sorted(self.findings_per_pipeline.items())),
-            findings_count_histogram=dict(sorted(self.findings_histogram.items())),
+            findings_per_pipeline={
+                slug: dict(zip(FINDING_NAMES, flags))
+                for slug, flags in sorted(self.findings_per_pipeline.items())
+            },
+            findings_count_histogram=_by_count(tables["findings"]),
         )
+
+
+def _by_count(table: Mapping[tuple[int], int]) -> dict[int, int]:
+    """A histogram table keyed by one-int tuples, as {bin: pipelines} in bin order."""
+    return {n: count for (n,), count in sorted(table.items())}
 
 
 def export_json(report: CorpusReport) -> bytes:

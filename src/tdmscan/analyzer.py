@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NoReturn
 
-from .analytics import Aggregator, CorpusReport, PipelineRecord
+from .analytics import Aggregator, CorpusReport, PipelineRecord, pipeline_record
 from .antipatterns import LATE_MERGING_MODE_PIPELINE, FindingSet, evaluate
 from .config_model import (
     CommandLine,
@@ -46,13 +46,33 @@ class AnalysisOptions:
 class PipelineAnalysis:
     """Everything derived from one pipeline, plus collected warnings."""
 
-    record: PipelineRecord
+    repo_slug: str
+    profile: PipelineToolProfile
+    placements: list[PlacementResult]
+    findings: FindingSet
     warnings: list[str] = field(default_factory=list)
 
 
 def _parse(doc: RawDocument) -> tuple[PipelineConfig, tuple[CommandLine, ...]]:
     cfg = parse_config(doc)
     return cfg, tuple(iter_command_lines(cfg))
+
+
+def _resolve(doc: RawDocument, tree: FileTree, options: AnalysisOptions):
+    """The config's memo key, parsed model, scripts, sites and warnings.
+
+    Only the parse is memoized, so each entry keeps its own reads and warnings.
+    """
+    source = (doc.path, doc.content, doc.invalid_utf8)
+    cfg, commands = _parse_memo.get(source, partial(_parse, doc))
+    warnings = list(cfg.warnings)
+    scripts, sites = collect_script_documents(
+        commands, tree, recursive=options.recursive_scripts, warnings=warnings
+    )
+    for script in scripts:
+        if not script.resolved:
+            warnings.append(f"unresolved script reference: {script.path}")
+    return source, cfg, scripts, sites, warnings
 
 
 def _derive(
@@ -63,11 +83,7 @@ def _derive(
     options: AnalysisOptions,
 ) -> tuple[PipelineToolProfile, list[PlacementResult], FindingSet]:
     profile = profile_pipeline(
-        cfg,
-        scripts,
-        registry,
-        install_exclusion=options.install_exclusion,
-        sites=sites,
+        cfg, scripts, registry, install_exclusion=options.install_exclusion, sites=sites
     )
     scripts_by_path = {script.path: script for script in scripts}
     placements = classify_pipeline(cfg, profile, scripts_by_path)
@@ -80,41 +96,37 @@ def analyze_document(
     tree: FileTree,
     registry: Registry,
     options: AnalysisOptions = AnalysisOptions(),
-) -> PipelineAnalysis:
-    """Parse, resolve scripts, detect tools, classify, and evaluate rules.
+) -> tuple[PipelineRecord, list[str]]:
+    """The pipeline's record for the report, and the entry's warnings.
 
     Raises NotAPipeline / MalformedDocument for unanalyzable input.
 
-    A config's parse is memoized on its path and content, and the derived
-    profile, placements and findings on that plus `options`, the path and
-    content of every script the tree gave, and `registry`.  Both memos
-    store a result on its second sighting (see memo.AdmissionMemo); only
-    the slug and the warnings are the entry's own.  The record's profile,
-    placements and findings may be shared with other records and must not
-    be mutated.
+    The record is memoized on the config's path and content, `options`, the
+    path and content of every script the tree gave, and `registry`; like
+    the parse, it is stored on its second sighting.
     """
-    source = (doc.path, doc.content, doc.invalid_utf8)
-    cfg, commands = _parse_memo.get(source, partial(_parse, doc))
-    warnings = list(cfg.warnings)
-
-    scripts, sites = collect_script_documents(
-        commands, tree, recursive=options.recursive_scripts, warnings=warnings
-    )
-    for script in scripts:
-        if not script.resolved:
-            warnings.append(f"unresolved script reference: {script.path}")
-
+    source, cfg, scripts, sites, warnings = _resolve(doc, tree, options)
     key = (source, options, tuple((script.path, script.content) for script in scripts))
-    profile, placements, findings = registry._analysis_memo.get(
-        key, partial(_derive, cfg, scripts, sites, registry, options)
+    record = registry._analysis_memo.get(
+        key, lambda: pipeline_record(*_derive(cfg, scripts, sites, registry, options))
     )
-    record = PipelineRecord(
-        repo_slug=doc.repo_slug,
-        profile=profile,
-        placements=placements,
-        findings=findings,
-    )
-    return PipelineAnalysis(record=record, warnings=warnings)
+    return record, warnings
+
+
+def explain_document(
+    doc: RawDocument,
+    tree: FileTree,
+    registry: Registry,
+    options: AnalysisOptions = AnalysisOptions(),
+) -> PipelineAnalysis:
+    """The pipeline's full profile, placements and findings with evidence.
+
+    Not memoized: `tdmscan analyze` prints every detection and placement,
+    which no scan reads.  Raises like analyze_document.
+    """
+    _, cfg, scripts, sites, warnings = _resolve(doc, tree, options)
+    profile, placements, findings = _derive(cfg, scripts, sites, registry, options)
+    return PipelineAnalysis(doc.repo_slug, profile, placements, findings, warnings)
 
 
 @dataclass
@@ -157,13 +169,13 @@ def _process_entry(
     except Exception as exc:  # noqa: BLE001 - entry isolation
         return EntryResult(entry.repo_slug, "failed", message=str(exc))
     try:
-        analysis = analyze_document(doc, tree, registry, options)
+        record, warnings = analyze_document(doc, tree, registry, options)
     except (NotAPipeline, MalformedDocument) as exc:
         return EntryResult(entry.repo_slug, "skipped", message=str(exc))
     except Exception as exc:  # noqa: BLE001 - entry isolation
         return EntryResult(entry.repo_slug, "failed", message=str(exc))
-    aggregator.add(analysis.record)
-    return EntryResult(entry.repo_slug, "ok", warnings=analysis.warnings)
+    aggregator.add(entry.repo_slug, record)
+    return EntryResult(entry.repo_slug, "ok", warnings=warnings)
 
 
 def _scan_chunk(

@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 
 from .analytics import CorpusReport, export_csv_bundle, export_json
-from .analyzer import AnalysisOptions, analyze_document, scan_entries
+from .analyzer import AnalysisOptions, explain_document, scan_entries
 from .antipatterns import LATE_MERGING_MODE_JOB, LATE_MERGING_MODE_PIPELINE
 from .config_model import (
     CONFIG_FILENAME,
@@ -123,7 +123,7 @@ def _options(args) -> AnalysisOptions:
 
 
 def _analysis_json(analysis, path: str) -> dict:
-    profile = analysis.record.profile
+    profile = analysis.profile
     detections = [
         {
             "tool": d.tool_id,
@@ -138,7 +138,7 @@ def _analysis_json(analysis, path: str) -> dict:
     ]
     placements = []
     timing_totals = {"pre_deployment": 0, "post_deployment": 0}
-    for placement in analysis.record.placements:
+    for placement in analysis.placements:
         timings = {"pre_deployment": 0, "post_deployment": 0}
         for kind, count in placement.timing_counts.items():
             timings[kind.value] += count
@@ -152,15 +152,15 @@ def _analysis_json(analysis, path: str) -> dict:
                 "timings": timings,
             }
         )
-    findings = analysis.record.findings
+    findings = analysis.findings
     return {
-        "repo": analysis.record.repo_slug,
+        "repo": analysis.repo_slug,
         "path": path,
         "tools": {t: profile.tools[t].invocation for t in profile.tool_ids()},
         "detections": detections,
         "placements": placements,
         "timing": timing_totals,
-        "stage_labels": Counter(p.stage_label for p in analysis.record.placements),
+        "stage_labels": Counter(p.stage_label for p in analysis.placements),
         "findings": {
             **findings.as_dict(),
             "late_merging_all_jobs": findings.late_merging_all_jobs,
@@ -197,7 +197,7 @@ def _cmd_analyze(args) -> int:
             raise FileNotFoundError(f"no such file: {config_path}")
         slug = os.path.basename(os.path.abspath(root))
         doc = RawDocument(slug, rel, content, invalid_utf8=rel in tree.undecodable)
-        analysis = analyze_document(doc, tree, registry, _options(args))
+        analysis = explain_document(doc, tree, registry, _options(args))
     except (FileTooLarge, NotAPipeline, MalformedDocument) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NOT_A_PIPELINE

@@ -211,8 +211,9 @@ class LocalTree:
     Never touches the network.  Reads record a sha256 digest per path in
     ``provenance``; files decoded with replacement characters because they
     hold invalid UTF-8 are listed in ``undecodable``.  A file over
-    MAX_FILE_BYTES raises FileTooLarge.  A symlink whose target resolves
-    outside the root is absent.
+    MAX_FILE_BYTES raises FileTooLarge.  A path through a symlink, as its
+    file or any directory on the way, is absent unless it resolves inside
+    the root.
     """
 
     def __init__(self, root: str, allowed: frozenset[str] | None = None):
@@ -220,6 +221,14 @@ class LocalTree:
         self.allowed = allowed
         self.provenance: dict[str, dict[str, str]] = {}
         self.undecodable: set[str] = set()
+
+    def _through_link(self, directory: str) -> bool:
+        """Whether `directory` or any directory above it is a symlink."""
+        while directory:
+            if stat.S_ISLNK(os.lstat(os.path.join(self.root, directory)).st_mode):
+                return True
+            directory = os.path.dirname(directory)
+        return False
 
     def read(self, path: str) -> str | None:
         if escapes_repo(path):
@@ -229,7 +238,7 @@ class LocalTree:
         full = os.path.join(self.root, path)
         try:
             info = os.lstat(full)
-            if stat.S_ISLNK(info.st_mode):
+            if self._through_link(os.path.dirname(path)) or stat.S_ISLNK(info.st_mode):
                 full = os.path.realpath(full)
                 root = os.path.realpath(self.root)
                 if os.path.commonpath([full, root]) != root:

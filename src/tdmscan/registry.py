@@ -53,8 +53,8 @@ _EXPECTED_TOOL_COUNT = 38
 # lines, each at most this long (longer lines are matched every time).
 _LINE_MEMO_SIZE = 4096
 _LINE_MEMO_MAX_CHARS = 256
-# Per-registry memo of whole-pipeline analysis results (see
-# analyzer.analyze_document): at most this many pipelines.
+# Per-registry memo of pipeline records (see analyzer.analyze_document): at
+# most this many pipelines.
 _ANALYSIS_MEMO_SIZE = 256
 
 
@@ -107,12 +107,6 @@ class Registry:
     def ids(self) -> list[str]:
         return [tool.id for tool in self.tools]
 
-    def by_id(self, tool_id: str) -> ToolSpec:
-        for tool in self.tools:
-            if tool.id == tool_id:
-                return tool
-        raise KeyError(tool_id)
-
     def __len__(self) -> int:
         return len(self.tools)
 
@@ -148,7 +142,7 @@ class Registry:
 
     @cached_property
     def _analysis_memo(self) -> AdmissionMemo:
-        """analyzer.analyze_document's results under this registry."""
+        """analyzer.analyze_document's PipelineRecords under this registry."""
         return AdmissionMemo(_ANALYSIS_MEMO_SIZE)
 
     def __getstate__(self) -> dict[str, Any]:

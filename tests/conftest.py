@@ -83,8 +83,9 @@ def profile_of(registry, cfg, files=None):
 
 
 def fold_records(records, registry_version=""):
-    """The CorpusReport of `records`, folded through one Aggregator."""
+    """The CorpusReport of `(slug, PipelineRecord)` pairs, folded through one
+    Aggregator."""
     aggregator = Aggregator(registry_version)
-    for record in records:
-        aggregator.add(record)
+    for slug, record in records:
+        aggregator.add(slug, record)
     return aggregator.report()

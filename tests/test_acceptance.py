@@ -12,7 +12,7 @@ import time
 import yaml
 
 from tdmscan.analytics import export_csv_bundle, export_json, percent
-from tdmscan.analyzer import AnalysisOptions, analyze_document, scan_entries
+from tdmscan.analyzer import AnalysisOptions, explain_document, scan_entries
 from tdmscan.antipatterns import detect_absent_feedback, detect_email_only
 from tdmscan.cli import _entries_from_directory
 from tdmscan.config_model import (
@@ -83,18 +83,18 @@ class _EmptyTree:
 def test_criterion_1_worked_example_end_to_end(registry):
     doc = RawDocument("example/python-project", ".travis.yml", EXAMPLE_CONFIG)
     start = time.monotonic()
-    analysis = analyze_document(doc, _EmptyTree(), registry, AnalysisOptions())
+    analysis = explain_document(doc, _EmptyTree(), registry, AnalysisOptions())
     elapsed = time.monotonic() - start
 
-    profile = analysis.record.profile
+    profile = analysis.profile
     assert {t: profile.tools[t].invocation for t in profile.tool_ids()} == {
         "flake8": "direct"
     }
-    (placement,) = analysis.record.placements
+    (placement,) = analysis.placements
     assert placement.stage_label == "lint"
     assert placement.placement.value == "dedicated_stage"
     assert {t.value for t in placement.timing_counts} == {"pre_deployment"}
-    findings = analysis.record.findings.as_dict()
+    findings = analysis.findings.as_dict()
     assert findings == {
         "late_merging": False,
         "skip_on_failure": False,
@@ -134,7 +134,7 @@ def test_criterion_2_percentage_reproduction():
 
 
 def test_criterion_3_inclusion_exclusion():
-    from tdmscan.analytics import PipelineRecord
+    from tdmscan.analytics import pipeline_record
     from tdmscan.antipatterns import FindingSet
     from tdmscan.registry import PipelineToolProfile, ToolUsage
 
@@ -142,7 +142,7 @@ def test_criterion_3_inclusion_exclusion():
         profile = PipelineToolProfile(
             tools={tool: ToolUsage(invocation=invocation, detections=())}
         )
-        return PipelineRecord(slug, profile, [], FindingSet())
+        return slug, pipeline_record(profile, [], FindingSet())
 
     # Reference per-tool rows: direct + script - pipelines = both overlap.
     for tool, (_, _, _, direct, script, pipelines) in REFERENCE_TOOL_TABLE.items():
@@ -179,7 +179,7 @@ def test_criterion_3_inclusion_exclusion():
                 }
             )
             records.append(
-                PipelineRecord(f"c{corpus_index}-r{i}", profile, [], FindingSet())
+                (f"c{corpus_index}-r{i}", pipeline_record(profile, [], FindingSet()))
             )
             tool_sets.append(sorted(tools))
         report = fold_records(records)
@@ -209,13 +209,14 @@ def test_criterion_4_registry_fidelity(registry):
         assert tool.tdm_activity == frozenset(activities), tool.id
         assert tool.debt_type == debt_type, tool.id
     # spot checks called out explicitly
-    assert registry.by_id("sonarqube").tdm_activity == {"identification", "measurement"}
-    assert registry.by_id("sonarcloud").tdm_activity == {"identification", "measurement"}
+    by_id = {tool.id: tool for tool in registry.tools}
+    assert by_id["sonarqube"].tdm_activity == {"identification", "measurement"}
+    assert by_id["sonarcloud"].tdm_activity == {"identification", "measurement"}
     for build_tool in ("shellcheck", "yamllint", "hadolint"):
-        assert registry.by_id(build_tool).debt_type == "build"
-    assert registry.by_id("bandit").debt_type == "security"
-    assert registry.by_id("lattix").debt_type == "architecture"
-    assert registry.by_id("lattix").tdm_activity == {"measurement"}
+        assert by_id[build_tool].debt_type == "build"
+    assert by_id["bandit"].debt_type == "security"
+    assert by_id["lattix"].debt_type == "architecture"
+    assert by_id["lattix"].tdm_activity == {"measurement"}
     _passed(4, "38 tools match the reference metadata row-for-row")
 
 
@@ -235,20 +236,20 @@ def test_criterion_5_hand_labeled_corpus(registry, corpus_labels):
             doc = RawDocument(slug, ".travis.yml", handle.read())
         expected = corpus_labels[slug]
         try:
-            analysis = analyze_document(doc, LocalTree(slug_dir), registry, AnalysisOptions())
+            analysis = explain_document(doc, LocalTree(slug_dir), registry, AnalysisOptions())
         except (NotAPipeline, MalformedDocument):
             assert expected.get("skipped") == "not_a_pipeline", slug
             checked += 1
             continue
         assert "skipped" not in expected, slug
 
-        profile = analysis.record.profile
+        profile = analysis.profile
         got_tools = {t: profile.tools[t].invocation for t in profile.tool_ids()}
         assert got_tools == expected["tools"], slug
         distinct_tools.update(got_tools)
         seen_invocations.update(got_tools.values())
 
-        findings = analysis.record.findings
+        findings = analysis.findings
         assert findings.as_dict() == expected["findings"], slug
         assert findings.late_merging_any_job == expected["late_merging_any_job"], slug
         for name, value in expected["findings"].items():
@@ -262,7 +263,7 @@ def test_criterion_5_hand_labeled_corpus(registry, corpus_labels):
                 "timing": sorted(t.value for t in p.timing_counts),
                 "multi_tool": p.multi_tool,
             }
-            for p in analysis.record.placements
+            for p in analysis.placements
         ]
         want_placements = [
             {

@@ -8,10 +8,10 @@ from tdmscan.analytics import (
     Aggregator,
     CorpusReport,
     DivisionByZero,
-    PipelineRecord,
     export_csv_bundle,
     export_json,
     percent,
+    pipeline_record,
 )
 from tdmscan.antipatterns import FindingSet
 from tdmscan.registry import PipelineToolProfile, ToolUsage
@@ -34,12 +34,9 @@ def make_profile(tool_invocations):
 
 
 def make_record(slug, tool_invocations, findings=None):
-    return PipelineRecord(
-        repo_slug=slug,
-        profile=make_profile(tool_invocations),
-        placements=[],
-        findings=findings or FindingSet(),
-    )
+    """A `(slug, PipelineRecord)` pair for a pipeline without placements."""
+    profile = make_profile(tool_invocations)
+    return slug, pipeline_record(profile, [], findings or FindingSet())
 
 
 class TestPercent:
@@ -102,6 +99,7 @@ class TestAggregateBasics:
         assert sum(report.tools_per_pipeline.values()) == 2
         assert report.totals["pipelines"] == 3
         assert report.totals["pipelines_with_tools"] == 2
+        assert sorted(report.findings_per_pipeline) == ["a", "b"]
 
     def test_antipattern_tables(self):
         findings = FindingSet(
@@ -177,11 +175,11 @@ def test_merge_equals_single_pass(seed):
     records, _ = random_corpus(rng, rng.randint(0, 12))
     cut = rng.randint(0, len(records))
     left = Aggregator("v1")
-    for record in records[:cut]:
-        left.add(record)
+    for slug, record in records[:cut]:
+        left.add(slug, record)
     right = Aggregator("v1")
-    for record in records[cut:]:
-        right.add(record)
+    for slug, record in records[cut:]:
+        right.add(slug, record)
     left.merge(right)
     assert left.report() == fold_records(records, "v1")
 
@@ -192,12 +190,12 @@ def test_merge_is_commutative(seed):
     records, _ = random_corpus(rng, 8)
     a1, b1 = Aggregator(), Aggregator()
     a2, b2 = Aggregator(), Aggregator()
-    for record in records[:4]:
-        a1.add(record)
-        b2.add(record)
-    for record in records[4:]:
-        b1.add(record)
-        a2.add(record)
+    for slug, record in records[:4]:
+        a1.add(slug, record)
+        b2.add(slug, record)
+    for slug, record in records[4:]:
+        b1.add(slug, record)
+        a2.add(slug, record)
     a1.merge(b1)
     a2.merge(b2)
     assert a1.report() == a2.report()

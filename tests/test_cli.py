@@ -82,6 +82,18 @@ class TestAnalyze:
         assert data["tools"] == {"shellcheck": "script"}
         assert any(d["script"] == "ci/check.sh" for d in data["detections"])
 
+    def test_linked_directory_out_of_the_root_is_not_read(self, capsys, tmp_path):
+        (tmp_path / "outside" / "dir").mkdir(parents=True)
+        (tmp_path / "outside" / "dir" / "lint.sh").write_text("flake8 .\n")
+        (tmp_path / "repo").mkdir()
+        (tmp_path / "repo" / ".travis.yml").write_text("script: ./ci/lint.sh\n")
+        (tmp_path / "repo" / "ci").symlink_to("../outside/dir")
+        code, out, _ = run_cli(capsys, "analyze", str(tmp_path / "repo"))
+        assert code == 0
+        data = json.loads(out)
+        assert data["tools"] == {}
+        assert data["warnings"] == ["unresolved script reference: ci/lint.sh"]
+
     def test_invalid_utf8_config_warns(self, capsys, tmp_path):
         (tmp_path / ".travis.yml").write_bytes(INVALID_UTF8_CONFIG)
         code, out, _ = run_cli(capsys, "analyze", str(tmp_path))

@@ -228,6 +228,31 @@ class TestLocalMaterialize:
         for tree_root in (root, str(tmp_path / "linked-root")):
             assert LocalTree(tree_root).read("ci/alias.sh") == "flake8 .\n"
 
+    def test_linked_directory_out_of_the_root_is_unresolved(self, tmp_path, registry):
+        root = self.make_repo(tmp_path)
+        outside = tmp_path / "outside" / "dir"
+        outside.mkdir(parents=True)
+        (outside / "lint.sh").write_text("flake8 .\n")
+        os.rename(os.path.join(root, "ci"), tmp_path / "old-ci")
+        os.symlink("../outside/dir", os.path.join(root, "ci"))
+        tree = LocalTree(root)
+        assert tree.read("ci/lint.sh") is None
+        assert tree.read("./ci/lint.sh") is None
+        entry = ManifestEntry("a/b", ".travis.yml", ("ci/lint.sh",), local_root=root)
+        result = scan_entries([entry], registry).entries[0]
+        assert result.status == "ok"
+        assert result.warnings == ["unresolved script reference: ci/lint.sh"]
+        assert scan_entries([entry], registry).report.tool_table == {}
+
+    def test_linked_directory_inside_the_root_is_read(self, tmp_path):
+        root = self.make_repo(tmp_path)
+        (tmp_path / "repo" / "tools").mkdir()
+        os.symlink("../ci", os.path.join(root, "tools", "ci"))
+        tree = LocalTree(root)
+        assert tree.read("tools/ci/lint.sh") == "flake8 .\n"
+        assert tree.read("ci/lint.sh") == "flake8 .\n"
+        assert tree.read("tools/ci/missing.sh") is None
+
     def test_config_symlink_out_of_the_root_is_skipped(self, tmp_path, registry):
         root = tmp_path / "repo"
         root.mkdir()

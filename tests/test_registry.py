@@ -538,8 +538,9 @@ def test_registry_with_a_line_memo_pickles():
     assert "_line_memo" not in copy.__dict__
     assert "_analysis_memo" not in copy.__dict__
     assert tool_ids(detect_in_text("flake8 .", copy, CTX)) == ["flake8"]
-    analysis = analyze_document(doc, MappingTree({}), copy)
-    assert analysis.record.profile.tool_ids() == ["flake8"]
+    record, _ = analyze_document(doc, MappingTree({}), copy)
+    assert [key for key in record.keys if key[0] == "tool"] == [("tool", "flake8", "direct")]
+    assert record == analyze_document(doc, MappingTree({}), shipped_registry())[0]
 
 
 # --- the hot-path records are named tuples --------------------------------------

@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 import types
@@ -15,13 +16,30 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdmscan import analyzer, script_resolver, shipped_registry
 from tdmscan import registry as registry_module
-from tdmscan.analytics import export_csv_bundle, export_json
-from tdmscan.analyzer import AnalysisOptions, analyze_document, scan_entries
-from tdmscan.cli import _analysis_json, _entries_from_directory
-from tdmscan.config_model import MalformedDocument, NotAPipeline, RawDocument
+from tdmscan.analytics import (
+    PipelineRecord,
+    export_csv_bundle,
+    export_json,
+    pipeline_record,
+)
+from tdmscan.analyzer import (
+    AnalysisOptions,
+    analyze_document,
+    explain_document,
+    scan_entries,
+)
+from tdmscan.cli import _entries_from_directory
+from tdmscan.config_model import (
+    CommandLine,
+    MalformedDocument,
+    NotAPipeline,
+    PipelineConfig,
+    RawDocument,
+)
 from tdmscan.ingest import FetchPolicy, ManifestEntry, materialize
 from tdmscan.memo import AdmissionMemo
 from tdmscan.registry import Registry
@@ -252,25 +270,26 @@ def _cold_parse_memo(monkeypatch):
     )
 
 
-def _analyze_cold(monkeypatch, doc, tree, registry, options=AnalysisOptions()):
-    """analyze_document with memos that have seen nothing yet."""
+def _cold_record(monkeypatch, doc, tree, registry, options=AnalysisOptions()):
+    """The record and warnings of an unmemoized explain_document."""
     _cold_parse_memo(monkeypatch)
-    registry.__dict__.pop("_analysis_memo", None)
-    return analyze_document(doc, tree, registry, options)
+    analysis = explain_document(doc, tree, registry, options)
+    record = pipeline_record(analysis.profile, analysis.placements, analysis.findings)
+    return record, analysis.warnings
 
 
 def _entry_outcome(monkeypatch, entry, registry):
     doc, tree = materialize(entry)
     try:
-        analysis = _analyze_cold(monkeypatch, doc, tree, registry)
+        record, warnings = _cold_record(monkeypatch, doc, tree, registry)
     except (NotAPipeline, MalformedDocument) as exc:
         return "skipped", str(exc), []
-    return "ok", _analysis_json(analysis, doc.path), analysis.warnings
+    return "ok", record, warnings
 
 
 def test_duplicated_corpus_matches_entry_by_entry_analysis(monkeypatch):
-    # Three slugs per entry: a config's second sighting stores its analysis
-    # and the third reads it back.
+    # Three slugs per entry: a config's second sighting stores its record
+    # and the third reads that same record back.
     entries = _entries_from_directory(CORPUS_DIR)
     tripled = [
         replace(entry, repo_slug=f"{prefix}{entry.repo_slug}")
@@ -285,14 +304,14 @@ def test_duplicated_corpus_matches_entry_by_entry_analysis(monkeypatch):
 
     _cold_parse_memo(monkeypatch)
     registry = shipped_registry()
-    analyses = {}
+    records = {}
     parsed = []
     real_analyze, real_parse = analyzer.analyze_document, analyzer.parse_config
 
     def recording_analyze(doc, tree, registry, options):
-        analysis = real_analyze(doc, tree, registry, options)
-        analyses[doc.repo_slug] = _analysis_json(analysis, doc.path)
-        return analysis
+        record, warnings = real_analyze(doc, tree, registry, options)
+        records[doc.repo_slug] = record
+        return record, warnings
 
     def counting_parse(doc):
         parsed.append(doc.content)
@@ -307,14 +326,17 @@ def test_duplicated_corpus_matches_entry_by_entry_analysis(monkeypatch):
         status, detail, warnings = expected[outcome.slug]
         assert outcome.status == status, outcome.slug
         if status == "ok":
-            assert analyses[outcome.slug] == detail, outcome.slug
+            assert records[outcome.slug] == detail, outcome.slug
             assert outcome.warnings == warnings, outcome.slug
         else:
             assert outcome.message == detail, outcome.slug
     ok = [slug for slug, (status, _, _) in expected.items() if status == "ok"]
     assert len(ok) == 3 * (len(entries) - 1)
+    for slug in ok:
+        if slug.startswith("copy2-"):
+            assert records[slug] is records[slug.replace("copy2-", "copy1-")], slug
     # One key per slug of every pipeline with tools, copies included.
-    with_tools = sorted(slug for slug in ok if expected[slug][1]["tools"])
+    with_tools = sorted(slug for slug in ok if expected[slug][1].flags is not None)
     assert len(with_tools) > 3 * 30
     assert sorted(result.report.findings_per_pipeline) == with_tools
     # Each pipeline is parsed on its first two sightings; a failure is never
@@ -324,6 +346,144 @@ def test_duplicated_corpus_matches_entry_by_entry_analysis(monkeypatch):
         assert counts.pop(handle.read()) == 3
     assert set(counts.values()) == {2}
     assert registry._analysis_memo._values
+
+
+def test_memos_hold_records_of_plain_keys(monkeypatch):
+    """The memos keep what the report reads, not whole analyses."""
+    _cold_parse_memo(monkeypatch)
+    registry = shipped_registry()
+    entries = _entries_from_directory(CORPUS_DIR)
+    for _ in range(2):
+        scan_entries(entries, registry)
+    values = list(registry._analysis_memo._values.values())
+    assert len(values) == len(entries) - 1
+    for value in values:
+        assert type(value) is PipelineRecord
+        assert type(value.keys) is tuple
+        for key in value.keys:
+            assert type(key) is tuple and key
+            assert {type(field) for field in key} <= {str, int, bool}, key
+        assert value.flags is None or {type(flag) for flag in value.flags} == {bool}
+    for cfg, commands in analyzer._parse_memo._values.values():
+        assert type(cfg) is PipelineConfig
+        assert {type(command) for command in commands} <= {CommandLine}
+
+
+# --- whole-scan differential: memos on against memos off ---------------------
+
+_DIFF_CONFIGS = (
+    "script: flake8 .\n",
+    "install: pip install flake8\nscript:\n  - ./ci/lint.sh\n  - pylint src\n",
+    "script: bash ci/outer.sh\nnotifications:\n  email: true\n",
+    "stages: [lint, deploy]\n"
+    "jobs:\n"
+    "  include:\n"
+    "    - stage: lint\n"
+    "      if: branch = master AND type = push\n"
+    "      script: ./tools/lint.sh\n"
+    "    - stage: deploy\n"
+    "      script: skip\n"
+    "      deploy:\n"
+    "        provider: pypi\n"
+    "      after_deploy: ./ci/lint.sh\n",
+    "jobs:\n  allow_failures:\n    - python: nightly\nscript: mypy pkg && ./ci/lint.sh\n",
+    "just: data\n",
+    "script: [unclosed\n",
+)
+_DIFF_SCRIPTS = (
+    "flake8 .\n",
+    "pylint src\nbash ci/lint.sh\n",
+    "echo ok\n",
+    "shellcheck run.sh\n./ci/outer.sh\n",
+)
+_DIFF_SCRIPT_PATHS = ("ci/lint.sh", "ci/outer.sh", "tools/lint.sh")
+# A config's last line: none, U+FFFD as valid UTF-8, or an invalid byte that
+# decodes to the same text as the second.
+_DIFF_TAILS = (b"", "# \ufffd\n".encode("utf-8"), b"# \xff\n")
+
+# Per corpus, one or two values on each axis of an entry: config text, config
+# path, tail, and each script's text or None.  Entries draw from these pools,
+# so they repeat, and many differ from another in one value only.
+_diff_scripts = st.tuples(
+    *[st.none() | st.sampled_from(_DIFF_SCRIPTS) for _ in _DIFF_SCRIPT_PATHS]
+)
+_diff_corpus = st.tuples(
+    st.lists(st.sampled_from(_DIFF_CONFIGS), min_size=1, max_size=2, unique=True),
+    st.lists(st.sampled_from((".travis.yml", "ci/.travis.yml")), min_size=1, unique=True),
+    st.lists(st.sampled_from(_DIFF_TAILS), min_size=1, unique=True),
+    st.lists(_diff_scripts, min_size=1, max_size=2),
+).flatmap(
+    lambda pools: st.lists(
+        st.tuples(*map(st.sampled_from, pools)), min_size=3, max_size=12
+    )
+)
+_diff_options = st.lists(
+    st.builds(
+        AnalysisOptions,
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from(["pipeline", "job"]),
+    ),
+    min_size=2,
+    max_size=2,
+    unique=True,
+)
+
+
+class _PassThrough:
+    """A memo that stores nothing."""
+
+    def get(self, key, compute):
+        return compute()
+
+
+def _write_corpus(root, corpus):
+    entries = []
+    for index, (config, config_path, tail, scripts) in enumerate(corpus):
+        slug_dir = os.path.join(root, f"e{index:02d}")
+        files = {config_path: config.encode("utf-8") + tail}
+        for path, text in zip(_DIFF_SCRIPT_PATHS, scripts):
+            if text is not None:
+                files[path] = text.encode("utf-8")
+        for path, data in files.items():
+            full = os.path.join(slug_dir, path)
+            os.makedirs(os.path.dirname(full), exist_ok=True)
+            with open(full, "wb") as handle:
+                handle.write(data)
+        entries.append(
+            ManifestEntry(
+                f"e{index:02d}", config_path, _DIFF_SCRIPT_PATHS, local_root=slug_dir
+            )
+        )
+    return entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus=_diff_corpus, option_sets=_diff_options)
+def test_memos_leave_every_scan_byte_unchanged(corpus, option_sets):
+    def scans():
+        """Each option set's scan at 1 and at 2 workers, one memo state for all."""
+        registry = shipped_registry()
+        outputs = []
+        for options in option_sets:
+            for workers in (1, 2):
+                result = scan_entries(entries, registry, options, workers=workers)
+                report = result.report
+                outputs.append(
+                    (export_json(report), export_csv_bundle(report), _outcomes(result))
+                )
+        return outputs
+
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
+        entries = _write_corpus(root, corpus)
+        patch.setattr(analyzer, "_usable_cpus", lambda: 2)
+        patch.setattr(analyzer, "_parse_memo", AdmissionMemo(analyzer._PARSE_MEMO_SIZE))
+        memoized = scans()
+        patch.setattr(analyzer, "_parse_memo", _PassThrough())
+        patch.setattr(Registry, "_analysis_memo", _PassThrough())
+        unmemoized = scans()
+    assert memoized == unmemoized
+    assert unmemoized[0::2] == unmemoized[1::2]
 
 
 _LINT_CONFIG = (
@@ -362,10 +522,10 @@ def test_memoized_analysis_is_not_shared_across_a_difference(monkeypatch, varian
     registry = shipped_registry()
     base_doc = RawDocument("acme/base", ".travis.yml", _LINT_CONFIG)
     base = [
-        analyze_document(base_doc, MappingTree(_LINT_FILES), registry)
+        analyze_document(base_doc, MappingTree(_LINT_FILES), registry)[0]
         for _ in range(3)
     ]
-    assert base[2].record.profile is base[1].record.profile
+    assert base[2] is base[1]
 
     change = _VARIANTS[variant]
     doc = RawDocument(
@@ -378,16 +538,15 @@ def test_memoized_analysis_is_not_shared_across_a_difference(monkeypatch, varian
     options = change.get("options", AnalysisOptions())
     other = change.get("registry")
     variant_registry = other(registry) if other else registry
-    analysis = analyze_document(doc, MappingTree(files), variant_registry, options)
-    assert analysis.record.profile is not base[2].record.profile
-    assert analysis.record.findings is not base[2].record.findings
+    tree = MappingTree(files)
+    record, warnings = analyze_document(doc, tree, variant_registry, options)
+    assert record is not base[2]
 
     reference_registry = other(shipped_registry()) if other else shipped_registry()
-    reference = _analyze_cold(
+    reference = _cold_record(
         monkeypatch, doc, MappingTree(files), reference_registry, options
     )
-    assert _analysis_json(analysis, doc.path) == _analysis_json(reference, doc.path)
-    assert analysis.warnings == reference.warnings
+    assert (record, warnings) == reference
 
 
 @pytest.mark.parametrize(
@@ -422,8 +581,7 @@ def test_memos_store_on_the_second_sighting_and_stay_bounded(monkeypatch):
     assert not registry._analysis_memo._values
     for doc in docs:
         copy = replace(doc, repo_slug=f"copy-{doc.repo_slug}")
-        analysis = analyze_document(copy, MappingTree({}), registry)
-        assert analysis.record.repo_slug == copy.repo_slug
+        analyze_document(copy, MappingTree({}), registry)
     assert len(analyzer._parse_memo._values) == bound
     assert len(registry._analysis_memo._values) == bound
 
