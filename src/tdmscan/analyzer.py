@@ -6,12 +6,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .analytics import Aggregator, CorpusReport, PipelineRecord, pipeline_record
 from .antipatterns import LATE_MERGING_MODE_PIPELINE, FindingSet, evaluate
 from .config_model import (
-    CommandLine,
     MalformedDocument,
     NotAPipeline,
     PipelineConfig,
@@ -19,20 +18,40 @@ from .config_model import (
     iter_command_lines,
     parse_config,
 )
-from .ingest import FetchPolicy, FileTooLarge, ManifestEntry, NotFound, materialize
-from .memo import AdmissionMemo
+from .ingest import (
+    FetchPolicy,
+    FileTooLarge,
+    ManifestEntry,
+    NotFound,
+    materialize,
+    text_sha256,
+)
+from .memo import BoundedMemo
 from .placement import PlacementResult, classify_pipeline
 from .registry import PipelineToolProfile, Registry, profile_pipeline
-from .script_resolver import FileTree, ScriptDocument, Site, collect_script_documents
+from .script_resolver import (
+    FileTree,
+    ScriptDocument,
+    Site,
+    collect_script_documents,
+    script_references,
+)
 
 # Chunks per worker in a sharded scan, dealt round-robin: enough that the
 # workers' shares hold a similar mix of small and large pipelines.
 _CHUNKS_PER_WORKER = 8
 
-# Per-process memo of parsed configs and their command lines: at most this
-# many configs.  Parsing does not depend on the registry, so all share it.
-_PARSE_MEMO_SIZE = 256
-_parse_memo = AdmissionMemo(_PARSE_MEMO_SIZE)
+
+class ParsedConfig(NamedTuple):
+    """What script resolution needs of a parsed config: the parse memo's value."""
+
+    warnings: tuple[str, ...]  # the config's, then its script references'
+    references: tuple[tuple[str, Site], ...]  # see script_references
+
+
+# Per-process memo of ParsedConfigs, keyed on the config's (path, sha256,
+# invalid_utf8).  Parsing does not depend on the registry, so all share it.
+_parse_memo = BoundedMemo()
 
 
 @dataclass(frozen=True)
@@ -53,26 +72,22 @@ class PipelineAnalysis:
     warnings: list[str] = field(default_factory=list)
 
 
-def _parse(doc: RawDocument) -> tuple[PipelineConfig, tuple[CommandLine, ...]]:
-    cfg = parse_config(doc)
-    return cfg, tuple(iter_command_lines(cfg))
-
-
-def _resolve(doc: RawDocument, tree: FileTree, options: AnalysisOptions):
-    """The config's memo key, parsed model, scripts, sites and warnings.
-
-    Only the parse is memoized, so each entry keeps its own reads and warnings.
-    """
-    source = (doc.path, doc.content, doc.invalid_utf8)
-    cfg, commands = _parse_memo.get(source, partial(_parse, doc))
+def _parsed(cfg: PipelineConfig) -> ParsedConfig:
     warnings = list(cfg.warnings)
+    references = script_references(iter_command_lines(cfg), warnings)
+    return ParsedConfig(tuple(warnings), references)
+
+
+def _resolve(parsed: ParsedConfig, tree: FileTree, options: AnalysisOptions):
+    """The scripts, sites and warnings of one entry; reads are never memoized."""
+    warnings = list(parsed.warnings)
     scripts, sites = collect_script_documents(
-        commands, tree, recursive=options.recursive_scripts, warnings=warnings
+        parsed.references, tree, recursive=options.recursive_scripts, warnings=warnings
     )
     for script in scripts:
         if not script.resolved:
             warnings.append(f"unresolved script reference: {script.path}")
-    return source, cfg, scripts, sites, warnings
+    return scripts, sites, warnings
 
 
 def _derive(
@@ -101,16 +116,28 @@ def analyze_document(
 
     Raises NotAPipeline / MalformedDocument for unanalyzable input.
 
-    The record is memoized on the config's path and content, `options`, the
-    path and content of every script the tree gave, and `registry`; like
-    the parse, it is stored on its second sighting.
+    The config's ParsedConfig is memoized on its (path, sha256,
+    invalid_utf8), and the record on that key, `options`, the (path, sha256)
+    of every script the tree gave (None for a missing one) and `registry`.
+    Both are stored on their first sighting.  When the record is not
+    memoized but the ParsedConfig is, the config is parsed again.
     """
-    source, cfg, scripts, sites, warnings = _resolve(doc, tree, options)
-    key = (source, options, tuple((script.path, script.content) for script in scripts))
-    record = registry._analysis_memo.get(
-        key, lambda: pipeline_record(*_derive(cfg, scripts, sites, registry, options))
-    )
-    return record, warnings
+    source = (doc.path, doc.sha256 or text_sha256(doc.content), doc.invalid_utf8)
+    cfg = None
+
+    def parse() -> ParsedConfig:
+        nonlocal cfg
+        cfg = parse_config(doc)
+        return _parsed(cfg)
+
+    scripts, sites, warnings = _resolve(_parse_memo.get(source, parse), tree, options)
+
+    def derive() -> PipelineRecord:
+        config = cfg if cfg is not None else parse_config(doc)
+        return pipeline_record(*_derive(config, scripts, sites, registry, options))
+
+    key = (source, options, tuple((script.path, script.sha256) for script in scripts))
+    return registry._analysis_memo.get(key, derive), warnings
 
 
 def explain_document(
@@ -124,7 +151,8 @@ def explain_document(
     Not memoized: `tdmscan analyze` prints every detection and placement,
     which no scan reads.  Raises like analyze_document.
     """
-    _, cfg, scripts, sites, warnings = _resolve(doc, tree, options)
+    cfg = parse_config(doc)
+    scripts, sites, warnings = _resolve(_parsed(cfg), tree, options)
     profile, placements, findings = _derive(cfg, scripts, sites, registry, options)
     return PipelineAnalysis(doc.repo_slug, profile, placements, findings, warnings)
 

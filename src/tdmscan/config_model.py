@@ -117,6 +117,9 @@ class RawDocument:
     content: str
     # The reader replaced invalid UTF-8 bytes while decoding `content`.
     invalid_utf8: bool = False
+    # The digest the reader recorded for the file, if any; it follows from
+    # the content read, so it takes no part in equality.
+    sha256: str | None = field(default=None, compare=False)
 
 
 class CommandLine(NamedTuple):

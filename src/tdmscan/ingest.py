@@ -201,8 +201,9 @@ def load_manifest(path: str) -> CorpusManifest:
     return parse_manifest(data)
 
 
-def _digest(content: str) -> str:
-    return hashlib.sha256(content.encode("utf-8", errors="replace")).hexdigest()
+def text_sha256(content: str) -> str:
+    """sha256 of `content` as UTF-8; a lone surrogate keeps its own bytes."""
+    return hashlib.sha256(content.encode("utf-8", errors="surrogatepass")).hexdigest()
 
 
 class LocalTree:
@@ -316,7 +317,7 @@ class RemoteTree:
         with self._lock:
             self._cache[path] = content
             if content is not None:
-                self.provenance[path] = {"url": url, "sha256": _digest(content)}
+                self.provenance[path] = {"url": url, "sha256": text_sha256(content)}
         return content
 
     def _fetch(self, url: str):
@@ -380,5 +381,6 @@ def materialize(
         entry.config_path,
         content,
         invalid_utf8=entry.is_local and entry.config_path in tree.undecodable,
+        sha256=tree.provenance[entry.config_path]["sha256"],
     )
     return doc, tree

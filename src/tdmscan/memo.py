@@ -1,10 +1,13 @@
-"""A bounded, thread-safe memo that stores a value on its key's second sighting.
+"""A thread-safe LRU memo bounded both in values and in estimated bytes.
 
-Mined corpora repeat some inputs many times and most inputs never, so a memo
-that stored every value would grow with the distinct inputs for no gain.
-`AdmissionMemo` remembers only the hash of a key seen once (a small
-doorkeeper); the value is stored when the key comes back.  A hash collision
-only admits a key early: lookups compare the full key.
+Mined corpora repeat whole inputs (templates, forks, boilerplate), so each
+distinct input is worth analyzing once per process.  `BoundedMemo` stores a
+value the first time its key is seen; the scan keys its memos on digests
+and stores small immutable summaries, so a value costs little.  Two caps
+bound what a memo holds however many distinct inputs a corpus has: at most
+`MAX_VALUES` values and at most `MAX_BYTES` estimated bytes (see `weight`),
+least recently used first out.  A value heavier than the byte cap on its
+own is returned but never stored.
 """
 
 from __future__ import annotations
@@ -15,22 +18,58 @@ from typing import Callable, Generic, Hashable, TypeVar
 
 V = TypeVar("V")
 
-# Hashes of keys seen once, oldest forgotten first.
-_DOORKEEPER_SIZE = 4096
+# Per memo: the most values, and the most estimated bytes, it holds.
+MAX_VALUES = 4096
+MAX_BYTES = 16 << 20
+
+# Estimated bytes of one stored entry's dict slots and LRU link, and of one
+# object with the reference that holds it.
+_ENTRY_BYTES = 192
+_OBJECT_BYTES = 72
 
 
-class AdmissionMemo(Generic[V]):
-    """An LRU of at most `size` values, each admitted on its second sighting.
+def weight(value: object) -> int:
+    """Estimated bytes that `value` keeps alive, from its object count and
+    its strings' lengths.
+
+    Made for the memos' keys and values: strings, ints, None, enum members
+    and tuples of them, named tuples included; any other object counts as
+    one object.  Every object is counted as if the value owned it alone,
+    and when a string is not ASCII every character at four bytes plus as
+    many for a cached UTF-8 copy, so the estimate errs high.  Tuples are
+    walked a level at a time, without a call per element.
+    """
+    objects = 0
+    strings: list[str] = []
+    level = [value]
+    while level:
+        objects += len(level)
+        deeper: list = []
+        for item in level:
+            if isinstance(item, tuple):
+                deeper += item
+            elif isinstance(item, str):
+                strings.append(item)
+        level = deeper
+    text = "".join(strings)
+    chars = len(text) if text.isascii() else 8 * len(text)
+    return _OBJECT_BYTES * objects + chars
+
+
+class BoundedMemo(Generic[V]):
+    """An LRU of at most `MAX_VALUES` values and `MAX_BYTES` estimated bytes.
 
     Stored values are shared by every caller that looks the key up and must
     not be mutated.  `compute` runs outside the lock, and a value is stored
-    only when it returns, so an exception is never memoized.
+    only when it returns, so an exception is never memoized.  An entry's
+    weight, its key and value together, is estimated once, when it is
+    stored.
     """
 
-    def __init__(self, size: int):
-        self.size = size
+    def __init__(self):
         self._values: OrderedDict[Hashable, V] = OrderedDict()
-        self._seen: dict[int, None] = {}
+        self._weights: dict[Hashable, int] = {}
+        self.bytes = 0
         self._lock = threading.Lock()
 
     def get(self, key: Hashable, compute: Callable[[], V]) -> V:
@@ -38,19 +77,16 @@ class AdmissionMemo(Generic[V]):
             if key in self._values:
                 self._values.move_to_end(key)
                 return self._values[key]
-            digest = hash(key)
-            admit = digest in self._seen
-            if admit:
-                del self._seen[digest]
-            else:
-                self._seen[digest] = None
-                if len(self._seen) > _DOORKEEPER_SIZE:
-                    del self._seen[next(iter(self._seen))]
         value = compute()
-        if admit:
-            with self._lock:
+        size = _ENTRY_BYTES + weight((key, value))
+        if size > MAX_BYTES:
+            return value
+        with self._lock:
+            if key not in self._values:
                 self._values[key] = value
-                self._values.move_to_end(key)
-                if len(self._values) > self.size:
-                    self._values.popitem(last=False)
+                self._weights[key] = size
+                self.bytes += size
+                while len(self._values) > MAX_VALUES or self.bytes > MAX_BYTES:
+                    evicted, _ = self._values.popitem(last=False)
+                    self.bytes -= self._weights.pop(evicted)
         return value

@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .config_model import PhaseKind, PipelineConfig, iter_command_lines
-from .memo import AdmissionMemo
+from .memo import BoundedMemo
 from .script_resolver import (
     ScriptDocument,
     Site,
@@ -53,9 +53,6 @@ _EXPECTED_TOOL_COUNT = 38
 # lines, each at most this long (longer lines are matched every time).
 _LINE_MEMO_SIZE = 4096
 _LINE_MEMO_MAX_CHARS = 256
-# Per-registry memo of pipeline records (see analyzer.analyze_document): at
-# most this many pipelines.
-_ANALYSIS_MEMO_SIZE = 256
 
 
 class RegistryError(ValueError):
@@ -141,9 +138,9 @@ class Registry:
         return lru_cache(maxsize=_LINE_MEMO_SIZE)(partial(_line_hits, self))
 
     @cached_property
-    def _analysis_memo(self) -> AdmissionMemo:
+    def _analysis_memo(self) -> BoundedMemo:
         """analyzer.analyze_document's PipelineRecords under this registry."""
-        return AdmissionMemo(_ANALYSIS_MEMO_SIZE)
+        return BoundedMemo()
 
     def __getstate__(self) -> dict[str, Any]:
         # The memos are per process and cannot be pickled; a copy builds its own.

@@ -5,8 +5,9 @@ repository; those scripts are part of the analysis corpus.  Extraction is
 heuristic and purely textual: tokens ending in ``.sh``/``.bash``, tokens
 starting with ``./``, and the path argument of an interpreter invocation
 (``sh X``, ``bash X``, ``source X``, ``. X``) count as references.
-`collect_script_documents` reads each referenced script once and gives the
-(job, phase) sites that run it, which detection, placement and timing read.
+`script_references` finds a config's references and the (job, phase) sites
+that run them; `collect_script_documents` reads each referenced script once
+and gives every script's sites, which detection, placement and timing read.
 Tool detection and placement read shell text through the same primitives:
 `command_lines` for the lines, `command_words` for a segment's words.
 """
@@ -15,12 +16,13 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Iterable, Protocol
 
 from .config_model import CommandLine, PhaseKind
-from .ingest import FileTooLarge, escapes_repo
+from .ingest import FileTooLarge, escapes_repo, text_sha256
+from .memo import BoundedMemo
 
 SCRIPT_SUFFIXES = (".sh", ".bash")
 
@@ -41,18 +43,32 @@ _REF_MEMO_MAX_CHARS = 256
 
 Site = tuple[int, PhaseKind]
 
+# Per-process memo of a resolved script's nested references and their
+# warnings, keyed on the script's sha256 (recursive mode only).
+_reference_memo = BoundedMemo()
+
 
 @dataclass(frozen=True)
 class ScriptDocument:
-    """A referenced script; ``resolved`` is False when absent from the tree."""
+    """A referenced script; ``resolved`` is False when absent from the tree.
+
+    ``sha256`` is the digest of the content read, None when unresolved; it
+    follows from where the content came from, so it takes no part in
+    equality.
+    """
 
     path: str
     content: str | None
     resolved: bool
+    sha256: str | None = field(default=None, compare=False)
 
 
 class FileTree(Protocol):
-    """Read-only accessor over repo-relative paths; must allow concurrent reads."""
+    """Read-only accessor over repo-relative paths; must allow concurrent reads.
+
+    A tree may record, in ``provenance[path]["sha256"]``, the digest of each
+    file it read (see read_sha256).
+    """
 
     def read(self, path: str) -> str | None:
         """Content of `path`, or None when the tree does not contain it.
@@ -60,6 +76,13 @@ class FileTree(Protocol):
         May raise FileTooLarge for a file over `ingest.MAX_FILE_BYTES`.
         """
         ...
+
+
+def read_sha256(tree: FileTree, path: str, content: str) -> str:
+    """The sha256 of `content`, just read at `path`: the digest `tree`
+    recorded for it, or else `ingest.text_sha256` of the text."""
+    recorded = getattr(tree, "provenance", {}).get(path)
+    return recorded["sha256"] if recorded else text_sha256(content)
 
 
 class MappingTree:
@@ -234,23 +257,47 @@ def script_paths(text: str, warnings: list[str] | None = None) -> list[str]:
     return list(paths)
 
 
+def _nested_references(text: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """`script_paths` of a script's text, and the warnings it records."""
+    warnings: list[str] = []
+    return tuple(script_paths(text, warnings)), tuple(warnings)
+
+
+def script_references(
+    commands: Iterable[CommandLine], warnings: list[str] | None = None
+) -> tuple[tuple[str, Site], ...]:
+    """The (normalized path, (job index, phase)) pair of every script that
+    `commands` reference, each pair once, in first-reference order.
+
+    A pure function of the commands: what a config gives
+    `collect_script_documents`.  `warnings` collects what `script_paths`
+    records.
+    """
+    pairs: dict[tuple[str, Site], None] = {}
+    for cmd in commands:
+        for path in script_paths(cmd.text, warnings):
+            pairs[path, (cmd.job_index, cmd.phase)] = None
+    return tuple(pairs)
+
+
 def collect_script_documents(
-    commands: Iterable[CommandLine],
+    references: Iterable[tuple[str, Site]],
     tree: FileTree,
     recursive: bool = False,
     warnings: list[str] | None = None,
 ) -> tuple[list[ScriptDocument], dict[str, tuple[Site, ...]]]:
-    """Resolve every script referenced by `commands` against `tree`.
+    """Read every script of `references` (see script_references) from `tree`.
 
     Returns the documents (first-reference order) and, per normalized path,
     its sites: the (job index, phase) of each command that (transitively)
     invokes it, once each, in first-reference order.  With `recursive`,
-    each resolved script's references are read once and inherit its sites;
-    a (path, site) pair is followed once, which cuts cycles.
+    each resolved script's references are found once per distinct text in
+    the process (memoized on its sha256, warnings replayed) and inherit its
+    sites; a (path, site) pair is followed once, which cuts cycles.
     """
     sites: dict[str, dict[Site, None]] = {}
     docs: dict[str, ScriptDocument] = {}
-    nested: dict[str, list[str]] = {}
+    nested: dict[str, tuple[str, ...]] = {}
     queue: deque[tuple[str, Site]] = deque()
 
     def attach(path: str, site: Site) -> None:
@@ -259,9 +306,8 @@ def collect_script_documents(
             held[site] = None
             queue.append((path, site))
 
-    for cmd in commands:
-        for path in script_paths(cmd.text, warnings):
-            attach(path, (cmd.job_index, cmd.phase))
+    for path, site in references:
+        attach(path, site)
 
     while queue:
         path, site = queue.popleft()
@@ -272,9 +318,14 @@ def collect_script_documents(
                 content = None
                 if warnings is not None:
                     warnings.append(f"script not read: {exc}")
-            docs[path] = ScriptDocument(path, content, content is not None)
-            if recursive and content is not None:
-                nested[path] = script_paths(content, warnings)
+            digest = None if content is None else read_sha256(tree, path, content)
+            docs[path] = ScriptDocument(path, content, content is not None, digest)
+            if recursive and digest is not None:
+                nested[path], found = _reference_memo.get(
+                    digest, partial(_nested_references, content)
+                )
+                if warnings is not None:
+                    warnings.extend(found)
         for reference in nested.get(path, ()):
             attach(reference, site)
 

@@ -11,7 +11,11 @@ from tdmscan import (
     shipped_registry,
 )
 from tdmscan.config_model import iter_command_lines
-from tdmscan.script_resolver import MappingTree, collect_script_documents
+from tdmscan.script_resolver import (
+    MappingTree,
+    collect_script_documents,
+    script_references,
+)
 
 FIXTURES_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 CORPUS_DIR = os.path.join(FIXTURES_DIR, "corpus")
@@ -73,7 +77,8 @@ def make_doc(content: str, slug: str = "acme/demo") -> RawDocument:
 
 def collect_scripts(cfg, files=None):
     """(scripts, sites) for `cfg`'s commands over an in-memory tree."""
-    return collect_script_documents(iter_command_lines(cfg), MappingTree(files or {}))
+    references = script_references(iter_command_lines(cfg))
+    return collect_script_documents(references, MappingTree(files or {}))
 
 
 def profile_of(registry, cfg, files=None):

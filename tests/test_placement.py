@@ -34,6 +34,7 @@ from tdmscan.registry import (
 from tdmscan.script_resolver import (
     collect_script_documents,
     script_paths,
+    script_references,
     split_actions,
 )
 
@@ -636,7 +637,7 @@ def test_timings_match_per_detection_classification_on_fixtures(registry):
             not_pipelines.append(slug)
             continue
         scripts, sites = collect_script_documents(
-            iter_command_lines(cfg), LocalTree(slug_dir)
+            script_references(iter_command_lines(cfg)), LocalTree(slug_dir)
         )
         _assert_matches_per_detection(registry, cfg, scripts, sites)
         analyzed_slugs.append(slug)

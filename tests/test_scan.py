@@ -2,6 +2,7 @@
 forked or not, and with warm or cold line and pipeline memos; a forked
 child's failure reaches the caller and leaves no process behind."""
 
+import gc
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import sys
 import tempfile
 import textwrap
 import time
+import tracemalloc
 import types
 from collections import Counter
 from dataclasses import replace
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdmscan import analyzer, script_resolver, shipped_registry
-from tdmscan import registry as registry_module
+from tdmscan import memo as memo_module
 from tdmscan.analytics import (
     PipelineRecord,
     export_csv_bundle,
@@ -28,6 +30,7 @@ from tdmscan.analytics import (
 )
 from tdmscan.analyzer import (
     AnalysisOptions,
+    ParsedConfig,
     analyze_document,
     explain_document,
     scan_entries,
@@ -37,11 +40,12 @@ from tdmscan.config_model import (
     CommandLine,
     MalformedDocument,
     NotAPipeline,
+    PhaseKind,
     PipelineConfig,
     RawDocument,
 )
 from tdmscan.ingest import FetchPolicy, ManifestEntry, materialize
-from tdmscan.memo import AdmissionMemo
+from tdmscan.memo import BoundedMemo
 from tdmscan.registry import Registry
 from tdmscan.script_resolver import MappingTree
 
@@ -265,9 +269,7 @@ def test_warm_line_memos_give_identical_scans():
 
 
 def _cold_parse_memo(monkeypatch):
-    monkeypatch.setattr(
-        analyzer, "_parse_memo", AdmissionMemo(analyzer._PARSE_MEMO_SIZE)
-    )
+    monkeypatch.setattr(analyzer, "_parse_memo", BoundedMemo())
 
 
 def _cold_record(monkeypatch, doc, tree, registry, options=AnalysisOptions()):
@@ -288,8 +290,8 @@ def _entry_outcome(monkeypatch, entry, registry):
 
 
 def test_duplicated_corpus_matches_entry_by_entry_analysis(monkeypatch):
-    # Three slugs per entry: a config's second sighting stores its record
-    # and the third reads that same record back.
+    # Three slugs per entry: a config's first sighting stores its record
+    # and the other two read that same record back.
     entries = _entries_from_directory(CORPUS_DIR)
     tripled = [
         replace(entry, repo_slug=f"{prefix}{entry.repo_slug}")
@@ -333,23 +335,33 @@ def test_duplicated_corpus_matches_entry_by_entry_analysis(monkeypatch):
     ok = [slug for slug, (status, _, _) in expected.items() if status == "ok"]
     assert len(ok) == 3 * (len(entries) - 1)
     for slug in ok:
-        if slug.startswith("copy2-"):
-            assert records[slug] is records[slug.replace("copy2-", "copy1-")], slug
+        if slug.startswith("copy"):
+            assert records[slug] is records[slug.split("-", 1)[1]], slug
     # One key per slug of every pipeline with tools, copies included.
     with_tools = sorted(slug for slug in ok if expected[slug][1].flags is not None)
     assert len(with_tools) > 3 * 30
     assert sorted(result.report.findings_per_pipeline) == with_tools
-    # Each pipeline is parsed on its first two sightings; a failure is never
-    # stored, so the not-a-pipeline entry is parsed on all three.
+    # Each pipeline is parsed once, on its first sighting; a failure is
+    # never stored, so the not-a-pipeline entry is parsed on all three.
     counts = Counter(parsed)
     with open(os.path.join(CORPUS_DIR, "34-not-a-pipeline", ".travis.yml")) as handle:
         assert counts.pop(handle.read()) == 3
-    assert set(counts.values()) == {2}
+    assert set(counts.values()) == {1}
     assert registry._analysis_memo._values
 
 
+def _leaves(value):
+    """The non-tuple values inside `value`, nested tuples flattened."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 def test_memos_hold_records_of_plain_keys(monkeypatch):
-    """The memos keep what the report reads, not whole analyses."""
+    """The memos keep what the report and script resolution read, under
+    digest keys: no parsed model, command line or file text."""
     _cold_parse_memo(monkeypatch)
     registry = shipped_registry()
     entries = _entries_from_directory(CORPUS_DIR)
@@ -364,9 +376,40 @@ def test_memos_hold_records_of_plain_keys(monkeypatch):
             assert type(key) is tuple and key
             assert {type(field) for field in key} <= {str, int, bool}, key
         assert value.flags is None or {type(flag) for flag in value.flags} == {bool}
-    for cfg, commands in analyzer._parse_memo._values.values():
-        assert type(cfg) is PipelineConfig
-        assert {type(command) for command in commands} <= {CommandLine}
+    parsed = list(analyzer._parse_memo._values.values())
+    assert len(parsed) == len(entries) - 1
+    assert any(value.references for value in parsed)
+    for value in parsed:
+        assert type(value) is ParsedConfig
+        assert {type(warning) for warning in value.warnings} <= {str}
+        for path, (job_index, phase) in value.references:
+            assert (type(path), type(job_index), type(phase)) == (str, int, PhaseKind)
+        for leaf in _leaves(value):
+            assert not isinstance(leaf, (PipelineConfig, CommandLine)), leaf
+
+    texts = set()
+    for directory, _, names in os.walk(CORPUS_DIR):
+        for name in names:
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8", errors="replace") as handle:
+                texts.add(handle.read())
+    keys = [*analyzer._parse_memo._values, *registry._analysis_memo._values]
+    for key in keys:
+        for leaf in _leaves(key):
+            assert type(leaf) in (str, bool, type(None), AnalysisOptions), key
+            if type(leaf) is str:
+                assert leaf not in texts, key
+                assert "\n" not in leaf and len(leaf) <= 64, key
+    # A config key is (path, sha256, invalid_utf8); a record's adds the
+    # options and each script's (path, sha256 or None).
+    for path, digest, invalid_utf8 in analyzer._parse_memo._values:
+        assert path == ".travis.yml" and re.fullmatch("[0-9a-f]{64}", digest)
+        assert type(invalid_utf8) is bool
+    for source, options, scripts in registry._analysis_memo._values:
+        assert source in analyzer._parse_memo._values
+        assert options == AnalysisOptions()
+        for path, digest in scripts:
+            assert digest is None or re.fullmatch("[0-9a-f]{64}", digest)
 
 
 # --- whole-scan differential: memos on against memos off ---------------------
@@ -477,10 +520,12 @@ def test_memos_leave_every_scan_byte_unchanged(corpus, option_sets):
     with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
         entries = _write_corpus(root, corpus)
         patch.setattr(analyzer, "_usable_cpus", lambda: 2)
-        patch.setattr(analyzer, "_parse_memo", AdmissionMemo(analyzer._PARSE_MEMO_SIZE))
+        patch.setattr(analyzer, "_parse_memo", BoundedMemo())
+        patch.setattr(script_resolver, "_reference_memo", BoundedMemo())
         memoized = scans()
         patch.setattr(analyzer, "_parse_memo", _PassThrough())
         patch.setattr(Registry, "_analysis_memo", _PassThrough())
+        patch.setattr(script_resolver, "_reference_memo", _PassThrough())
         unmemoized = scans()
     assert memoized == unmemoized
     assert unmemoized[0::2] == unmemoized[1::2]
@@ -566,24 +611,142 @@ def test_failures_keep_their_own_messages(monkeypatch, content, error):
     assert not analyzer._parse_memo._values
 
 
-def test_memos_store_on_the_second_sighting_and_stay_bounded(monkeypatch):
+def test_memos_store_on_the_first_sighting_and_stay_bounded(monkeypatch):
     _cold_parse_memo(monkeypatch)
+    bound = 64
+    monkeypatch.setattr(memo_module, "MAX_VALUES", bound)
     registry = shipped_registry()
-    bound = analyzer._PARSE_MEMO_SIZE
-    assert registry_module._ANALYSIS_MEMO_SIZE == bound
+    parsed = []
+    real_parse = analyzer.parse_config
+
+    def counting_parse(doc):
+        parsed.append(doc.repo_slug)
+        return real_parse(doc)
+
+    monkeypatch.setattr(analyzer, "parse_config", counting_parse)
     docs = [
         RawDocument(f"acme/p{i}", ".travis.yml", f"script: flake8 src/p{i}\n")
         for i in range(bound + 40)
     ]
-    for doc in docs:
-        analyze_document(doc, MappingTree({}), registry)
-    assert not analyzer._parse_memo._values
-    assert not registry._analysis_memo._values
-    for doc in docs:
+    first = [analyze_document(doc, MappingTree({}), registry)[0] for doc in docs]
+    assert parsed == [doc.repo_slug for doc in docs]
+    memos = (analyzer._parse_memo, registry._analysis_memo)
+    for memo in memos:
+        assert len(memo._values) == bound
+        assert memo.bytes == sum(memo._weights.values()) <= memo_module.MAX_BYTES
+    # The most recent `bound` configs are held and read back unparsed; the
+    # oldest were evicted and are parsed again.
+    parsed.clear()
+    for doc, record in reversed(list(zip(docs, first))):
         copy = replace(doc, repo_slug=f"copy-{doc.repo_slug}")
-        analyze_document(copy, MappingTree({}), registry)
-    assert len(analyzer._parse_memo._values) == bound
-    assert len(registry._analysis_memo._values) == bound
+        assert analyze_document(copy, MappingTree({}), registry)[0] == record
+    assert parsed == [f"copy-{doc.repo_slug}" for doc in reversed(docs[:40])]
+    for memo in memos:
+        assert len(memo._values) == bound
+
+
+_SHARED_DEPLOY = "bash ci/notify.sh\nflake8 src\n"
+
+
+def test_recursive_scan_reads_each_distinct_script_once(monkeypatch, tmp_path):
+    # A matrix corpus: every pipeline runs the same deploy script in each of
+    # its jobs, and two of them carry their own text of a second script.
+    _cold_parse_memo(monkeypatch)
+    monkeypatch.setattr(script_resolver, "_reference_memo", BoundedMemo())
+    scripts = {"ci/deploy.sh": _SHARED_DEPLOY, "ci/notify.sh": "echo done\n"}
+    entries = []
+    for index in range(6):
+        root = tmp_path / f"p{index}"
+        jobs = "".join(
+            f"    - stage: s{job}\n      script: bash ci/deploy.sh --job {job}\n"
+            for job in range(index + 3)
+        )
+        files = {".travis.yml": f"jobs:\n  include:\n{jobs}", **scripts}
+        if index < 2:
+            files["ci/notify.sh"] = f"pylint p{index}\n"
+        for path, text in files.items():
+            (root / path).parent.mkdir(parents=True, exist_ok=True)
+            (root / path).write_text(text)
+        entries.append(
+            ManifestEntry(f"p{index}", ".travis.yml", tuple(scripts), local_root=str(root))
+        )
+    texts = {_SHARED_DEPLOY, "echo done\n", "pylint p0\n", "pylint p1\n"}
+    scanned = []
+    real_script_paths = script_resolver.script_paths
+
+    def counting_script_paths(text, warnings=None):
+        scanned.append(text)
+        return real_script_paths(text, warnings)
+
+    monkeypatch.setattr(script_resolver, "script_paths", counting_script_paths)
+    options = AnalysisOptions(recursive_scripts=True)
+    result = scan_entries(entries, shipped_registry(), options)
+    assert [e.status for e in result.entries] == ["ok"] * len(entries)
+    assert Counter(text for text in scanned if text in texts) == dict.fromkeys(texts, 1)
+    assert result.report.tool_table["pylint"]["pipelines"] == 2
+
+    monkeypatch.setattr(script_resolver, "script_paths", real_script_paths)
+    monkeypatch.setattr(script_resolver, "_reference_memo", _PassThrough())
+    _cold_parse_memo(monkeypatch)
+    cold = scan_entries(entries, shipped_registry(), options)
+    assert export_json(cold.report) == export_json(result.report)
+    assert _outcomes(cold) == _outcomes(result)
+
+
+def _alias_fanout(index):
+    """A depth-4 alias fan-out: 8**4 copies of one line with a tool and a
+    variable script reference, so its ParsedConfig holds 4,096 warnings."""
+    line = f"flake8 src/p{index} && bash $CI/p{index}.sh"
+    return "".join(
+        [
+            f'a: &a ["{line}"]\n',
+            "b: &b [" + ", ".join(["*a"] * 8) + "]\n",
+            "c: &c [" + ", ".join(["*b"] * 8) + "]\n",
+            "d: &d [" + ", ".join(["*c"] * 8) + "]\n",
+            "script: [" + ", ".join(["*d"] * 8) + "]\n",
+        ]
+    )
+
+
+def test_memos_retain_no_more_than_their_caps(monkeypatch, tmp_path):
+    cap, count = 1 << 20, 3
+    monkeypatch.setattr(memo_module, "MAX_BYTES", cap)
+    monkeypatch.setattr(memo_module, "MAX_VALUES", count)
+    entries = []
+    for index in range(12):
+        root = tmp_path / f"p{index}"
+        root.mkdir()
+        (root / ".travis.yml").write_text(_alias_fanout(index))
+        entries.append(ManifestEntry(f"p{index}", ".travis.yml", (), local_root=str(root)))
+    registry = shipped_registry()
+    tracemalloc.start()
+    try:
+        _cold_parse_memo(monkeypatch)
+        result = scan_entries(entries, registry)
+        assert [e.status for e in result.entries] == ["ok"] * len(entries)
+        # One variable-reference warning per line, then one unresolved script.
+        assert all(len(e.warnings) == 8**4 + 1 for e in result.entries)
+        del result
+        parse_memo, analysis_memo = analyzer._parse_memo, registry._analysis_memo
+        # The weight cap holds fewer fan-outs than the count cap would.
+        assert 0 < len(parse_memo._values) < count
+        assert len(analysis_memo._values) == count
+        estimated, retained = {}, {}
+        for name, memo in (("parse", parse_memo), ("analysis", analysis_memo)):
+            estimated[name] = memo.bytes
+            assert memo.bytes == sum(memo._weights.values())
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            memo._values.clear()
+            memo._weights.clear()
+            gc.collect()
+            retained[name] = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # What each memo keeps alive is within its own estimate, and so within
+    # the cap.
+    for name in ("parse", "analysis"):
+        assert 0 < retained[name] <= estimated[name] <= cap, (retained, estimated)
 
 
 def test_remote_scan_on_two_threads_matches_one(monkeypatch):

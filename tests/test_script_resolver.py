@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from tdmscan import script_resolver
 from tdmscan.config_model import CommandLine, PhaseKind
 from tdmscan.ingest import escapes_repo
+from tdmscan.memo import BoundedMemo
 from tdmscan.script_resolver import (
     SCRIPT_SUFFIXES,
     MappingTree,
@@ -16,6 +17,7 @@ from tdmscan.script_resolver import (
     is_installer,
     normalize_script_path,
     script_paths,
+    script_references,
     shell_tokens,
     split_actions,
     split_segments,
@@ -24,6 +26,12 @@ from tdmscan.script_resolver import (
 
 def cmd(text: str) -> CommandLine:
     return CommandLine(text, PhaseKind.SCRIPT, 0, 0)
+
+
+def collect(commands, tree, recursive=False, warnings=None):
+    """Both steps of script resolution over `commands`."""
+    references = script_references(commands, warnings)
+    return collect_script_documents(references, tree, recursive, warnings)
 
 
 class TestExtraction:
@@ -89,7 +97,7 @@ class TestNormalization:
 class TestResolution:
     def test_present_and_missing(self):
         tree = MappingTree({"ci/lint.sh": "flake8 ."})
-        docs, _ = collect_script_documents(
+        docs, _ = collect(
             [cmd("bash ci/lint.sh && bash missing.sh")], tree
         )
         assert [(d.path, d.resolved) for d in docs] == [
@@ -100,11 +108,11 @@ class TestResolution:
 
     def test_same_path_resolves_once(self):
         tree = MappingTree({"a.sh": "x"})
-        docs, _ = collect_script_documents([cmd("./a.sh"), cmd("bash a.sh")], tree)
+        docs, _ = collect([cmd("./a.sh"), cmd("bash a.sh")], tree)
         assert len(docs) == 1
 
     def test_resolution_never_fabricates(self):
-        docs, _ = collect_script_documents([cmd("./gone.sh")], MappingTree({}))
+        docs, _ = collect([cmd("./gone.sh")], MappingTree({}))
         assert docs[0].resolved is False
         assert docs[0].content is None
 
@@ -112,20 +120,20 @@ class TestResolution:
 class TestRecursiveCollection:
     def test_one_level_by_default(self):
         tree = MappingTree({"outer.sh": "bash inner.sh", "inner.sh": "ruff ."})
-        docs, sites = collect_script_documents([cmd("bash outer.sh")], tree)
+        docs, sites = collect([cmd("bash outer.sh")], tree)
         assert [d.path for d in docs] == ["outer.sh"]
         assert list(sites) == ["outer.sh"]
 
     def test_recursive_follows_and_attributes_root(self):
         root = cmd("bash outer.sh")
         tree = MappingTree({"outer.sh": "bash inner.sh", "inner.sh": "ruff ."})
-        docs, sites = collect_script_documents([root], tree, recursive=True)
+        docs, sites = collect([root], tree, recursive=True)
         assert [d.path for d in docs] == ["outer.sh", "inner.sh"]
         assert sites["inner.sh"] == ((root.job_index, root.phase),)
 
     def test_cycles_terminate(self):
         tree = MappingTree({"a.sh": "bash b.sh", "b.sh": "bash a.sh"})
-        docs, _ = collect_script_documents([cmd("bash a.sh")], tree, recursive=True)
+        docs, _ = collect([cmd("bash a.sh")], tree, recursive=True)
         assert sorted(d.path for d in docs) == ["a.sh", "b.sh"]
 
     def test_recursive_mode_reads_each_script_once(self, monkeypatch):
@@ -142,7 +150,8 @@ class TestRecursiveCollection:
             return real_script_paths(text, warnings)
 
         monkeypatch.setattr(script_resolver, "script_paths", counting_script_paths)
-        docs, sites = collect_script_documents(commands, MappingTree(files), recursive=True)
+        monkeypatch.setattr(script_resolver, "_reference_memo", BoundedMemo())
+        docs, sites = collect(commands, MappingTree(files), recursive=True)
         assert [d.path for d in docs] == ["outer.sh", "inner.sh", "gone.sh"]
         assert sites == dict.fromkeys(["outer.sh", "inner.sh", "gone.sh"], tuple(site_list))
         assert Counter(scanned) == {"bash outer.sh": 6, files["outer.sh"]: 1, files["inner.sh"]: 1}
@@ -151,7 +160,7 @@ class TestRecursiveCollection:
         tree = MappingTree({"ci/lint.sh": "bash ../up.sh\n$DIR/x.sh\nflake8 ."})
         commands = [CommandLine("bash ci/lint.sh", PhaseKind.SCRIPT, job, 0) for job in range(3)]
         warnings = []
-        collect_script_documents(commands, tree, recursive=True, warnings=warnings)
+        collect(commands, tree, recursive=True, warnings=warnings)
         assert warnings == [
             "rejected script reference outside repository: ../up.sh",
             "script reference with unresolved variable: $DIR/x.sh",
@@ -236,7 +245,7 @@ def test_sites_match_the_per_root_queue(files, roots, recursive):
     expected_docs, expected_sites = _per_root_queue(
         commands, tree, recursive, expected_warnings
     )
-    docs, sites = collect_script_documents(commands, tree, recursive, warnings)
+    docs, sites = collect(commands, tree, recursive, warnings)
     assert docs == expected_docs
     assert list(sites.items()) == list(expected_sites.items())
     assert warnings == expected_warnings
