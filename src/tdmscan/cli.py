@@ -22,9 +22,16 @@ from .config_model import (
     CONFIG_FILENAME,
     MalformedDocument,
     NotAPipeline,
-    RawDocument,
 )
-from .ingest import AUTH_TOKEN_ENV, ManifestEntry, ManifestParseError, load_manifest
+from .ingest import (
+    AUTH_TOKEN_ENV,
+    FileTooLarge,
+    ManifestEntry,
+    ManifestParseError,
+    NotFound,
+    load_manifest,
+    materialize,
+)
 from .registry import Registry, RegistryError, load_registry_file, shipped_registry
 
 EXIT_OK = 0
@@ -175,28 +182,18 @@ def _analysis_json(analysis, path: str) -> dict:
 
 
 def _find_config(path: str) -> tuple[str, str]:
-    """(config file path, tree root) for a file-or-directory argument."""
+    """(tree root, config path in it) for a file-or-directory argument."""
     if os.path.isdir(path):
-        candidate = os.path.join(path, CONFIG_FILENAME)
-        if not os.path.isfile(candidate):
-            raise FileNotFoundError(f"no {CONFIG_FILENAME} in {path}")
-        return candidate, path
-    return path, os.path.dirname(path) or "."
+        return path, CONFIG_FILENAME
+    return os.path.dirname(path) or ".", os.path.basename(path)
 
 
 def _cmd_analyze(args) -> int:
-    from .ingest import FileTooLarge, LocalTree
-
     registry = _load_registry(args)
-    config_path, root = _find_config(args.path)
-    tree = LocalTree(root)
-    rel = os.path.relpath(config_path, root)
+    root, rel = _find_config(args.path)
+    slug = os.path.basename(os.path.abspath(root))
     try:
-        content = tree.read(rel)
-        if content is None:
-            raise FileNotFoundError(f"no such file: {config_path}")
-        slug = os.path.basename(os.path.abspath(root))
-        doc = RawDocument(slug, rel, content, invalid_utf8=rel in tree.undecodable)
+        doc, tree = materialize(ManifestEntry(slug, rel, None, local_root=root))
         analysis = explain_document(doc, tree, registry, _options(args))
     except (FileTooLarge, NotAPipeline, MalformedDocument) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -207,29 +204,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _entries_from_directory(root: str) -> list[ManifestEntry]:
-    entries = []
-    for name in sorted(os.listdir(root)):
-        slug_dir = os.path.join(root, name)
-        if not os.path.isdir(slug_dir):
-            continue
-        # Every walked path starts with slug_dir and a separator, so slicing
-        # gives what os.path.relpath would, without normalizing each path.
-        prefix = len(slug_dir) + 1
-        script_paths = []
-        for dirpath, _dirnames, filenames in os.walk(slug_dir):
-            for filename in filenames:
-                rel = os.path.join(dirpath, filename)[prefix:].replace(os.sep, "/")
-                if rel != CONFIG_FILENAME:
-                    script_paths.append(rel)
-        entries.append(
-            ManifestEntry(
-                repo_slug=name,
-                config_path=CONFIG_FILENAME,
-                script_paths=tuple(sorted(script_paths)),
-                local_root=slug_dir,
-            )
-        )
-    return entries
+    """One entry per directory under `root`, in name order; the directories
+    are not opened here, `materialize` reads each entry's files."""
+    with os.scandir(root) as listing:
+        names = sorted(item.name for item in listing if item.is_dir())
+    return [
+        ManifestEntry(name, CONFIG_FILENAME, None, local_root=os.path.join(root, name))
+        for name in names
+    ]
 
 
 def _render(report: CorpusReport, fmt: str | None) -> dict[str, bytes]:
@@ -318,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_registry_validate(args)
         if args.command == "report":
             return _cmd_report(args)
-    except (RegistryError, ManifestParseError, FileNotFoundError) as exc:
+    except (RegistryError, ManifestParseError, FileNotFoundError, NotFound) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -55,7 +55,9 @@ class FileTooLarge(ValueError):
 class ManifestEntry:
     repo_slug: str
     config_path: str
-    script_paths: tuple[str, ...]
+    # The scripts the entry may read.  None is no allow-list: any regular
+    # file under local_root that LocalTree reads, the config included.
+    script_paths: tuple[str, ...] | None
     local_root: str | None = None
     remote_base_url: str | None = None
 
@@ -358,7 +360,8 @@ def materialize(
     Local entries never touch the network.  Remote entries fetch the config
     eagerly (missing config -> NotFound, over MAX_FILE_BYTES -> FileTooLarge;
     either way the entry is skippable) and expose declared script paths
-    through a lazily fetching tree.
+    through a lazily fetching tree.  `script_paths` None sets no allow-list;
+    only directory enumeration and `tdmscan analyze` build such entries.
     """
     policy = policy or FetchPolicy()
     if entry.is_local:
@@ -375,7 +378,8 @@ def materialize(
     content = tree.read(entry.config_path)
     if content is None:
         raise NotFound(f"{entry.repo_slug}: missing {entry.config_path}")
-    tree.allowed = frozenset(entry.script_paths)
+    if entry.script_paths is not None:
+        tree.allowed = frozenset(entry.script_paths)
     doc = RawDocument(
         entry.repo_slug,
         entry.config_path,

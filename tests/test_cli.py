@@ -6,7 +6,7 @@ import time
 import pytest
 
 from tdmscan.cli import _entries_from_directory, main
-from tdmscan.ingest import MAX_FILE_BYTES, ManifestEntry
+from tdmscan.ingest import MAX_FILE_BYTES
 
 from conftest import CORPUS_DIR, EXAMPLE_CONFIG
 
@@ -106,6 +106,27 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(tmp_path / "nope"))
         assert code == 1
         assert err
+
+    def test_missing_config_exits_1_naming_it(self, capsys, tmp_path):
+        for arg, message in [
+            (tmp_path / "nope.yml", f"{tmp_path.name}: missing nope.yml"),
+            (tmp_path / "nope" / ".travis.yml", "nope: missing .travis.yml"),
+            (tmp_path, f"{tmp_path.name}: missing .travis.yml"),
+        ]:
+            code, out, err = run_cli(capsys, "analyze", str(arg))
+            assert code == 1
+            assert err == f"NotFound: {message}\n"
+            assert out == ""
+
+    def test_config_linked_out_of_the_root_exits_1(self, capsys, tmp_path):
+        (tmp_path / "outside.yml").write_text("script: flake8 .\n")
+        (tmp_path / "repo").mkdir()
+        (tmp_path / "repo" / ".travis.yml").symlink_to("../outside.yml")
+        for path in [tmp_path / "repo", tmp_path / "repo" / ".travis.yml"]:
+            code, out, err = run_cli(capsys, "analyze", str(path))
+            assert code == 1
+            assert err == "NotFound: repo: missing .travis.yml\n"
+            assert out == ""
 
     def test_no_install_exclusion_flag(self, capsys, tmp_path):
         config = tmp_path / ".travis.yml"
@@ -263,26 +284,6 @@ class TestScan:
         assert "tools.csv" in os.listdir(out_dir2)
 
 
-def _entries_by_relpath(root):
-    """Directory enumeration with os.path.relpath: the reference construction."""
-    entries = []
-    for name in sorted(os.listdir(root)):
-        slug_dir = os.path.join(root, name)
-        if not os.path.isdir(slug_dir):
-            continue
-        scripts = []
-        for dirpath, _, filenames in os.walk(slug_dir):
-            for filename in filenames:
-                rel = os.path.relpath(os.path.join(dirpath, filename), slug_dir)
-                rel = rel.replace(os.sep, "/")
-                if rel != ".travis.yml":
-                    scripts.append(rel)
-        entries.append(
-            ManifestEntry(name, ".travis.yml", tuple(sorted(scripts)), local_root=slug_dir)
-        )
-    return entries
-
-
 def _nested_corpus(tmp_path):
     root = tmp_path / "corpus"
     files = [
@@ -303,24 +304,65 @@ def _nested_corpus(tmp_path):
 
 
 @pytest.mark.parametrize("layout", ["fixture-corpus", "nested", "nested-trailing-sep"])
-def test_enumeration_matches_relpath_construction(tmp_path, layout):
+def test_enumeration_lists_only_the_root(tmp_path, monkeypatch, layout):
     if layout == "fixture-corpus":
         root = CORPUS_DIR
     else:
         root = _nested_corpus(tmp_path)
         if layout == "nested-trailing-sep":
             root += os.sep
+    opened = []
+
+    def counting(name):
+        real = getattr(os, name)
+
+        def opening(path=".", *args, **kwargs):
+            opened.append((name, path))
+            return real(path, *args, **kwargs)
+
+        return opening
+
+    for name in ("scandir", "walk", "listdir"):
+        monkeypatch.setattr(os, name, counting(name))
     entries = _entries_from_directory(root)
-    assert entries == _entries_by_relpath(root)
+    monkeypatch.undo()
+    assert opened == [("scandir", root)]
+    assert isinstance(entries, list)
+    slugs = sorted(name for name in os.listdir(root) if os.path.isdir(os.path.join(root, name)))
+    assert [e.repo_slug for e in entries] == slugs
+    for entry in entries:
+        assert entry.config_path == ".travis.yml"
+        assert entry.local_root == os.path.join(root, entry.repo_slug)
+        assert entry.script_paths is None
+        assert entry.remote_base_url is None
     if layout != "fixture-corpus":
-        acme = entries[0]
-        assert acme.script_paths == (
-            "build.sh",
-            "ci/deep/er/run.sh",
-            "ci/lint.sh",
-            "sub/.travis.yml",
-        )
-        assert [e.repo_slug for e in entries] == ["acme", "beta", "empty"]
+        assert slugs == ["acme", "beta", "empty"]  # not-a-slug.txt is skipped
+
+
+def _linked_scripts_repo(root):
+    """A repo whose only script is reached through an in-root directory link."""
+    (root / "ci").mkdir(parents=True)
+    (root / "ci" / "lint.sh").write_text("flake8 .\n")
+    (root / "tools").mkdir()
+    (root / "tools" / "ci").symlink_to("../ci")
+    (root / ".travis.yml").write_text("language: python\nscript: bash tools/ci/lint.sh\n")
+
+
+def test_scan_and_analyze_resolve_a_script_through_a_linked_directory(capsys, tmp_path):
+    _linked_scripts_repo(tmp_path / "corpus" / "acme")
+    code, out, err = run_cli(capsys, "analyze", str(tmp_path / "corpus" / "acme"))
+    assert code == 0
+    data = json.loads(out)
+    assert data["tools"] == {"flake8": "script"}
+    assert data["warnings"] == []
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "scan", str(tmp_path / "corpus"), "--out", str(out_dir))
+    assert code == 0
+    assert "unresolved" not in err
+    assert "warnings: 0" in out
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["tool_table"]["flake8"]["pipelines"] == 1
+    assert report["tool_table"]["flake8"]["script"] == 1
 
 
 class TestRegistryValidate:
