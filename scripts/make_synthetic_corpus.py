@@ -9,9 +9,9 @@ Usage:
     python scripts/make_synthetic_corpus.py OUT_DIR [COUNT] [SEED]
 """
 
+import argparse
 import os
 import random
-import sys
 
 TOOL_LINES = [
     "flake8 src tests",
@@ -58,22 +58,26 @@ def build_pipeline(rng: random.Random) -> dict[str, str]:
     return files
 
 
-def main() -> int:
-    if len(sys.argv) < 2:
-        print(__doc__)
-        return 2
-    out_dir = sys.argv[1]
-    count = int(sys.argv[2]) if len(sys.argv) > 2 else 1000
-    seed = int(sys.argv[3]) if len(sys.argv) > 3 else 7
-    rng = random.Random(seed)
-    for i in range(count):
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", metavar="OUT_DIR", help="directory to write under")
+    parser.add_argument(
+        "count", metavar="COUNT", type=int, nargs="?", default=1000,
+        help="number of pipelines (default 1000)",
+    )
+    parser.add_argument(
+        "seed", metavar="SEED", type=int, nargs="?", default=7, help="random seed (default 7)"
+    )
+    args = parser.parse_args(argv)
+    rng = random.Random(args.seed)
+    for i in range(args.count):
         slug = f"synthetic-{i:05d}"
         for rel, content in build_pipeline(rng).items():
-            path = os.path.join(out_dir, slug, rel)
+            path = os.path.join(args.out_dir, slug, rel)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "w") as handle:
                 handle.write(content)
-    print(f"wrote {count} pipelines under {out_dir}")
+    print(f"wrote {args.count} pipelines under {args.out_dir}")
     return 0
 
 

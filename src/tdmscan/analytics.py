@@ -22,6 +22,7 @@ from operator import itemgetter
 from typing import Any, Callable, Mapping, NamedTuple, get_args, get_origin, get_type_hints
 
 from .antipatterns import FINDING_NAMES, FindingSet
+from .memo import MAX_VALUES
 from .placement import PlacementKind, PlacementResult, TimingKind
 from .registry import (
     INVOCATION_BOTH,
@@ -80,6 +81,19 @@ class PipelineRecord(NamedTuple):
 
 _TOOLLESS = PipelineRecord(keys=(("pipeline",),), flags=None)
 
+# One canonical tuple per distinct counter key, shared by every record that
+# holds the key: a corpus has few distinct keys, and memoized records would
+# otherwise each keep their own copies.  Past MAX_VALUES distinct keys a new
+# key stays unshared (threads racing at the bound may each add one more).
+# `memo.weight` still counts a record's keys as its own.
+_SHARED_KEYS: dict[tuple, tuple] = {}
+
+
+def _shared(key: tuple) -> tuple:
+    if len(_SHARED_KEYS) < MAX_VALUES:
+        return _SHARED_KEYS.setdefault(key, key)
+    return _SHARED_KEYS.get(key, key)
+
 
 def pipeline_record(
     profile: PipelineToolProfile, placements: list[PlacementResult], findings: FindingSet
@@ -105,7 +119,7 @@ def pipeline_record(
         for source, timing in placement.source_timings.items():
             source = "direct" if source == SOURCE_CONFIG else "script"
             keys.append(("row", label, source, kind, timing.value))
-    return PipelineRecord(tuple(keys), flags)
+    return PipelineRecord(tuple(map(_shared, keys)), flags)
 
 
 @dataclass

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple, NoReturn
@@ -405,6 +404,9 @@ def _scan_remote(
 
     if workers <= 1 or len(entries) <= 1:
         return [scan(entries)]
+    # Imported here, as a local scan never needs it: it pulls in `logging`.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(scan, _chunks(entries, workers)))
 

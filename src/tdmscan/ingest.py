@@ -9,7 +9,6 @@ URL.  Entry failures are isolated: one bad entry never aborts a run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import stat
@@ -19,6 +18,17 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Protocol
 
 from .config_model import RawDocument
+
+# CPython's own sha256, where it exists: hashlib would map and initialize
+# OpenSSL's libcrypto, about 3.5 MiB of resident memory per process, to hash
+# files of a few KB.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 MANIFEST_SCHEMA_VERSION = 1
 AUTH_TOKEN_ENV = "TDMSCAN_FETCH_TOKEN"
@@ -205,7 +215,7 @@ def load_manifest(path: str) -> CorpusManifest:
 
 def text_sha256(content: str) -> str:
     """sha256 of `content` as UTF-8; a lone surrogate keeps its own bytes."""
-    return hashlib.sha256(content.encode("utf-8", errors="surrogatepass")).hexdigest()
+    return sha256(content.encode("utf-8", errors="surrogatepass")).hexdigest()
 
 
 class LocalTree:
@@ -266,7 +276,7 @@ class LocalTree:
         except UnicodeDecodeError:
             content = data.decode("utf-8", errors="replace")
             self.undecodable.add(path)
-        self.provenance[path] = {"source": full, "sha256": hashlib.sha256(data).hexdigest()}
+        self.provenance[path] = {"source": full, "sha256": sha256(data).hexdigest()}
         return content
 
 

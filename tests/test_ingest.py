@@ -1,11 +1,14 @@
 import hashlib
+import importlib.util
 import json
 import os
 import sys
 import types
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from tdmscan import ingest
 from tdmscan.analyzer import scan_entries
 from tdmscan.ingest import (
     MAX_FILE_BYTES,
@@ -22,6 +25,7 @@ from tdmscan.ingest import (
     load_manifest,
     materialize,
     parse_manifest,
+    text_sha256,
 )
 
 
@@ -262,6 +266,47 @@ class TestLocalMaterialize:
         result = scan_entries([entry], registry).entries[0]
         assert result.status == "skipped"
         assert result.message == "a/b: missing .travis.yml"
+
+
+# Text with lone surrogates, which UTF-8 cannot encode strictly.
+_TEXT = st.text(st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr)))
+
+
+class TestDigests:
+    """Every digest equals hashlib's sha256 of the bytes, whichever module
+    computes it."""
+
+    @given(_TEXT)
+    @example("\ud800")
+    @example("caf\xe9 \U0001f600 \udfff")
+    def test_text_digest_is_sha256_of_its_utf8(self, text):
+        data = text.encode("utf-8", errors="surrogatepass")
+        assert text_sha256(text) == hashlib.sha256(data).hexdigest()
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.binary(max_size=4096))
+    @example(data=b"\xff\xfe invalid")
+    @example(data="\ud800".encode("utf-8", errors="surrogatepass"))
+    def test_local_read_digest_is_sha256_of_its_bytes(self, tmp_path_factory, data):
+        root = tmp_path_factory.mktemp("digest")
+        (root / "f").write_bytes(data)
+        tree = LocalTree(str(root))
+        assert tree.read("f") is not None
+        assert tree.provenance["f"]["sha256"] == hashlib.sha256(data).hexdigest()
+
+    def test_without_a_builtin_sha256_hashlib_is_used(self, monkeypatch):
+        # A second copy of the module, loaded where neither built-in module
+        # can be imported; tdmscan.ingest itself is left as it is.
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        spec = importlib.util.spec_from_file_location("tdmscan._ingest_copy", ingest.__file__)
+        fallback = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, fallback)
+        spec.loader.exec_module(fallback)
+        assert fallback.sha256 is hashlib.sha256
+        assert ingest.sha256 is not hashlib.sha256
+        text = "caf\xe9 \udfff"
+        assert fallback.text_sha256(text) == text_sha256(text)
 
 
 class TestByteCap:

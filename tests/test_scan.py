@@ -20,7 +20,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdmscan import analyzer, script_resolver, shipped_registry
+from tdmscan import analytics, analyzer, script_resolver, shipped_registry
 from tdmscan import memo as memo_module
 from tdmscan.analytics import (
     PipelineRecord,
@@ -240,6 +240,33 @@ def test_two_worker_scan_imports_no_pool_module():
     assert json.loads(done.stdout) == {"forks": 1, "ok": 38, "imported": []}
 
 
+def test_local_scan_imports_neither_openssl_nor_thread_pool(tmp_path):
+    code = textwrap.dedent(
+        f"""
+        import json, sys
+        from tdmscan import analyzer, shipped_registry
+        from tdmscan.cli import _entries_from_directory, _write_outputs
+
+        entries = _entries_from_directory({CORPUS_DIR!r})
+        result = analyzer.scan_entries(entries, shipped_registry(), workers=1)
+        _write_outputs(result.report, {str(tmp_path)!r}, None)
+        modules = ["hashlib", "_hashlib", "concurrent.futures", "logging"]
+        print(json.dumps({{
+            "ok": result.succeeded,
+            "imported": [name for name in modules if name in sys.modules],
+        }}))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(analyzer.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"ok": 38, "imported": []}
+    assert (tmp_path / "report.json").is_file()
+
+
 def test_warm_line_memos_give_identical_scans():
     # One fresh registry in this process: the first scan fills the line
     # memos, the second and the duplicated entries read them back.
@@ -410,6 +437,31 @@ def test_memos_hold_records_of_plain_keys(monkeypatch):
         assert options == AnalysisOptions()
         for path, digest in scripts:
             assert digest is None or re.fullmatch("[0-9a-f]{64}", digest)
+
+
+def test_records_share_equal_key_tuples(monkeypatch):
+    _cold_parse_memo(monkeypatch)
+    monkeypatch.setattr(analytics, "_SHARED_KEYS", {})
+    registry = shipped_registry()
+    scan_entries(_entries_from_directory(CORPUS_DIR), registry)
+    keys = [key for record in registry._analysis_memo._values.values() for key in record.keys]
+    canonical = {}
+    for key in keys:
+        assert canonical.setdefault(key, key) is key
+    assert len(canonical) < len(keys)
+
+
+def test_shared_key_table_is_bounded(monkeypatch):
+    monkeypatch.setattr(analytics, "_SHARED_KEYS", {})
+    monkeypatch.setattr(analytics, "MAX_VALUES", 2)
+    first, second, third = (("tool", name, "direct") for name in "abc")
+    assert analytics._shared(first) is first
+    assert analytics._shared(tuple(list(first))) is first
+    assert analytics._shared(second) is second
+    # Past the bound a new key comes back as given and is not stored.
+    copy = tuple(list(third))
+    assert analytics._shared(third) is third and analytics._shared(copy) is copy
+    assert list(analytics._SHARED_KEYS) == [first, second]
 
 
 # --- whole-scan differential: memos on against memos off ---------------------
