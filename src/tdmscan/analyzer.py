@@ -22,6 +22,7 @@ from .ingest import (
     FileTooLarge,
     ManifestEntry,
     NotFound,
+    TokenBucket,
     materialize,
     text_sha256,
 )
@@ -385,8 +386,6 @@ def _scan_remote(
 ) -> list[tuple[Aggregator, list[EntryResult]]]:
     """Remote fetches wait on I/O: overlap them on threads sharing one rate
     limit and one session; without the caller's, one is opened for the scan."""
-    from .ingest import TokenBucket
-
     if session is None:
         try:
             import requests

@@ -4,7 +4,8 @@ rate-limited HTTP fetcher for raw config/script files.
 A manifest is the interchange point with whatever large-scale harvesting
 produced the corpus; each entry names one pipeline (repo slug, config path,
 script paths) sourced either from a local root or a remote raw-content base
-URL.  Entry failures are isolated: one bad entry never aborts a run.
+URL.  Entry failures are isolated: one bad entry never aborts a run.  Both
+trees turn the bytes they read into text and a digest through `file_text`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import stat
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Protocol
 
 from .config_model import RawDocument
@@ -36,6 +37,7 @@ AUTH_TOKEN_ENV = "TDMSCAN_FETCH_TOKEN"
 # The largest config or script analyzed, in bytes: a larger config ends its
 # entry `skipped`, a larger script stays unresolved.
 MAX_FILE_BYTES = 1 << 20
+FETCH_CHUNK_BYTES = 64 * 1024  # a remote body over the cap stops within one chunk
 
 
 class ManifestParseError(ValueError):
@@ -65,8 +67,8 @@ class FileTooLarge(ValueError):
 class ManifestEntry:
     repo_slug: str
     config_path: str
-    # The scripts the entry may read.  None is no allow-list: any regular
-    # file under local_root that LocalTree reads, the config included.
+    # The scripts the entry may read.  None is no allow-list: any file the
+    # entry's tree reads, the config included.
     script_paths: tuple[str, ...] | None
     local_root: str | None = None
     remote_base_url: str | None = None
@@ -175,10 +177,17 @@ def parse_manifest(data: Mapping[str, Any]) -> CorpusManifest:
         config_path = _validate_rel_path(
             raw.get("config_path", ""), f"{where}.config_path"
         )
+        raw_paths = raw.get("script_paths", [])
+        if not isinstance(raw_paths, list):
+            raise ManifestParseError(f"{where}.script_paths: not a list")
         script_paths = tuple(
             _validate_rel_path(p, f"{where}.script_paths[{j}]")
-            for j, p in enumerate(raw.get("script_paths", []))
+            for j, p in enumerate(raw_paths)
         )
+        for name in ("local_root", "remote_base_url"):
+            value = raw.get(name)
+            if value is not None and (not isinstance(value, str) or not value):
+                raise ManifestParseError(f"{where}.{name}: not a non-empty string")
         local_root = raw.get("local_root")
         remote_base_url = raw.get("remote_base_url")
         if (local_root is None) == (remote_base_url is None):
@@ -218,21 +227,35 @@ def text_sha256(content: str) -> str:
     return sha256(content.encode("utf-8", errors="surrogatepass")).hexdigest()
 
 
+def file_text(tree, path: str, data: bytes) -> str:
+    """The text of `path`, read by `tree` as `data`; FileTooLarge over the cap.
+    Invalid UTF-8 is replaced and marks `path` in ``tree.undecodable``, and
+    ``tree.digests[path]`` takes the sha256 of `data`."""
+    if len(data) > MAX_FILE_BYTES:
+        raise FileTooLarge(path)
+    try:
+        content = data.decode("utf-8")
+    except UnicodeDecodeError:
+        content = data.decode("utf-8", errors="replace")
+        tree.undecodable.add(path)
+    tree.digests[path] = sha256(data).hexdigest()
+    return content
+
+
 class LocalTree:
     """File tree over a local directory; optionally limited to listed paths.
 
-    Never touches the network.  Reads record a sha256 digest per path in
-    ``provenance``; files decoded with replacement characters because they
-    hold invalid UTF-8 are listed in ``undecodable``.  A file over
-    MAX_FILE_BYTES raises FileTooLarge.  A path through a symlink, as its
-    file or any directory on the way, is absent unless it resolves inside
-    the root.
+    Never touches the network.  Reads go through `file_text`, which records
+    each file's digest in ``digests`` and marks invalid UTF-8 in
+    ``undecodable``.  A file over MAX_FILE_BYTES raises FileTooLarge.  A path
+    through a symlink, as its file or any directory on the way, is absent
+    unless it resolves inside the root.
     """
 
     def __init__(self, root: str, allowed: frozenset[str] | None = None):
         self.root = root
         self.allowed = allowed
-        self.provenance: dict[str, dict[str, str]] = {}
+        self.digests: dict[str, str] = {}
         self.undecodable: set[str] = set()
 
     def _through_link(self, directory: str) -> bool:
@@ -269,25 +292,18 @@ class LocalTree:
             data = handle.read(info.st_size + 1)
             if len(data) > info.st_size:  # the file grew after the stat
                 data += handle.read(MAX_FILE_BYTES + 1 - len(data))
-        if len(data) > MAX_FILE_BYTES:
-            raise FileTooLarge(path)
-        try:
-            content = data.decode("utf-8")
-        except UnicodeDecodeError:
-            content = data.decode("utf-8", errors="replace")
-            self.undecodable.add(path)
-        self.provenance[path] = {"source": full, "sha256": sha256(data).hexdigest()}
-        return content
+        return file_text(self, path, data)
 
 
 class RemoteTree:
-    """Lazily fetches raw files over HTTPS, honoring a shared rate limit.
+    """Fetches raw files over HTTPS on every read, honoring a shared rate limit.
 
-    404 responses resolve to None (absence is data); throttled or failing
-    responses and transport errors are retried within the policy's budget,
-    then raise RateLimited.  Any other exception from the session propagates
-    at once.  A body over MAX_FILE_BYTES raises FileTooLarge.  Fetches are
-    cached so re-reads cost nothing.
+    Bodies are streamed, and go through `file_text` as LocalTree's bytes do;
+    a response's charset is ignored, and a body stops downloading once past
+    MAX_FILE_BYTES (FileTooLarge).  404 resolves to None; throttled or failing
+    responses and transport errors, mid-body too, are retried within the
+    policy's budget, then raise RateLimited.  Any other exception propagates
+    at once.  Every response is closed.
     """
 
     def __init__(
@@ -305,9 +321,8 @@ class RemoteTree:
         self.bucket = bucket
         self.clock = clock or SystemClock()
         self.allowed = allowed
-        self.provenance: dict[str, dict[str, str]] = {}
-        self._cache: dict[str, str | None] = {}
-        self._lock = threading.Lock()
+        self.digests: dict[str, str] = {}
+        self.undecodable: set[str] = set()
 
     def _headers(self) -> dict[str, str]:
         token = os.environ.get(self.policy.auth_token_env)
@@ -316,24 +331,16 @@ class RemoteTree:
         return {}
 
     def read(self, path: str) -> str | None:
+        if escapes_repo(path):
+            return None
         if self.allowed is not None and path not in self.allowed:
             return None
-        with self._lock:
-            if path in self._cache:
-                return self._cache[path]
-        url = f"{self.base_url}/{path}"
-        response = self._fetch(url)
-        if response is not None and len(response.content) > MAX_FILE_BYTES:
-            raise FileTooLarge(path)
-        content = None if response is None else response.text
-        with self._lock:
-            self._cache[path] = content
-            if content is not None:
-                self.provenance[path] = {"url": url, "sha256": text_sha256(content)}
-        return content
+        data = self._fetch(path)
+        return None if data is None else file_text(self, path, data)
 
-    def _fetch(self, url: str):
-        """The 200 response for `url`, or None on 404."""
+    def _fetch(self, path: str) -> bytes | None:
+        """The body of `path` as served with status 200, or None on 404."""
+        url = f"{self.base_url}/{path}"
         attempts = 0
         while True:
             self.bucket.acquire()
@@ -341,17 +348,20 @@ class RemoteTree:
             # Only transport errors are retried (requests' exceptions are
             # OSErrors); anything else fails the entry with its own message.
             try:
-                response = self.session.get(
-                    url, timeout=self.policy.timeout, headers=self._headers()
-                )
+                with self.session.get(
+                    url, stream=True, timeout=self.policy.timeout, headers=self._headers()
+                ) as response:
+                    if response.status_code == 404:
+                        return None
+                    if response.status_code == 200:
+                        data = bytearray()
+                        for chunk in response.iter_content(FETCH_CHUNK_BYTES):
+                            data += chunk
+                            if len(data) > MAX_FILE_BYTES:
+                                raise FileTooLarge(path)
+                        return bytes(data)
             except OSError:
-                status = None
-            else:
-                status = response.status_code
-            if status == 200:
-                return response
-            if status == 404:
-                return None
+                pass
             if attempts > self.policy.retry_budget:
                 raise RateLimited(f"retry budget exhausted fetching {url}")
             # Linear backoff keeps the injected clock easy to reason about.
@@ -367,11 +377,11 @@ def materialize(
 ):
     """Produce (RawDocument, tree) for one manifest entry.
 
-    Local entries never touch the network.  Remote entries fetch the config
-    eagerly (missing config -> NotFound, over MAX_FILE_BYTES -> FileTooLarge;
-    either way the entry is skippable) and expose declared script paths
-    through a lazily fetching tree.  `script_paths` None sets no allow-list;
-    only directory enumeration and `tdmscan analyze` build such entries.
+    Local entries never touch the network.  The config is read first
+    (missing -> NotFound, over MAX_FILE_BYTES -> FileTooLarge; either way the
+    entry is skippable), then the tree reads only declared script paths, a
+    remote one fetching each when read.  `script_paths` None sets no
+    allow-list; only directory enumeration and `tdmscan analyze` build such.
     """
     policy = policy or FetchPolicy()
     if entry.is_local:
@@ -394,7 +404,7 @@ def materialize(
         entry.repo_slug,
         entry.config_path,
         content,
-        invalid_utf8=entry.is_local and entry.config_path in tree.undecodable,
-        sha256=tree.provenance[entry.config_path]["sha256"],
+        invalid_utf8=entry.config_path in tree.undecodable,
+        sha256=tree.digests[entry.config_path],
     )
     return doc, tree

@@ -64,10 +64,10 @@ class ScriptDocument:
 
 
 class FileTree(Protocol):
-    """Read-only accessor over repo-relative paths; must allow concurrent reads.
+    """Read-only accessor over repo-relative paths.
 
-    A tree may record, in ``provenance[path]["sha256"]``, the digest of each
-    file it read (see read_sha256).
+    A tree may record, in ``digests[path]``, the sha256 of the bytes of each
+    file it read; a script's digest is otherwise that of its text.
     """
 
     def read(self, path: str) -> str | None:
@@ -76,13 +76,6 @@ class FileTree(Protocol):
         May raise FileTooLarge for a file over `ingest.MAX_FILE_BYTES`.
         """
         ...
-
-
-def read_sha256(tree: FileTree, path: str, content: str) -> str:
-    """The sha256 of `content`, just read at `path`: the digest `tree`
-    recorded for it, or else `ingest.text_sha256` of the text."""
-    recorded = getattr(tree, "provenance", {}).get(path)
-    return recorded["sha256"] if recorded else text_sha256(content)
 
 
 class MappingTree:
@@ -295,6 +288,7 @@ def collect_script_documents(
     the process (memoized on its sha256, warnings replayed) and inherit its
     sites; a (path, site) pair is followed once, which cuts cycles.
     """
+    digests = getattr(tree, "digests", {})
     sites: dict[str, dict[Site, None]] = {}
     docs: dict[str, ScriptDocument] = {}
     nested: dict[str, tuple[str, ...]] = {}
@@ -318,7 +312,7 @@ def collect_script_documents(
                 content = None
                 if warnings is not None:
                     warnings.append(f"script not read: {exc}")
-            digest = None if content is None else read_sha256(tree, path, content)
+            digest = None if content is None else digests.get(path) or text_sha256(content)
             docs[path] = ScriptDocument(path, content, content is not None, digest)
             if recursive and digest is not None:
                 nested[path], found = _reference_memo.get(

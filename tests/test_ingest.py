@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import sys
@@ -9,8 +11,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tdmscan import ingest
-from tdmscan.analyzer import scan_entries
+from tdmscan import analyzer
+from tdmscan.analyzer import analyze_document, scan_entries
+from tdmscan.config_model import MalformedDocument, NotAPipeline
 from tdmscan.ingest import (
+    FETCH_CHUNK_BYTES,
     MAX_FILE_BYTES,
     DuplicateSlug,
     FetchPolicy,
@@ -43,10 +48,35 @@ class FakeClock:
 
 
 class FakeResponse:
-    def __init__(self, status_code, text=""):
+    """A streamed response.  iter_content hands out `body` (text is sent as
+    UTF-8) chunk by chunk and counts the bytes drawn; `error`, if given, is
+    raised after the first chunk.  Closing, directly or by leaving a `with`
+    block, is recorded.  `headers` are carried but never read."""
+
+    def __init__(self, status_code, body=b"", headers=None, error=None):
         self.status_code = status_code
-        self.text = text
-        self.content = text.encode("utf-8")
+        self.body = body.encode("utf-8") if isinstance(body, str) else body
+        self.headers = headers or {}
+        self.error = error
+        self.drawn = 0
+        self.closed = False
+
+    def iter_content(self, chunk_size=1):
+        for start in range(0, len(self.body), chunk_size):
+            chunk = self.body[start : start + chunk_size]
+            self.drawn += len(chunk)
+            yield chunk
+            if self.error is not None:
+                raise self.error
+
+    def close(self):
+        self.closed = True
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
 class FakeSession:
@@ -54,15 +84,48 @@ class FakeSession:
         # responses: url -> list of responses served in order (last repeats)
         self.responses = {url: list(items) for url, items in responses.items()}
         self.calls = []
+        self.served = []  # a fresh copy of each response handed out
 
-    def get(self, url, timeout=None, headers=None):
+    def get(self, url, stream=False, timeout=None, headers=None):
+        assert stream, "bodies are streamed, never read whole"
         self.calls.append((url, headers or {}))
         items = self.responses.get(url)
         if not items:
-            return FakeResponse(404)
-        if len(items) > 1:
-            return items.pop(0)
-        return items[0]
+            response = FakeResponse(404)
+        else:
+            response = copy.copy(items.pop(0) if len(items) > 1 else items[0])
+        self.served.append(response)
+        return response
+
+
+class ServingSession:
+    """Serves `files` (url -> bytes) with status 200, any other url with 404,
+    building a fresh response per request with `respond(status, body)`."""
+
+    def __init__(self, files, respond):
+        self.files = files
+        self.respond = respond
+        self.calls = []
+
+    def get(self, url, stream=False, timeout=None, headers=None):
+        assert stream, "bodies are streamed, never read whole"
+        self.calls.append(url)
+        body = self.files.get(url)
+        return self.respond(404, b"") if body is None else self.respond(200, body)
+
+
+def requests_response(status, body, content_type):
+    """A real `requests.Response` as `HTTPAdapter.build_response` builds it:
+    its encoding taken from the headers, its body a raw byte stream."""
+    requests = pytest.importorskip("requests")
+    response = requests.Response()
+    response.status_code = status
+    response.headers = requests.structures.CaseInsensitiveDict(
+        {"Content-Type": content_type}
+    )
+    response.encoding = requests.utils.get_encoding_from_headers(response.headers)
+    response.raw = io.BytesIO(body)
+    return response
 
 
 class RaisingSession:
@@ -72,7 +135,7 @@ class RaisingSession:
         self.error = error
         self.calls = []
 
-    def get(self, url, timeout=None, headers=None):
+    def get(self, url, stream=False, timeout=None, headers=None):
         self.calls.append(url)
         raise self.error
 
@@ -135,6 +198,24 @@ class TestManifest:
         with pytest.raises(ManifestParseError):
             parse_manifest(manifest_data([bad]))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("script_paths", "lint.sh"),  # not seven one-character paths
+            ("script_paths", None),
+            ("local_root", 5),
+            ("local_root", ""),
+            ("remote_base_url", ["x"]),
+        ],
+    )
+    def test_malformed_field_rejected(self, field, value):
+        bad = {"repo_slug": "a/b", "config_path": ".travis.yml",
+               "script_paths": [], "local_root": "/x", field: value}
+        if field == "remote_base_url":
+            del bad["local_root"]
+        with pytest.raises(ManifestParseError, match=rf"entries\[0\]\.{field}: "):
+            parse_manifest(manifest_data([bad]))
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{nope")
@@ -182,12 +263,12 @@ class TestLocalMaterialize:
         tree1.read("ci/lint.sh")
         _, tree2 = materialize(entry)
         tree2.read("ci/lint.sh")
-        assert tree1.provenance == tree2.provenance
-        assert all("sha256" in p for p in tree1.provenance.values())
+        assert tree1.digests == tree2.digests
+        assert sorted(tree1.digests) == [".travis.yml", "ci/lint.sh"]
         config = os.path.join(root, ".travis.yml")
         with open(config, "rb") as handle:
             digest = hashlib.sha256(handle.read()).hexdigest()
-        assert tree1.provenance[".travis.yml"] == {"source": config, "sha256": digest}
+        assert tree1.digests[".travis.yml"] == digest
 
     def test_invalid_utf8_config_is_flagged(self, tmp_path):
         root = tmp_path / "repo"
@@ -200,7 +281,7 @@ class TestLocalMaterialize:
         assert isinstance(doc.content, str) and "\ufffd" in doc.content
         assert tree.undecodable == {".travis.yml"}
         # The digest is of the bytes on disk, not of the replaced text.
-        assert tree.provenance[".travis.yml"]["sha256"] == hashlib.sha256(raw).hexdigest()
+        assert tree.digests[".travis.yml"] == hashlib.sha256(raw).hexdigest()
 
     def test_valid_config_is_not_flagged(self, tmp_path):
         root = self.make_repo(tmp_path)
@@ -292,7 +373,7 @@ class TestDigests:
         (root / "f").write_bytes(data)
         tree = LocalTree(str(root))
         assert tree.read("f") is not None
-        assert tree.provenance["f"]["sha256"] == hashlib.sha256(data).hexdigest()
+        assert tree.digests["f"] == hashlib.sha256(data).hexdigest()
 
     def test_without_a_builtin_sha256_hashlib_is_used(self, monkeypatch):
         # A second copy of the module, loaded where neither built-in module
@@ -338,7 +419,7 @@ class TestByteCap:
         tree = LocalTree(str(tmp_path))
         with pytest.raises(FileTooLarge, match=self.CAP_MESSAGE):
             tree.read("big.sh")
-        assert tree.provenance == {}
+        assert tree.digests == {}
 
     @pytest.mark.parametrize("size", [100, MAX_FILE_BYTES + 1])
     def test_file_grown_after_the_stat_is_read_to_the_cap(self, tmp_path, monkeypatch, size):
@@ -394,7 +475,7 @@ class TestByteCap:
         assert len(tree.read("ok.sh")) == MAX_FILE_BYTES // 2
         with pytest.raises(FileTooLarge, match=self.CAP_MESSAGE):
             tree.read("big.sh")
-        assert "big.sh" not in tree.provenance
+        assert "big.sh" not in tree.digests
 
     def test_remote_config_over_the_cap_raises(self):
         base = "https://raw.example.org/acme/demo/main"
@@ -423,7 +504,8 @@ class TestRemoteMaterialize:
         doc, tree = materialize(self.entry(), session=session, clock=FakeClock())
         assert "script" in doc.content
         assert tree.read("ci/a.sh") == "flake8 .\n"
-        assert tree.provenance["ci/a.sh"]["url"] == f"{self.BASE}/ci/a.sh"
+        assert session.calls[-1][0] == f"{self.BASE}/ci/a.sh"
+        assert tree.digests["ci/a.sh"] == hashlib.sha256(b"flake8 .\n").hexdigest()
 
     def test_missing_script_resolves_to_none(self):
         session = FakeSession(
@@ -501,8 +583,133 @@ class TestRemoteMaterialize:
         _, tree = materialize(self.entry(), session=session, clock=FakeClock())
         _, headers = session.calls[0]
         assert headers == {"Authorization": "token sekret"}
-        # token never lands in provenance
-        assert "sekret" not in json.dumps(tree.provenance)
+        # token never lands in the recorded digests
+        assert "sekret" not in json.dumps(tree.digests)
+
+
+# Byte fragments of configs and scripts: valid and invalid UTF-8, a script
+# reference and tool invocations, in any order.
+_FRAGMENTS = st.sampled_from(
+    [b"script:\n", b"  - flake8 .\n", b"  - ./ci/a.sh\n", b"pylint src\n",
+     b"install: pip install bandit\n", b"caf\xe9", "\u00e9".encode(), b"\xff\xfe", b"\n"]
+) | st.binary(max_size=12)
+_FILE_BYTES = st.lists(_FRAGMENTS, max_size=8).map(b"".join)
+
+
+class TestOneBytePath:
+    """A remote read turns bytes into text, flag and digest as a local one
+    does, stops downloading at the cap, and closes every response."""
+
+    BASE = "https://raw.example.org/acme/demo/main"
+
+    @pytest.mark.parametrize("real", [False, True], ids=["fake", "requests"])
+    @pytest.mark.parametrize("content_type", ["text/plain", "text/plain; charset=utf-8"])
+    @settings(max_examples=40, deadline=None)
+    @given(config=_FILE_BYTES, script=_FILE_BYTES)
+    @example(config=b"script: echo caf\xe9\n", script=b"")
+    @example(config=b"script: ./ci/a.sh\n", script=b"flake8 \xff\n")
+    def test_local_and_remote_reads_agree(
+        self, tmp_path_factory, registry, real, content_type, config, script
+    ):
+        def respond(status, body):
+            if real:
+                return requests_response(status, body, content_type)
+            return FakeResponse(status, body, headers={"Content-Type": content_type})
+
+        root = tmp_path_factory.mktemp("same-bytes")
+        (root / "ci").mkdir()
+        (root / ".travis.yml").write_bytes(config)
+        (root / "ci" / "a.sh").write_bytes(script)
+        local = ManifestEntry("a/b", ".travis.yml", ("ci/a.sh",), local_root=str(root))
+        remote = ManifestEntry("a/b", ".travis.yml", ("ci/a.sh",), remote_base_url=self.BASE)
+        session = ServingSession(
+            {f"{self.BASE}/.travis.yml": config, f"{self.BASE}/ci/a.sh": script}, respond
+        )
+        reads = []
+        # Unmemoized, so the remote record is derived, not looked up under
+        # the local read's digests.
+        with pytest.MonkeyPatch.context() as patch:
+            for memo in (analyzer._parse_memo, registry._analysis_memo):
+                patch.setattr(memo, "get", lambda key, compute: compute())
+            for entry in (local, remote):
+                doc, tree = materialize(entry, session=session, clock=FakeClock())
+                try:
+                    outcome = analyze_document(doc, tree, registry)
+                except (NotAPipeline, MalformedDocument) as exc:
+                    outcome = (type(exc).__name__, str(exc))
+                reads.append(
+                    (doc.content, doc.invalid_utf8, doc.sha256, tree.read("ci/a.sh"),
+                     tree.digests, tree.undecodable, outcome)
+                )
+        assert reads[0] == reads[1]
+        assert reads[1][2] == hashlib.sha256(config).hexdigest()
+
+    def test_body_over_the_cap_stops_downloading(self):
+        big = FakeResponse(200, b"x" * (3 * MAX_FILE_BYTES))
+        session = FakeSession(
+            {f"{self.BASE}/.travis.yml": [FakeResponse(200, "script: x\n")],
+             f"{self.BASE}/big.sh": [big]}
+        )
+        entry = ManifestEntry("acme/demo", ".travis.yml", ("big.sh",), remote_base_url=self.BASE)
+        _, tree = materialize(entry, session=session, clock=FakeClock())
+        with pytest.raises(FileTooLarge):
+            tree.read("big.sh")
+        served = session.served[-1]
+        assert MAX_FILE_BYTES < served.drawn <= MAX_FILE_BYTES + FETCH_CHUNK_BYTES
+        assert served.closed
+
+    def test_every_response_is_closed(self):
+        clock = FakeClock()
+        session = FakeSession(
+            {
+                f"{self.BASE}/.travis.yml": [FakeResponse(503), FakeResponse(200, "script: x\n")],
+                f"{self.BASE}/big.sh": [FakeResponse(200, b"x" * (MAX_FILE_BYTES + 1))],
+            }
+        )
+        entry = ManifestEntry(
+            "acme/demo", ".travis.yml", ("big.sh", "missing.sh"), remote_base_url=self.BASE
+        )
+        _, tree = materialize(entry, session=session, clock=clock)
+        assert tree.read("missing.sh") is None
+        with pytest.raises(FileTooLarge):
+            tree.read("big.sh")
+        assert [r.status_code for r in session.served] == [503, 200, 404, 200]
+        assert all(r.closed for r in session.served)
+
+    def test_transport_error_mid_body_is_retried(self):
+        clock = FakeClock()
+        body = "script: flake8 .\n" * 5
+        session = FakeSession(
+            {
+                f"{self.BASE}/.travis.yml": [
+                    FakeResponse(200, body, error=ConnectionResetError("chunked body cut")),
+                    FakeResponse(200, body),
+                ]
+            }
+        )
+        entry = ManifestEntry("acme/demo", ".travis.yml", (), remote_base_url=self.BASE)
+        doc, _ = materialize(entry, session=session, clock=clock)
+        assert doc.content == body
+        assert clock.sleeps == [2.0]
+        assert len(session.calls) == 2
+        assert all(r.closed for r in session.served)
+
+    def test_each_read_fetches_and_escapes_are_never_fetched(self):
+        session = FakeSession(
+            {f"{self.BASE}/.travis.yml": [FakeResponse(200, "script: x\n")],
+             f"{self.BASE}/a.sh": [FakeResponse(200, "pylint src\n")]}
+        )
+        _, tree = materialize(
+            ManifestEntry("acme/demo", ".travis.yml", None, remote_base_url=self.BASE),
+            session=session,
+            clock=FakeClock(),
+        )
+        assert tree.read("a.sh") == tree.read("a.sh") == "pylint src\n"
+        assert tree.read("../a.sh") is None
+        assert tree.read("/a.sh") is None
+        assert [url for url, _ in session.calls] == [
+            f"{self.BASE}/.travis.yml", f"{self.BASE}/a.sh", f"{self.BASE}/a.sh"
+        ]
 
 
 class TestTokenBucket:

@@ -3,6 +3,7 @@ forked or not, and with warm or cold line and pipeline memos; a forked
 child's failure reaches the caller and leaves no process behind."""
 
 import gc
+import hashlib
 import json
 import os
 import re
@@ -16,11 +17,13 @@ import tracemalloc
 import types
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdmscan import analytics, analyzer, script_resolver, shipped_registry
+from tdmscan import analytics, analyzer, placement, script_resolver, shipped_registry
+from tdmscan import registry as registry_module
 from tdmscan import memo as memo_module
 from tdmscan.analytics import (
     PipelineRecord,
@@ -50,7 +53,8 @@ from tdmscan.registry import Registry
 from tdmscan.script_resolver import MappingTree
 
 from conftest import CORPUS_DIR
-from test_ingest import FakeClock, FakeResponse, FakeSession
+from test_golden import OTHER_SCAN_SHA256, SCAN_SHA256
+from test_ingest import FakeClock, FakeResponse, FakeSession, ServingSession
 
 
 def _outcomes(result):
@@ -578,6 +582,15 @@ def test_memos_leave_every_scan_byte_unchanged(corpus, option_sets):
         patch.setattr(analyzer, "_parse_memo", _PassThrough())
         patch.setattr(Registry, "_analysis_memo", _PassThrough())
         patch.setattr(script_resolver, "_reference_memo", _PassThrough())
+        patch.setattr(
+            Registry,
+            "_line_memo",
+            property(lambda registry: partial(registry_module._line_hits, registry)),
+        )
+        patch.setattr(
+            script_resolver, "_memo_line_ref_events", script_resolver._line_ref_events
+        )
+        patch.setattr(placement, "_anchored_literal", placement._anchored_literal.__wrapped__)
         unmemoized = scans()
     assert memoized == unmemoized
     assert unmemoized[0::2] == unmemoized[1::2]
@@ -887,3 +900,46 @@ def test_remote_scan_without_a_session_opens_one(monkeypatch, workers):
     assert len(sessions) == 1
     assert len(sessions[0].calls) == 5
     assert sessions[0].closed
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "options, golden",
+    [
+        (AnalysisOptions(), SCAN_SHA256),
+        (AnalysisOptions(False, True, "job"), OTHER_SCAN_SHA256),
+    ],
+    ids=["default", "other"],
+)
+def test_fixture_corpus_served_remotely_gives_the_golden_bytes(
+    monkeypatch, workers, options, golden
+):
+    # Every corpus file served at <base>/<slug>/<path>; with no allow-list
+    # the remote trees may read any of them, as the local ones may.
+    base = "https://raw.example.org"
+    files = {}
+    for directory, _, names in os.walk(CORPUS_DIR):
+        for name in names:
+            full = os.path.join(directory, name)
+            rel = os.path.relpath(full, CORPUS_DIR).replace(os.sep, "/")
+            with open(full, "rb") as handle:
+                files[f"{base}/{rel}"] = handle.read()
+    entries = [
+        replace(entry, local_root=None, remote_base_url=f"{base}/{entry.repo_slug}")
+        for entry in _entries_from_directory(CORPUS_DIR)
+    ]
+    _cold_parse_memo(monkeypatch)
+    report = scan_entries(
+        entries,
+        shipped_registry(),
+        options,
+        policy=FetchPolicy(max_requests_per_hour=100_000),
+        session=ServingSession(files, FakeResponse),
+        clock=FakeClock(),
+        workers=workers,
+    ).report
+    csvs = export_csv_bundle(report)
+    digest = hashlib.sha256(export_json(report))
+    for name in sorted(csvs):
+        digest.update(csvs[name])
+    assert digest.hexdigest() == golden
