@@ -79,7 +79,7 @@ class PipelineRecord(NamedTuple):
     flags: tuple[bool, ...] | None
 
 
-_TOOLLESS = PipelineRecord(keys=(("pipeline",),), flags=None)
+TOOLLESS_RECORD = PipelineRecord(keys=(("pipeline",),), flags=None)
 
 # One canonical tuple per distinct counter key, shared by every record that
 # holds the key: a corpus has few distinct keys, and memoized records would
@@ -101,7 +101,7 @@ def pipeline_record(
     """The PipelineRecord of one analyzed pipeline."""
     tools = profile.tool_ids()
     if not tools:
-        return _TOOLLESS
+        return TOOLLESS_RECORD
     flags = tuple(getattr(findings, name) for name in FINDING_NAMES)
     true_names = [name for name, flag in zip(FINDING_NAMES, flags) if flag]
     keys = [("pipeline",), ("tools", len(tools)), ("findings", len(true_names))]

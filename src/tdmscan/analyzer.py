@@ -7,7 +7,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple, NoReturn
 
-from .analytics import Aggregator, CorpusReport, PipelineRecord, pipeline_record
+from .analytics import (
+    TOOLLESS_RECORD,
+    Aggregator,
+    CorpusReport,
+    PipelineRecord,
+    pipeline_record,
+)
 from .antipatterns import LATE_MERGING_MODE_PIPELINE, FindingSet, evaluate
 from .config_model import (
     MalformedDocument,
@@ -90,20 +96,17 @@ def _resolve(parsed: ParsedConfig, tree: FileTree, options: AnalysisOptions):
     return scripts, sites, warnings
 
 
-def _derive(
+def _judge(
     cfg: PipelineConfig,
     scripts: list[ScriptDocument],
-    sites: dict[str, tuple[Site, ...]],
-    registry: Registry,
+    profile: PipelineToolProfile,
     options: AnalysisOptions,
-) -> tuple[PipelineToolProfile, list[PlacementResult], FindingSet]:
-    profile = profile_pipeline(
-        cfg, scripts, registry, install_exclusion=options.install_exclusion, sites=sites
-    )
+) -> tuple[list[PlacementResult], FindingSet]:
+    """The pipeline's placements and anti-pattern findings."""
     scripts_by_path = {script.path: script for script in scripts}
     placements = classify_pipeline(cfg, profile, scripts_by_path)
     findings = evaluate(cfg, profile, late_merging_mode=options.late_merging_mode)
-    return profile, placements, findings
+    return placements, findings
 
 
 def analyze_document(
@@ -120,7 +123,9 @@ def analyze_document(
     invalid_utf8), and the record on that key, `options`, the (path, sha256)
     of every script the tree gave (None for a missing one) and `registry`.
     Both are stored on their first sighting.  When the record is not
-    memoized but the ParsedConfig is, the config is parsed again.
+    memoized but the ParsedConfig is, the config is parsed again.  A
+    pipeline without tools is neither placed nor judged: its record is
+    TOOLLESS_RECORD whatever the rules would find.
     """
     source = (doc.path, doc.sha256 or text_sha256(doc.content), doc.invalid_utf8)
     cfg = None
@@ -134,7 +139,12 @@ def analyze_document(
 
     def derive() -> PipelineRecord:
         config = cfg if cfg is not None else parse_config(doc)
-        return pipeline_record(*_derive(config, scripts, sites, registry, options))
+        profile = profile_pipeline(
+            config, scripts, registry, install_exclusion=options.install_exclusion, sites=sites
+        )
+        if not profile.tools:
+            return TOOLLESS_RECORD
+        return pipeline_record(profile, *_judge(config, scripts, profile, options))
 
     key = (source, options, tuple((script.path, script.sha256) for script in scripts))
     return registry._analysis_memo.get(key, derive), warnings
@@ -153,7 +163,10 @@ def explain_document(
     """
     cfg = parse_config(doc)
     scripts, sites, warnings = _resolve(_parsed(cfg), tree, options)
-    profile, placements, findings = _derive(cfg, scripts, sites, registry, options)
+    profile = profile_pipeline(
+        cfg, scripts, registry, install_exclusion=options.install_exclusion, sites=sites
+    )
+    placements, findings = _judge(cfg, scripts, profile, options)
     return PipelineAnalysis(doc.repo_slug, profile, placements, findings, warnings)
 
 

@@ -17,6 +17,7 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Mapping, Protocol
+from urllib.parse import urlsplit
 
 from .config_model import RawDocument
 
@@ -325,8 +326,10 @@ class RemoteTree:
         self.undecodable: set[str] = set()
 
     def _headers(self) -> dict[str, str]:
+        # The token goes over HTTPS only: over plain HTTP anyone on the path
+        # could read it.  The host is not checked.
         token = os.environ.get(self.policy.auth_token_env)
-        if token:
+        if token and urlsplit(self.base_url).scheme == "https":
             return {"Authorization": f"token {token}"}
         return {}
 

@@ -22,6 +22,7 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 from .config_model import PhaseKind, PipelineConfig, iter_command_lines
 from .memo import BoundedMemo
 from .script_resolver import (
+    INSTALLER_HINT,
     ScriptDocument,
     Site,
     command_lines,
@@ -108,9 +109,12 @@ class Registry:
         return len(self.tools)
 
     @cached_property
-    def _unions(self) -> tuple[re.Pattern[str], re.Pattern[str]] | None:
-        """All tools' patterns as one anchored alternation, forward and reversed.
+    def _unions(self) -> tuple[re.Pattern[str], re.Pattern[str], re.Pattern[str]] | None:
+        """All tools' patterns as three anchored alternations: a prefilter, and
+        forward and reversed unions with one group per tool.
 
+        The prefilter has no capture groups and finds where some pattern
+        matches; it searches about twice as fast as a capturing union.
         Group k+1 of the forward union is tool k; group k+1 of the reversed
         union is tool n-1-k.  None when a pattern has capture groups, which
         would shift the numbering (and backreferences need them), or when
@@ -121,12 +125,13 @@ class Registry:
         ):
             return None
         alternatives = [
-            "(" + "|".join(f"(?:{pattern})" for pattern in tool.patterns) + ")"
-            for tool in self.tools
+            "|".join(f"(?:{pattern})" for pattern in tool.patterns) for tool in self.tools
         ]
+        grouped = [f"({alternative})" for alternative in alternatives]
         return (
             compile_anchored("|".join(alternatives)),
-            compile_anchored("|".join(reversed(alternatives))),
+            compile_anchored("|".join(grouped)),
+            compile_anchored("|".join(reversed(grouped))),
         )
 
     @cached_property
@@ -347,15 +352,15 @@ def shipped_registry() -> Registry:
 def _candidate_tools(registry: Registry, parts: list[str]) -> Sequence[ToolSpec]:
     """The tools, in registry order, that can match somewhere in `parts`.
 
-    Every tool whose own patterns find a match is included.  At each
-    position where the forward union matches, it names the first tool
-    matching there and the reversed union the last; only the tools in
-    between are tried one by one.
+    Every tool whose own patterns find a match is included.  The prefilter
+    finds each position where some tool matches; there the forward union
+    names the first such tool and the reversed union the last, and only the
+    tools in between are tried one by one.
     """
     unions = registry._unions
     if unions is None:
         return registry.tools
-    forward, backward = unions
+    prefilter, forward, backward = unions
     tools = registry.tools
     hits: set[int] = set()
     for part in parts:
@@ -363,11 +368,11 @@ def _candidate_tools(registry: Registry, parts: list[str]) -> Sequence[ToolSpec]
         # `re` clamps `pos` to the end, so an empty match there would repeat
         # forever without this bound.
         while pos <= len(part):
-            found = forward.search(part, pos)
+            found = prefilter.search(part, pos)
             if found is None:
                 break
             start = found.start()
-            first = found.lastindex - 1
+            first = forward.match(part, start).lastindex - 1
             last = len(tools) - backward.match(part, start).lastindex
             hits.update((first, last))
             for index in range(first + 1, last):
@@ -382,12 +387,19 @@ def _candidate_tools(registry: Registry, parts: list[str]) -> Sequence[ToolSpec]
 def _line_hits(
     registry: Registry, stripped: str, install_exclusion: bool
 ) -> tuple[tuple[str, str], ...]:
-    """(tool id, matched text) per tool found on one stripped, non-comment line."""
+    """(tool id, matched text) per tool found on one stripped, non-comment line.
+
+    With `install_exclusion`, only a segment holding an INSTALLER_HINT match
+    is tokenized and checked for an install.
+    """
     if install_exclusion:
         parts = [
             segment
             for segment in split_segments(stripped)
-            if not is_installer(command_words(segment))
+            if not (
+                INSTALLER_HINT.search(segment)
+                and is_installer(command_words(segment))
+            )
         ]
     else:
         parts = [stripped]

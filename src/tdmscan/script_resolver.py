@@ -152,19 +152,28 @@ _INSTALLER_RULES: tuple[tuple[frozenset[str], frozenset[str]], ...] = (
 )
 
 
+_PYTHON_MODULE_INSTALL = ["-m", "pip", "install"]
+
+# Every installer segment holds one of these words: each rule's verbs, or its
+# heads where a verb is one letter (`npm i`), which nearly any text holds.
+_INSTALLER_WORDS = {_PYTHON_MODULE_INSTALL[-1]}.union(
+    *(heads if min(map(len, verbs)) == 1 else verbs for heads, verbs in _INSTALLER_RULES)
+)
+INSTALLER_HINT = re.compile("|".join(map(re.escape, sorted(_INSTALLER_WORDS))))
+
+
 def is_installer(words: list[str]) -> bool:
-    """True when a segment's `command_words` are a package-manager install."""
+    """True when a segment's `command_words` are a package-manager install.
+
+    Such a segment holds a match of INSTALLER_HINT.
+    """
     if len(words) < 2:
         return False
     base = words[0].rsplit("/", 1)[-1]
     for heads, verbs in _INSTALLER_RULES:
         if base in heads and words[1] in verbs:
             return True
-    if base.startswith("python"):
-        rest = words[1:]
-        if len(rest) >= 3 and rest[0] == "-m" and rest[1] == "pip" and rest[2] == "install":
-            return True
-    return False
+    return base.startswith("python") and words[1:4] == _PYTHON_MODULE_INSTALL
 
 
 def normalize_script_path(token: str) -> str:
@@ -195,6 +204,18 @@ def _interpreter_argument(tokens: list[str]) -> str | None:
             continue
         return token
     return None
+
+
+# A text with a reference matches this (the acceptance rule of
+# `_line_ref_events`): a token ends in a suffix or starts with `./`, or is
+# the argument of `sh`, `bash`, `source` or `.`.  Such a `.` is a token of its
+# own: past quotes and parens, whitespace or the end follows it, and a line
+# break, whitespace, a segment operator, a quote or a paren precedes it (every
+# line break is whitespace).
+_REF_HINT = re.compile(
+    "|".join(map(re.escape, ("./", "source", *SCRIPT_SUFFIXES, *_INTERPRETER_BASES)))
+    + r"""|\.(?<![^\s;&|"'()]\.)["'()]*(?=\s|$)"""
+)
 
 
 def _line_ref_events(stripped: str) -> tuple[tuple[str | None, str | None], ...]:
@@ -234,8 +255,11 @@ def script_paths(text: str, warnings: list[str] | None = None) -> list[str]:
     """Normalized paths of the scripts `text` references, each once, in order.
 
     A pure function of the text; `warnings` (when given) collects rejected
-    root-escaping tokens and variable-bearing tokens.
+    root-escaping tokens and variable-bearing tokens.  A text without a
+    reference hint (see `_REF_HINT`) is not split into lines at all.
     """
+    if not _REF_HINT.search(text):
+        return []
     paths: dict[str, None] = {}
     for _, stripped in command_lines(text):
         if len(stripped) <= _REF_MEMO_MAX_CHARS:

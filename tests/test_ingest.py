@@ -586,6 +586,22 @@ class TestRemoteMaterialize:
         # token never lands in the recorded digests
         assert "sekret" not in json.dumps(tree.digests)
 
+    @pytest.mark.parametrize(
+        "base, headers",
+        [
+            ("http://raw.example.org/acme/demo/main", {}),
+            ("HTTP://raw.example.org/acme/demo/main", {}),
+            ("ftp://raw.example.org/acme/demo/main", {}),
+            ("HTTPS://raw.example.org/acme/demo/main", {"Authorization": "token sekret"}),
+        ],
+    )
+    def test_auth_token_goes_over_https_only(self, monkeypatch, base, headers):
+        monkeypatch.setenv("TDMSCAN_FETCH_TOKEN", "sekret")
+        entry = ManifestEntry("acme/demo", ".travis.yml", (), remote_base_url=base)
+        session = FakeSession({f"{base}/.travis.yml": [FakeResponse(200, "script: x\n")]})
+        materialize(entry, session=session, clock=FakeClock())
+        assert [sent for _, sent in session.calls] == [headers]
+
 
 # Byte fragments of configs and scripts: valid and invalid UTF-8, a script
 # reference and tool invocations, in any order.

@@ -99,8 +99,24 @@ class TestDetectInText:
         )
         assert tool_ids(detections) == ["sonarqube"]
 
-    def test_install_excluded_by_default(self, registry):
-        assert detect_in_text("pip install flake8", registry, CTX) == []
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "pip install flake8",
+            "sudo pip3 install flake8",
+            "npm i eslint",
+            "npm install eslint",
+            "gem install rubocop",
+            "apt-get install cppcheck",
+            "brew install shellcheck",
+            "composer require --dev phpmd",
+            "go install staticcheck",
+            "python3 -m pip install flake8",
+        ],
+    )
+    def test_install_excluded_by_default(self, registry, line):
+        assert detect_in_text(line, registry, CTX) == []
+        assert detect_in_text(line, registry, CTX, install_exclusion=False) != []
 
     def test_install_included_when_disabled(self, registry):
         detections = detect_in_text(
@@ -448,6 +464,39 @@ def test_shipped_registry_has_unions(registry):
     assert registry._unions is not None
 
 
+@pytest.mark.parametrize(
+    "pattern_lists, present",
+    [
+        ([["a"], ["b|c", "a(?=b)"]], True),
+        ([["a"], [_BACKREFERENCE]], False),
+        ([["(a)b"]], False),
+        ([], False),
+    ],
+    ids=["plain", "backreference", "capture-group", "empty"],
+)
+def test_prefilter_exists_with_the_unions_and_captures_nothing(pattern_lists, present):
+    unions = _small_registry(pattern_lists)._unions
+    assert (unions is not None) == present
+    if present:
+        prefilter, forward, backward = unions
+        assert prefilter.groups == 0
+        assert forward.groups == backward.groups == len(pattern_lists)
+
+
+def test_segment_without_an_installer_hint_is_not_tokenized(monkeypatch):
+    tokenized = []
+
+    def recording_command_words(segment):
+        tokenized.append(segment)
+        return command_words(segment)
+
+    monkeypatch.setattr(registry_module, "command_words", recording_command_words)
+    registry = shipped_registry()
+    line = "flake8 src && pylint x | tee log ; composer require y ; npm ci"
+    assert tool_ids(detect_in_text(line, registry, CTX)) == ["flake8", "pylint"]
+    assert tokenized == ["composer require y", "npm ci"]
+
+
 def test_empty_matching_pattern_terminates():
     # `c*` matches the empty string after the trailing `(`; the scan must stop
     # there rather than search again from the same clamped position.
@@ -462,7 +511,9 @@ def test_empty_matching_pattern_terminates():
 _LINE = st.lists(
     st.sampled_from(
         ["a", "b", "c", "ab", " ", ";", "&&", "|", "(", "'", "#", "-", "/", "x",
-         "pip install ", "flake8 ", "pylint", "eslint .", "sudo ", "npm i "]
+         "pip install ", "flake8 ", "pylint", "eslint .", "sudo ", "npm i ",
+         "composer require ", "go install ", "gem install ", "npm install ",
+         "python -m pip install ", "\t"]
     ),
     max_size=8,
 ).map("".join)

@@ -676,6 +676,37 @@ def test_failures_keep_their_own_messages(monkeypatch, content, error):
     assert not analyzer._parse_memo._values
 
 
+@pytest.mark.parametrize(
+    "content, judged",
+    [
+        ("script: pytest -q\nafter_success: ./ci/deploy.sh\n", False),
+        ("script: flake8 src\n", True),
+    ],
+    ids=["tool-less", "with-a-tool"],
+)
+def test_only_pipelines_with_tools_are_placed_and_judged(monkeypatch, content, judged):
+    _cold_parse_memo(monkeypatch)
+    doc = RawDocument("acme/demo", ".travis.yml", content)
+    tree = MappingTree({"ci/deploy.sh": "git push\n"})
+    expected = _cold_record(monkeypatch, doc, tree, shipped_registry())
+    calls = []
+
+    def recording(name):
+        real = getattr(analyzer, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("classify_pipeline", "evaluate"):
+        monkeypatch.setattr(analyzer, name, recording(name))
+    assert analyze_document(doc, tree, shipped_registry()) == expected
+    assert calls == (["classify_pipeline", "evaluate"] if judged else [])
+    assert (expected[0] is analytics.TOOLLESS_RECORD) != judged
+
+
 def test_memos_store_on_the_first_sighting_and_stay_bounded(monkeypatch):
     _cold_parse_memo(monkeypatch)
     bound = 64

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdmscan import script_resolver
@@ -7,6 +8,7 @@ from tdmscan.config_model import CommandLine, PhaseKind
 from tdmscan.ingest import escapes_repo
 from tdmscan.memo import BoundedMemo
 from tdmscan.script_resolver import (
+    INSTALLER_HINT,
     SCRIPT_SUFFIXES,
     MappingTree,
     ScriptDocument,
@@ -343,7 +345,9 @@ _REF_LINES = [
 ]
 _REF_TEXT_LINE = st.one_of(
     st.sampled_from(_REF_LINES),
-    st.text(alphabet="ab./$ &;|#-", max_size=20),
+    st.lists(
+        st.sampled_from([*"ab./$ &;|#-'\"()\t\x1c\u2028", "sh", "source"]), max_size=20
+    ).map("".join),
 )
 
 
@@ -368,6 +372,43 @@ def test_ref_memo_matches_uncached_loop(pool, data):
         assert script_paths(text, warnings) == expected
         if collect:
             assert warnings == expected_warnings
+
+
+def test_installer_hints_come_from_the_rules():
+    # `npm i` has a one-letter verb, so npm's head stands in for its verbs.
+    assert INSTALLER_HINT.pattern == "install|npm|require"
+
+
+def test_hint_free_text_is_not_split_into_lines(monkeypatch):
+    def fail(*args):
+        raise AssertionError("scanned a hint-free text")
+
+    monkeypatch.setattr(script_resolver, "command_lines", fail)
+    monkeypatch.setattr(script_resolver, "_memo_line_ref_events", fail)
+    monkeypatch.setattr(script_resolver, "_line_ref_events", fail)
+    warnings = []
+    text = "flake8 .. && pytest -q\nmake lint | tee out.txt\n# docs\nx.c a.b .x"
+    assert script_paths(text, warnings) == []
+    assert warnings == []
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (". env", ["env"]),
+        ("a\u2028. env", ["env"]),
+        ("a\x1c'.' env", ["env"]),
+        ("a;. env", ["env"]),
+        ("a && (. env)", ["env"]),
+        ("a|.\tenv", ["env"]),
+        ("ci/bash lint", ["lint"]),
+        ("source env", ["env"]),
+        ("run ./x", ["x"]),
+        ("a.b env ; x.", []),
+    ],
+)
+def test_reference_hints_cover_the_acceptance_rule(text, expected):
+    assert script_paths(text) == expected == _uncached_paths(text, None)
 
 
 def test_warnings_survive_a_first_sighting_without_a_list():
