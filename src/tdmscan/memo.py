@@ -63,12 +63,12 @@ class BoundedMemo(Generic[V]):
     not be mutated.  `compute` runs outside the lock, and a value is stored
     only when it returns, so an exception is never memoized.  An entry's
     weight, its key and value together, is estimated once, when it is
-    stored.
+    stored, and kept in the same recency order as the values.
     """
 
     def __init__(self):
         self._values: OrderedDict[Hashable, V] = OrderedDict()
-        self._weights: dict[Hashable, int] = {}
+        self._weights: OrderedDict[Hashable, int] = OrderedDict()
         self.bytes = 0
         self._lock = threading.Lock()
 
@@ -76,6 +76,7 @@ class BoundedMemo(Generic[V]):
         with self._lock:
             if key in self._values:
                 self._values.move_to_end(key)
+                self._weights.move_to_end(key)
                 return self._values[key]
         value = compute()
         size = _ENTRY_BYTES + weight((key, value))

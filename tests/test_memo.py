@@ -55,6 +55,7 @@ def test_more_keys_than_the_bound_keep_the_most_recent(four_values):
     memo.get("k6", calls("k6"))
     memo.get("k0", calls("k0"))
     assert list(memo._values) == ["k8", "k9", "k6", "k0"]
+    assert list(memo._weights) == list(memo._values)
     assert calls.keys == keys + ["k0"]
 
 

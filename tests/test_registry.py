@@ -99,6 +99,9 @@ class TestDetectInText:
         )
         assert tool_ids(detections) == ["sonarqube"]
 
+    def test_install_excluded_by_default(self, registry):
+        assert detect_in_text("pip install flake8", registry, CTX) == []
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -114,7 +117,7 @@ class TestDetectInText:
             "python3 -m pip install flake8",
         ],
     )
-    def test_install_excluded_by_default(self, registry, line):
+    def test_every_installer_excluded_by_default(self, registry, line):
         assert detect_in_text(line, registry, CTX) == []
         assert detect_in_text(line, registry, CTX, install_exclusion=False) != []
 
