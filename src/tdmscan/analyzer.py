@@ -193,25 +193,15 @@ class ScanResult:
 
 def _process_entry(
     entry: ManifestEntry,
+    read,
     aggregator: Aggregator,
     registry: Registry,
     options: AnalysisOptions,
-    policy: FetchPolicy,
-    session,
-    clock,
-    bucket,
 ) -> EntryResult:
+    """Open the entry with ``read`` (as ``materialize``) and analyze it."""
     try:
-        doc, tree = materialize(
-            entry, policy=policy, session=session, clock=clock, bucket=bucket
-        )
-    except (NotFound, FileTooLarge) as exc:
-        return EntryResult(entry.repo_slug, "skipped", message=str(exc))
-    except Exception as exc:  # noqa: BLE001 - entry isolation
-        return EntryResult(entry.repo_slug, "failed", message=str(exc))
-    try:
-        record, warnings = analyze_document(doc, tree, registry, options)
-    except (NotAPipeline, MalformedDocument) as exc:
+        record, warnings = analyze_document(*read(entry), registry, options)
+    except (NotFound, FileTooLarge, NotAPipeline, MalformedDocument) as exc:
         return EntryResult(entry.repo_slug, "skipped", message=str(exc))
     except Exception as exc:  # noqa: BLE001 - entry isolation
         return EntryResult(entry.repo_slug, "failed", message=str(exc))
@@ -220,21 +210,12 @@ def _process_entry(
 
 
 def _scan_chunk(
-    entries: list[ManifestEntry],
-    registry: Registry,
-    options: AnalysisOptions,
-    policy: FetchPolicy,
-    session=None,
-    clock=None,
-    bucket=None,
+    entries: list[ManifestEntry], read, registry: Registry, options: AnalysisOptions
 ) -> tuple[Aggregator, list[EntryResult]]:
     """Analyze entries in order, folding every ``ok`` record into one aggregator."""
     aggregator = Aggregator(registry.version)
     results = [
-        _process_entry(
-            entry, aggregator, registry, options, policy, session, clock, bucket
-        )
-        for entry in entries
+        _process_entry(entry, read, aggregator, registry, options) for entry in entries
     ]
     return aggregator, results
 
@@ -255,7 +236,6 @@ def _scan_local(
     entries: list[ManifestEntry],
     registry: Registry,
     options: AnalysisOptions,
-    policy: FetchPolicy,
     workers: int,
 ) -> list[tuple[Aggregator, list[EntryResult]]]:
     """Local entries are CPU-bound: shard them across this and forked processes.
@@ -271,8 +251,8 @@ def _scan_local(
     chunks = _chunks(entries, processes)
     processes = min(processes, len(chunks))
     if processes <= 1 or not hasattr(os, "fork"):
-        return [_scan_chunk(entries, registry, options, policy)]
-    return _scan_forked(chunks, processes, registry, options, policy)
+        return [_scan_chunk(entries, materialize, registry, options)]
+    return _scan_forked(chunks, processes, registry, options)
 
 
 def _scan_forked(
@@ -280,7 +260,6 @@ def _scan_forked(
     processes: int,
     registry: Registry,
     options: AnalysisOptions,
-    policy: FetchPolicy,
 ) -> list[tuple[Aggregator, list[EntryResult]]]:
     """Chunk ``i`` is scanned by worker ``i % processes``; worker 0 is this process.
 
@@ -292,7 +271,7 @@ def _scan_forked(
 
     def share(worker: int) -> list[tuple[int, Aggregator, list[EntryResult]]]:
         return [
-            (index, *_scan_chunk(chunks[index], registry, options, policy))
+            (index, *_scan_chunk(chunks[index], materialize, registry, options))
             for index in range(worker, len(chunks), processes)
         ]
 
@@ -409,10 +388,16 @@ def _scan_remote(
                 return _scan_remote(
                     entries, registry, options, policy, session, clock, workers
                 )
-    bucket = TokenBucket(policy.max_requests_per_hour, clock)
+    read = partial(
+        materialize,
+        policy=policy,
+        session=session,
+        clock=clock,
+        bucket=TokenBucket(policy.max_requests_per_hour, clock),
+    )
 
     def scan(chunk: list[ManifestEntry]) -> tuple[Aggregator, list[EntryResult]]:
-        return _scan_chunk(chunk, registry, options, policy, session, clock, bucket)
+        return _scan_chunk(chunk, read, registry, options)
 
     if workers <= 1 or len(entries) <= 1:
         return [scan(entries)]
@@ -442,12 +427,12 @@ def scan_entries(
     wins a repeated slug) and the partial aggregates are merged in that
     order, so the report is the same for any number of workers.
     """
-    policy = policy or FetchPolicy()
     by_slug = {entry.repo_slug: entry for entry in entries}
     ordered = [by_slug[slug] for slug in sorted(by_slug)]
     if all(entry.is_local for entry in ordered):
-        parts = _scan_local(ordered, registry, options, policy, workers)
+        parts = _scan_local(ordered, registry, options, workers)
     else:
+        policy = policy or FetchPolicy()
         parts = _scan_remote(ordered, registry, options, policy, session, clock, workers)
 
     aggregator = Aggregator(registry.version)

@@ -289,24 +289,24 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "analyze": _cmd_analyze,
+    "scan": _cmd_scan,
+    "registry-validate": _cmd_registry_validate,
+    "report": _cmd_report,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        if args.command == "registry-validate":
-            return _cmd_registry_validate(args)
-        if args.command == "report":
-            return _cmd_report(args)
+        return _COMMANDS[args.command](args)
     except (RegistryError, ManifestParseError, FileNotFoundError, NotFound) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_ERROR
 
 
 if __name__ == "__main__":

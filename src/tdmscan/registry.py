@@ -508,11 +508,15 @@ def profile_pipeline(
     pipeline no matter how many detections it has.
     """
     detections: list[Detection] = []
+    # A command's first line is numbered after every physical line of the
+    # commands before it in its job phase, each taking at least one line.
+    phase_key, base = None, 0
     for cmd in iter_command_lines(cfg):
-        ctx = SourceContext(
-            SOURCE_CONFIG, cmd.phase, cmd.job_index, ordinal_base=cmd.ordinal
-        )
+        if (cmd.job_index, cmd.phase) != phase_key:
+            phase_key, base = (cmd.job_index, cmd.phase), 0
+        ctx = SourceContext(SOURCE_CONFIG, cmd.phase, cmd.job_index, ordinal_base=base)
         detections.extend(detect_in_text(cmd.text, registry, ctx, install_exclusion))
+        base += max(1, len(cmd.text.splitlines()))
 
     detected_sites: dict[str, tuple[Site, ...]] = {}
     for doc in sorted(scripts, key=attrgetter("path")):
@@ -525,7 +529,6 @@ def profile_pipeline(
             detections.extend(found)
             detected_sites[doc.path] = sites[doc.path]
 
-    detections = list(dict.fromkeys(detections))
     detections = _disambiguate_sonar(cfg, scripts, detections, registry)
 
     grouped: dict[str, list[Detection]] = {}

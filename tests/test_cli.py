@@ -82,6 +82,18 @@ class TestAnalyze:
         assert data["tools"] == {"shellcheck": "script"}
         assert any(d["script"] == "ci/check.sh" for d in data["detections"])
 
+    def test_lines_of_a_multi_line_command_are_not_shared(self, capsys, tmp_path):
+        # The second command starts after both lines of the first, so its
+        # flake8 is its own detection and timing, not a repeat of line 1's.
+        config = 'script: ["make\\nflake8 a", "flake8 b"]\n'
+        (tmp_path / ".travis.yml").write_text(config)
+        code, out, _ = run_cli(capsys, "analyze", str(tmp_path))
+        assert code == 0
+        data = json.loads(out)
+        lines = [(d["line"], d["matched"]) for d in data["detections"]]
+        assert lines == [(1, "flake8"), (2, "flake8")]
+        assert data["timing"] == {"pre_deployment": 2, "post_deployment": 0}
+
     def test_linked_directory_out_of_the_root_is_not_read(self, capsys, tmp_path):
         (tmp_path / "outside" / "dir").mkdir(parents=True)
         (tmp_path / "outside" / "dir" / "lint.sh").write_text("flake8 .\n")
@@ -514,17 +526,19 @@ def test_throughput_10k_configs_under_60s(registry):
     from tdmscan.config_model import RawDocument
     from tdmscan.script_resolver import MappingTree
 
+    # Every config has its own command argument, so no call is a memo hit.
     bodies = [
-        "language: python\nscript: flake8 .\n",
-        "language: go\nscript:\n  - go vet ./...\n  - make test\n",
-        "language: shell\nscript: shellcheck run.sh\nnotifications:\n  email: true\n",
-        "language: node_js\nscript: npm test\n",
+        "language: python\nscript: flake8 src{i}\n",
+        "language: go\nscript:\n  - go vet ./pkg{i}/...\n  - make test\n",
+        "language: shell\nscript: shellcheck run{i}.sh\n"
+        "notifications:\n  email: true\n",
+        "language: node_js\nscript: npm test -- --shard {i}\n",
     ]
     tree = MappingTree({})
     options = AnalysisOptions()
     start = time.monotonic()
     for i in range(10_000):
-        doc = RawDocument(f"r{i}", ".travis.yml", bodies[i % len(bodies)])
+        doc = RawDocument(f"r{i}", ".travis.yml", bodies[i % len(bodies)].format(i=i))
         analyze_document(doc, tree, registry, options)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"

@@ -47,7 +47,13 @@ from tdmscan.config_model import (
     PipelineConfig,
     RawDocument,
 )
-from tdmscan.ingest import FetchPolicy, ManifestEntry, materialize
+from tdmscan.ingest import (
+    FetchPolicy,
+    FileTooLarge,
+    ManifestEntry,
+    NotFound,
+    materialize,
+)
 from tdmscan.memo import BoundedMemo
 from tdmscan.registry import Registry
 from tdmscan.script_resolver import MappingTree
@@ -120,6 +126,37 @@ def test_serial_scan_runs_in_this_process(monkeypatch, registry, cpus, has_fork)
     result = scan_entries(entries, registry, workers=64)
     assert pids == [os.getpid()] * len(entries)
     assert result.succeeded == len(entries) - 1
+
+
+@pytest.mark.parametrize("target", ["materialize", "analyze_document"])
+@pytest.mark.parametrize(
+    "exc, status",
+    [
+        (NotFound("a: missing .travis.yml"), "skipped"),
+        (FileTooLarge(".travis.yml"), "skipped"),
+        (NotAPipeline("no pipeline key"), "skipped"),
+        (MalformedDocument("not YAML"), "skipped"),
+        (RuntimeError("broken"), "failed"),
+    ],
+    ids=["not-found", "too-large", "not-a-pipeline", "malformed", "other"],
+)
+def test_each_exception_ends_its_entry_in_one_outcome(
+    monkeypatch, registry, tmp_path, target, exc, status
+):
+    for slug in ("a", "b"):
+        (tmp_path / slug).mkdir()
+        (tmp_path / slug / ".travis.yml").write_text("script: flake8 .\n")
+    real = getattr(analyzer, target)
+
+    def raising(first, *args, **kwargs):
+        if first.repo_slug == "a":
+            raise exc
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(analyzer, target, raising)
+    result = scan_entries(_entries_from_directory(str(tmp_path)), registry)
+    assert _outcomes(result) == [("a", status, str(exc), []), ("b", "ok", "", [])]
+    assert result.warnings == [f"a: {exc}"]
 
 
 def _in_child(monkeypatch, action):
@@ -254,7 +291,10 @@ def test_local_scan_imports_neither_openssl_nor_thread_pool(tmp_path):
         entries = _entries_from_directory({CORPUS_DIR!r})
         result = analyzer.scan_entries(entries, shipped_registry(), workers=1)
         _write_outputs(result.report, {str(tmp_path)!r}, None)
-        modules = ["hashlib", "_hashlib", "concurrent.futures", "logging"]
+        modules = [
+            "hashlib", "_hashlib", "concurrent.futures", "logging",
+            "requests", "urllib3",
+        ]
         print(json.dumps({{
             "ok": result.succeeded,
             "imported": [name for name in modules if name in sys.modules],
