@@ -43,10 +43,6 @@ from .script_resolver import (
     script_references,
 )
 
-# Chunks per worker in a sharded scan, dealt round-robin: enough that the
-# workers' shares hold a similar mix of small and large pipelines.
-_CHUNKS_PER_WORKER = 8
-
 
 class ParsedConfig(NamedTuple):
     """What script resolution needs of a parsed config: the parse memo's value."""
@@ -226,64 +222,34 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _chunks(entries: list[ManifestEntry], workers: int) -> list[list[ManifestEntry]]:
-    """Contiguous chunks, several per worker (see _CHUNKS_PER_WORKER)."""
-    size = max(1, len(entries) // (workers * _CHUNKS_PER_WORKER))
-    return [entries[start : start + size] for start in range(0, len(entries), size)]
-
-
-def _scan_local(
-    entries: list[ManifestEntry],
-    registry: Registry,
-    options: AnalysisOptions,
-    workers: int,
-) -> list[tuple[Aggregator, list[EntryResult]]]:
-    """Local entries are CPU-bound: shard them across this and forked processes.
-
-    There are at most ``workers`` processes, one per usable CPU, and never
-    more than there are chunks.  This process scans one share of the chunks
-    and ``processes - 1`` children forked from it scan the rest, so they
-    inherit the loaded package and registry and nothing is pickled on the
-    way in.  With one process, or where ``os.fork`` does not exist, every
-    entry runs here.
-    """
-    processes = max(1, min(workers, _usable_cpus()))
-    chunks = _chunks(entries, processes)
-    processes = min(processes, len(chunks))
-    if processes <= 1 or not hasattr(os, "fork"):
-        return [_scan_chunk(entries, materialize, registry, options)]
-    return _scan_forked(chunks, processes, registry, options)
+def _deal(entries: list[ManifestEntry], n: int) -> list[list[ManifestEntry]]:
+    """At most ``n`` strided shares: share ``w`` holds ``entries[w::n]``."""
+    return [entries[w::n] for w in range(min(n, len(entries)))]
 
 
 def _scan_forked(
-    chunks: list[list[ManifestEntry]],
-    processes: int,
-    registry: Registry,
-    options: AnalysisOptions,
+    shares: list[list[ManifestEntry]], registry: Registry, options: AnalysisOptions
 ) -> list[tuple[Aggregator, list[EntryResult]]]:
-    """Chunk ``i`` is scanned by worker ``i % processes``; worker 0 is this process.
+    """Share ``w`` is scanned by worker ``w``; worker 0 is this process.
 
-    Each child sends its ``(chunk index, Aggregator, results)`` list up its
-    own pipe and is reaped here, and the parts are returned in chunk order.
+    Each child sends its ``(Aggregator, results)`` up its own pipe and is
+    reaped here, in fork order, so the parts are returned in share order.
     A child's exception is raised here.  If anything fails in this process,
     every child not yet reaped is killed and reaped before it propagates.
     """
 
-    def share(worker: int) -> list[tuple[int, Aggregator, list[EntryResult]]]:
-        return [
-            (index, *_scan_chunk(chunks[index], materialize, registry, options))
-            for index in range(worker, len(chunks), processes)
-        ]
+    def share(worker: int) -> tuple[Aggregator, list[EntryResult]]:
+        return _scan_chunk(shares[worker], materialize, registry, options)
 
     # Imported and compiled once, before the fork, so every child inherits
-    # both: a child that imported pickle itself began its first chunk about
-    # 8 ms later.
+    # both: a child that imported pickle itself began its share about 8 ms
+    # later.
     import pickle  # noqa: F401
 
     registry._unions
     children: dict[int, int] = {}  # child pid -> read end of its pipe
     try:
-        for worker in range(1, processes):
+        for worker in range(1, len(shares)):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -298,14 +264,14 @@ def _scan_forked(
                 _report_and_exit(write_fd, partial(share, worker))
             os.close(write_fd)
             children[pid] = read_fd
-        parts = share(0)
+        parts = [share(0)]
         for pid, read_fd in list(children.items()):
             with open(read_fd, "rb", closefd=False) as pipe:
                 data = pipe.read()
             os.close(read_fd)
             del children[pid]
             _, status = os.waitpid(pid, 0)
-            parts.extend(_child_parts(pid, status, data))
+            parts.append(_child_parts(pid, status, data))
     finally:
         for pid, read_fd in children.items():
             import signal  # only failures need it; importing it costs about 1 ms
@@ -313,8 +279,7 @@ def _scan_forked(
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    parts.sort(key=lambda part: part[0])
-    return [(aggregator, results) for _, aggregator, results in parts]
+    return parts
 
 
 def _report_and_exit(write_fd: int, scan) -> NoReturn:
@@ -347,8 +312,8 @@ def _report_and_exit(write_fd: int, scan) -> NoReturn:
 
 def _child_parts(
     pid: int, status: int, data: bytes
-) -> list[tuple[int, Aggregator, list[EntryResult]]]:
-    """A reaped child's parts, or the exception it reported or died of."""
+) -> tuple[Aggregator, list[EntryResult]]:
+    """A reaped child's part, or the exception it reported or died of."""
     import pickle
 
     code = os.waitstatus_to_exitcode(status)
@@ -368,16 +333,15 @@ def _child_parts(
 
 
 def _scan_remote(
-    entries: list[ManifestEntry],
+    shares: list[list[ManifestEntry]],
     registry: Registry,
     options: AnalysisOptions,
     policy: FetchPolicy,
     session,
     clock,
-    workers: int,
 ) -> list[tuple[Aggregator, list[EntryResult]]]:
-    """Remote fetches wait on I/O: overlap them on threads sharing one rate
-    limit and one session; without the caller's, one is opened for the scan."""
+    """Remote fetches wait on I/O: overlap the shares on threads sharing one
+    rate limit and one session; without the caller's, one is opened for the scan."""
     if session is None:
         try:
             import requests
@@ -385,9 +349,7 @@ def _scan_remote(
             pass  # each remote entry then fails on the import in materialize
         else:
             with requests.Session() as session:
-                return _scan_remote(
-                    entries, registry, options, policy, session, clock, workers
-                )
+                return _scan_remote(shares, registry, options, policy, session, clock)
     read = partial(
         materialize,
         policy=policy,
@@ -396,16 +358,16 @@ def _scan_remote(
         bucket=TokenBucket(policy.max_requests_per_hour, clock),
     )
 
-    def scan(chunk: list[ManifestEntry]) -> tuple[Aggregator, list[EntryResult]]:
-        return _scan_chunk(chunk, read, registry, options)
+    def scan(share: list[ManifestEntry]) -> tuple[Aggregator, list[EntryResult]]:
+        return _scan_chunk(share, read, registry, options)
 
-    if workers <= 1 or len(entries) <= 1:
-        return [scan(entries)]
+    if len(shares) <= 1:
+        return [scan(share) for share in shares]
     # Imported here, as a local scan never needs it: it pulls in `logging`.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(scan, _chunks(entries, workers)))
+    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+        return list(pool.map(scan, shares))
 
 
 def scan_entries(
@@ -419,27 +381,38 @@ def scan_entries(
 ) -> ScanResult:
     """Analyze every entry and aggregate; failures are isolated per entry.
 
-    Local entries run in up to ``workers`` processes, at most one per usable
-    CPU: the calling process scans one share of them and ``N - 1`` children
-    forked from it scan the rest (see _scan_local).  A manifest with remote
-    entries runs on ``workers`` threads that share the caller's session and
-    one rate limit.  Entries are processed in slug order (the last entry
-    wins a repeated slug) and the partial aggregates are merged in that
-    order, so the report is the same for any number of workers.
+    Entries are taken in slug order (the last entry wins a repeated slug)
+    and dealt into at most n strided shares, share ``w`` holding every n-th
+    entry from the ``w``-th.  Local entries are CPU-bound: n is ``workers``
+    capped at the usable CPUs, this process scans share 0 and a child
+    forked from it scans each other share, inheriting the loaded package
+    and registry (without ``os.fork`` every entry runs here).  A manifest
+    with remote entries runs its n = ``workers`` shares on threads that
+    share the caller's session and one rate limit.  The partial aggregates
+    merge in any order to the same report, and each share's results go
+    back to its entries' places, so the scan is the same for any number of
+    workers.
     """
     by_slug = {entry.repo_slug: entry for entry in entries}
     ordered = [by_slug[slug] for slug in sorted(by_slug)]
     if all(entry.is_local for entry in ordered):
-        parts = _scan_local(ordered, registry, options, workers)
+        n = min(workers, _usable_cpus()) if hasattr(os, "fork") else 1
+        shares = _deal(ordered, max(1, n))
+        if len(shares) > 1:
+            parts = _scan_forked(shares, registry, options)
+        else:
+            parts = [_scan_chunk(share, materialize, registry, options) for share in shares]
     else:
-        policy = policy or FetchPolicy()
-        parts = _scan_remote(ordered, registry, options, policy, session, clock, workers)
+        shares = _deal(ordered, max(1, workers))
+        parts = _scan_remote(
+            shares, registry, options, policy or FetchPolicy(), session, clock
+        )
 
     aggregator = Aggregator(registry.version)
-    results: list[EntryResult] = []
-    for part, part_results in parts:
+    results: list[EntryResult] = [None] * len(ordered)
+    for worker, (part, part_results) in enumerate(parts):
         aggregator.merge(part)
-        results.extend(part_results)
+        results[worker :: len(parts)] = part_results
     warnings: list[str] = []
     for result in results:
         if result.status == "ok":

@@ -386,10 +386,10 @@ def materialize(
     remote one fetching each when read.  `script_paths` None sets no
     allow-list; only directory enumeration and `tdmscan analyze` build such.
     """
-    policy = policy or FetchPolicy()
     if entry.is_local:
         tree = LocalTree(entry.local_root)
     else:
+        policy = policy or FetchPolicy()
         if session is None:
             import requests
 

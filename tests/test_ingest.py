@@ -245,6 +245,17 @@ class TestLocalMaterialize:
         tree.read("ci/lint.sh")
         tree.read("nope.sh")
 
+    def test_local_entry_builds_no_fetch_policy(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a local entry built a fetch policy")
+
+        monkeypatch.setattr(ingest, "FetchPolicy", refuse)
+        root = self.make_repo(tmp_path)
+        entry = ManifestEntry("a/b", ".travis.yml", ("ci/lint.sh",), local_root=root)
+        doc, tree = materialize(entry)
+        assert doc.repo_slug == "a/b"
+        assert "flake8" in tree.read("ci/lint.sh")
+
     def test_tree_restricted_to_declared_scripts(self, tmp_path):
         root = self.make_repo(tmp_path)
         entry = ManifestEntry("a/b", ".travis.yml", (), local_root=root)

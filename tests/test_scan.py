@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 import time
 import tracemalloc
 import types
@@ -79,7 +80,8 @@ def two_cpus(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_worker_counts_give_identical_scans(monkeypatch, registry, two_cpus):
+@pytest.mark.parametrize("count", [39, 0, 1, 2, 3])
+def test_worker_counts_give_identical_scans(monkeypatch, registry, two_cpus, count):
     forks = []
     real_fork = os.fork
 
@@ -88,16 +90,40 @@ def test_worker_counts_give_identical_scans(monkeypatch, registry, two_cpus):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    entries = _entries_from_directory(CORPUS_DIR)
+    entries = _entries_from_directory(CORPUS_DIR)[:count]
     one = scan_entries(entries, registry, workers=1)
     assert forks == []
     two = scan_entries(entries, registry, workers=2)
-    assert forks == [1]
+    assert len(forks) == max(0, min(1, count - 1))
     assert export_json(two.report) == export_json(one.report)
     assert export_csv_bundle(two.report) == export_csv_bundle(one.report)
     assert _outcomes(two) == _outcomes(one)
     assert [e.slug for e in one.entries] == sorted(e.repo_slug for e in entries)
     assert two.warnings == one.warnings
+
+
+def test_each_worker_scans_a_strided_share(monkeypatch, registry, two_cpus, tmp_path):
+    log = tmp_path / "shares.jsonl"
+    scan_chunk = analyzer._scan_chunk
+
+    def recording(entries, *args, **kwargs):
+        line = json.dumps([os.getpid(), [entry.repo_slug for entry in entries]])
+        with open(log, "a") as handle:
+            handle.write(line + "\n")
+        return scan_chunk(entries, *args, **kwargs)
+
+    monkeypatch.setattr(analyzer, "_scan_chunk", recording)
+    entries = _entries_from_directory(CORPUS_DIR)
+    ordered = sorted(entry.repo_slug for entry in entries)
+    assert len(ordered) == 39
+    result = scan_entries(entries, registry, workers=2)
+    scanned = {}
+    for line in log.read_text().splitlines():
+        pid, slugs = json.loads(line)
+        scanned.setdefault(pid, []).extend(slugs)
+    assert scanned.pop(os.getpid()) == ordered[0::2]
+    assert list(scanned.values()) == [ordered[1::2]]
+    assert [e.slug for e in result.entries] == ordered
 
 
 @pytest.mark.parametrize(
@@ -160,7 +186,7 @@ def test_each_exception_ends_its_entry_in_one_outcome(
 
 
 def _in_child(monkeypatch, action):
-    """Make every chunk scanned outside this process run ``action`` first."""
+    """Make every share scanned outside this process run ``action`` first."""
     parent = os.getpid()
     scan_chunk = analyzer._scan_chunk
 
@@ -885,7 +911,8 @@ def test_memos_retain_no_more_than_their_caps(monkeypatch, tmp_path):
         assert 0 < retained[name] <= estimated[name] <= cap, (retained, estimated)
 
 
-def test_remote_scan_on_two_threads_matches_one(monkeypatch):
+@pytest.mark.parametrize("count, workers", [(24, 2), (3, 8)], ids=["24-at-2", "3-at-8"])
+def test_remote_scan_on_threads_matches_one(monkeypatch, count, workers):
     def no_default_session():
         raise AssertionError("the caller's session was not used")
 
@@ -899,7 +926,7 @@ def test_remote_scan_on_two_threads_matches_one(monkeypatch):
     }
     responses = {}
     entries = []
-    for index in range(24):
+    for index in range(count):
         name = sorted(configs)[index % 3]
         config, files = configs[name]
         base = f"https://raw.example.org/acme/{name}{index}/main"
@@ -911,6 +938,14 @@ def test_remote_scan_on_two_threads_matches_one(monkeypatch):
                 f"acme/{name}{index:02d}", ".travis.yml", ("ci/lint.sh",), remote_base_url=base
             )
         )
+    calls = []
+    scan_chunk = analyzer._scan_chunk
+
+    def recording(share, *args, **kwargs):
+        calls.append((threading.get_ident(), [entry.repo_slug for entry in share]))
+        return scan_chunk(share, *args, **kwargs)
+
+    monkeypatch.setattr(analyzer, "_scan_chunk", recording)
 
     def scan(workers):
         _cold_parse_memo(monkeypatch)
@@ -923,12 +958,16 @@ def test_remote_scan_on_two_threads_matches_one(monkeypatch):
             workers=workers,
         )
 
-    two = scan(2)
+    threaded = scan(workers)
+    slugs = sorted(entry.repo_slug for entry in entries)
+    shares = [slugs[w::workers] for w in range(min(workers, count))]
+    assert sorted(share for _, share in calls) == shares
+    assert len({thread for thread, _ in calls}) <= len(shares)
     one = scan(1)
-    assert _outcomes(two) == _outcomes(one)
+    assert _outcomes(threaded) == _outcomes(one)
     assert [e.status for e in one.entries] == ["ok"] * len(entries)
-    assert export_json(two.report) == export_json(one.report)
-    assert export_csv_bundle(two.report) == export_csv_bundle(one.report)
+    assert export_json(threaded.report) == export_json(one.report)
+    assert export_csv_bundle(threaded.report) == export_csv_bundle(one.report)
     assert sorted(one.report.tool_table) == ["flake8", "pylint"]
 
 
