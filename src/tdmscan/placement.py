@@ -123,8 +123,14 @@ def _action_is_tool_script(action: str, runs_only_tools: Callable[[str], bool]) 
 def _runs_only_tdm(
     job: Job,
     config_detections: list[Detection],
-    runs_only_tools: Callable[[str], bool],
+    open_actions: Callable[[str], list[str]],
 ) -> bool:
+    """Whether every action of the job's non-setup phases is ceremony, runs
+    only tool scripts, or carries one of its phase's config detections.
+
+    `open_actions` gives a command text's actions that are neither ceremony
+    nor a tool script; only those are searched for a detection.
+    """
     for phase, commands in job.phases.items():
         if phase in SETUP_PHASES:
             continue
@@ -133,15 +139,9 @@ def _runs_only_tdm(
         config_texts = tuple(
             dict.fromkeys(d.matched_text for d in config_detections if d.phase == phase)
         )
-        for cmd in commands:
-            for _, stripped in command_lines(cmd.text):
-                for action in split_actions(stripped):
-                    if _is_ceremony(action, _CEREMONY_HEADS):
-                        continue
-                    if _action_has_detection(action, config_texts):
-                        continue
-                    if _action_is_tool_script(action, runs_only_tools):
-                        continue
+        for text in dict.fromkeys([cmd.text for cmd in commands]):
+            for action in open_actions(text):
+                if not _action_has_detection(action, config_texts):
                     return False
     return True
 
@@ -177,7 +177,9 @@ def classify_pipeline(
     profile; a script's detections are never copied per job.  A detection's
     timing depends only on its job and phase, so classify_timing runs once
     per (job, phase) with detections, and the job's detections are counted
-    per (source, phase).
+    per (source, phase).  Each distinct command text is split and judged
+    once per pipeline; only the search for a job's own config detections
+    runs per job.
     """
     results: list[PlacementResult] = []
     stage_sizes = Counter(resolve_stage_name(job) for job in cfg.jobs)
@@ -196,6 +198,24 @@ def classify_pipeline(
                 <= {d.line_ordinal for d in profile.script_detections(path)}
             )
         return decided[path]
+
+    # Per distinct command text, its actions that are neither ceremony nor a
+    # tool script: that depends only on the text and on the scripts, so it
+    # is decided once, on first lookup.
+    open_by_text: dict[str, list[str]] = {}
+
+    def open_actions(text: str) -> list[str]:
+        if text not in open_by_text:
+            open_by_text[text] = [
+                action
+                for _, stripped in command_lines(text)
+                for action in split_actions(stripped)
+                if not (
+                    _is_ceremony(action, _CEREMONY_HEADS)
+                    or _action_is_tool_script(action, runs_only_tools)
+                )
+            ]
+        return open_by_text[text]
 
     script_tools = {
         path: {d.tool_id for d in profile.script_detections(path)}
@@ -223,7 +243,7 @@ def classify_pipeline(
             timing_counts[kind] = timing_counts.get(kind, 0) + count
             if source_timings.get(source) is not TimingKind.POST_DEPLOYMENT:
                 source_timings[source] = kind
-        if not _runs_only_tdm(job, config, runs_only_tools):
+        if not _runs_only_tdm(job, config, open_actions):
             placement = PlacementKind.MIXED_JOB
         elif job.stage_name is not None and stage_sizes[job.stage_name] == 1:
             placement = PlacementKind.DEDICATED_STAGE

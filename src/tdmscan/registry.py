@@ -502,21 +502,45 @@ def profile_pipeline(
 
     `scripts` and `sites` (path -> deduplicated (job, phase) sites) are the
     two results of `collect_script_documents` over the pipeline's commands.
-    Each script is scanned once, at its first site; its detections are kept
-    there, once, and its sites are stored as given.  Per tool, the
-    invocation style is direct, script, or both; a tool counts once per
-    pipeline no matter how many detections it has.
+    Each distinct command text is scanned once, and its line hits are
+    stamped on every command that runs it.  Each script is scanned once, at
+    its first site; its detections are kept there, once, and its sites are
+    stored as given.  Per tool, the invocation style is direct, script, or
+    both; a tool counts once per pipeline no matter how many detections it
+    has.
     """
     detections: list[Detection] = []
+    # Per distinct command text: its detections at its first command, that
+    # command's ordinal base, and the text's physical line count.
+    scanned: dict[str, tuple[list[Detection], int, int]] = {}
     # A command's first line is numbered after every physical line of the
     # commands before it in its job phase, each taking at least one line.
     phase_key, base = None, 0
-    for cmd in iter_command_lines(cfg):
-        if (cmd.job_index, cmd.phase) != phase_key:
-            phase_key, base = (cmd.job_index, cmd.phase), 0
-        ctx = SourceContext(SOURCE_CONFIG, cmd.phase, cmd.job_index, ordinal_base=base)
-        detections.extend(detect_in_text(cmd.text, registry, ctx, install_exclusion))
-        base += max(1, len(cmd.text.splitlines()))
+    for text, phase, job_index, _ in iter_command_lines(cfg):
+        if (job_index, phase) != phase_key:
+            phase_key, base = (job_index, phase), 0
+        known = scanned.get(text)
+        if known is None:
+            ctx = SourceContext(SOURCE_CONFIG, phase, job_index, ordinal_base=base)
+            found = detect_in_text(text, registry, ctx, install_exclusion)
+            lines = max(1, len(text.splitlines()))
+            scanned[text] = found, base, lines
+            detections.extend(found)
+        else:
+            found, first_base, lines = known
+            detections.extend(
+                Detection(
+                    d.tool_id,
+                    SOURCE_CONFIG,
+                    None,
+                    phase,
+                    job_index,
+                    d.matched_text,
+                    base - first_base + d.line_ordinal,
+                )
+                for d in found
+            )
+        base += lines
 
     detected_sites: dict[str, tuple[Site, ...]] = {}
     for doc in sorted(scripts, key=attrgetter("path")):

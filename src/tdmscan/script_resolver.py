@@ -288,12 +288,23 @@ def script_references(
 
     A pure function of the commands: what a config gives
     `collect_script_documents`.  `warnings` collects what `script_paths`
-    records.
+    records, for every command; each distinct text is scanned once and its
+    warnings are replayed at each command that runs it.
     """
     pairs: dict[tuple[str, Site], None] = {}
-    for cmd in commands:
-        for path in script_paths(cmd.text, warnings):
-            pairs[path, (cmd.job_index, cmd.phase)] = None
+    scanned: dict[str, tuple[list[str], list[str]]] = {}
+    for text, phase, job_index, _ in commands:
+        if not _REF_HINT.search(text):
+            continue  # no reference, so no path and no warning
+        known = scanned.get(text)
+        if known is None:
+            found: list[str] = []
+            known = scanned[text] = script_paths(text, found), found
+        paths, found = known
+        if found and warnings is not None:
+            warnings.extend(found)
+        for path in paths:
+            pairs[path, (job_index, phase)] = None
     return tuple(pairs)
 
 

@@ -1,11 +1,13 @@
 import os
 from collections import Counter
+from unittest import mock
 
 import yaml
 from hypothesis import given, settings, strategies as st
 
 from tdmscan import placement, script_resolver
 from tdmscan import registry as registry_module
+from tdmscan.analyzer import explain_document
 from tdmscan.config_model import (
     SETUP_PHASES,
     NotAPipeline,
@@ -23,16 +25,22 @@ from tdmscan.placement import (
     classify_timing,
 )
 from tdmscan.registry import (
+    INVOCATION_BOTH,
+    INVOCATION_DIRECT,
+    INVOCATION_SCRIPT,
     SOURCE_CONFIG,
     SOURCE_SCRIPT,
     Detection,
     PipelineToolProfile,
     SourceContext,
+    ToolUsage,
     detect_in_text,
     profile_pipeline,
 )
 from tdmscan.script_resolver import (
+    MappingTree,
     collect_script_documents,
+    command_lines,
     script_paths,
     script_references,
     split_actions,
@@ -722,3 +730,228 @@ def test_shared_script_matrix_classifies_timing_once_per_job_phase(
     assert len(job_phases) == 480
     assert len(calls) == len(set(calls))
     assert set(calls) == job_phases
+
+
+# --- each distinct command text worked once per pipeline ------------------------
+
+
+def _per_occurrence_references(commands, warnings):
+    """script_references with script_paths run on every command."""
+    pairs = {}
+    for cmd in commands:
+        for path in script_paths(cmd.text, warnings):
+            pairs[path, (cmd.job_index, cmd.phase)] = None
+    return tuple(pairs)
+
+
+def _per_occurrence_profile(cfg, scripts, registry, sites, install_exclusion):
+    """profile_pipeline with detect_in_text run on every config command."""
+    detections = []
+    phase_key, base = None, 0
+    for cmd in iter_command_lines(cfg):
+        if (cmd.job_index, cmd.phase) != phase_key:
+            phase_key, base = (cmd.job_index, cmd.phase), 0
+        ctx = SourceContext(SOURCE_CONFIG, cmd.phase, cmd.job_index, ordinal_base=base)
+        detections += detect_in_text(cmd.text, registry, ctx, install_exclusion)
+        base += max(1, len(cmd.text.splitlines()))
+    detected_sites = {}
+    for doc in sorted(scripts, key=lambda doc: doc.path):
+        if doc.content is None:
+            continue
+        job_index, phase = sites[doc.path][0]
+        ctx = SourceContext(SOURCE_SCRIPT, phase, job_index, doc.path)
+        found = detect_in_text(doc.content, registry, ctx, install_exclusion)
+        if found:
+            detections += found
+            detected_sites[doc.path] = sites[doc.path]
+    detections = registry_module._disambiguate_sonar(cfg, scripts, detections, registry)
+    tools = {}
+    for tool_id in sorted({d.tool_id for d in detections}):
+        group = tuple(d for d in detections if d.tool_id == tool_id)
+        sources = {d.source for d in group}
+        if sources == {SOURCE_CONFIG}:
+            invocation = INVOCATION_DIRECT
+        elif sources == {SOURCE_SCRIPT}:
+            invocation = INVOCATION_SCRIPT
+        else:
+            invocation = INVOCATION_BOTH
+        tools[tool_id] = ToolUsage(invocation, group)
+    return PipelineToolProfile(tools, detected_sites)
+
+
+def _per_occurrence_runs_only_tdm(job, config_detections, runs_only_tools):
+    """placement._runs_only_tdm judging every action of every command."""
+    for phase, commands in job.phases.items():
+        if phase in SETUP_PHASES:
+            continue
+        config_texts = tuple(
+            dict.fromkeys(d.matched_text for d in config_detections if d.phase == phase)
+        )
+        for cmd in commands:
+            for _, stripped in command_lines(cmd.text):
+                for action in split_actions(stripped):
+                    if placement._is_ceremony(action, placement._CEREMONY_HEADS):
+                        continue
+                    if placement._action_has_detection(action, config_texts):
+                        continue
+                    if placement._action_is_tool_script(action, runs_only_tools):
+                        continue
+                    return False
+    return True
+
+
+def _per_occurrence_placements(cfg, profile, scripts):
+    """classify_pipeline with the per-occurrence "only tool work" test."""
+
+    def runs_only_tools(path):
+        doc = scripts.get(path)
+        return (
+            doc is not None
+            and doc.resolved
+            and doc.content is not None
+            and placement._substantial_lines(doc.content)
+            <= {d.line_ordinal for d in profile.script_detections(path)}
+        )
+
+    def runs_only_tdm(job, config_detections, *_decided):
+        return _per_occurrence_runs_only_tdm(job, config_detections, runs_only_tools)
+
+    with mock.patch.object(placement, "_runs_only_tdm", runs_only_tdm):
+        return classify_pipeline(cfg, profile, scripts)
+
+
+_REPEATED_COMMANDS = st.sampled_from(
+    [
+        "flake8 .",
+        "pylint src && make test",
+        "pip install flake8 && flake8 src",
+        "npm install eslint",
+        "echo linting",
+        "cd src",
+        "./ci/lint.sh",
+        "bash ci/mixed.sh",
+        "./x.sh && pylint src",
+        "./ci/missing.sh",
+        "bash ../x.sh",
+        "flake8 && ./ci/../../x.sh",
+        "$CI_DIR/x.sh",
+        "bash $HOME/check.sh; flake8",
+        "flake8 src\nmypy src\n./x.sh",
+        "# pylint in a comment\npylint .",
+    ]
+)
+_REPEATED_PHASES = ("script", "before_script", "after_success", "after_deploy")
+_REPEATED_FILES = {
+    "ci/lint.sh": "set -e\nflake8 src\npylint src\n",
+    "ci/mixed.sh": "flake8\nmake\n",
+    "x.sh": "black --check .\n",
+}
+
+
+@given(
+    shared=st.lists(_REPEATED_COMMANDS, min_size=1, max_size=3),
+    jobs=st.lists(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "stage": st.sampled_from(["lint", "test"]),
+                # None runs the shared list, which the YAML holds once and
+                # aliases everywhere else.
+                **{
+                    phase: st.one_of(st.none(), st.lists(_REPEATED_COMMANDS, max_size=3))
+                    for phase in _REPEATED_PHASES
+                },
+            },
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    global_phases=st.fixed_dictionaries(
+        {}, optional={"after_script": st.none(), "script": st.none()}
+    ),
+    install_exclusion=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_repeated_commands_match_per_occurrence_loops(
+    registry, shared, jobs, global_phases, install_exclusion
+):
+    include = [
+        {key: shared if value is None else value for key, value in job.items()}
+        for job in jobs
+    ]
+    data = {"jobs": {"include": include}, **dict.fromkeys(global_phases, shared)}
+    cfg = parse_config(make_doc(yaml.safe_dump(data)))
+
+    warnings, expected_warnings = [], []
+    references = script_references(iter_command_lines(cfg), warnings)
+    assert references == _per_occurrence_references(
+        iter_command_lines(cfg), expected_warnings
+    )
+    assert warnings == expected_warnings
+
+    scripts, sites = collect_script_documents(references, MappingTree(_REPEATED_FILES))
+    profile = profile_pipeline(
+        cfg, scripts, registry, install_exclusion=install_exclusion, sites=sites
+    )
+    expected = _per_occurrence_profile(cfg, scripts, registry, sites, install_exclusion)
+    assert profile.all_detections() == expected.all_detections()
+    assert profile.tools == expected.tools
+    assert profile.sites == expected.sites
+
+    by_path = {doc.path: doc for doc in scripts}
+    assert classify_pipeline(cfg, profile, by_path) == _per_occurrence_placements(
+        cfg, profile, by_path
+    )
+
+
+def test_each_layer_works_a_repeated_command_text_once(registry, monkeypatch):
+    calls = Counter()
+    for module in (script_resolver, registry_module, placement):
+        real = module.command_lines
+
+        def counting_command_lines(text, name=module.__name__, real=real):
+            calls[name] += 1
+            return real(text)
+
+        monkeypatch.setattr(module, "command_lines", counting_command_lines)
+
+    def layer_calls(jobs):
+        include = [{"script": ["./ci/check.sh", "flake8 src"]} for _ in range(jobs)]
+        cfg = parse_config(make_doc(yaml.safe_dump({"jobs": {"include": include}})))
+        calls.clear()
+        references = script_references(iter_command_lines(cfg))
+        scripts, sites = collect_script_documents(
+            references, MappingTree({"ci/check.sh": "set -e\npylint src\n"})
+        )
+        profile = profile_pipeline(cfg, scripts, registry, sites=sites)
+        results = classify_pipeline(cfg, profile, {doc.path: doc for doc in scripts})
+        assert [r.placement for r in results] == [PlacementKind.DEDICATED_JOB] * jobs
+        assert len(profile.all_detections()) == 2 * jobs
+        return dict(calls)
+
+    one = layer_calls(1)
+    # script_paths reads the reference once for the sites and once for the
+    # placement verdict; detection and placement each split the two command
+    # texts and the script once.
+    assert one == {"tdmscan.script_resolver": 2, "tdmscan.registry": 3, "tdmscan.placement": 3}
+    assert layer_calls(20) == one
+
+
+def test_alias_fan_out_explains_every_occurrence(registry):
+    # The benchmark's bad-entry fan-out: 1,000 copies of one command text.
+    fan_out = "".join(
+        [
+            "language: python\n",
+            'a: &a ["flake8 src"]\n',
+            "b: &b [" + ", ".join(["*a"] * 10) + "]\n",
+            "c: &c [" + ", ".join(["*b"] * 10) + "]\n",
+            "script: [" + ", ".join(["*c"] * 10) + "]\n",
+        ]
+    )
+    analysis = explain_document(make_doc(fan_out), MappingTree({}), registry)
+    detections = analysis.profile.all_detections()
+    assert [d.line_ordinal for d in detections] == list(range(1000))
+    assert {(d.tool_id, d.source, d.job_index, d.phase) for d in detections} == {
+        ("flake8", SOURCE_CONFIG, 0, PhaseKind.SCRIPT)
+    }
+    assert [r.placement for r in analysis.placements] == [PlacementKind.DEDICATED_JOB]
