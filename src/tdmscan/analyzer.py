@@ -96,11 +96,14 @@ def _judge(
     cfg: PipelineConfig,
     scripts: list[ScriptDocument],
     profile: PipelineToolProfile,
+    registry: Registry,
     options: AnalysisOptions,
 ) -> tuple[list[PlacementResult], FindingSet]:
     """The pipeline's placements and anti-pattern findings."""
     scripts_by_path = {script.path: script for script in scripts}
-    placements = classify_pipeline(cfg, profile, scripts_by_path)
+    placements = classify_pipeline(
+        cfg, profile, scripts_by_path, registry, install_exclusion=options.install_exclusion
+    )
     findings = evaluate(cfg, profile, late_merging_mode=options.late_merging_mode)
     return placements, findings
 
@@ -140,7 +143,7 @@ def analyze_document(
         )
         if not profile.tools:
             return TOOLLESS_RECORD
-        return pipeline_record(profile, *_judge(config, scripts, profile, options))
+        return pipeline_record(profile, *_judge(config, scripts, profile, registry, options))
 
     key = (source, options, tuple((script.path, script.sha256) for script in scripts))
     return registry._analysis_memo.get(key, derive), warnings
@@ -162,7 +165,7 @@ def explain_document(
     profile = profile_pipeline(
         cfg, scripts, registry, install_exclusion=options.install_exclusion, sites=sites
     )
-    placements, findings = _judge(cfg, scripts, profile, options)
+    placements, findings = _judge(cfg, scripts, profile, registry, options)
     return PipelineAnalysis(doc.repo_slug, profile, placements, findings, warnings)
 
 

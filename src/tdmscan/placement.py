@@ -10,10 +10,9 @@ gates and post-deployment reports.
 from __future__ import annotations
 
 import enum
-import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Callable, Mapping
 
 from .config_model import (
@@ -24,19 +23,16 @@ from .config_model import (
     resolve_stage_name,
 )
 from .registry import (
-    Detection,
     PipelineToolProfile,
+    Registry,
     SOURCE_CONFIG,
     SOURCE_SCRIPT,
-    compile_anchored,
 )
 from .script_resolver import (
+    LineAction,
     ScriptDocument,
     command_lines,
-    command_words,
-    is_installer,
-    script_paths,
-    split_actions,
+    shell_line,
 )
 
 
@@ -56,24 +52,6 @@ class TimingKind(enum.Enum):
         return self.value
 
 
-# Shell ceremony ignored by the "runs only the tool" test.
-_CEREMONY_HEADS = frozenset({"echo", "cd", "export", "set"})
-# Scripts additionally contain structure that is not a task of its own.
-_SCRIPT_CEREMONY_HEADS = _CEREMONY_HEADS | frozenset(
-    {
-        "if", "then", "else", "elif", "fi",
-        "for", "while", "until", "do", "done",
-        "case", "esac", "local", "return", "shift",
-        "break", "continue", "trap", "exit", "true",
-        ":", "{", "}", "[", "[[", "function",
-    }
-)
-
-@lru_cache(maxsize=1024)
-def _anchored_literal(text: str) -> re.Pattern[str]:
-    return compile_anchored(re.escape(text))
-
-
 @dataclass
 class PlacementResult:
     """Classification of one detection-bearing job.
@@ -91,59 +69,24 @@ class PlacementResult:
     multi_tool: bool
 
 
-def _is_ceremony(action: str, heads: frozenset[str]) -> bool:
-    words = command_words(action)
-    return not words or words[0] in heads or is_installer(words)
-
-
-def _action_has_detection(action: str, matched_texts: tuple[str, ...]) -> bool:
-    for text in matched_texts:
-        if _anchored_literal(text).search(action):
-            return True
-    return False
-
-
 def _substantial_lines(content: str) -> frozenset[int]:
     """Indexes of the script lines with an action that is not ceremony."""
     return frozenset(
         index
         for index, stripped in command_lines(content)
-        if any(
-            not _is_ceremony(action, _SCRIPT_CEREMONY_HEADS)
-            for action in split_actions(stripped)
-        )
+        if not all(script_ceremony for _, _, script_ceremony, _ in shell_line(stripped).actions)
     )
 
 
-def _action_is_tool_script(action: str, runs_only_tools: Callable[[str], bool]) -> bool:
-    paths = script_paths(action)
-    return bool(paths) and all(map(runs_only_tools, paths))
-
-
-def _runs_only_tdm(
-    job: Job,
-    config_detections: list[Detection],
-    open_actions: Callable[[str], list[str]],
-) -> bool:
-    """Whether every action of the job's non-setup phases is ceremony, runs
-    only tool scripts, or carries one of its phase's config detections.
-
-    `open_actions` gives a command text's actions that are neither ceremony
-    nor a tool script; only those are searched for a detection.
-    """
-    for phase, commands in job.phases.items():
-        if phase in SETUP_PHASES:
-            continue
-        # Whether any detection matches an action depends only on the
-        # distinct matched texts, not on their order or repeats.
-        config_texts = tuple(
-            dict.fromkeys(d.matched_text for d in config_detections if d.phase == phase)
-        )
-        for text in dict.fromkeys([cmd.text for cmd in commands]):
-            for action in open_actions(text):
-                if not _action_has_detection(action, config_texts):
-                    return False
-    return True
+def _runs_only_tdm(job: Job, runs_tool_work: Callable[[str], bool]) -> bool:
+    """Whether every command text of the job's non-setup phases runs only
+    tool work (see classify_pipeline)."""
+    return all(
+        runs_tool_work(cmd.text)
+        for phase, commands in job.phases.items()
+        if phase not in SETUP_PHASES
+        for cmd in commands
+    )
 
 
 def classify_timing(cfg: PipelineConfig, job: Job, phase: PhaseKind) -> TimingKind:
@@ -166,56 +109,57 @@ def classify_pipeline(
     cfg: PipelineConfig,
     profile: PipelineToolProfile,
     scripts: Mapping[str, ScriptDocument],
+    registry: Registry,
+    *,
+    install_exclusion: bool = True,
 ) -> list[PlacementResult]:
     """One PlacementResult per detection-bearing job, in job order.
 
     Dedicated stage requires an explicitly named stage containing exactly
     the job; a job that passes the "only tool work" test in a shared or
-    implicit stage is a dedicated job; everything else is mixed.
+    implicit stage is a dedicated job; everything else is mixed.  A job
+    passes when every action of its non-setup phases is ceremony, carries
+    tool work (the registry finds a tool in the action's own text, with the
+    scan's `install_exclusion`), or runs only scripts whose every
+    substantial line carries a detection.
 
     Each job reads its config detections and its script sites from the
     profile; a script's detections are never copied per job.  A detection's
     timing depends only on its job and phase, so classify_timing runs once
     per (job, phase) with detections, and the job's detections are counted
-    per (source, phase).  Each distinct command text is split and judged
-    once per pipeline; only the search for a job's own config detections
-    runs per job.
+    per (source, phase).  Whether a command text runs only tool work
+    depends only on the text, so it is decided once per distinct text.
     """
     results: list[PlacementResult] = []
     stage_sizes = Counter(resolve_stage_name(job) for job in cfg.jobs)
-    decided: dict[str, bool] = {}
 
+    @cache
     def runs_only_tools(path: str) -> bool:
         # Every substantial line of the script carries a detection: that
         # depends only on the script, so it is decided once, on first lookup.
-        if path not in decided:
-            doc = scripts.get(path)
-            decided[path] = (
-                doc is not None
-                and doc.resolved
-                and doc.content is not None
-                and _substantial_lines(doc.content)
-                <= {d.line_ordinal for d in profile.script_detections(path)}
-            )
-        return decided[path]
+        doc = scripts.get(path)
+        return (
+            doc is not None
+            and doc.resolved
+            and doc.content is not None
+            and _substantial_lines(doc.content)
+            <= {d.line_ordinal for d in profile.script_detections(path)}
+        )
 
-    # Per distinct command text, its actions that are neither ceremony nor a
-    # tool script: that depends only on the text and on the scripts, so it
-    # is decided once, on first lookup.
-    open_by_text: dict[str, list[str]] = {}
+    def is_tool_work(action: LineAction) -> bool:
+        text, ceremony, _, references = action
+        if ceremony or registry.line_hits(text, install_exclusion):
+            return True
+        paths = [path for path, _ in references if path is not None]
+        return bool(paths) and all(map(runs_only_tools, paths))
 
-    def open_actions(text: str) -> list[str]:
-        if text not in open_by_text:
-            open_by_text[text] = [
-                action
-                for _, stripped in command_lines(text)
-                for action in split_actions(stripped)
-                if not (
-                    _is_ceremony(action, _CEREMONY_HEADS)
-                    or _action_is_tool_script(action, runs_only_tools)
-                )
-            ]
-        return open_by_text[text]
+    @cache
+    def runs_tool_work(text: str) -> bool:
+        return all(
+            is_tool_work(action)
+            for _, stripped in command_lines(text)
+            for action in shell_line(stripped).actions
+        )
 
     script_tools = {
         path: {d.tool_id for d in profile.script_detections(path)}
@@ -243,7 +187,7 @@ def classify_pipeline(
             timing_counts[kind] = timing_counts.get(kind, 0) + count
             if source_timings.get(source) is not TimingKind.POST_DEPLOYMENT:
                 source_timings[source] = kind
-        if not _runs_only_tdm(job, config, open_actions):
+        if not _runs_only_tdm(job, runs_tool_work):
             placement = PlacementKind.MIXED_JOB
         elif job.stage_name is not None and stage_sizes[job.stage_name] == 1:
             placement = PlacementKind.DEDICATED_STAGE

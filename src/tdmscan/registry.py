@@ -22,13 +22,12 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 from .config_model import PhaseKind, PipelineConfig, iter_command_lines
 from .memo import BoundedMemo
 from .script_resolver import (
-    INSTALLER_HINT,
+    LINE_MEMO_MAX_CHARS,
+    LINE_MEMO_SIZE,
     ScriptDocument,
     Site,
     command_lines,
-    command_words,
-    is_installer,
-    split_segments,
+    shell_line,
 )
 
 TOOL_TYPES = frozenset(
@@ -49,11 +48,6 @@ INVOCATION_BOTH = "both"
 # like `myflake8fork`, and env assignments must not match.
 _BOUNDARY_CLASS = "[\\s;|&()<>'\"`:,]"
 _EXPECTED_TOOL_COUNT = 38
-
-# Per-registry memo of the tool hits on one stripped line: at most this many
-# lines, each at most this long (longer lines are matched every time).
-_LINE_MEMO_SIZE = 4096
-_LINE_MEMO_MAX_CHARS = 256
 
 
 class RegistryError(ValueError):
@@ -140,7 +134,13 @@ class Registry:
 
         Bound to the instance, so a lookup never hashes the tool specs.
         """
-        return lru_cache(maxsize=_LINE_MEMO_SIZE)(partial(_line_hits, self))
+        return lru_cache(maxsize=LINE_MEMO_SIZE)(partial(_line_hits, self))
+
+    def line_hits(self, stripped: str, install_exclusion: bool) -> tuple[tuple[str, str], ...]:
+        """`_line_hits` of one stripped line, memoized for short lines."""
+        if len(stripped) <= LINE_MEMO_MAX_CHARS:
+            return self._line_memo(stripped, install_exclusion)
+        return _line_hits(self, stripped, install_exclusion)
 
     @cached_property
     def _analysis_memo(self) -> BoundedMemo:
@@ -349,7 +349,7 @@ def shipped_registry() -> Registry:
     return registry
 
 
-def _candidate_tools(registry: Registry, parts: list[str]) -> Sequence[ToolSpec]:
+def _candidate_tools(registry: Registry, parts: Sequence[str]) -> Sequence[ToolSpec]:
     """The tools, in registry order, that can match somewhere in `parts`.
 
     Every tool whose own patterns find a match is included.  The prefilter
@@ -389,20 +389,10 @@ def _line_hits(
 ) -> tuple[tuple[str, str], ...]:
     """(tool id, matched text) per tool found on one stripped, non-comment line.
 
-    With `install_exclusion`, only a segment holding an INSTALLER_HINT match
-    is tokenized and checked for an install.
+    With `install_exclusion`, only the segments that install no package (see
+    `script_resolver.ShellLine`) are searched.
     """
-    if install_exclusion:
-        parts = [
-            segment
-            for segment in split_segments(stripped)
-            if not (
-                INSTALLER_HINT.search(segment)
-                and is_installer(command_words(segment))
-            )
-        ]
-    else:
-        parts = [stripped]
+    parts = shell_line(stripped).searched if install_exclusion else (stripped,)
     if not parts:
         return ()
     hits = []
@@ -433,15 +423,11 @@ def detect_in_text(
     is `#` are comments and skipped.  With `install_exclusion` on, shell
     segments that merely install a package manager's payload are ignored.
     """
-    memo = registry._line_memo
+    line_hits = registry.line_hits
     source, phase, job_index, script_path, ordinal_base = ctx
     detections: list[Detection] = []
     for line_index, stripped in command_lines(text):
-        if len(stripped) <= _LINE_MEMO_MAX_CHARS:
-            hits = memo(stripped, install_exclusion)
-        else:
-            hits = _line_hits(registry, stripped, install_exclusion)
-        for tool_id, matched in hits:
+        for tool_id, matched in line_hits(stripped, install_exclusion):
             detections.append(
                 Detection(
                     tool_id,

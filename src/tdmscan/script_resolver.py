@@ -8,8 +8,9 @@ starting with ``./``, and the path argument of an interpreter invocation
 `script_references` finds a config's references and the (job, phase) sites
 that run them; `collect_script_documents` reads each referenced script once
 and gives every script's sites, which detection, placement and timing read.
-Tool detection and placement read shell text through the same primitives:
-`command_lines` for the lines, `command_words` for a segment's words.
+Tool detection, reference scanning and placement read each stripped line
+through one memoized value, `shell_line`: the segments detection searches
+and, per action, the two ceremony flags and the reference events.
 """
 
 from __future__ import annotations
@@ -36,10 +37,24 @@ _WRAPPERS = frozenset(
 )
 _INTERPRETER_BASES = frozenset({"sh", "bash"})
 
-# Memo of the reference events of one stripped line: at most this many
-# lines, each at most this long (longer lines are tokenized every time).
-_REF_MEMO_SIZE = 1024
-_REF_MEMO_MAX_CHARS = 256
+# Shell ceremony, which placement does not count as work of its own.
+CEREMONY_HEADS = frozenset({"echo", "cd", "export", "set"})
+# Scripts additionally contain structure that is not a task of its own.
+SCRIPT_CEREMONY_HEADS = CEREMONY_HEADS | frozenset(
+    {
+        "if", "then", "else", "elif", "fi",
+        "for", "while", "until", "do", "done",
+        "case", "esac", "local", "return", "shift",
+        "break", "continue", "trap", "exit", "true",
+        ":", "{", "}", "[", "[[", "function",
+    }
+)
+
+# Memos of one stripped line (its ShellLine here, its tool hits per
+# registry): at most this many lines, each at most this long (longer lines
+# are worked every time).
+LINE_MEMO_SIZE = 4096
+LINE_MEMO_MAX_CHARS = 256
 
 Site = tuple[int, PhaseKind]
 
@@ -78,16 +93,6 @@ class FileTree(Protocol):
         ...
 
 
-class MappingTree:
-    """In-memory file tree backed by a plain dict."""
-
-    def __init__(self, files: dict[str, str]):
-        self._files = dict(files)
-
-    def read(self, path: str) -> str | None:
-        return self._files.get(path)
-
-
 def command_lines(text: str) -> list[tuple[int, str]]:
     """(line index, stripped line) per line that is neither blank nor a comment."""
     return [
@@ -99,22 +104,17 @@ def command_lines(text: str) -> list[tuple[int, str]]:
 
 def split_segments(text: str) -> list[str]:
     """Split on all shell operators (`&& || ; | &`), dropping empties."""
-    return [part.strip() for part in _SEGMENT_SPLIT.split(text) if part.strip()]
+    return [part for raw in _SEGMENT_SPLIT.split(text) if (part := raw.strip())]
 
 
 def split_actions(text: str) -> list[str]:
     """Split on `&& || ;` only — a pipe chain stays one action."""
-    return [part.strip() for part in _ACTION_SPLIT.split(text) if part.strip()]
+    return [part for raw in _ACTION_SPLIT.split(text) if (part := raw.strip())]
 
 
 def shell_tokens(segment: str) -> list[str]:
     """Whitespace tokens with surrounding quotes and parens stripped."""
-    tokens = []
-    for raw in segment.split():
-        token = raw.strip("\"'()")
-        if token:
-            tokens.append(token)
-    return tokens
+    return [token for raw in segment.split() if (token := raw.strip("\"'()"))]
 
 
 def strip_wrappers(tokens: list[str]) -> list[str]:
@@ -134,11 +134,6 @@ def strip_wrappers(tokens: list[str]) -> list[str]:
             continue
         break
     return tokens[i:]
-
-
-def command_words(segment: str) -> list[str]:
-    """The segment's tokens from its real command on (see strip_wrappers)."""
-    return strip_wrappers(shell_tokens(segment))
 
 
 _INSTALLER_RULES: tuple[tuple[frozenset[str], frozenset[str]], ...] = (
@@ -163,7 +158,8 @@ INSTALLER_HINT = re.compile("|".join(map(re.escape, sorted(_INSTALLER_WORDS))))
 
 
 def is_installer(words: list[str]) -> bool:
-    """True when a segment's `command_words` are a package-manager install.
+    """True when a segment's words (`strip_wrappers` of its `shell_tokens`)
+    are a package-manager install.
 
     Such a segment holds a match of INSTALLER_HINT.
     """
@@ -207,7 +203,7 @@ def _interpreter_argument(tokens: list[str]) -> str | None:
 
 
 # A text with a reference matches this (the acceptance rule of
-# `_line_ref_events`): a token ends in a suffix or starts with `./`, or is
+# `_reference_events`): a token ends in a suffix or starts with `./`, or is
 # the argument of `sh`, `bash`, `source` or `.`.  Such a `.` is a token of its
 # own: past quotes and parens, whitespace or the end follows it, and a line
 # break, whitespace, a segment operator, a quote or a paren precedes it (every
@@ -217,60 +213,114 @@ _REF_HINT = re.compile(
     + r"""|\.(?<![^\s;&|"'()]\.)["'()]*(?=\s|$)"""
 )
 
+RefEvent = tuple[str | None, str | None]
 
-def _line_ref_events(stripped: str) -> tuple[tuple[str | None, str | None], ...]:
-    """(token, warning) per reference event on one stripped, non-comment line.
+# One action of a stripped line (split on `&& || ;`, so a pipe chain is one
+# action): (text, ceremony, script_ceremony, references).  It is ceremony,
+# under the config or the script heads, when it has no words, a ceremony
+# head or a package install; `references` holds a (normalized path,
+# warning) per reference event of its segments (see _reference_events).
+LineAction = tuple[str, bool, bool, tuple[RefEvent, ...]]
 
-    A rejected token is (None, warning); an accepted one carries a warning
-    only when it holds an unresolved variable.
+
+def _reference_events(tokens: list[str], events: list[RefEvent]) -> None:
+    """Append the reference events of one segment's `shell_tokens`: a
+    rejected token has no path, an accepted one has a warning only when it
+    holds an unresolved variable."""
+    interp_arg = _interpreter_argument(tokens)
+    for token in tokens:
+        if not (
+            token.endswith(SCRIPT_SUFFIXES) or token.startswith("./") or token == interp_arg
+        ):
+            continue
+        path = normalize_script_path(token)
+        if escapes_repo(path):
+            events.append((None, f"rejected script reference outside repository: {token}"))
+        elif "$" in token:
+            events.append((path, f"script reference with unresolved variable: {token}"))
+        elif path:
+            events.append((path, None))
+
+
+def _line_actions(stripped: str) -> tuple[LineAction, ...]:
+    """The LineActions of one stripped, non-comment line, in order."""
+    may_refer = _REF_HINT.search(stripped) is not None
+    actions = []
+    for action in split_actions(stripped):
+        words = strip_wrappers(shell_tokens(action))
+        head = words[0] if words else None
+        ceremony = head is None or head in CEREMONY_HEADS or is_installer(words)
+        references: list[RefEvent] = []
+        if may_refer:
+            for segment in split_segments(action):
+                _reference_events(shell_tokens(segment), references)
+        actions.append(
+            (action, ceremony, ceremony or head in SCRIPT_CEREMONY_HEADS, tuple(references))
+        )
+    return tuple(actions)
+
+
+class ShellLine:
+    """What tool detection, reference scanning and placement read of one
+    stripped, non-comment line, worked out once per line.
+
+    `searched` holds the line's segments (split on every operator) that are
+    not a package install: what detection searches when it excludes
+    installs.  Only a segment holding an INSTALLER_HINT match is tokenized
+    for that.  `actions`, its LineActions, are worked out on first read:
+    detection reads every line, the other layers only some.
     """
-    events: list[tuple[str | None, str | None]] = []
-    for segment in split_segments(stripped):
-        tokens = shell_tokens(segment)
-        interp_arg = _interpreter_argument(tokens)
-        for token in tokens:
+
+    __slots__ = ("text", "searched", "_actions")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.searched = tuple(
+            segment
+            for segment in split_segments(text)
             if not (
-                token.endswith(SCRIPT_SUFFIXES)
-                or token.startswith("./")
-                or token == interp_arg
-            ):
-                continue
-            if escapes_repo(token):
-                events.append(
-                    (None, f"rejected script reference outside repository: {token}")
-                )
-            elif "$" in token:
-                events.append(
-                    (token, f"script reference with unresolved variable: {token}")
-                )
-            else:
-                events.append((token, None))
-    return tuple(events)
+                INSTALLER_HINT.search(segment)
+                and is_installer(strip_wrappers(shell_tokens(segment)))
+            )
+        )
+        self._actions: tuple[LineAction, ...] | None = None
+
+    @property
+    def actions(self) -> tuple[LineAction, ...]:
+        if self._actions is None:
+            self._actions = _line_actions(self.text)
+        return self._actions
 
 
-_memo_line_ref_events = lru_cache(maxsize=_REF_MEMO_SIZE)(_line_ref_events)
+_memo_shell_line = lru_cache(maxsize=LINE_MEMO_SIZE)(ShellLine)
+
+
+def shell_line(stripped: str) -> ShellLine:
+    """The ShellLine of `stripped`, memoized for lines of at most
+    LINE_MEMO_MAX_CHARS."""
+    if len(stripped) <= LINE_MEMO_MAX_CHARS:
+        return _memo_shell_line(stripped)
+    return ShellLine(stripped)
 
 
 def script_paths(text: str, warnings: list[str] | None = None) -> list[str]:
     """Normalized paths of the scripts `text` references, each once, in order.
 
     A pure function of the text; `warnings` (when given) collects rejected
-    root-escaping tokens and variable-bearing tokens.  A text without a
-    reference hint (see `_REF_HINT`) is not split into lines at all.
+    tokens (absolute, or with a `..` segment once normalized) and
+    variable-bearing tokens.  A text without a reference hint (see
+    `_REF_HINT`) is not split into lines at all.
     """
     if not _REF_HINT.search(text):
         return []
     paths: dict[str, None] = {}
     for _, stripped in command_lines(text):
-        if len(stripped) <= _REF_MEMO_MAX_CHARS:
-            events = _memo_line_ref_events(stripped)
-        else:
-            events = _line_ref_events(stripped)
-        for token, warning in events:
-            if warning is not None and warnings is not None:
-                warnings.append(warning)
-            if token is not None and (path := normalize_script_path(token)):
-                paths[path] = None
+        for _, _, _, references in shell_line(stripped).actions:
+            for path, warning in references:
+                if warning is not None and warnings is not None:
+                    warnings.append(warning)
+                if path is not None:
+                    paths[path] = None
     return list(paths)
 
 

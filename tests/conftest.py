@@ -11,11 +11,7 @@ from tdmscan import (
     shipped_registry,
 )
 from tdmscan.config_model import iter_command_lines
-from tdmscan.script_resolver import (
-    MappingTree,
-    collect_script_documents,
-    script_references,
-)
+from tdmscan.script_resolver import collect_script_documents, script_references
 
 FIXTURES_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 CORPUS_DIR = os.path.join(FIXTURES_DIR, "corpus")
@@ -69,6 +65,16 @@ def example_config(example_doc):
 def corpus_labels():
     with open(os.path.join(FIXTURES_DIR, "corpus_labels.json")) as handle:
         return json.load(handle)
+
+
+class MappingTree:
+    """In-memory file tree backed by a plain dict."""
+
+    def __init__(self, files: dict[str, str]):
+        self._files = dict(files)
+
+    def read(self, path: str) -> str | None:
+        return self._files.get(path)
 
 
 def make_doc(content: str, slug: str = "acme/demo") -> RawDocument:

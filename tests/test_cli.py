@@ -8,7 +8,7 @@ import pytest
 from tdmscan.cli import _entries_from_directory, main
 from tdmscan.ingest import MAX_FILE_BYTES
 
-from conftest import CORPUS_DIR, EXAMPLE_CONFIG
+from conftest import CORPUS_DIR, EXAMPLE_CONFIG, MappingTree
 
 
 INVALID_UTF8_CONFIG = b"# caf\xe9 \xff\xfe\nlanguage: python\nscript:\n  - mypy pkg\n"
@@ -524,7 +524,6 @@ def test_throughput_10k_configs_under_60s(registry):
     """Single-worker engineering target on synthetic small configs."""
     from tdmscan.analyzer import AnalysisOptions, analyze_document
     from tdmscan.config_model import RawDocument
-    from tdmscan.script_resolver import MappingTree
 
     # Every config has its own command argument, so no call is a memo hit.
     bodies = [

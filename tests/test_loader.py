@@ -30,9 +30,8 @@ from tdmscan.config_model import (
     _load_yaml,
     parse_config,
 )
-from tdmscan.script_resolver import MappingTree
 
-from conftest import CORPUS_DIR, EXAMPLE_CONFIG, make_doc
+from conftest import CORPUS_DIR, EXAMPLE_CONFIG, MappingTree, make_doc
 from test_placement import _alias_fan_out
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")

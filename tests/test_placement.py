@@ -2,12 +2,13 @@ import os
 from collections import Counter
 from unittest import mock
 
+import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 from tdmscan import placement, script_resolver
 from tdmscan import registry as registry_module
-from tdmscan.analyzer import explain_document
+from tdmscan.analyzer import AnalysisOptions, explain_document
 from tdmscan.config_model import (
     SETUP_PHASES,
     NotAPipeline,
@@ -32,21 +33,26 @@ from tdmscan.registry import (
     SOURCE_SCRIPT,
     Detection,
     PipelineToolProfile,
+    Registry,
     SourceContext,
     ToolUsage,
     detect_in_text,
     profile_pipeline,
 )
 from tdmscan.script_resolver import (
-    MappingTree,
+    CEREMONY_HEADS,
     collect_script_documents,
     command_lines,
+    is_installer,
     script_paths,
     script_references,
+    shell_tokens,
     split_actions,
+    split_segments,
+    strip_wrappers,
 )
 
-from conftest import CORPUS_DIR, collect_scripts, make_doc, profile_of
+from conftest import CORPUS_DIR, MappingTree, collect_scripts, make_doc, profile_of
 
 
 def analyzed(registry, text, files=None):
@@ -61,11 +67,11 @@ def timing_of(cfg, det):
     return classify_timing(cfg, cfg.jobs[det.job_index], det.phase)
 
 
-def placement_of(cfg, profile, scripts, job):
+def placement_of(registry, cfg, profile, scripts, job):
     """The placement classify_pipeline gives `job`."""
     (kind,) = [
         r.placement
-        for r in classify_pipeline(cfg, profile, scripts)
+        for r in classify_pipeline(cfg, profile, scripts, registry)
         if r.job_index == job.index
     ]
     return kind
@@ -74,7 +80,7 @@ def placement_of(cfg, profile, scripts, job):
 class TestPlacement:
     def test_example_lint_stage_is_dedicated_stage(self, registry, example_config):
         profile = profile_of(registry, example_config)
-        kind = placement_of(example_config, profile, {}, example_config.jobs[0])
+        kind = placement_of(registry, example_config, profile, {}, example_config.jobs[0])
         assert kind is PlacementKind.DEDICATED_STAGE
 
     def test_shared_stage_tool_job_is_dedicated_job(self, registry):
@@ -88,14 +94,15 @@ class TestPlacement:
             "    - stage: test\n"
             "      script: flake8 .\n",
         )
-        kind = placement_of(cfg, profile, scripts, cfg.jobs[1])
+        kind = placement_of(registry, cfg, profile, scripts, cfg.jobs[1])
         assert kind is PlacementKind.DEDICATED_JOB
 
     def test_two_unrelated_commands_is_mixed(self, registry):
         cfg, profile, scripts = analyzed(
             registry, "language: python\nscript:\n  - pytest -q\n  - flake8 .\n"
         )
-        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.MIXED_JOB
+        kind = placement_of(registry, cfg, profile, scripts, cfg.jobs[0])
+        assert kind is PlacementKind.MIXED_JOB
 
     def test_setup_phases_excluded(self, registry):
         cfg, profile, scripts = analyzed(
@@ -106,7 +113,8 @@ class TestPlacement:
             "before_script: ./prepare_db.sh\n"
             "script: flake8 .\n",
         )
-        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.DEDICATED_JOB
+        kind = placement_of(registry, cfg, profile, scripts, cfg.jobs[0])
+        assert kind is PlacementKind.DEDICATED_JOB
 
     def test_ceremony_commands_ignored(self, registry):
         cfg, profile, scripts = analyzed(
@@ -117,25 +125,29 @@ class TestPlacement:
             "  - export PYTHONPATH=src\n"
             "  - flake8 .\n",
         )
-        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.DEDICATED_JOB
+        kind = placement_of(registry, cfg, profile, scripts, cfg.jobs[0])
+        assert kind is PlacementKind.DEDICATED_JOB
 
     def test_installer_segment_counts_as_setup(self, registry):
         cfg, profile, scripts = analyzed(
             registry, "language: python\nscript:\n  - pip install flake8\n  - flake8 .\n"
         )
-        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.DEDICATED_JOB
+        kind = placement_of(registry, cfg, profile, scripts, cfg.jobs[0])
+        assert kind is PlacementKind.DEDICATED_JOB
 
     def test_compound_command_with_other_work_is_mixed(self, registry):
         cfg, profile, scripts = analyzed(
             registry, "language: python\nscript: pytest -q && flake8 .\n"
         )
-        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.MIXED_JOB
+        kind = placement_of(registry, cfg, profile, scripts, cfg.jobs[0])
+        assert kind is PlacementKind.MIXED_JOB
 
     def test_pipe_chain_is_one_action(self, registry):
         cfg, profile, scripts = analyzed(
             registry, "language: python\nscript: flake8 . | tee lint.log\n"
         )
-        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.DEDICATED_JOB
+        kind = placement_of(registry, cfg, profile, scripts, cfg.jobs[0])
+        assert kind is PlacementKind.DEDICATED_JOB
 
     def test_all_tool_script_is_dedicated(self, registry):
         cfg, profile, scripts = analyzed(
@@ -143,7 +155,8 @@ class TestPlacement:
             "language: python\nscript: ./ci/lint.sh\n",
             {"ci/lint.sh": "#!/bin/sh\nset -e\npylint src\n"},
         )
-        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.DEDICATED_JOB
+        kind = placement_of(registry, cfg, profile, scripts, cfg.jobs[0])
+        assert kind is PlacementKind.DEDICATED_JOB
 
     def test_mixed_script_is_mixed(self, registry):
         cfg, profile, scripts = analyzed(
@@ -151,30 +164,33 @@ class TestPlacement:
             "language: python\nscript: ./ci/all.sh\n",
             {"ci/all.sh": "pylint src\npytest -q\n"},
         )
-        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.MIXED_JOB
+        kind = placement_of(registry, cfg, profile, scripts, cfg.jobs[0])
+        assert kind is PlacementKind.MIXED_JOB
 
     def test_unresolved_script_forces_mixed(self, registry):
         cfg, profile, scripts = analyzed(
             registry, "language: python\nscript:\n  - ./gone.sh\n  - flake8 .\n"
         )
         assert scripts["gone.sh"].resolved is False
-        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.MIXED_JOB
+        kind = placement_of(registry, cfg, profile, scripts, cfg.jobs[0])
+        assert kind is PlacementKind.MIXED_JOB
 
     def test_two_tools_only_is_still_dedicated_with_flag(self, registry):
         cfg, profile, scripts = analyzed(
             registry, "language: python\nscript:\n  - flake8 .\n  - pylint src\n"
         )
-        results = classify_pipeline(cfg, profile, scripts)
+        results = classify_pipeline(cfg, profile, scripts, registry)
         assert results[0].placement is PlacementKind.DEDICATED_JOB
         assert results[0].multi_tool is True
 
     def test_solo_implicit_tool_job_is_dedicated_job_not_stage(self, registry):
         cfg, profile, scripts = analyzed(registry, "language: python\nscript: flake8 .\n")
-        assert placement_of(cfg, profile, scripts, cfg.jobs[0]) is PlacementKind.DEDICATED_JOB
+        kind = placement_of(registry, cfg, profile, scripts, cfg.jobs[0])
+        assert kind is PlacementKind.DEDICATED_JOB
 
     def test_no_detection_no_result(self, registry):
         cfg, profile, scripts = analyzed(registry, "language: python\nscript: pytest\n")
-        assert classify_pipeline(cfg, profile, scripts) == []
+        assert classify_pipeline(cfg, profile, scripts, registry) == []
 
     def test_order_independent_within_stage(self, registry):
         base = (
@@ -194,8 +210,8 @@ class TestPlacement:
         second = analyzed(
             registry, base.format(a="unit", sa="pytest", b="lint", sb="flake8 .")
         )
-        kind_first = placement_of(*first, first[0].jobs[0])
-        kind_second = placement_of(*second, second[0].jobs[1])
+        kind_first = placement_of(registry, *first, first[0].jobs[0])
+        kind_second = placement_of(registry, *second, second[0].jobs[1])
         assert kind_first is kind_second is PlacementKind.DEDICATED_JOB
 
 
@@ -285,7 +301,7 @@ class TestTiming:
 class TestClassifyPipeline:
     def test_every_detection_gets_exactly_one_timing(self, registry, example_config):
         profile = profile_of(registry, example_config)
-        results = classify_pipeline(example_config, profile, {})
+        results = classify_pipeline(example_config, profile, {}, registry)
         timed = sum(sum(r.timing_counts.values()) for r in results)
         assert timed == len(profile.all_detections()) == 1
 
@@ -297,7 +313,7 @@ class TestClassifyPipeline:
             "    - script: pytest\n"
             "    - script: flake8 .\n",
         )
-        results = classify_pipeline(cfg, profile, scripts)
+        results = classify_pipeline(cfg, profile, scripts, registry)
         assert [r.job_index for r in results] == [1]
         assert results[0].stage_label == "implicit"
 
@@ -313,17 +329,17 @@ class TestClassifyPipeline:
             {"ci/lint.sh": script},
         )
         classified = []
-        real_is_ceremony = placement._is_ceremony
+        real_shell_line = placement.shell_line
 
-        def counting_is_ceremony(action, heads):
-            if heads is placement._SCRIPT_CEREMONY_HEADS:
-                classified.append(action)
-            return real_is_ceremony(action, heads)
+        def counting_shell_line(stripped):
+            classified.append(stripped)
+            return real_shell_line(stripped)
 
-        monkeypatch.setattr(placement, "_is_ceremony", counting_is_ceremony)
-        results = classify_pipeline(cfg, profile, scripts)
+        monkeypatch.setattr(placement, "shell_line", counting_shell_line)
+        results = classify_pipeline(cfg, profile, scripts, registry)
         assert [r.placement for r in results] == [PlacementKind.DEDICATED_JOB] * 3
-        assert classified == ["set -e", "flake8 src", "pylint src"]
+        # The shared command text once, then each line of its script once.
+        assert classified == ["./ci/lint.sh", "set -e", "flake8 src", "pylint src"]
 
     def test_ceremony_check_tokenizes_each_action_once(self, monkeypatch):
         tokenized = []
@@ -334,11 +350,51 @@ class TestClassifyPipeline:
             return real_shell_tokens(segment)
 
         monkeypatch.setattr(script_resolver, "shell_tokens", counting_shell_tokens)
-        monkeypatch.setattr(placement, "shell_tokens", counting_shell_tokens, raising=False)
-        for action in ["flake8 src", "sudo pip install x", "echo hi", "VAR=1", "make | tee"]:
+        script_resolver._memo_shell_line.cache_clear()
+        ceremony = {
+            "flake8 src": False,
+            "sudo pip install x": True,
+            "echo hi": True,
+            "VAR=1": True,
+            "make | tee": False,
+        }
+        for action, expected in ceremony.items():
+            line = script_resolver.shell_line(action)
             tokenized.clear()
-            placement._is_ceremony(action, placement._CEREMONY_HEADS)
+            for _ in range(2):
+                ((_, is_ceremony, _, _),) = line.actions
+                assert is_ceremony is expected
             assert tokenized == [action]
+
+    @pytest.mark.parametrize(
+        "script, install_exclusion, expected",
+        [
+            # The tool's name in another action's install is no tool work...
+            (["flake8 src", "foo | pip install flake8"], True, PlacementKind.MIXED_JOB),
+            # ...unless installs are searched too.
+            (["flake8 src", "foo | pip install flake8"], False, PlacementKind.DEDICATED_STAGE),
+            # Each action carries its own eslint run.
+            (["./node_modules/.bin/eslint a && eslint b"], True, PlacementKind.DEDICATED_STAGE),
+        ],
+        ids=["installed-name-elsewhere", "installs-searched", "two-spellings-of-one-tool"],
+    )
+    def test_an_action_carries_tool_work_by_its_own_hit(
+        self, registry, script, install_exclusion, expected
+    ):
+        config = yaml.safe_dump(
+            {
+                "stages": ["lint", "test"],
+                "jobs": {
+                    "include": [
+                        {"stage": "lint", "script": script},
+                        {"stage": "test", "script": "pytest"},
+                    ]
+                },
+            }
+        )
+        options = AnalysisOptions(install_exclusion=install_exclusion)
+        analysis = explain_document(make_doc(config), MappingTree({}), registry, options)
+        assert [(r.job_index, r.placement) for r in analysis.placements] == [(0, expected)]
 
     def test_detections_and_stages_indexed_once_per_pipeline(self, registry, monkeypatch):
         jobs = 40
@@ -366,7 +422,7 @@ class TestClassifyPipeline:
 
         monkeypatch.setattr(PipelineToolProfile, "all_detections", counting_all_detections)
         monkeypatch.setattr(placement, "resolve_stage_name", counting_resolve_stage_name)
-        results = classify_pipeline(cfg, profile, scripts)
+        results = classify_pipeline(cfg, profile, scripts, registry)
         assert [r.placement for r in results] == [PlacementKind.DEDICATED_JOB] * jobs + [
             PlacementKind.DEDICATED_STAGE
         ]
@@ -479,26 +535,38 @@ def _per_detection_tool_script(action, scripts, job_detections):
     return True
 
 
-def _per_detection_runs_only_tdm(job, job_detections, scripts):
-    """placement._runs_only_tdm restated with one search per config detection."""
+def _per_tool_own_hit(action, registry):
+    """Some tool matches a segment of the action that installs nothing: the
+    registry's line matcher, with install exclusion, as a per-tool loop."""
+    parts = [
+        segment
+        for segment in split_segments(action)
+        if not is_installer(strip_wrappers(shell_tokens(segment)))
+    ]
+    return any(
+        pattern.search(part)
+        for tool in registry.tools
+        for pattern in tool.compiled
+        for part in parts
+    )
+
+
+def _per_detection_runs_only_tdm(job, job_detections, scripts, registry):
+    """placement._runs_only_tdm restated per command: every action is
+    ceremony, carries a tool in its own text, or runs only tool scripts."""
     for phase in PhaseKind:
         if phase in SETUP_PHASES or phase not in job.phases:
             continue
-        config_dets = [
-            d for d in job_detections if d.source == SOURCE_CONFIG and d.phase == phase
-        ]
         for cmd in job.phases[phase]:
             for line in cmd.text.splitlines():
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
                     continue
                 for action in split_actions(stripped):
-                    if placement._is_ceremony(action, placement._CEREMONY_HEADS):
+                    words = strip_wrappers(shell_tokens(action))
+                    if not words or words[0] in CEREMONY_HEADS or is_installer(words):
                         continue
-                    if any(
-                        placement._anchored_literal(d.matched_text).search(action)
-                        for d in config_dets
-                    ):
+                    if _per_tool_own_hit(action, registry):
                         continue
                     if _per_detection_tool_script(action, scripts, job_detections):
                         continue
@@ -515,7 +583,7 @@ def _assert_matches_per_detection(registry, cfg, scripts, sites):
     expected = _per_command_detections(cfg, scripts, registry)
     assert profile.all_detections() == expected
     by_path = {doc.path: doc for doc in scripts}
-    results = classify_pipeline(cfg, profile, by_path)
+    results = classify_pipeline(cfg, profile, by_path, registry)
     by_job = {}
     for d in expected:
         by_job.setdefault(d.job_index, []).append(d)
@@ -531,7 +599,7 @@ def _assert_matches_per_detection(registry, cfg, scripts, sites):
             (source, post if (source, post) in timings else pre)
             for source in sorted({source for source, _ in timings})
         ]
-        if not _per_detection_runs_only_tdm(job, job_detections, by_path):
+        if not _per_detection_runs_only_tdm(job, job_detections, by_path, registry):
             kind = PlacementKind.MIXED_JOB
         elif job.stage_name is not None and stage_sizes[job.stage_name] == 1:
             kind = PlacementKind.DEDICATED_STAGE
@@ -600,34 +668,26 @@ def _alias_fan_out(depth):
 def test_alias_fan_out_searches_each_action_once_per_distinct_text(
     registry, monkeypatch
 ):
-    # 20,000 commands in one job: one search per (action, distinct matched
-    # text) is 40,000 at most, where one per detection was about 1e8.
+    # 20,000 commands in one job, of two distinct texts: the registry's
+    # line matcher is asked about each distinct action once.
     cfg, profile, scripts = analyzed(registry, _alias_fan_out(4))
     actions = sum(len(commands) for commands in cfg.jobs[0].phases.values())
     assert actions == 20_000
     searches = []
-    real_anchored_literal = placement._anchored_literal
+    real_line_hits = Registry.line_hits
 
-    class CountingPattern:
-        def __init__(self, pattern):
-            self.pattern = pattern
+    def counting_line_hits(self, stripped, install_exclusion):
+        searches.append(stripped)
+        return real_line_hits(self, stripped, install_exclusion)
 
-        def search(self, text):
-            searches.append(self.pattern.pattern)
-            return self.pattern.search(text)
-
-    monkeypatch.setattr(
-        placement,
-        "_anchored_literal",
-        lambda text: CountingPattern(real_anchored_literal(text)),
-    )
-    results = classify_pipeline(cfg, profile, scripts)
+    monkeypatch.setattr(Registry, "line_hits", counting_line_hits)
+    results = classify_pipeline(cfg, profile, scripts, registry)
     assert [
         (r.placement, r.multi_tool, sum(r.timing_counts.values())) for r in results
     ] == [
         (PlacementKind.DEDICATED_JOB, True, 20_000)
     ]
-    assert 0 < len(searches) <= 2 * actions
+    assert searches == ["flake8", "pylint"]
 
 
 # --- timing classified once per (job, phase) -----------------------------------
@@ -779,28 +839,19 @@ def _per_occurrence_profile(cfg, scripts, registry, sites, install_exclusion):
     return PipelineToolProfile(tools, detected_sites)
 
 
-def _per_occurrence_runs_only_tdm(job, config_detections, runs_only_tools):
+def _per_occurrence_runs_only_tdm(job, is_tool_work):
     """placement._runs_only_tdm judging every action of every command."""
     for phase, commands in job.phases.items():
         if phase in SETUP_PHASES:
             continue
-        config_texts = tuple(
-            dict.fromkeys(d.matched_text for d in config_detections if d.phase == phase)
-        )
         for cmd in commands:
             for _, stripped in command_lines(cmd.text):
-                for action in split_actions(stripped):
-                    if placement._is_ceremony(action, placement._CEREMONY_HEADS):
-                        continue
-                    if placement._action_has_detection(action, config_texts):
-                        continue
-                    if placement._action_is_tool_script(action, runs_only_tools):
-                        continue
+                if not all(map(is_tool_work, split_actions(stripped))):
                     return False
     return True
 
 
-def _per_occurrence_placements(cfg, profile, scripts):
+def _per_occurrence_placements(cfg, profile, scripts, registry, install_exclusion):
     """classify_pipeline with the per-occurrence "only tool work" test."""
 
     def runs_only_tools(path):
@@ -813,11 +864,22 @@ def _per_occurrence_placements(cfg, profile, scripts):
             <= {d.line_ordinal for d in profile.script_detections(path)}
         )
 
-    def runs_only_tdm(job, config_detections, *_decided):
-        return _per_occurrence_runs_only_tdm(job, config_detections, runs_only_tools)
+    def is_tool_work(action):
+        words = strip_wrappers(shell_tokens(action))
+        if not words or words[0] in CEREMONY_HEADS or is_installer(words):
+            return True
+        if registry.line_hits(action, install_exclusion):
+            return True
+        paths = script_paths(action)
+        return bool(paths) and all(map(runs_only_tools, paths))
+
+    def runs_only_tdm(job, _runs_tool_work):
+        return _per_occurrence_runs_only_tdm(job, is_tool_work)
 
     with mock.patch.object(placement, "_runs_only_tdm", runs_only_tdm):
-        return classify_pipeline(cfg, profile, scripts)
+        return classify_pipeline(
+            cfg, profile, scripts, registry, install_exclusion=install_exclusion
+        )
 
 
 _REPEATED_COMMANDS = st.sampled_from(
@@ -838,6 +900,11 @@ _REPEATED_COMMANDS = st.sampled_from(
         "bash $HOME/check.sh; flake8",
         "flake8 src\nmypy src\n./x.sh",
         "# pylint in a comment\npylint .",
+        # A tool, a script reference and ceremony on one line.
+        "echo lint && ./x.sh && pylint src ; cd ..",
+        "cd src; bash ci/mixed.sh | tee log && flake8",
+        "set -e; ./ci/lint.sh || pip install flake8 && flake8 .",
+        "foo | pip install flake8",
     ]
 )
 _REPEATED_PHASES = ("script", "before_script", "after_success", "after_deploy")
@@ -899,8 +966,11 @@ def test_repeated_commands_match_per_occurrence_loops(
     assert profile.sites == expected.sites
 
     by_path = {doc.path: doc for doc in scripts}
-    assert classify_pipeline(cfg, profile, by_path) == _per_occurrence_placements(
-        cfg, profile, by_path
+    placements = classify_pipeline(
+        cfg, profile, by_path, registry, install_exclusion=install_exclusion
+    )
+    assert placements == _per_occurrence_placements(
+        cfg, profile, by_path, registry, install_exclusion
     )
 
 
@@ -924,16 +994,16 @@ def test_each_layer_works_a_repeated_command_text_once(registry, monkeypatch):
             references, MappingTree({"ci/check.sh": "set -e\npylint src\n"})
         )
         profile = profile_pipeline(cfg, scripts, registry, sites=sites)
-        results = classify_pipeline(cfg, profile, {doc.path: doc for doc in scripts})
+        results = classify_pipeline(cfg, profile, {doc.path: doc for doc in scripts}, registry)
         assert [r.placement for r in results] == [PlacementKind.DEDICATED_JOB] * jobs
         assert len(profile.all_detections()) == 2 * jobs
         return dict(calls)
 
     one = layer_calls(1)
-    # script_paths reads the reference once for the sites and once for the
-    # placement verdict; detection and placement each split the two command
-    # texts and the script once.
-    assert one == {"tdmscan.script_resolver": 2, "tdmscan.registry": 3, "tdmscan.placement": 3}
+    # script_paths reads the reference once, for the sites; detection and
+    # placement each split the two command texts and the script once, and
+    # placement reads the reference's paths from the line's actions.
+    assert one == {"tdmscan.script_resolver": 1, "tdmscan.registry": 3, "tdmscan.placement": 3}
     assert layer_calls(20) == one
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdmscan import registry as registry_module
+from tdmscan import script_resolver
 from tdmscan.config_model import CommandLine, PhaseKind, parse_config
 from tdmscan.registry import (
     DuplicateToolId,
@@ -20,8 +21,8 @@ from tdmscan.registry import (
     shipped_registry,
 )
 from tdmscan.analyzer import analyze_document
-from tdmscan.script_resolver import MappingTree, command_words, is_installer, split_segments
-from conftest import make_doc, profile_of
+from tdmscan.script_resolver import is_installer, shell_tokens, split_segments, strip_wrappers
+from conftest import MappingTree, make_doc, profile_of
 
 CTX = SourceContext(SOURCE_CONFIG, PhaseKind.SCRIPT, 0)
 
@@ -374,7 +375,7 @@ def _per_tool_detect(text, registry, ctx, install_exclusion):
             parts = [
                 segment
                 for segment in split_segments(stripped)
-                if not is_installer(command_words(segment))
+                if not is_installer(strip_wrappers(shell_tokens(segment)))
             ]
         else:
             parts = [stripped]
@@ -489,11 +490,12 @@ def test_prefilter_exists_with_the_unions_and_captures_nothing(pattern_lists, pr
 def test_segment_without_an_installer_hint_is_not_tokenized(monkeypatch):
     tokenized = []
 
-    def recording_command_words(segment):
+    def recording_shell_tokens(segment):
         tokenized.append(segment)
-        return command_words(segment)
+        return shell_tokens(segment)
 
-    monkeypatch.setattr(registry_module, "command_words", recording_command_words)
+    monkeypatch.setattr(script_resolver, "shell_tokens", recording_shell_tokens)
+    script_resolver._memo_shell_line.cache_clear()
     registry = shipped_registry()
     line = "flake8 src && pylint x | tee log ; composer require y ; npm ci"
     assert tool_ids(detect_in_text(line, registry, CTX)) == ["flake8", "pylint"]
@@ -546,7 +548,7 @@ def test_line_memo_matches_per_tool_loop(registry, drawn, pool, data):
 
 def test_line_memo_is_bounded():
     registry = shipped_registry()
-    bound = registry_module._LINE_MEMO_SIZE
+    bound = script_resolver.LINE_MEMO_SIZE
     lines = [f"flake8 src/p{i} && pip install pylint{i}" for i in range(bound + 200)]
     first = [detect_in_text(line, registry, CTX) for line in lines]
     info = registry._line_memo.cache_info()
@@ -561,7 +563,7 @@ def test_line_memo_is_bounded():
 
 def test_long_lines_skip_the_line_memo():
     registry = shipped_registry()
-    line = "flake8 " + "x" * registry_module._LINE_MEMO_MAX_CHARS
+    line = "flake8 " + "x" * script_resolver.LINE_MEMO_MAX_CHARS
     detections = detect_in_text(line, registry, CTX)
     assert tool_ids(detections) == ["flake8"]
     assert detections == _per_tool_detect(line, registry, CTX, True)

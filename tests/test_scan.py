@@ -23,7 +23,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdmscan import analytics, analyzer, placement, script_resolver, shipped_registry
+from tdmscan import analytics, analyzer, script_resolver, shipped_registry
 from tdmscan import registry as registry_module
 from tdmscan import memo as memo_module
 from tdmscan.analytics import (
@@ -57,9 +57,8 @@ from tdmscan.ingest import (
 )
 from tdmscan.memo import BoundedMemo
 from tdmscan.registry import Registry
-from tdmscan.script_resolver import MappingTree
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, MappingTree
 from test_golden import OTHER_SCAN_SHA256, SCAN_SHA256
 from test_ingest import FakeClock, FakeResponse, FakeSession, ServingSession
 
@@ -341,7 +340,7 @@ def test_warm_line_memos_give_identical_scans():
     # One fresh registry in this process: the first scan fills the line
     # memos, the second and the duplicated entries read them back.
     registry = shipped_registry()
-    script_resolver._memo_line_ref_events.cache_clear()
+    script_resolver._memo_shell_line.cache_clear()
     entries = _entries_from_directory(CORPUS_DIR)
     cold = scan_entries(entries, registry)
     warm = scan_entries(entries, registry)
@@ -653,10 +652,7 @@ def test_memos_leave_every_scan_byte_unchanged(corpus, option_sets):
             "_line_memo",
             property(lambda registry: partial(registry_module._line_hits, registry)),
         )
-        patch.setattr(
-            script_resolver, "_memo_line_ref_events", script_resolver._line_ref_events
-        )
-        patch.setattr(placement, "_anchored_literal", placement._anchored_literal.__wrapped__)
+        patch.setattr(script_resolver, "_memo_shell_line", script_resolver.ShellLine)
         unmemoized = scans()
     assert memoized == unmemoized
     assert unmemoized[0::2] == unmemoized[1::2]

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,20 +11,21 @@ from tdmscan.memo import BoundedMemo
 from tdmscan.script_resolver import (
     INSTALLER_HINT,
     SCRIPT_SUFFIXES,
-    MappingTree,
     ScriptDocument,
     _interpreter_argument,
     collect_script_documents,
     command_lines,
-    command_words,
     is_installer,
     normalize_script_path,
     script_paths,
     script_references,
     shell_tokens,
+    strip_wrappers,
     split_actions,
     split_segments,
 )
+
+from conftest import MappingTree
 
 
 def cmd(text: str) -> CommandLine:
@@ -72,14 +74,22 @@ class TestExtraction:
 
 class TestWarnings:
     def test_parent_segment_rejected(self):
+        # Backslashes count as the slashes they normalize to.
+        tokens = ["../outside.sh", "..\\evil.sh", ".\\..\\x.sh"]
+        text = f"bash {tokens[0]} && bash {tokens[1]} && ./ok.sh && . {tokens[2]}"
         warnings = []
-        assert script_paths("bash ../outside.sh", warnings) == []
-        assert any("outside repository" in w for w in warnings)
+        assert script_paths(text, warnings) == ["ok.sh"]
+        assert warnings == [
+            f"rejected script reference outside repository: {token}" for token in tokens
+        ]
+        docs, _ = collect([cmd(text)], MappingTree({"ok.sh": "x"}))
+        assert [doc.path for doc in docs] == ["ok.sh"]
 
     def test_absolute_rejected(self):
-        warnings = []
-        assert script_paths("/usr/local/bin/setup.sh", warnings) == []
-        assert any("outside repository" in w for w in warnings)
+        for token in ["/usr/local/bin/setup.sh", ".//setup.sh"]:
+            warnings = []
+            assert script_paths(token, warnings) == []
+            assert warnings == [f"rejected script reference outside repository: {token}"]
 
     def test_variable_token_recorded_with_warning(self):
         warnings = []
@@ -267,7 +277,7 @@ class TestShellHelpers:
 
     def test_installer_detection(self):
         def installs(segment):
-            return is_installer(command_words(segment))
+            return is_installer(strip_wrappers(shell_tokens(segment)))
 
         assert installs("pip install flake8")
         assert installs("pip3 install -U pylint")
@@ -283,6 +293,102 @@ class TestShellHelpers:
         assert not installs("go vet ./...")
 
 
+@given(st.text(alphabet="ab &|;", max_size=40))
+@settings(max_examples=500)
+def test_a_lines_segments_are_its_actions_segments(line):
+    # Placement asks the line matcher about an action's own text: its
+    # segments are the line's segments that fall in that action.
+    assert split_segments(line) == [
+        segment for action in split_actions(line) for segment in split_segments(action)
+    ]
+
+
+class TestShellLine:
+    def test_a_line_carries_its_segments_and_each_actions_facts(self):
+        line = script_resolver.shell_line(
+            "sudo pip install x | tee log && echo hi ; bash ../up.sh; ./ci/$V.sh | flake8"
+        )
+        assert line.searched == ("tee log", "echo hi", "bash ../up.sh", "./ci/$V.sh", "flake8")
+        assert line.actions == (
+            ("sudo pip install x | tee log", True, True, ()),
+            ("echo hi", True, True, ()),
+            (
+                "bash ../up.sh",
+                False,
+                False,
+                ((None, "rejected script reference outside repository: ../up.sh"),),
+            ),
+            (
+                "./ci/$V.sh | flake8",
+                False,
+                False,
+                (("ci/$V.sh", "script reference with unresolved variable: ./ci/$V.sh"),),
+            ),
+        )
+
+    def test_script_heads_widen_only_the_script_flag(self):
+        ((_, ceremony, script_ceremony, _),) = script_resolver.shell_line("if [ -f x ]").actions
+        assert (ceremony, script_ceremony) == (False, True)
+
+    def test_a_line_is_worked_once_for_every_layer(self, monkeypatch):
+        built, worked = [], []
+        real_shell_line = script_resolver.ShellLine
+        real_line_actions = script_resolver._line_actions
+
+        def counting_shell_line(stripped):
+            built.append(stripped)
+            return real_shell_line(stripped)
+
+        def counting_line_actions(stripped):
+            worked.append(stripped)
+            return real_line_actions(stripped)
+
+        monkeypatch.setattr(
+            script_resolver, "_memo_shell_line", lru_cache(maxsize=8)(counting_shell_line)
+        )
+        monkeypatch.setattr(script_resolver, "_line_actions", counting_line_actions)
+        text = "./ci/lint.sh && flake8 src\necho done\nmake"
+        for _ in range(3):
+            assert script_paths(text) == ["ci/lint.sh"]
+            assert [
+                action[0]
+                for _, stripped in command_lines(text)
+                for action in script_resolver.shell_line(stripped).actions
+            ] == ["./ci/lint.sh", "flake8 src", "echo done", "make"]
+        lines = ["./ci/lint.sh && flake8 src", "echo done", "make"]
+        assert built == worked == lines
+
+    def test_a_segment_is_tokenized_only_for_a_hint(self, monkeypatch):
+        tokenized = []
+        real_shell_tokens = script_resolver.shell_tokens
+
+        def counting_shell_tokens(segment):
+            tokenized.append(segment)
+            return real_shell_tokens(segment)
+
+        monkeypatch.setattr(script_resolver, "shell_tokens", counting_shell_tokens)
+        script_resolver._memo_shell_line.cache_clear()
+        lines = ["make | tee && pip install x | grep x", "./a.sh | cat", "echo hi"]
+        # The segments detection searches: an install hint in the segment.
+        for line in lines:
+            script_resolver.shell_line(line)
+        assert tokenized == ["pip install x"]
+        # The actions: each action, and for a reference hint on the line each
+        # of its segments, once.
+        tokenized.clear()
+        for line in lines:
+            script_resolver.shell_line(line).actions
+            script_resolver.shell_line(line).actions
+        assert tokenized == [
+            "make | tee",
+            "pip install x | grep x",
+            "./a.sh | cat",
+            "./a.sh",
+            "cat",
+            "echo hi",
+        ]
+
+
 @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=80))
 def test_extraction_is_pure(text):
     assert script_paths(text) == script_paths(text)
@@ -295,7 +401,7 @@ def test_no_ref_escapes_root(text):
         assert ".." not in path.split("/")
 
 
-# --- reference memo: memoized per-line events vs the uncached loop -----------
+# --- reference events: the memoized shell lines vs the uncached loop ---------
 
 
 def _uncached_ref_tokens(text, warnings):
@@ -314,7 +420,7 @@ def _uncached_ref_tokens(text, warnings):
                     or token.startswith("./")
                     or token == interp_arg
                 ):
-                    if escapes_repo(token):
+                    if escapes_repo(normalize_script_path(token)):
                         if warnings is not None:
                             warnings.append(
                                 f"rejected script reference outside repository: {token}"
@@ -385,8 +491,8 @@ def test_hint_free_text_is_not_split_into_lines(monkeypatch):
         raise AssertionError("scanned a hint-free text")
 
     monkeypatch.setattr(script_resolver, "command_lines", fail)
-    monkeypatch.setattr(script_resolver, "_memo_line_ref_events", fail)
-    monkeypatch.setattr(script_resolver, "_line_ref_events", fail)
+    monkeypatch.setattr(script_resolver, "shell_line", fail)
+    monkeypatch.setattr(script_resolver, "_line_actions", fail)
     warnings = []
     text = "flake8 .. && pytest -q\nmake lint | tee out.txt\n# docs\nx.c a.b .x"
     assert script_paths(text, warnings) == []
@@ -413,12 +519,12 @@ def test_reference_hints_cover_the_acceptance_rule(text, expected):
 
 
 def test_warnings_survive_a_first_sighting_without_a_list():
-    script_resolver._memo_line_ref_events.cache_clear()
+    script_resolver._memo_shell_line.cache_clear()
     text = "$D/x.sh && bash ../y.sh\nsh ../z.sh ; ./$W.sh"
     assert script_paths(text) == ["$D/x.sh", "$W.sh"]
     warnings = ["earlier"]
     assert script_paths(text, warnings) == ["$D/x.sh", "$W.sh"]
-    assert script_resolver._memo_line_ref_events.cache_info().hits == 2
+    assert script_resolver._memo_shell_line.cache_info().hits == 2
     assert warnings == [
         "earlier",
         "script reference with unresolved variable: $D/x.sh",
@@ -428,10 +534,10 @@ def test_warnings_survive_a_first_sighting_without_a_list():
     ]
 
 
-def test_ref_memo_is_bounded():
-    memo = script_resolver._memo_line_ref_events
+def test_shell_line_memo_is_bounded():
+    memo = script_resolver._memo_shell_line
     memo.cache_clear()
-    bound = script_resolver._REF_MEMO_SIZE
+    bound = script_resolver.LINE_MEMO_SIZE
     lines = [f"bash ci/$V{i}.sh" for i in range(bound + 100)]
     first = []
     for line in lines:
@@ -449,8 +555,8 @@ def test_ref_memo_is_bounded():
     assert memo.cache_info().currsize == bound
 
 
-def test_long_lines_skip_the_ref_memo():
-    script_resolver._memo_line_ref_events.cache_clear()
-    line = "bash ci/x.sh " + "-" * script_resolver._REF_MEMO_MAX_CHARS
+def test_long_lines_skip_the_shell_line_memo():
+    script_resolver._memo_shell_line.cache_clear()
+    line = "bash ci/x.sh " + "-" * script_resolver.LINE_MEMO_MAX_CHARS
     assert script_paths(line) == ["ci/x.sh"]
-    assert script_resolver._memo_line_ref_events.cache_info().currsize == 0
+    assert script_resolver._memo_shell_line.cache_info().currsize == 0
