@@ -33,6 +33,11 @@ _CLAUSE = re.compile(
     r"\b(type|branch)\s*(?:==|=|\bIN\b|\bin\b)\s*(\(([^)]*)\)|[^\s()]+)",
     re.IGNORECASE,
 )
+# What keeps a condition from restricting: any `OR`, or a `NOT` before a
+# `type` or `branch` clause.
+_NOT_A_RESTRICTION = re.compile(
+    r"(?<![^\s()])(?:OR(?![^\s(])|NOT[\s(]+(?:type|branch)\b)", re.IGNORECASE
+)
 
 
 @dataclass
@@ -78,6 +83,8 @@ def _clause_values(condition: str, key: str) -> set[str]:
 
 
 def _condition_restricts_to_main_push(condition: str) -> bool:
+    if _NOT_A_RESTRICTION.search(condition):
+        return False
     types = _clause_values(condition, "type")
     branches = _clause_values(condition, "branch")
     if "push" not in types or types & _OTHER_TYPES:

@@ -145,7 +145,6 @@ class Job:
 
     index: int
     stage_name: str | None = None
-    display_name: str | None = None
     phases: dict[PhaseKind, list[CommandLine]] = field(default_factory=dict)
     condition: str | None = None
     branch_only: list[str] | None = None
@@ -163,7 +162,6 @@ class NotificationConfig:
     """Declared notification channels; `channels` holds only enabled ones."""
 
     channels: frozenset[str]
-    email_explicitly_disabled: bool
     raw: Any
 
 
@@ -175,7 +173,6 @@ class PipelineConfig:
     declared_stage_order: list[str] = field(default_factory=list)
     stage_conditions: dict[str, str] = field(default_factory=dict)
     jobs: list[Job] = field(default_factory=list)
-    global_phases: dict[PhaseKind, list[CommandLine]] = field(default_factory=dict)
     notifications: NotificationConfig | None = None
     allow_failures_present: bool = False
     global_branch_only: list[str] | None = None
@@ -592,18 +589,12 @@ def _channel_enabled(value: Any) -> bool:
 
 def _parse_notifications(value: Any) -> NotificationConfig:
     channels: set[str] = set()
-    email_disabled = False
     if isinstance(value, Mapping):
         for key, sub in value.items():
             name = str(key)
-            if name in _NOTIFICATION_MODIFIERS:
-                continue
-            kind = name if name in NOTIFICATION_CHANNELS else OTHER_CHANNEL
-            if _channel_enabled(sub):
-                channels.add(kind)
-            elif name == "email":
-                email_disabled = True
-    return NotificationConfig(frozenset(channels), email_disabled, value)
+            if name not in _NOTIFICATION_MODIFIERS and _channel_enabled(sub):
+                channels.add(name if name in NOTIFICATION_CHANNELS else OTHER_CHANNEL)
+    return NotificationConfig(frozenset(channels), value)
 
 
 def _parse_stages(
@@ -651,18 +642,16 @@ def _build_job(
     path: str,
     entry: Mapping[str, Any],
     index: int,
-    global_phases: dict[PhaseKind, list[CommandLine]],
+    inherited: dict[PhaseKind, list[CommandLine]],
     warnings: list[str],
 ) -> Job:
     # Globals apply only where the job does not override that phase.
-    phases = _phase_commands(entry, index, warnings, global_phases)
+    phases = _phase_commands(entry, index, warnings, inherited)
     stage = entry.get("stage")
-    name = entry.get("name")
     condition = entry.get("if")
     return Job(
         index=index,
         stage_name=None if stage is None else str(stage),
-        display_name=None if name is None else str(name),
         phases=phases,
         condition=None if condition is None else str(condition),
         branch_only=_branch_only(entry.get("branches")),
@@ -708,7 +697,7 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
     declared_stage_order, stage_conditions = _parse_stages(
         data.get("stages"), warnings
     )
-    global_phases = _phase_commands(data, -1, warnings)
+    inherited = _phase_commands(data, -1, warnings)
 
     entries, allow_failures = _include_entries(data)
     jobs: list[Job] = []
@@ -716,7 +705,7 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
         if not isinstance(entry, Mapping):
             warnings.append(f"ignored non-mapping job entry: {entry!r}")
             continue
-        jobs.append(_build_job(path, entry, len(jobs), global_phases, warnings))
+        jobs.append(_build_job(path, entry, len(jobs), inherited, warnings))
 
     global_condition = data.get("if")
     if not jobs:
@@ -724,7 +713,7 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
         jobs = [
             Job(
                 index=0,
-                phases=_phase_commands({}, 0, warnings, global_phases),
+                phases=_phase_commands({}, 0, warnings, inherited),
                 condition=None if global_condition is None else str(global_condition),
             )
         ]
@@ -740,7 +729,6 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
         declared_stage_order=declared_stage_order,
         stage_conditions=stage_conditions,
         jobs=jobs,
-        global_phases=global_phases,
         notifications=notifications,
         allow_failures_present=allow_failures,
         global_branch_only=_branch_only(data.get("branches")),

@@ -63,31 +63,29 @@ class BoundedMemo(Generic[V]):
     not be mutated.  `compute` runs outside the lock, and a value is stored
     only when it returns, so an exception is never memoized.  An entry's
     weight, its key and value together, is estimated once, when it is
-    stored, and kept in the same recency order as the values.
+    stored, and kept beside its value.
     """
 
     def __init__(self):
-        self._values: OrderedDict[Hashable, V] = OrderedDict()
-        self._weights: OrderedDict[Hashable, int] = OrderedDict()
+        self._entries: OrderedDict[Hashable, tuple[V, int]] = OrderedDict()
         self.bytes = 0
         self._lock = threading.Lock()
 
     def get(self, key: Hashable, compute: Callable[[], V]) -> V:
         with self._lock:
-            if key in self._values:
-                self._values.move_to_end(key)
-                self._weights.move_to_end(key)
-                return self._values[key]
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[0]
         value = compute()
         size = _ENTRY_BYTES + weight((key, value))
         if size > MAX_BYTES:
             return value
         with self._lock:
-            if key not in self._values:
-                self._values[key] = value
-                self._weights[key] = size
+            if key not in self._entries:
+                self._entries[key] = value, size
                 self.bytes += size
-                while len(self._values) > MAX_VALUES or self.bytes > MAX_BYTES:
-                    evicted, _ = self._values.popitem(last=False)
-                    self.bytes -= self._weights.pop(evicted)
+                while len(self._entries) > MAX_VALUES or self.bytes > MAX_BYTES:
+                    _, (_, evicted) = self._entries.popitem(last=False)
+                    self.bytes -= evicted
         return value

@@ -140,7 +140,6 @@ def classify_pipeline(
         doc = scripts.get(path)
         return (
             doc is not None
-            and doc.resolved
             and doc.content is not None
             and _substantial_lines(doc.content)
             <= {d.line_ordinal for d in profile.script_detections(path)}

@@ -449,7 +449,7 @@ def _sonarcloud_flavored(cfg: PipelineConfig, scripts: Iterable[ScriptDocument])
     if "sonarcloud" in cfg.source.content.lower():
         return True
     for doc in scripts:
-        if doc.resolved and doc.content and "sonarcloud" in doc.content.lower():
+        if doc.content and "sonarcloud" in doc.content.lower():
             return True
     return False
 

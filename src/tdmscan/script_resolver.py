@@ -18,12 +18,11 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Protocol
 
 from .config_model import CommandLine, PhaseKind
 from .ingest import FileTooLarge, escapes_repo, text_sha256
-from .memo import BoundedMemo
 
 SCRIPT_SUFFIXES = (".sh", ".bash")
 
@@ -58,14 +57,10 @@ LINE_MEMO_MAX_CHARS = 256
 
 Site = tuple[int, PhaseKind]
 
-# Per-process memo of a resolved script's nested references and their
-# warnings, keyed on the script's sha256 (recursive mode only).
-_reference_memo = BoundedMemo()
-
 
 @dataclass(frozen=True)
 class ScriptDocument:
-    """A referenced script; ``resolved`` is False when absent from the tree.
+    """A referenced script; ``content`` is None when absent from the tree.
 
     ``sha256`` is the digest of the content read, None when unresolved; it
     follows from where the content came from, so it takes no part in
@@ -74,8 +69,11 @@ class ScriptDocument:
 
     path: str
     content: str | None
-    resolved: bool
     sha256: str | None = field(default=None, compare=False)
+
+    @property
+    def resolved(self) -> bool:
+        return self.content is not None
 
 
 class FileTree(Protocol):
@@ -324,12 +322,6 @@ def script_paths(text: str, warnings: list[str] | None = None) -> list[str]:
     return list(paths)
 
 
-def _nested_references(text: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """`script_paths` of a script's text, and the warnings it records."""
-    warnings: list[str] = []
-    return tuple(script_paths(text, warnings)), tuple(warnings)
-
-
 def script_references(
     commands: Iterable[CommandLine], warnings: list[str] | None = None
 ) -> tuple[tuple[str, Site], ...]:
@@ -369,14 +361,13 @@ def collect_script_documents(
     Returns the documents (first-reference order) and, per normalized path,
     its sites: the (job index, phase) of each command that (transitively)
     invokes it, once each, in first-reference order.  With `recursive`,
-    each resolved script's references are found once per distinct text in
-    the process (memoized on its sha256, warnings replayed) and inherit its
-    sites; a (path, site) pair is followed once, which cuts cycles.
+    each resolved script's references are found once per call and inherit
+    its sites; a (path, site) pair is followed once, which cuts cycles.
     """
     digests = getattr(tree, "digests", {})
     sites: dict[str, dict[Site, None]] = {}
     docs: dict[str, ScriptDocument] = {}
-    nested: dict[str, tuple[str, ...]] = {}
+    nested: dict[str, list[str]] = {}
     queue: deque[tuple[str, Site]] = deque()
 
     def attach(path: str, site: Site) -> None:
@@ -398,13 +389,9 @@ def collect_script_documents(
                 if warnings is not None:
                     warnings.append(f"script not read: {exc}")
             digest = None if content is None else digests.get(path) or text_sha256(content)
-            docs[path] = ScriptDocument(path, content, content is not None, digest)
-            if recursive and digest is not None:
-                nested[path], found = _reference_memo.get(
-                    digest, partial(_nested_references, content)
-                )
-                if warnings is not None:
-                    warnings.extend(found)
+            docs[path] = ScriptDocument(path, content, digest)
+            if recursive and content is not None:
+                nested[path] = script_paths(content, warnings)
         for reference in nested.get(path, ()):
             attach(reference, site)
 

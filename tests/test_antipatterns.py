@@ -78,6 +78,7 @@ class TestLateMerging:
             "type == push AND branch == main",
             "type IN (push) AND branch IN (main, master)",
             "branch = master AND type = push",
+            "type = push AND branch = master AND NOT tag IS present",
         ):
             cfg, profile = build(
                 registry,
@@ -92,6 +93,9 @@ class TestLateMerging:
             "type IN (push, pull_request) AND branch = master",
             "type = push AND branch = develop",
             "tag IS present",
+            "type = push AND NOT branch = master",  # every branch but master
+            "type = push AND NOT branch IN (main, master)",
+            "type = push AND branch = master OR sender = bot",
         ):
             cfg, profile = build(
                 registry,

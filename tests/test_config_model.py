@@ -34,7 +34,6 @@ class TestParseListing:
     def test_lint_job_phases(self, example_config):
         lint = example_config.jobs[0]
         assert lint.stage_name == "lint"
-        assert lint.display_name == "Lint"
         install = lint.phases[PhaseKind.INSTALL]
         script = lint.phases[PhaseKind.SCRIPT]
         assert [c.text for c in install] == ["pip install flake8"]
@@ -343,12 +342,10 @@ class TestNotifications:
     def test_email_true(self):
         cfg = parse_config(make_doc("script: x\nnotifications:\n  email: true\n"))
         assert cfg.notifications.channels == frozenset({"email"})
-        assert cfg.notifications.email_explicitly_disabled is False
 
     def test_email_false(self):
         cfg = parse_config(make_doc("script: x\nnotifications:\n  email: false\n"))
         assert cfg.notifications.channels == frozenset()
-        assert cfg.notifications.email_explicitly_disabled is True
 
     def test_unknown_channel_is_other(self):
         cfg = parse_config(make_doc("script: x\nnotifications:\n  gitter: room\n"))

@@ -6,6 +6,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdmscan import memo as memo_module
 from tdmscan.config_model import PhaseKind
@@ -35,12 +36,17 @@ def _entry_weight(key, value):
     return memo_module._ENTRY_BYTES + weight((key, value))
 
 
+def _held(memo):
+    """The memo's stored values by key, least recently used first."""
+    return {key: value for key, (value, _) in memo._entries.items()}
+
+
 def test_a_value_is_stored_on_first_sighting():
     memo, calls = BoundedMemo(), Calls()
     assert memo.get("a", calls("a")) == ("value", "a")
-    assert dict(memo._values) == {"a": ("value", "a")}
+    assert _held(memo) == {"a": ("value", "a")}
     assert memo.bytes == _entry_weight("a", ("value", "a"))
-    assert memo.get("a", calls("a")) is memo._values["a"]
+    assert memo.get("a", calls("a")) is _held(memo)["a"]
     assert calls.keys == ["a"]
 
 
@@ -49,13 +55,12 @@ def test_more_keys_than_the_bound_keep_the_most_recent(four_values):
     keys = [f"k{i}" for i in range(10)]
     for key in keys:
         memo.get(key, calls(key))
-    assert list(memo._values) == keys[-4:]
+    assert list(memo._entries) == keys[-4:]
     assert memo.bytes == sum(_entry_weight(key, ("value", key)) for key in keys[-4:])
     # A hit makes a key the most recent, so the next store evicts another.
     memo.get("k6", calls("k6"))
     memo.get("k0", calls("k0"))
-    assert list(memo._values) == ["k8", "k9", "k6", "k0"]
-    assert list(memo._weights) == list(memo._values)
+    assert list(memo._entries) == ["k8", "k9", "k6", "k0"]
     assert calls.keys == keys + ["k0"]
 
 
@@ -66,13 +71,13 @@ def test_the_byte_cap_evicts_the_least_recent(monkeypatch):
     memo, calls = BoundedMemo(), Calls()
     for key in ["k0", "k1", "k2", "k1", "k3"]:
         memo.get(key, calls(key))
-    assert list(memo._values) == ["k2", "k1", "k3"]
+    assert list(memo._entries) == ["k2", "k1", "k3"]
     assert memo.bytes == 3 * entry
     assert calls.keys == ["k0", "k1", "k2", "k3"]
     # A heavier value evicts as many of the oldest as its weight needs.
     heavy = ("value", "x" * (2 * entry))
     memo.get("heavy", lambda: heavy)
-    assert list(memo._values) == ["heavy"]
+    assert list(memo._entries) == ["heavy"]
     assert memo.bytes == _entry_weight("heavy", heavy) <= memo_module.MAX_BYTES
 
 
@@ -85,7 +90,7 @@ def test_a_value_over_the_byte_cap_is_never_stored(monkeypatch):
     for _ in range(3):
         assert memo.get("huge", lambda: huge) is huge
     # It is returned every time, but stored never, and it evicts nothing.
-    assert list(memo._values) == ["small"]
+    assert list(memo._entries) == ["small"]
     assert memo.bytes == _entry_weight("small", ("value", "small"))
 
 
@@ -126,7 +131,7 @@ def test_an_exception_is_not_memoized():
     for _ in range(3):
         with pytest.raises(ValueError, match="boom"):
             memo.get("bad", fail)
-    assert dict(memo._values) == {}
+    assert _held(memo) == {}
 
 
 class Yielding:
@@ -158,9 +163,9 @@ def test_threads_sharing_a_memo_keep_its_bound_and_values(four_values):
                     if value != ("value", key.name):
                         errors.append((key.name, value))
                     with memo._lock:
-                        if len(memo._values) > memo_module.MAX_VALUES:
-                            errors.append(("size", len(memo._values)))
-                        if memo.bytes != sum(memo._weights.values()):
+                        if len(memo._entries) > memo_module.MAX_VALUES:
+                            errors.append(("size", len(memo._entries)))
+                        if memo.bytes != sum(size for _, size in memo._entries.values()):
                             errors.append(("bytes", memo.bytes))
         except Exception as exc:  # noqa: BLE001 - reported by the assertion below
             errors.append(exc)
@@ -177,6 +182,38 @@ def test_threads_sharing_a_memo_keep_its_bound_and_values(four_values):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(memo._values) == memo_module.MAX_VALUES
-    assert list(memo._weights) == list(memo._values)
-    assert all(value == ("value", key.name) for key, value in memo._values.items())
+    assert len(memo._entries) == memo_module.MAX_VALUES
+    assert all(value == ("value", key.name) for key, value in _held(memo).items())
+
+
+# Keys drawn from few names, so that hits, evictions and re-stores mix;
+# values of varied size, some over the byte cap on their own.
+_GETS = st.lists(
+    st.tuples(st.sampled_from("abcdefgh"), st.integers(0, 600)), max_size=60
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gets=_GETS, max_values=st.integers(1, 5), max_bytes=st.integers(200, 1500))
+def test_the_memo_matches_a_plain_lru_model(gets, max_values, max_bytes):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(memo_module, "MAX_VALUES", max_values)
+        patch.setattr(memo_module, "MAX_BYTES", max_bytes)
+        memo = BoundedMemo()
+        model = []  # (key, value) held, least recently used first
+        for key, length in gets:
+            value = ("value", "x" * length)
+            stored = dict(model)
+            got = memo.get(key, lambda value=value: value)
+            assert got == stored.get(key, value)
+            if key in stored:
+                model = [(k, v) for k, v in model if k != key] + [(key, stored[key])]
+            elif _entry_weight(key, value) <= max_bytes:
+                model.append((key, value))
+                while len(model) > max_values or (
+                    sum(_entry_weight(k, v) for k, v in model) > max_bytes
+                ):
+                    model.pop(0)
+            assert list(_held(memo).items()) == model
+            assert memo.bytes == sum(_entry_weight(k, v) for k, v in model)
+            assert all(size <= max_bytes for _, size in memo._entries.values())

@@ -588,7 +588,7 @@ def test_registry_with_a_line_memo_pickles():
     doc = make_doc("script: flake8 .\n")
     for _ in range(2):
         analyze_document(doc, MappingTree({}), registry)
-    assert registry._analysis_memo._values
+    assert registry._analysis_memo._entries
     copy = pickle.loads(pickle.dumps(registry))
     assert copy == registry
     assert "_line_memo" not in copy.__dict__

@@ -443,7 +443,7 @@ def test_duplicated_corpus_matches_entry_by_entry_analysis(monkeypatch):
     with open(os.path.join(CORPUS_DIR, "34-not-a-pipeline", ".travis.yml")) as handle:
         assert counts.pop(handle.read()) == 3
     assert set(counts.values()) == {1}
-    assert registry._analysis_memo._values
+    assert registry._analysis_memo._entries
 
 
 def _leaves(value):
@@ -463,7 +463,7 @@ def test_memos_hold_records_of_plain_keys(monkeypatch):
     entries = _entries_from_directory(CORPUS_DIR)
     for _ in range(2):
         scan_entries(entries, registry)
-    values = list(registry._analysis_memo._values.values())
+    values = [value for value, _ in registry._analysis_memo._entries.values()]
     assert len(values) == len(entries) - 1
     for value in values:
         assert type(value) is PipelineRecord
@@ -472,7 +472,7 @@ def test_memos_hold_records_of_plain_keys(monkeypatch):
             assert type(key) is tuple and key
             assert {type(field) for field in key} <= {str, int, bool}, key
         assert value.flags is None or {type(flag) for flag in value.flags} == {bool}
-    parsed = list(analyzer._parse_memo._values.values())
+    parsed = [value for value, _ in analyzer._parse_memo._entries.values()]
     assert len(parsed) == len(entries) - 1
     assert any(value.references for value in parsed)
     for value in parsed:
@@ -489,7 +489,7 @@ def test_memos_hold_records_of_plain_keys(monkeypatch):
             path = os.path.join(directory, name)
             with open(path, encoding="utf-8", errors="replace") as handle:
                 texts.add(handle.read())
-    keys = [*analyzer._parse_memo._values, *registry._analysis_memo._values]
+    keys = [*analyzer._parse_memo._entries, *registry._analysis_memo._entries]
     for key in keys:
         for leaf in _leaves(key):
             assert type(leaf) in (str, bool, type(None), AnalysisOptions), key
@@ -498,11 +498,11 @@ def test_memos_hold_records_of_plain_keys(monkeypatch):
                 assert "\n" not in leaf and len(leaf) <= 64, key
     # A config key is (path, sha256, invalid_utf8); a record's adds the
     # options and each script's (path, sha256 or None).
-    for path, digest, invalid_utf8 in analyzer._parse_memo._values:
+    for path, digest, invalid_utf8 in analyzer._parse_memo._entries:
         assert path == ".travis.yml" and re.fullmatch("[0-9a-f]{64}", digest)
         assert type(invalid_utf8) is bool
-    for source, options, scripts in registry._analysis_memo._values:
-        assert source in analyzer._parse_memo._values
+    for source, options, scripts in registry._analysis_memo._entries:
+        assert source in analyzer._parse_memo._entries
         assert options == AnalysisOptions()
         for path, digest in scripts:
             assert digest is None or re.fullmatch("[0-9a-f]{64}", digest)
@@ -513,7 +513,7 @@ def test_records_share_equal_key_tuples(monkeypatch):
     monkeypatch.setattr(analytics, "_SHARED_KEYS", {})
     registry = shipped_registry()
     scan_entries(_entries_from_directory(CORPUS_DIR), registry)
-    keys = [key for record in registry._analysis_memo._values.values() for key in record.keys]
+    keys = [key for record, _ in registry._analysis_memo._entries.values() for key in record.keys]
     canonical = {}
     for key in keys:
         assert canonical.setdefault(key, key) is key
@@ -642,11 +642,9 @@ def test_memos_leave_every_scan_byte_unchanged(corpus, option_sets):
         entries = _write_corpus(root, corpus)
         patch.setattr(analyzer, "_usable_cpus", lambda: 2)
         patch.setattr(analyzer, "_parse_memo", BoundedMemo())
-        patch.setattr(script_resolver, "_reference_memo", BoundedMemo())
         memoized = scans()
         patch.setattr(analyzer, "_parse_memo", _PassThrough())
         patch.setattr(Registry, "_analysis_memo", _PassThrough())
-        patch.setattr(script_resolver, "_reference_memo", _PassThrough())
         patch.setattr(
             Registry,
             "_line_memo",
@@ -735,7 +733,7 @@ def test_failures_keep_their_own_messages(monkeypatch, content, error):
                 RawDocument(f"acme/{path}", path, content), MappingTree({}), registry
             )
         assert str(raised.value).startswith(f"{path}: ")
-    assert not analyzer._parse_memo._values
+    assert not analyzer._parse_memo._entries
 
 
 @pytest.mark.parametrize(
@@ -790,8 +788,9 @@ def test_memos_store_on_the_first_sighting_and_stay_bounded(monkeypatch):
     assert parsed == [doc.repo_slug for doc in docs]
     memos = (analyzer._parse_memo, registry._analysis_memo)
     for memo in memos:
-        assert len(memo._values) == bound
-        assert memo.bytes == sum(memo._weights.values()) <= memo_module.MAX_BYTES
+        assert len(memo._entries) == bound
+        assert memo.bytes == sum(size for _, size in memo._entries.values())
+        assert memo.bytes <= memo_module.MAX_BYTES
     # The most recent `bound` configs are held and read back unparsed; the
     # oldest were evicted and are parsed again.
     parsed.clear()
@@ -800,7 +799,7 @@ def test_memos_store_on_the_first_sighting_and_stay_bounded(monkeypatch):
         assert analyze_document(copy, MappingTree({}), registry)[0] == record
     assert parsed == [f"copy-{doc.repo_slug}" for doc in reversed(docs[:40])]
     for memo in memos:
-        assert len(memo._values) == bound
+        assert len(memo._entries) == bound
 
 
 _SHARED_DEPLOY = "bash ci/notify.sh\nflake8 src\n"
@@ -809,8 +808,9 @@ _SHARED_DEPLOY = "bash ci/notify.sh\nflake8 src\n"
 def test_recursive_scan_reads_each_distinct_script_once(monkeypatch, tmp_path):
     # A matrix corpus: every pipeline runs the same deploy script in each of
     # its jobs, and two of them carry their own text of a second script.
+    # Each pipeline finds a script's references once, however many of its
+    # jobs run it.
     _cold_parse_memo(monkeypatch)
-    monkeypatch.setattr(script_resolver, "_reference_memo", BoundedMemo())
     scripts = {"ci/deploy.sh": _SHARED_DEPLOY, "ci/notify.sh": "echo done\n"}
     entries = []
     for index in range(6):
@@ -828,7 +828,7 @@ def test_recursive_scan_reads_each_distinct_script_once(monkeypatch, tmp_path):
         entries.append(
             ManifestEntry(f"p{index}", ".travis.yml", tuple(scripts), local_root=str(root))
         )
-    texts = {_SHARED_DEPLOY, "echo done\n", "pylint p0\n", "pylint p1\n"}
+    expected = {_SHARED_DEPLOY: 6, "echo done\n": 4, "pylint p0\n": 1, "pylint p1\n": 1}
     scanned = []
     real_script_paths = script_resolver.script_paths
 
@@ -840,11 +840,10 @@ def test_recursive_scan_reads_each_distinct_script_once(monkeypatch, tmp_path):
     options = AnalysisOptions(recursive_scripts=True)
     result = scan_entries(entries, shipped_registry(), options)
     assert [e.status for e in result.entries] == ["ok"] * len(entries)
-    assert Counter(text for text in scanned if text in texts) == dict.fromkeys(texts, 1)
+    assert Counter(text for text in scanned if text in expected) == expected
     assert result.report.tool_table["pylint"]["pipelines"] == 2
 
     monkeypatch.setattr(script_resolver, "script_paths", real_script_paths)
-    monkeypatch.setattr(script_resolver, "_reference_memo", _PassThrough())
     _cold_parse_memo(monkeypatch)
     cold = scan_entries(entries, shipped_registry(), options)
     assert export_json(cold.report) == export_json(result.report)
@@ -887,16 +886,15 @@ def test_memos_retain_no_more_than_their_caps(monkeypatch, tmp_path):
         del result
         parse_memo, analysis_memo = analyzer._parse_memo, registry._analysis_memo
         # The weight cap holds fewer fan-outs than the count cap would.
-        assert 0 < len(parse_memo._values) < count
-        assert len(analysis_memo._values) == count
+        assert 0 < len(parse_memo._entries) < count
+        assert len(analysis_memo._entries) == count
         estimated, retained = {}, {}
         for name, memo in (("parse", parse_memo), ("analysis", analysis_memo)):
             estimated[name] = memo.bytes
-            assert memo.bytes == sum(memo._weights.values())
+            assert memo.bytes == sum(size for _, size in memo._entries.values())
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
-            memo._values.clear()
-            memo._weights.clear()
+            memo._entries.clear()
             gc.collect()
             retained[name] = held - tracemalloc.get_traced_memory()[0]
     finally:

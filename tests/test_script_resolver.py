@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from tdmscan import script_resolver
 from tdmscan.config_model import CommandLine, PhaseKind
 from tdmscan.ingest import escapes_repo
-from tdmscan.memo import BoundedMemo
 from tdmscan.script_resolver import (
     INSTALLER_HINT,
     SCRIPT_SUFFIXES,
@@ -162,7 +161,6 @@ class TestRecursiveCollection:
             return real_script_paths(text, warnings)
 
         monkeypatch.setattr(script_resolver, "script_paths", counting_script_paths)
-        monkeypatch.setattr(script_resolver, "_reference_memo", BoundedMemo())
         docs, sites = collect(commands, MappingTree(files), recursive=True)
         assert [d.path for d in docs] == ["outer.sh", "inner.sh", "gone.sh"]
         assert sites == dict.fromkeys(["outer.sh", "inner.sh", "gone.sh"], tuple(site_list))
@@ -207,7 +205,7 @@ def _per_root_queue(commands, tree, recursive, warnings):
         path, root = queue.pop(0)
         if path not in docs:
             content = tree.read(path)
-            docs[path] = ScriptDocument(path, content, content is not None)
+            docs[path] = ScriptDocument(path, content)
         doc = docs[path]
         if not recursive or not doc.resolved or (path, root) in scanned:
             continue
