@@ -23,7 +23,6 @@ from .antipatterns import (
     evaluate,
 )
 from .config_model import (
-    CommandLine,
     Job,
     MalformedDocument,
     NotAPipeline,

@@ -20,7 +20,6 @@ from .config_model import (
     NotAPipeline,
     PipelineConfig,
     RawDocument,
-    iter_command_lines,
     parse_config,
 )
 from .ingest import (
@@ -76,7 +75,7 @@ class PipelineAnalysis:
 
 def _parsed(cfg: PipelineConfig) -> ParsedConfig:
     warnings = list(cfg.warnings)
-    references = script_references(iter_command_lines(cfg), warnings)
+    references = script_references(cfg.jobs, warnings)
     return ParsedConfig(tuple(warnings), references)
 
 

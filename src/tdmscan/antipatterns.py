@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from .config_model import Job, PipelineConfig
 from .registry import PipelineToolProfile
@@ -38,6 +38,8 @@ _CLAUSE = re.compile(
 _NOT_A_RESTRICTION = re.compile(
     r"(?<![^\s()])(?:OR(?![^\s(])|NOT[\s(]+(?:type|branch)\b)", re.IGNORECASE
 )
+# A `NOT` ending the text before a clause: `NOT type = x`, `NOT (type = x)`.
+_NEGATES = re.compile(r"(?<![^\s()])NOT[\s(]+\Z", re.IGNORECASE)
 
 
 @dataclass
@@ -70,9 +72,10 @@ def _excerpt(value: Any, limit: int = 160) -> str:
 
 
 def _clause_values(condition: str, key: str) -> set[str]:
+    """The values of `condition`'s `key` clauses that no `NOT` precedes."""
     values: set[str] = set()
     for match in _CLAUSE.finditer(condition):
-        if match.group(1).lower() != key:
+        if match.group(1).lower() != key or _NEGATES.search(condition, 0, match.start()):
             continue
         body = match.group(3) if match.group(3) is not None else match.group(2)
         for token in re.split(r"[,\s]+", body):
@@ -147,7 +150,7 @@ def detect_skip_on_failure(cfg: PipelineConfig) -> tuple[bool, Evidence]:
     evidence: Evidence = []
     for key in ("jobs", "matrix"):
         block = cfg.raw.get(key)
-        if isinstance(block, Mapping) and "allow_failures" in block:
+        if isinstance(block, dict) and "allow_failures" in block:
             evidence.append((f"{key}.allow_failures", _excerpt(block["allow_failures"])))
     if not evidence:
         evidence.append(("jobs.allow_failures", "present"))
@@ -171,7 +174,7 @@ def detect_email_only(cfg: PipelineConfig) -> tuple[bool, Evidence]:
         return False, []
     raw_email = (
         notifications.raw.get("email")
-        if isinstance(notifications.raw, Mapping)
+        if isinstance(notifications.raw, dict)
         else notifications.raw
     )
     return True, [("notifications.email", _excerpt(raw_email))]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from types import GeneratorType
-from typing import Any, Iterator, Mapping, NamedTuple
+from typing import Any
 
 import yaml
 from yaml.composer import ComposerError
@@ -122,30 +122,19 @@ class RawDocument:
     sha256: str | None = field(default=None, compare=False)
 
 
-class CommandLine(NamedTuple):
-    """A single shell command entry within a job phase.
-
-    A named tuple: it equals, hashes and orders as the plain tuple of its
-    fields.
-    """
-
-    text: str
-    phase: PhaseKind
-    job_index: int
-    ordinal: int
-
-
 @dataclass
 class Job:
     """One execution unit; jobs of the same stage run in parallel.
 
-    `phases` holds the phases the job runs, its own and the inherited
-    global ones alike, keyed in lifecycle (`PhaseKind`) order.
+    `phases` holds the command texts of each phase the job runs, its own and
+    the inherited global ones alike, keyed in lifecycle (`PhaseKind`) order.
+    An inherited phase is the global phase's tuple itself, shared by every
+    job that inherits it.
     """
 
     index: int
     stage_name: str | None = None
-    phases: dict[PhaseKind, list[CommandLine]] = field(default_factory=dict)
+    phases: dict[PhaseKind, tuple[str, ...]] = field(default_factory=dict)
     condition: str | None = None
     branch_only: list[str] | None = None
     # Where the job's entry sits in the config, e.g. `jobs.include[1]`; None
@@ -178,7 +167,7 @@ class PipelineConfig:
     global_branch_only: list[str] | None = None
     global_condition: str | None = None
     post_deploy_stages: frozenset[str] = frozenset()
-    raw: Mapping[str, Any] = field(default_factory=dict)
+    raw: dict[str, Any] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
 
@@ -517,7 +506,7 @@ def _command_texts(phase: PhaseKind, value: Any, warnings: list[str]) -> list[st
             texts.append(scalar)
         elif isinstance(item, list):
             texts.extend(_command_texts(phase, item, warnings))
-        elif isinstance(item, Mapping):
+        elif isinstance(item, dict):
             if phase in DEPLOY_PHASES:
                 for nested in _as_list(item.get("script")):
                     nested_text = _scalar_text(nested)
@@ -535,33 +524,24 @@ def _command_texts(phase: PhaseKind, value: Any, warnings: list[str]) -> list[st
 
 
 def _phase_commands(
-    entry: Mapping[str, Any],
-    job_index: int,
+    entry: dict[str, Any],
     warnings: list[str],
-    inherited: Mapping[PhaseKind, list[CommandLine]] | None = None,
-) -> dict[PhaseKind, list[CommandLine]]:
-    """The commands of each phase `entry` declares, keyed in lifecycle order.
-
-    A phase that `entry` does not declare takes `inherited`'s commands,
-    built at `job_index`.
+    inherited: dict[PhaseKind, tuple[str, ...]] | None = None,
+) -> dict[PhaseKind, tuple[str, ...]]:
+    """The command texts of each phase `entry` declares, keyed in lifecycle
+    order.  A phase that `entry` does not declare takes `inherited`'s tuple.
     """
-    phases: dict[PhaseKind, list[CommandLine]] = {}
+    phases: dict[PhaseKind, tuple[str, ...]] = {}
     for name, phase in PHASE_BY_NAME.items():
         if name in entry:
-            texts = _command_texts(phase, entry[name], warnings)
-            phases[phase] = [
-                CommandLine(text, phase, job_index, i) for i, text in enumerate(texts)
-            ]
+            phases[phase] = tuple(_command_texts(phase, entry[name], warnings))
         elif inherited and phase in inherited:
-            phases[phase] = [
-                CommandLine(cmd.text, phase, job_index, cmd.ordinal)
-                for cmd in inherited[phase]
-            ]
+            phases[phase] = inherited[phase]
     return phases
 
 
 def _branch_only(value: Any) -> list[str] | None:
-    if not isinstance(value, Mapping):
+    if not isinstance(value, dict):
         return None
     only = value.get("only")
     if only is None:
@@ -580,7 +560,7 @@ def _channel_enabled(value: Any) -> bool:
         return True
     if isinstance(value, list):
         return len(value) > 0
-    if isinstance(value, Mapping):
+    if isinstance(value, dict):
         if value.get("enabled") is False:
             return False
         return len(value) > 0
@@ -589,7 +569,7 @@ def _channel_enabled(value: Any) -> bool:
 
 def _parse_notifications(value: Any) -> NotificationConfig:
     channels: set[str] = set()
-    if isinstance(value, Mapping):
+    if isinstance(value, dict):
         for key, sub in value.items():
             name = str(key)
             if name not in _NOTIFICATION_MODIFIERS and _channel_enabled(sub):
@@ -603,7 +583,7 @@ def _parse_stages(
     order: list[str] = []
     conditions: dict[str, str] = {}
     for entry in _as_list(value):
-        if isinstance(entry, Mapping):
+        if isinstance(entry, dict):
             name = entry.get("name")
             if name is None:
                 warnings.append("ignored stages entry without a name")
@@ -617,13 +597,13 @@ def _parse_stages(
     return order, conditions
 
 
-def _include_entries(raw: Mapping[str, Any]) -> tuple[list[tuple[str, Any]], bool]:
+def _include_entries(raw: dict[str, Any]) -> tuple[list[tuple[str, Any]], bool]:
     """(path, entry) per job entry and allow_failures presence under `jobs`/`matrix`."""
     entries: list[tuple[str, Any]] = []
     allow_failures = False
     for key in ("jobs", "matrix"):
         block = raw.get(key)
-        if isinstance(block, Mapping):
+        if isinstance(block, dict):
             include = block.get("include")
             if isinstance(include, list):
                 entries.extend(
@@ -640,13 +620,13 @@ def _include_entries(raw: Mapping[str, Any]) -> tuple[list[tuple[str, Any]], boo
 
 def _build_job(
     path: str,
-    entry: Mapping[str, Any],
+    entry: dict[str, Any],
     index: int,
-    inherited: dict[PhaseKind, list[CommandLine]],
+    inherited: dict[PhaseKind, tuple[str, ...]],
     warnings: list[str],
 ) -> Job:
     # Globals apply only where the job does not override that phase.
-    phases = _phase_commands(entry, index, warnings, inherited)
+    phases = _phase_commands(entry, warnings, inherited)
     stage = entry.get("stage")
     condition = entry.get("if")
     return Job(
@@ -689,7 +669,7 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
         raise MalformedDocument(f"{doc.path}: {exc}") from exc
     warnings.extend(dup_warnings)
 
-    if not isinstance(data, Mapping) or not any(
+    if not isinstance(data, dict) or not any(
         str(key) in LIFECYCLE_KEYS for key in data
     ):
         raise NotAPipeline(f"{doc.path}: no pipeline lifecycle key found")
@@ -697,12 +677,12 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
     declared_stage_order, stage_conditions = _parse_stages(
         data.get("stages"), warnings
     )
-    inherited = _phase_commands(data, -1, warnings)
+    inherited = _phase_commands(data, warnings)
 
     entries, allow_failures = _include_entries(data)
     jobs: list[Job] = []
     for path, entry in entries:
-        if not isinstance(entry, Mapping):
+        if not isinstance(entry, dict):
             warnings.append(f"ignored non-mapping job entry: {entry!r}")
             continue
         jobs.append(_build_job(path, entry, len(jobs), inherited, warnings))
@@ -713,7 +693,7 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
         jobs = [
             Job(
                 index=0,
-                phases=_phase_commands({}, 0, warnings, inherited),
+                phases=inherited,
                 condition=None if global_condition is None else str(global_condition),
             )
         ]
@@ -738,12 +718,3 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
         warnings=warnings,
     )
 
-
-def iter_command_lines(cfg: PipelineConfig) -> Iterator[CommandLine]:
-    """All job command lines in deterministic (job, phase, ordinal) order.
-
-    Phase order is `Job.phases`' key order, which is lifecycle order.
-    """
-    for job in cfg.jobs:
-        for commands in job.phases.values():
-            yield from commands

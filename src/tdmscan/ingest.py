@@ -93,7 +93,6 @@ class FetchPolicy:
     max_requests_per_hour: int = 3600
     retry_budget: int = 3
     timeout: float = 10.0
-    auth_token_env: str = AUTH_TOKEN_ENV
 
     def __post_init__(self):
         if self.max_requests_per_hour <= 0:
@@ -328,7 +327,7 @@ class RemoteTree:
     def _headers(self) -> dict[str, str]:
         # The token goes over HTTPS only: over plain HTTP anyone on the path
         # could read it.  The host is not checked.
-        token = os.environ.get(self.policy.auth_token_env)
+        token = os.environ.get(AUTH_TOKEN_ENV)
         if token and urlsplit(self.base_url).scheme == "https":
             return {"Authorization": f"token {token}"}
         return {}

@@ -82,10 +82,10 @@ def _runs_only_tdm(job: Job, runs_tool_work: Callable[[str], bool]) -> bool:
     """Whether every command text of the job's non-setup phases runs only
     tool work (see classify_pipeline)."""
     return all(
-        runs_tool_work(cmd.text)
-        for phase, commands in job.phases.items()
+        runs_tool_work(text)
+        for phase, texts in job.phases.items()
         if phase not in SETUP_PHASES
-        for cmd in commands
+        for text in texts
     )
 
 

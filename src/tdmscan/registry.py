@@ -19,7 +19,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
-from .config_model import PhaseKind, PipelineConfig, iter_command_lines
+from .config_model import PhaseKind, PipelineConfig
 from .memo import BoundedMemo
 from .script_resolver import (
     LINE_MEMO_MAX_CHARS,
@@ -444,7 +444,7 @@ def detect_in_text(
 
 def _sonarcloud_flavored(cfg: PipelineConfig, scripts: Iterable[ScriptDocument]) -> bool:
     addons = cfg.raw.get("addons")
-    if isinstance(addons, Mapping) and "sonarcloud" in addons:
+    if isinstance(addons, dict) and "sonarcloud" in addons:
         return True
     if "sonarcloud" in cfg.source.content.lower():
         return True
@@ -499,34 +499,35 @@ def profile_pipeline(
     # Per distinct command text: its detections at its first command, that
     # command's ordinal base, and the text's physical line count.
     scanned: dict[str, tuple[list[Detection], int, int]] = {}
-    # A command's first line is numbered after every physical line of the
-    # commands before it in its job phase, each taking at least one line.
-    phase_key, base = None, 0
-    for text, phase, job_index, _ in iter_command_lines(cfg):
-        if (job_index, phase) != phase_key:
-            phase_key, base = (job_index, phase), 0
-        known = scanned.get(text)
-        if known is None:
-            ctx = SourceContext(SOURCE_CONFIG, phase, job_index, ordinal_base=base)
-            found = detect_in_text(text, registry, ctx, install_exclusion)
-            lines = max(1, len(text.splitlines()))
-            scanned[text] = found, base, lines
-            detections.extend(found)
-        else:
-            found, first_base, lines = known
-            detections.extend(
-                Detection(
-                    d.tool_id,
-                    SOURCE_CONFIG,
-                    None,
-                    phase,
-                    job_index,
-                    d.matched_text,
-                    base - first_base + d.line_ordinal,
-                )
-                for d in found
-            )
-        base += lines
+    for job in cfg.jobs:
+        job_index = job.index
+        for phase, texts in job.phases.items():
+            # A command's first line is numbered after every physical line of
+            # the commands before it in its phase, each taking at least one.
+            base = 0
+            for text in texts:
+                known = scanned.get(text)
+                if known is None:
+                    ctx = SourceContext(SOURCE_CONFIG, phase, job_index, ordinal_base=base)
+                    found = detect_in_text(text, registry, ctx, install_exclusion)
+                    lines = max(1, len(text.splitlines()))
+                    scanned[text] = found, base, lines
+                    detections.extend(found)
+                else:
+                    found, first_base, lines = known
+                    detections.extend(
+                        Detection(
+                            d.tool_id,
+                            SOURCE_CONFIG,
+                            None,
+                            phase,
+                            job_index,
+                            d.matched_text,
+                            base - first_base + d.line_ordinal,
+                        )
+                        for d in found
+                    )
+                base += lines
 
     detected_sites: dict[str, tuple[Site, ...]] = {}
     for doc in sorted(scripts, key=attrgetter("path")):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Protocol
 
-from .config_model import CommandLine, PhaseKind
+from .config_model import Job, PhaseKind
 from .ingest import FileTooLarge, escapes_repo, text_sha256
 
 SCRIPT_SUFFIXES = (".sh", ".bash")
@@ -323,30 +323,33 @@ def script_paths(text: str, warnings: list[str] | None = None) -> list[str]:
 
 
 def script_references(
-    commands: Iterable[CommandLine], warnings: list[str] | None = None
+    jobs: Iterable[Job], warnings: list[str] | None = None
 ) -> tuple[tuple[str, Site], ...]:
     """The (normalized path, (job index, phase)) pair of every script that
-    `commands` reference, each pair once, in first-reference order.
+    the commands of `jobs` reference, each pair once, in first-reference
+    order (job, phase, command).
 
-    A pure function of the commands: what a config gives
+    A pure function of the jobs: what a config gives
     `collect_script_documents`.  `warnings` collects what `script_paths`
     records, for every command; each distinct text is scanned once and its
     warnings are replayed at each command that runs it.
     """
     pairs: dict[tuple[str, Site], None] = {}
     scanned: dict[str, tuple[list[str], list[str]]] = {}
-    for text, phase, job_index, _ in commands:
-        if not _REF_HINT.search(text):
-            continue  # no reference, so no path and no warning
-        known = scanned.get(text)
-        if known is None:
-            found: list[str] = []
-            known = scanned[text] = script_paths(text, found), found
-        paths, found = known
-        if found and warnings is not None:
-            warnings.extend(found)
-        for path in paths:
-            pairs[path, (job_index, phase)] = None
+    for job in jobs:
+        for phase, texts in job.phases.items():
+            for text in texts:
+                if not _REF_HINT.search(text):
+                    continue  # no reference, so no path and no warning
+                known = scanned.get(text)
+                if known is None:
+                    found: list[str] = []
+                    known = scanned[text] = script_paths(text, found), found
+                paths, found = known
+                if found and warnings is not None:
+                    warnings.extend(found)
+                for path in paths:
+                    pairs[path, (job.index, phase)] = None
     return tuple(pairs)
 
 

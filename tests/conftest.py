@@ -10,7 +10,6 @@ from tdmscan import (
     profile_pipeline,
     shipped_registry,
 )
-from tdmscan.config_model import iter_command_lines
 from tdmscan.script_resolver import collect_script_documents, script_references
 
 FIXTURES_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -81,9 +80,20 @@ def make_doc(content: str, slug: str = "acme/demo") -> RawDocument:
     return RawDocument(slug, ".travis.yml", content)
 
 
+def walk_commands(jobs):
+    """(job index, phase, ordinal, text) of every command of `jobs`, in job,
+    phase (lifecycle) and ordinal order: the walk each layer makes."""
+    return [
+        (job.index, phase, ordinal, text)
+        for job in jobs
+        for phase, texts in job.phases.items()
+        for ordinal, text in enumerate(texts)
+    ]
+
+
 def collect_scripts(cfg, files=None):
     """(scripts, sites) for `cfg`'s commands over an in-memory tree."""
-    references = script_references(iter_command_lines(cfg))
+    references = script_references(cfg.jobs)
     return collect_script_documents(references, MappingTree(files or {}))
 
 

@@ -122,6 +122,30 @@ class TestLateMerging:
         )
         assert evaluate(cfg, profile).late_merging_all_jobs is False
 
+    @pytest.mark.parametrize(
+        "condition, flagged",
+        [
+            ("NOT type = pull_request", True),
+            ("NOT (type = pull_request)", True),
+            ("NOT type IN (pull_request, api)", True),
+            ("type = pull_request", False),
+            ("type IN (push, pull_request)", False),
+        ],
+    )
+    def test_negated_pr_condition_keeps_branches_only(self, registry, condition, flagged):
+        cfg, profile = build(
+            registry,
+            "branches:\n  only: [master]\n"
+            "jobs:\n"
+            "  include:\n"
+            f"    - if: {condition}\n"
+            "      script: flake8 src\n",
+        )
+        findings = evaluate(cfg, profile)
+        assert findings.late_merging_all_jobs is flagged
+        if flagged:
+            assert findings.evidence["late_merging"] == [("branches.only", '["master"]')]
+
     def test_no_tools_never_flagged(self, registry):
         cfg, profile = build(registry, "branches:\n  only: [main]\nscript: pytest\n")
         assert evaluate(cfg, profile).late_merging_all_jobs is False

@@ -1,18 +1,18 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tdmscan import config_model
 from tdmscan.config_model import (
     PHASE_BY_NAME,
     MalformedDocument,
     NotAPipeline,
     PhaseKind,
     RawDocument,
-    iter_command_lines,
     parse_config,
     resolve_stage_name,
 )
 
-from conftest import make_doc
+from conftest import make_doc, walk_commands
 
 
 class TestParseListing:
@@ -34,10 +34,8 @@ class TestParseListing:
     def test_lint_job_phases(self, example_config):
         lint = example_config.jobs[0]
         assert lint.stage_name == "lint"
-        install = lint.phases[PhaseKind.INSTALL]
-        script = lint.phases[PhaseKind.SCRIPT]
-        assert [c.text for c in install] == ["pip install flake8"]
-        assert [c.text for c in script] == ["flake8 src tests"]
+        assert lint.phases[PhaseKind.INSTALL] == ("pip install flake8",)
+        assert lint.phases[PhaseKind.SCRIPT] == ("flake8 src tests",)
 
     def test_deploy_job_condition(self, example_config):
         deploy = example_config.jobs[3]
@@ -50,14 +48,12 @@ class TestMinimalConfigs:
         cfg = parse_config(make_doc("language: python\nscript: pytest\n"))
         assert len(cfg.jobs) == 1
         assert not any(job.deploys for job in cfg.jobs)
-        script = cfg.jobs[0].phases[PhaseKind.SCRIPT]
-        assert [c.text for c in script] == ["pytest"]
+        assert cfg.jobs[0].phases[PhaseKind.SCRIPT] == ("pytest",)
         assert resolve_stage_name(cfg.jobs[0]) == "implicit"
 
     def test_list_script_ordinals(self):
         cfg = parse_config(make_doc("script:\n  - a\n  - b\n  - c\n"))
-        script = cfg.jobs[0].phases[PhaseKind.SCRIPT]
-        assert [(c.text, c.ordinal) for c in script] == [("a", 0), ("b", 1), ("c", 2)]
+        assert cfg.jobs[0].phases[PhaseKind.SCRIPT] == ("a", "b", "c")
 
     def test_language_only_yields_one_job(self):
         cfg = parse_config(make_doc("language: python\n"))
@@ -70,10 +66,10 @@ class TestMinimalConfigs:
                 "install: one\nscript:\n  - two\n  - three\nafter_script: four\n"
             )
         )
-        assert len(list(iter_command_lines(cfg))) == 4
+        assert len(walk_commands(cfg.jobs)) == 4
         # an acyclic list reused through aliases is not a cycle
         cfg = parse_config(make_doc("x: &a [one, two]\nscript: [*a, [*a]]\n"))
-        assert len(list(iter_command_lines(cfg))) == 4
+        assert len(walk_commands(cfg.jobs)) == 4
 
 
 class TestGate:
@@ -177,16 +173,52 @@ class TestAliasesAndMerging:
             )
         )
         first, second = cfg.jobs
-        assert [c.text for c in first.phases[PhaseKind.BEFORE_SCRIPT]] == ["setup"]
-        assert first.phases[PhaseKind.BEFORE_SCRIPT][0].job_index == 0
-        assert [c.text for c in second.phases[PhaseKind.BEFORE_SCRIPT]] == ["own"]
+        assert first.phases[PhaseKind.BEFORE_SCRIPT] == ("setup",)
+        assert second.phases[PhaseKind.BEFORE_SCRIPT] == ("own",)
+
+    def test_inherited_phases_are_the_global_tuples(self, monkeypatch):
+        built = []
+        real = config_model._phase_commands
+
+        def recording(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(config_model, "_phase_commands", recording)
+        cfg = parse_config(
+            make_doc(
+                "before_script: setup\n"
+                "script: [lint, test]\n"
+                "jobs:\n"
+                "  include:\n"
+                "    - stage: a\n"
+                "    - stage: b\n"
+                "    - script: own\n"
+            )
+        )
+        inherited = built[0]
+        first, second, third = cfg.jobs
+        for phase in (PhaseKind.BEFORE_SCRIPT, PhaseKind.SCRIPT):
+            assert first.phases[phase] is second.phases[phase] is inherited[phase]
+        assert third.phases[PhaseKind.BEFORE_SCRIPT] is inherited[PhaseKind.BEFORE_SCRIPT]
+        assert third.phases[PhaseKind.SCRIPT] == ("own",)
+        assert third.phases[PhaseKind.SCRIPT] is not inherited[PhaseKind.SCRIPT]
+
+        built.clear()
+        cfg = parse_config(make_doc("before_script: setup\nscript: [lint, test]\n"))
+        (implicit,) = cfg.jobs
+        assert implicit.phases is built[0]
+        assert implicit.phases == {
+            PhaseKind.BEFORE_SCRIPT: ("setup",),
+            PhaseKind.SCRIPT: ("lint", "test"),
+        }
 
     def test_earlier_global_phase_merges_in_lifecycle_order(self):
         cfg = parse_config(
             make_doc("before_install: setup\njobs:\n  include:\n    - script: lint\n")
         )
         assert list(cfg.jobs[0].phases) == [PhaseKind.BEFORE_INSTALL, PhaseKind.SCRIPT]
-        assert [c.text for c in iter_command_lines(cfg)] == ["setup", "lint"]
+        assert [text for *_, text in walk_commands(cfg.jobs)] == ["setup", "lint"]
 
     def test_env_matrix_not_expanded(self):
         cfg = parse_config(
@@ -201,7 +233,7 @@ class TestWarningsAndEdgeCases:
     def test_duplicate_key_warning(self):
         cfg = parse_config(make_doc("script: one\nscript: two\n"))
         assert any("duplicate key" in w for w in cfg.warnings)
-        assert [c.text for c in cfg.jobs[0].phases[PhaseKind.SCRIPT]] == ["two"]
+        assert cfg.jobs[0].phases[PhaseKind.SCRIPT] == ("two",)
 
     def test_reader_replacement_flag_warns(self):
         doc = RawDocument("a/b", ".travis.yml", "script: ok\ufffd\n", invalid_utf8=True)
@@ -217,15 +249,14 @@ class TestWarningsAndEdgeCases:
             make_doc("script: x\ndeploy:\n  provider: pypi\n  username: u\n")
         )
         assert PhaseKind.DEPLOY in cfg.jobs[0].phases
-        assert cfg.jobs[0].phases[PhaseKind.DEPLOY] == []
+        assert cfg.jobs[0].phases[PhaseKind.DEPLOY] == ()
         assert cfg.jobs[0].deploys
 
     def test_deploy_script_provider_commands(self):
         cfg = parse_config(
             make_doc("script: x\ndeploy:\n  provider: script\n  script: ./release.sh\n")
         )
-        deploy = cfg.jobs[0].phases[PhaseKind.DEPLOY]
-        assert [c.text for c in deploy] == ["./release.sh"]
+        assert cfg.jobs[0].phases[PhaseKind.DEPLOY] == ("./release.sh",)
 
     def test_global_branches_only(self):
         cfg = parse_config(make_doc("script: x\nbranches:\n  only:\n    - main\n"))
@@ -414,14 +445,15 @@ def test_job_phases_are_in_lifecycle_order(global_names, job_names):
     for job, names in zip(cfg.jobs, job_names or [[]]):
         assert list(job.phases) == [kind for kind in PhaseKind if kind in job.phases]
         assert set(job.phases) == {PHASE_BY_NAME[name] for name in [*names, *global_names]}
-        for phase, commands in job.phases.items():
+        for phase, texts in job.phases.items():
             owner = f"j{job.index}" if phase.value in names else "g"
-            assert commands == [(f"{owner}-{phase.value}", phase, job.index, 0)]
-    # The walk iter_command_lines did before phases were kept in order.
+            assert texts == (f"{owner}-{phase.value}",)
+    # The walk over every PhaseKind that was made before phases were kept
+    # in order.
     walked = [
-        cmd
+        (job.index, phase, ordinal, text)
         for job in cfg.jobs
         for phase in PhaseKind
-        for cmd in job.phases.get(phase, ())
+        for ordinal, text in enumerate(job.phases.get(phase, ()))
     ]
-    assert list(iter_command_lines(cfg)) == walked
+    assert walk_commands(cfg.jobs) == walked

@@ -1,4 +1,5 @@
-"""Golden bytes: the reports over the fixture corpus are pinned by sha256.
+"""Golden bytes: the reports over the fixture corpus, and the scan's
+standard output and error, are pinned by sha256.
 
 A refactor that claims "every report byte unchanged" passes these tests
 without further evidence.  The default options are pinned, and so are the
@@ -8,7 +9,10 @@ update the digests and say why.
 """
 
 import hashlib
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +31,14 @@ OTHER_OPTIONS = [
 ]
 OTHER_SCAN_SHA256 = "13b9bd36d68877e42e6a9c58fae2e638c5059b3b3e81877ba12382a889e7e2c8"
 OTHER_ANALYZE_SHA256 = "133c9c634ad072023b13aebbd3dc4d881c2726832c483f9ed954dfbda9c9f1dd"
+
+# The default scan's standard output (the summary), then its standard error
+# (every warning line).
+SCAN_STREAMS_SHA256 = "80ba64c236079cb2f5744b87af6eae2638ff8bbd251b23961f527100974cc55c"
+
+SCAN_DIGESTS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "scan_digests.py"
+)
 
 
 def _scan_digest(out, capsys, *flags) -> str:
@@ -52,6 +64,29 @@ def test_scan_report_bytes_at_two_workers(tmp_path, capsys):
 def test_scan_report_bytes_under_other_options(tmp_path, capsys, workers):
     digest = _scan_digest(tmp_path / "out", capsys, "--workers", workers, *OTHER_OPTIONS)
     assert digest == OTHER_SCAN_SHA256
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_stream_bytes(tmp_path, capsys, workers):
+    assert main(["scan", CORPUS_DIR, "--out", str(tmp_path / "out"), "--workers", workers]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256((out + err).encode("utf-8")).hexdigest() == SCAN_STREAMS_SHA256
+
+
+@pytest.mark.parametrize(
+    "flags, expected", [([], SCAN_SHA256), (OTHER_OPTIONS, OTHER_SCAN_SHA256)]
+)
+def test_scan_digests_script_prints_the_report_digest(flags, expected):
+    done = subprocess.run(
+        [sys.executable, SCAN_DIGESTS, CORPUS_DIR, *flags],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    digests = json.loads(done.stdout)
+    assert sorted(digests) == ["report", "stderr", "stdout"]
+    assert digests["report"] == expected
 
 
 def _analyze_digest(capsys, *flags) -> str:

@@ -14,7 +14,6 @@ from tdmscan.config_model import (
     NotAPipeline,
     PhaseKind,
     RawDocument,
-    iter_command_lines,
     parse_config,
     resolve_stage_name,
 )
@@ -52,7 +51,14 @@ from tdmscan.script_resolver import (
     strip_wrappers,
 )
 
-from conftest import CORPUS_DIR, MappingTree, collect_scripts, make_doc, profile_of
+from conftest import (
+    CORPUS_DIR,
+    MappingTree,
+    collect_scripts,
+    make_doc,
+    profile_of,
+    walk_commands,
+)
 
 
 def analyzed(registry, text, files=None):
@@ -496,18 +502,19 @@ def _per_command_detections(cfg, scripts, registry):
     """
     detections = []
     referencing = {}
-    for cmd in iter_command_lines(cfg):
-        ctx = SourceContext(SOURCE_CONFIG, cmd.phase, cmd.job_index, ordinal_base=cmd.ordinal)
-        detections += detect_in_text(cmd.text, registry, ctx)
-        for path in script_paths(cmd.text):
+    for cmd in walk_commands(cfg.jobs):
+        job_index, phase, ordinal, text = cmd
+        ctx = SourceContext(SOURCE_CONFIG, phase, job_index, ordinal_base=ordinal)
+        detections += detect_in_text(text, registry, ctx)
+        for path in script_paths(text):
             referencing.setdefault(path, []).append(cmd)
     by_path = {doc.path: doc for doc in scripts}
     for path in sorted(referencing):
         doc = by_path.get(path)
         if doc is None or not doc.resolved:
             continue
-        for cmd in referencing[path]:
-            ctx = SourceContext(SOURCE_SCRIPT, cmd.phase, cmd.job_index, path)
+        for job_index, phase, *_ in referencing[path]:
+            ctx = SourceContext(SOURCE_SCRIPT, phase, job_index, path)
             detections += detect_in_text(doc.content, registry, ctx)
     detections = registry_module._disambiguate_sonar(
         cfg, scripts, list(dict.fromkeys(detections)), registry
@@ -557,8 +564,8 @@ def _per_detection_runs_only_tdm(job, job_detections, scripts, registry):
     for phase in PhaseKind:
         if phase in SETUP_PHASES or phase not in job.phases:
             continue
-        for cmd in job.phases[phase]:
-            for line in cmd.text.splitlines():
+        for text in job.phases[phase]:
+            for line in text.splitlines():
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
                     continue
@@ -705,7 +712,7 @@ def test_timings_match_per_detection_classification_on_fixtures(registry):
             not_pipelines.append(slug)
             continue
         scripts, sites = collect_script_documents(
-            script_references(iter_command_lines(cfg)), LocalTree(slug_dir)
+            script_references(cfg.jobs), LocalTree(slug_dir)
         )
         _assert_matches_per_detection(registry, cfg, scripts, sites)
         analyzed_slugs.append(slug)
@@ -795,12 +802,12 @@ def test_shared_script_matrix_classifies_timing_once_per_job_phase(
 # --- each distinct command text worked once per pipeline ------------------------
 
 
-def _per_occurrence_references(commands, warnings):
+def _per_occurrence_references(jobs, warnings):
     """script_references with script_paths run on every command."""
     pairs = {}
-    for cmd in commands:
-        for path in script_paths(cmd.text, warnings):
-            pairs[path, (cmd.job_index, cmd.phase)] = None
+    for job_index, phase, _, text in walk_commands(jobs):
+        for path in script_paths(text, warnings):
+            pairs[path, (job_index, phase)] = None
     return tuple(pairs)
 
 
@@ -808,12 +815,12 @@ def _per_occurrence_profile(cfg, scripts, registry, sites, install_exclusion):
     """profile_pipeline with detect_in_text run on every config command."""
     detections = []
     phase_key, base = None, 0
-    for cmd in iter_command_lines(cfg):
-        if (cmd.job_index, cmd.phase) != phase_key:
-            phase_key, base = (cmd.job_index, cmd.phase), 0
-        ctx = SourceContext(SOURCE_CONFIG, cmd.phase, cmd.job_index, ordinal_base=base)
-        detections += detect_in_text(cmd.text, registry, ctx, install_exclusion)
-        base += max(1, len(cmd.text.splitlines()))
+    for job_index, phase, _, text in walk_commands(cfg.jobs):
+        if (job_index, phase) != phase_key:
+            phase_key, base = (job_index, phase), 0
+        ctx = SourceContext(SOURCE_CONFIG, phase, job_index, ordinal_base=base)
+        detections += detect_in_text(text, registry, ctx, install_exclusion)
+        base += max(1, len(text.splitlines()))
     detected_sites = {}
     for doc in sorted(scripts, key=lambda doc: doc.path):
         if doc.content is None:
@@ -841,11 +848,11 @@ def _per_occurrence_profile(cfg, scripts, registry, sites, install_exclusion):
 
 def _per_occurrence_runs_only_tdm(job, is_tool_work):
     """placement._runs_only_tdm judging every action of every command."""
-    for phase, commands in job.phases.items():
+    for phase, texts in job.phases.items():
         if phase in SETUP_PHASES:
             continue
-        for cmd in commands:
-            for _, stripped in command_lines(cmd.text):
+        for text in texts:
+            for _, stripped in command_lines(text):
                 if not all(map(is_tool_work, split_actions(stripped))):
                     return False
     return True
@@ -950,10 +957,8 @@ def test_repeated_commands_match_per_occurrence_loops(
     cfg = parse_config(make_doc(yaml.safe_dump(data)))
 
     warnings, expected_warnings = [], []
-    references = script_references(iter_command_lines(cfg), warnings)
-    assert references == _per_occurrence_references(
-        iter_command_lines(cfg), expected_warnings
-    )
+    references = script_references(cfg.jobs, warnings)
+    assert references == _per_occurrence_references(cfg.jobs, expected_warnings)
     assert warnings == expected_warnings
 
     scripts, sites = collect_script_documents(references, MappingTree(_REPEATED_FILES))
@@ -989,7 +994,7 @@ def test_each_layer_works_a_repeated_command_text_once(registry, monkeypatch):
         include = [{"script": ["./ci/check.sh", "flake8 src"]} for _ in range(jobs)]
         cfg = parse_config(make_doc(yaml.safe_dump({"jobs": {"include": include}})))
         calls.clear()
-        references = script_references(iter_command_lines(cfg))
+        references = script_references(cfg.jobs)
         scripts, sites = collect_script_documents(
             references, MappingTree({"ci/check.sh": "set -e\npylint src\n"})
         )

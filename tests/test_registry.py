@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tdmscan import registry as registry_module
 from tdmscan import script_resolver
-from tdmscan.config_model import CommandLine, PhaseKind, parse_config
+from tdmscan.config_model import PhaseKind, parse_config
 from tdmscan.registry import (
     DuplicateToolId,
     InvalidPattern,
@@ -618,10 +618,6 @@ def test_registry_with_a_line_memo_pickles():
             ),
         ),
         (
-            CommandLine,
-            dict(text="flake8 .", phase=PhaseKind.INSTALL, job_index=1, ordinal=3),
-        ),
-        (
             SourceContext,
             dict(
                 source=SOURCE_SCRIPT,
@@ -632,7 +628,7 @@ def test_registry_with_a_line_memo_pickles():
             ),
         ),
     ],
-    ids=["Detection", "CommandLine", "SourceContext"],
+    ids=["Detection", "SourceContext"],
 )
 def test_records_are_value_tuples(record_type, values):
     record = record_type(**values)

@@ -41,7 +41,7 @@ from tdmscan.analyzer import (
 )
 from tdmscan.cli import _entries_from_directory
 from tdmscan.config_model import (
-    CommandLine,
+    Job,
     MalformedDocument,
     NotAPipeline,
     PhaseKind,
@@ -457,7 +457,7 @@ def _leaves(value):
 
 def test_memos_hold_records_of_plain_keys(monkeypatch):
     """The memos keep what the report and script resolution read, under
-    digest keys: no parsed model, command line or file text."""
+    digest keys: no parsed model, job or file text."""
     _cold_parse_memo(monkeypatch)
     registry = shipped_registry()
     entries = _entries_from_directory(CORPUS_DIR)
@@ -481,7 +481,7 @@ def test_memos_hold_records_of_plain_keys(monkeypatch):
         for path, (job_index, phase) in value.references:
             assert (type(path), type(job_index), type(phase)) == (str, int, PhaseKind)
         for leaf in _leaves(value):
-            assert not isinstance(leaf, (PipelineConfig, CommandLine)), leaf
+            assert not isinstance(leaf, (PipelineConfig, Job)), leaf
 
     texts = set()
     for directory, _, names in os.walk(CORPUS_DIR):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdmscan import script_resolver
-from tdmscan.config_model import CommandLine, PhaseKind
+from tdmscan.config_model import Job, PhaseKind
 from tdmscan.ingest import escapes_repo
 from tdmscan.script_resolver import (
     INSTALLER_HINT,
@@ -24,16 +24,17 @@ from tdmscan.script_resolver import (
     split_segments,
 )
 
-from conftest import MappingTree
+from conftest import MappingTree, walk_commands
 
 
-def cmd(text: str) -> CommandLine:
-    return CommandLine(text, PhaseKind.SCRIPT, 0, 0)
+def cmd(text: str, phase: PhaseKind = PhaseKind.SCRIPT, job: int = 0) -> Job:
+    """Job `job` running `text` as the one command of its `phase`."""
+    return Job(job, phases={phase: (text,)})
 
 
-def collect(commands, tree, recursive=False, warnings=None):
-    """Both steps of script resolution over `commands`."""
-    references = script_references(commands, warnings)
+def collect(jobs, tree, recursive=False, warnings=None):
+    """Both steps of script resolution over the commands of `jobs`."""
+    references = script_references(jobs, warnings)
     return collect_script_documents(references, tree, recursive, warnings)
 
 
@@ -140,7 +141,7 @@ class TestRecursiveCollection:
         tree = MappingTree({"outer.sh": "bash inner.sh", "inner.sh": "ruff ."})
         docs, sites = collect([root], tree, recursive=True)
         assert [d.path for d in docs] == ["outer.sh", "inner.sh"]
-        assert sites["inner.sh"] == ((root.job_index, root.phase),)
+        assert sites["inner.sh"] == ((0, PhaseKind.SCRIPT),)
 
     def test_cycles_terminate(self):
         tree = MappingTree({"a.sh": "bash b.sh", "b.sh": "bash a.sh"})
@@ -152,7 +153,7 @@ class TestRecursiveCollection:
         site_list = [
             (job, phase) for job in range(3) for phase in (PhaseKind.SCRIPT, PhaseKind.AFTER_SUCCESS)
         ]
-        commands = [CommandLine("bash outer.sh", phase, job, 0) for job, phase in site_list]
+        commands = [cmd("bash outer.sh", phase, job) for job, phase in site_list]
         scanned = []
         real_script_paths = script_resolver.script_paths
 
@@ -169,7 +170,7 @@ class TestRecursiveCollection:
 
     def test_recursive_warnings_are_recorded_once_per_script(self):
         tree = MappingTree({"ci/lint.sh": "bash ../up.sh\n$DIR/x.sh\nflake8 ."})
-        commands = [CommandLine("bash ci/lint.sh", PhaseKind.SCRIPT, job, 0) for job in range(3)]
+        commands = [cmd("bash ci/lint.sh", job=job) for job in range(3)]
         warnings = []
         collect(commands, tree, recursive=True, warnings=warnings)
         assert warnings == [
@@ -178,7 +179,7 @@ class TestRecursiveCollection:
         ]
 
 
-def _per_root_queue(commands, tree, recursive, warnings):
+def _per_root_queue(jobs, tree, recursive, warnings):
     """collect_script_documents restated as a queue of (path, root command),
     with each path's referencing commands reduced to deduplicated
     (job, phase) sites at the end.
@@ -198,8 +199,8 @@ def _per_root_queue(commands, tree, recursive, warnings):
             holders.append(root)
         queue.append((path, root))
 
-    for root in commands:
-        for path in script_paths(root.text, warnings):
+    for root in walk_commands(jobs):
+        for path in script_paths(root[-1], warnings):
             attach(path, root)
     while queue:
         path, root = queue.pop(0)
@@ -214,7 +215,7 @@ def _per_root_queue(commands, tree, recursive, warnings):
             attach(nested, root)
         warned.add(path)
     sites = {
-        path: tuple(dict.fromkeys((root.job_index, root.phase) for root in roots))
+        path: tuple(dict.fromkeys((job_index, phase) for job_index, phase, *_ in roots))
         for path, roots in referencing.items()
     }
     return list(docs.values()), sites
@@ -246,11 +247,7 @@ _GRAPH_LINES = st.one_of(
 def test_sites_match_the_per_root_queue(files, roots, recursive):
     # Script graphs with cycles, self-references, missing and shared
     # scripts, and several commands per (job, phase).
-    commands = []
-    ordinals = Counter()
-    for text, phase, job in roots:
-        commands.append(CommandLine(text, phase, job, ordinals[job, phase]))
-        ordinals[job, phase] += 1
+    commands = [cmd(text, phase, job) for text, phase, job in roots]
     tree = MappingTree(files)
     expected_warnings, warnings = [], []
     expected_docs, expected_sites = _per_root_queue(
