@@ -99,13 +99,13 @@ def pipeline_record(
     profile: PipelineToolProfile, placements: list[PlacementResult], findings: FindingSet
 ) -> PipelineRecord:
     """The PipelineRecord of one analyzed pipeline."""
-    tools = profile.tool_ids()
+    tools = sorted(profile.tools)
     if not tools:
         return TOOLLESS_RECORD
     flags = tuple(getattr(findings, name) for name in FINDING_NAMES)
     true_names = [name for name, flag in zip(FINDING_NAMES, flags) if flag]
     keys = [("pipeline",), ("tools", len(tools)), ("findings", len(true_names))]
-    keys += [("tool", tool, profile.tools[tool].invocation) for tool in tools]
+    keys += [("tool", tool, profile.tools[tool]) for tool in tools]
     keys += [("pair", *pair) for pair in combinations(tools, 2)]
     keys += [("finding", name) for name in true_names]
     keys += [("finding_pair", *pair) for pair in combinations(sorted(true_names), 2)]

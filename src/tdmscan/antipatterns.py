@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from .config_model import Job, PipelineConfig
+from .config_model import Job, PipelineConfig, clip
 from .registry import PipelineToolProfile
 
 FINDING_NAMES = ("late_merging", "skip_on_failure", "absent_feedback", "email_only")
@@ -66,9 +66,8 @@ class FindingSet:
         return [name for name in FINDING_NAMES if self.as_dict()[name]]
 
 
-def _excerpt(value: Any, limit: int = 160) -> str:
-    text = json.dumps(value, sort_keys=True, default=str)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+def _excerpt(value: Any) -> str:
+    return clip(json.dumps(value, sort_keys=True, default=str))
 
 
 def _clause_values(condition: str, key: str) -> set[str]:
@@ -112,9 +111,18 @@ def _branch_only_restricts(only: list[str] | None) -> bool:
 def _job_restriction(
     cfg: PipelineConfig, job: Job
 ) -> tuple[bool, Evidence]:
-    condition = job.condition or cfg.global_condition
+    """Whether `job` runs only on push builds of main/master, by the first
+    condition it has of its own, its stage's and the global one, or by a
+    `branches: only:` list that no such condition widens to pull requests."""
+    stage_condition = cfg.stage_conditions.get(job.stage_name)
+    if job.condition:
+        condition = job.condition
+        path = f"{job.entry_path}.if" if job.entry_path else "if"
+    elif stage_condition:
+        condition, path = stage_condition, f"stages[{job.stage_name}].if"
+    else:
+        condition, path = cfg.global_condition, "if"
     if condition and _condition_restricts_to_main_push(condition):
-        path = f"{job.entry_path}.if" if job.condition and job.entry_path else "if"
         return True, [(path, condition)]
     if _branch_only_restricts(job.branch_only) and not _condition_reenables_pr(
         condition
@@ -131,15 +139,15 @@ def _late_merging_readings(
     cfg: PipelineConfig, profile: PipelineToolProfile
 ) -> tuple[bool, bool, Evidence]:
     """All-jobs and any-job readings plus the restricted jobs' evidence."""
-    job_indexes = profile.job_indexes()
+    indexes = sorted(profile.jobs)
     evidence: Evidence = []
     restricted_jobs = 0
-    for index in job_indexes:
+    for index in indexes:
         restricted, job_evidence = _job_restriction(cfg, cfg.jobs[index])
         if restricted:
             restricted_jobs += 1
             evidence.extend(job_evidence)
-    all_jobs = bool(job_indexes) and restricted_jobs == len(job_indexes)
+    all_jobs = bool(indexes) and restricted_jobs == len(indexes)
     return all_jobs, restricted_jobs > 0, evidence
 
 

@@ -163,7 +163,7 @@ def _analysis_json(analysis, path: str) -> dict:
     return {
         "repo": analysis.repo_slug,
         "path": path,
-        "tools": {t: profile.tools[t].invocation for t in profile.tool_ids()},
+        "tools": profile.tools,
         "detections": detections,
         "placements": placements,
         "timing": timing_totals,

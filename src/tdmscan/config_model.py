@@ -397,8 +397,8 @@ def _build(get_event) -> tuple[Any, list[tuple[int, int, str]]]:
             if anchor is not None:
                 _define(anchors, event, _OPEN)
             merge_value = top is not None and top.key is _MERGE
-            keep_views = not is_mapping and (anchor is not None or merge_value)
-            top = _Open(kind, anchor, total, [] if keep_views else None)
+            views = [] if not is_mapping and (anchor is not None or merge_value) else None
+            top = _Open(kind, anchor, total, views)
             stack.append(top)
             total += 1
             if total > _MAX_NODES:
@@ -467,6 +467,12 @@ def _too_many(event) -> ComposerError:
     return ComposerError(None, None, problem, event.start_mark)
 
 
+def clip(text: str, limit: int = 160) -> str:
+    """`text`, cut to `limit` characters ending in `...` when longer: what a
+    warning or an evidence entry quotes of an input value."""
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def resolve_stage_name(job: Job) -> str:
     """Explicit stage name verbatim (case preserved), or "implicit"."""
     if job.stage_name is None:
@@ -518,7 +524,7 @@ def _command_texts(phase: PhaseKind, value: Any, warnings: list[str]) -> list[st
                 )
         elif item is not None:
             warnings.append(
-                f"ignored non-command entry in phase '{phase.value}': {item!r}"
+                f"ignored non-command entry in phase '{phase.value}': {clip(repr(item))}"
             )
     return texts
 
@@ -683,7 +689,7 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
     jobs: list[Job] = []
     for path, entry in entries:
         if not isinstance(entry, dict):
-            warnings.append(f"ignored non-mapping job entry: {entry!r}")
+            warnings.append(f"ignored non-mapping job entry: {clip(repr(entry))}")
             continue
         jobs.append(_build_job(path, entry, len(jobs), inherited, warnings))
 

@@ -142,7 +142,7 @@ def classify_pipeline(
             doc is not None
             and doc.content is not None
             and _substantial_lines(doc.content)
-            <= {d.line_ordinal for d in profile.script_detections(path)}
+            <= {d.line_ordinal for d in profile.scripts.get(path, ())}
         )
 
     def is_tool_work(action: LineAction) -> bool:
@@ -161,22 +161,21 @@ def classify_pipeline(
         )
 
     script_tools = {
-        path: {d.tool_id for d in profile.script_detections(path)}
-        for path in profile.sites
+        path: {d.tool_id for d in found} for path, found in profile.scripts.items()
     }
-    jobs = profile.jobs()
+    jobs = profile.jobs
     for job in cfg.jobs:
         if job.index not in jobs:
             continue
         config, script_sites = jobs[job.index]
-        tool_ids = {d.tool_id for d in config}
+        job_tools = {d.tool_id for d in config}
         counts = [
             (SOURCE_CONFIG, phase, count)
             for phase, count in Counter(d.phase for d in config).items()
         ]
         for path, phase in script_sites:
-            counts.append((SOURCE_SCRIPT, phase, len(profile.script_detections(path))))
-            tool_ids |= script_tools[path]
+            counts.append((SOURCE_SCRIPT, phase, len(profile.scripts[path])))
+            job_tools |= script_tools[path]
         phases = dict.fromkeys(phase for _, phase, _ in counts)
         kinds = {phase: classify_timing(cfg, job, phase) for phase in phases}
         source_timings: dict[str, TimingKind] = {}
@@ -199,7 +198,7 @@ def classify_pipeline(
                 placement=placement,
                 source_timings=source_timings,
                 timing_counts=timing_counts,
-                multi_tool=len(tool_ids) >= 2,
+                multi_tool=len(job_tools) >= 2,
             )
         )
     return results

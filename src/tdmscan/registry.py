@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import json
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from importlib import resources
-from itertools import groupby
 from operator import attrgetter
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
@@ -181,32 +179,27 @@ class Detection(NamedTuple):
     line_ordinal: int
 
 
-@dataclass(frozen=True)
-class ToolUsage:
-    """Per-pipeline usage of one tool: invocation style plus evidence."""
-
-    invocation: str
-    detections: tuple[Detection, ...]
-
-
 JobShare = tuple[list[Detection], list[tuple[str, PhaseKind]]]
 
 
 @dataclass
 class PipelineToolProfile:
-    """All tool usages found in one pipeline, keyed by tool id.
+    """The tools found in one pipeline, with their detections per job and per
+    script.
 
-    A script's detections are kept once, at its first site, and `sites`
-    maps each script path with detections to the deduplicated
-    (job index, phase) sites that run it, the first one included.  Neither
-    is changed after construction: the per-job view is built from them once.
+    `tools` maps each tool id to its invocation style.  `jobs` maps each
+    detection-bearing job index to its config-line detections, in command
+    order, and the (script path, phase) sites at which it runs a script with
+    detections.  `scripts` maps each script path with detections, in path
+    order, to its detections at its first site, and `sites` maps it to the
+    deduplicated (job index, phase) sites that run it, the first one
+    included.  None is changed after construction.
     """
 
-    tools: dict[str, ToolUsage]
+    tools: dict[str, str]
+    jobs: dict[int, JobShare] = field(default_factory=dict)
+    scripts: dict[str, list[Detection]] = field(default_factory=dict)
     sites: dict[str, tuple[Site, ...]] = field(default_factory=dict)
-
-    def tool_ids(self) -> list[str]:
-        return sorted(self.tools)
 
     def all_detections(self) -> list[Detection]:
         """Every detection, each script's repeated at each of its sites.
@@ -215,50 +208,14 @@ class PipelineToolProfile:
         per script path in sorted order, site by site, the script's
         detections in line order.
         """
-        out: list[Detection] = []
-        for tool_id in self.tool_ids():
-            for path, group in groupby(
-                self.tools[tool_id].detections, key=attrgetter("script_path")
-            ):
-                if path is None:
-                    out.extend(group)
-                    continue
-                group = list(group)
-                for job_index, phase in self.sites[path]:
-                    out.extend(
-                        d._replace(job_index=job_index, phase=phase) for d in group
-                    )
+        out = [d for index in sorted(self.jobs) for d in self.jobs[index][0]]
+        for path in sorted(self.scripts):
+            for job_index, phase in self.sites[path]:
+                out.extend(
+                    d._replace(job_index=job_index, phase=phase) for d in self.scripts[path]
+                )
+        out.sort(key=attrgetter("tool_id"))
         return out
-
-    @cached_property
-    def _view(self) -> tuple[dict[int, JobShare], dict[str, list[Detection]]]:
-        jobs: defaultdict[int, JobShare] = defaultdict(lambda: ([], []))
-        by_script: defaultdict[str, list[Detection]] = defaultdict(list)
-        for tool_id in self.tool_ids():
-            for detection in self.tools[tool_id].detections:
-                if detection.script_path is None:
-                    jobs[detection.job_index][0].append(detection)
-                else:
-                    by_script[detection.script_path].append(detection)
-        for path, sites in self.sites.items():
-            for job_index, phase in sites:
-                jobs[job_index][1].append((path, phase))
-        return dict(jobs), dict(by_script)
-
-    def jobs(self) -> dict[int, JobShare]:
-        """Per detection-bearing job index, its config-line detections and the
-        (script path, phase) sites at which it runs a script with detections.
-
-        Built once per profile; not to be mutated.
-        """
-        return self._view[0]
-
-    def job_indexes(self) -> list[int]:
-        return sorted(self._view[0])
-
-    def script_detections(self, path: str) -> list[Detection]:
-        """The detections of the script at `path`, at its first site."""
-        return self._view[1].get(path, [])
 
 
 def _require(record: Mapping[str, Any], key: str, where: str) -> Any:
@@ -492,8 +449,7 @@ def profile_pipeline(
     stamped on every command that runs it.  Each script is scanned once, at
     its first site; its detections are kept there, once, and its sites are
     stored as given.  Per tool, the invocation style is direct, script, or
-    both; a tool counts once per pipeline no matter how many detections it
-    has.
+    both, from the sources of its detections.
     """
     detections: list[Detection] = []
     # Per distinct command text: its detections at its first command, that
@@ -542,19 +498,25 @@ def profile_pipeline(
 
     detections = _disambiguate_sonar(cfg, scripts, detections, registry)
 
-    grouped: dict[str, list[Detection]] = {}
+    sources: dict[str, set[str]] = {}
+    jobs: dict[int, JobShare] = {}
+    by_script: dict[str, list[Detection]] = {}
     for detection in detections:
-        grouped.setdefault(detection.tool_id, []).append(detection)
-
-    tools: dict[str, ToolUsage] = {}
-    for tool_id in sorted(grouped):
-        group = grouped[tool_id]
-        sources = {d.source for d in group}
-        if sources == {SOURCE_CONFIG}:
-            invocation = INVOCATION_DIRECT
-        elif sources == {SOURCE_SCRIPT}:
-            invocation = INVOCATION_SCRIPT
+        sources.setdefault(detection.tool_id, set()).add(detection.source)
+        if detection.script_path is None:
+            jobs.setdefault(detection.job_index, ([], []))[0].append(detection)
         else:
-            invocation = INVOCATION_BOTH
-        tools[tool_id] = ToolUsage(invocation=invocation, detections=tuple(group))
-    return PipelineToolProfile(tools=tools, sites=detected_sites)
+            by_script.setdefault(detection.script_path, []).append(detection)
+    for path, path_sites in detected_sites.items():
+        for job_index, phase in path_sites:
+            jobs.setdefault(job_index, ([], []))[1].append((path, phase))
+
+    tools: dict[str, str] = {}
+    for tool_id, tool_sources in sources.items():
+        if tool_sources == {SOURCE_CONFIG}:
+            tools[tool_id] = INVOCATION_DIRECT
+        elif tool_sources == {SOURCE_SCRIPT}:
+            tools[tool_id] = INVOCATION_SCRIPT
+        else:
+            tools[tool_id] = INVOCATION_BOTH
+    return PipelineToolProfile(tools, jobs, by_script, detected_sites)

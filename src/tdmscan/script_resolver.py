@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Protocol
 
-from .config_model import Job, PhaseKind
+from .config_model import Job, PhaseKind, clip
 from .ingest import FileTooLarge, escapes_repo, text_sha256
 
 SCRIPT_SUFFIXES = (".sh", ".bash")
@@ -233,9 +233,9 @@ def _reference_events(tokens: list[str], events: list[RefEvent]) -> None:
             continue
         path = normalize_script_path(token)
         if escapes_repo(path):
-            events.append((None, f"rejected script reference outside repository: {token}"))
+            events.append((None, f"rejected script reference outside repository: {clip(token)}"))
         elif "$" in token:
-            events.append((path, f"script reference with unresolved variable: {token}"))
+            events.append((path, f"script reference with unresolved variable: {clip(token)}"))
         elif path:
             events.append((path, None))
 

@@ -87,9 +87,7 @@ def test_criterion_1_worked_example_end_to_end(registry):
     elapsed = time.monotonic() - start
 
     profile = analysis.profile
-    assert {t: profile.tools[t].invocation for t in profile.tool_ids()} == {
-        "flake8": "direct"
-    }
+    assert profile.tools == {"flake8": "direct"}
     (placement,) = analysis.placements
     assert placement.stage_label == "lint"
     assert placement.placement.value == "dedicated_stage"
@@ -136,12 +134,10 @@ def test_criterion_2_percentage_reproduction():
 def test_criterion_3_inclusion_exclusion():
     from tdmscan.analytics import pipeline_record
     from tdmscan.antipatterns import FindingSet
-    from tdmscan.registry import PipelineToolProfile, ToolUsage
+    from tdmscan.registry import PipelineToolProfile
 
     def record(slug, tool, invocation):
-        profile = PipelineToolProfile(
-            tools={tool: ToolUsage(invocation=invocation, detections=())}
-        )
+        profile = PipelineToolProfile(tools={tool: invocation})
         return slug, pipeline_record(profile, [], FindingSet())
 
     # Reference per-tool rows: direct + script - pipelines = both overlap.
@@ -170,13 +166,7 @@ def test_criterion_3_inclusion_exclusion():
         for i in range(size):
             tools = rng.sample(pool, rng.randint(0, 6))
             profile = PipelineToolProfile(
-                tools={
-                    tool: ToolUsage(
-                        invocation=rng.choice(["direct", "script", "both"]),
-                        detections=(),
-                    )
-                    for tool in tools
-                }
+                tools={tool: rng.choice(["direct", "script", "both"]) for tool in tools}
             )
             records.append(
                 (f"c{corpus_index}-r{i}", pipeline_record(profile, [], FindingSet()))
@@ -244,7 +234,7 @@ def test_criterion_5_hand_labeled_corpus(registry, corpus_labels):
         assert "skipped" not in expected, slug
 
         profile = analysis.profile
-        got_tools = {t: profile.tools[t].invocation for t in profile.tool_ids()}
+        got_tools = profile.tools
         assert got_tools == expected["tools"], slug
         distinct_tools.update(got_tools)
         seen_invocations.update(got_tools.values())

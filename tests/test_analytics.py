@@ -14,7 +14,7 @@ from tdmscan.analytics import (
     pipeline_record,
 )
 from tdmscan.antipatterns import FindingSet
-from tdmscan.registry import PipelineToolProfile, ToolUsage
+from tdmscan.registry import PipelineToolProfile
 
 from conftest import fold_records
 
@@ -25,12 +25,7 @@ TOOL_POOL = [
 
 
 def make_profile(tool_invocations):
-    return PipelineToolProfile(
-        tools={
-            tool: ToolUsage(invocation=invocation, detections=())
-            for tool, invocation in tool_invocations.items()
-        }
-    )
+    return PipelineToolProfile(tools=dict(tool_invocations))
 
 
 def make_record(slug, tool_invocations, findings=None):

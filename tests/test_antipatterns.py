@@ -39,6 +39,30 @@ class TestLateMerging:
             ("jobs.include[0].if", "type = push AND branch = master")
         ]
 
+    def test_stage_condition_restricts_its_jobs(self, registry):
+        stages = (
+            "stages:\n"
+            "  - name: lint\n"
+            "    if: type = push AND branch = master\n"
+            "jobs:\n"
+            "  include:\n"
+            "    - stage: lint\n"
+            "      script: flake8 src\n"
+        )
+        cfg, profile = build(registry, stages)
+        findings = evaluate(cfg, profile)
+        assert findings.late_merging is True
+        assert findings.evidence["late_merging"] == [
+            ("stages[lint].if", "type = push AND branch = master")
+        ]
+        # A job's own condition comes before its stage's.
+        cfg, profile = build(
+            registry,
+            stages + "    - stage: lint\n      if: type = pull_request\n      script: pylint src\n",
+        )
+        findings = evaluate(cfg, profile)
+        assert (findings.late_merging_all_jobs, findings.late_merging_any_job) == (False, True)
+
     def test_global_branches_only_main(self, registry):
         cfg, profile = build(
             registry, "branches:\n  only: [main]\nscript: flake8 .\n"

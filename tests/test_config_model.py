@@ -11,6 +11,7 @@ from tdmscan.config_model import (
     parse_config,
     resolve_stage_name,
 )
+from tdmscan.script_resolver import script_references
 
 from conftest import make_doc, walk_commands
 
@@ -265,6 +266,36 @@ class TestWarningsAndEdgeCases:
     def test_branch_only_scalar(self):
         cfg = parse_config(make_doc("script: x\nbranches:\n  only: master\n"))
         assert cfg.global_branch_only == ["master"]
+
+    @pytest.mark.parametrize(
+        "document, prefix",
+        [
+            (
+                "x: &v !!set {{{value}: null}}\nscript: [{aliases}]\n",
+                "ignored non-command entry in phase 'script': ",
+            ),
+            (
+                "x: &v [{value}]\njobs:\n  include: [{aliases}]\nscript: x\n",
+                "ignored non-mapping job entry: ",
+            ),
+            (
+                'x: &v "${value}.sh"\nscript: [{aliases}]\n',
+                "script reference with unresolved variable: ",
+            ),
+        ],
+        ids=["set-command", "list-job-entry", "variable-reference"],
+    )
+    def test_warnings_clip_each_aliased_value(self, document, prefix):
+        # One warning per occurrence of the aliased value, each quoting at
+        # most 160 characters of it.
+        text = document.format(value="A" * 1000, aliases=", ".join(["*v"] * 20))
+        cfg = parse_config(make_doc(text))
+        warnings = list(cfg.warnings)
+        script_references(cfg.jobs, warnings)
+        assert len(warnings) == 20
+        for warning in warnings:
+            assert warning.startswith(prefix)
+            assert len(warning) <= len(prefix) + 160
 
 
 class TestPostDeployStages:

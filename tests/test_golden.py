@@ -85,8 +85,9 @@ def test_scan_digests_script_prints_the_report_digest(flags, expected):
     )
     assert done.returncode == 0, done.stderr
     digests = json.loads(done.stdout)
-    assert sorted(digests) == ["report", "stderr", "stdout"]
+    assert sorted(digests) == ["analyze", "report", "stderr", "stdout"]
     assert digests["report"] == expected
+    assert digests["analyze"] == (OTHER_ANALYZE_SHA256 if flags else ANALYZE_SHA256)
 
 
 def _analyze_digest(capsys, *flags) -> str:

@@ -34,7 +34,6 @@ from tdmscan.registry import (
     PipelineToolProfile,
     Registry,
     SourceContext,
-    ToolUsage,
     detect_in_text,
     profile_pipeline,
 )
@@ -437,11 +436,11 @@ class TestClassifyPipeline:
         # per phase with detections for its timing: linear, not one pass per
         # job.
         assert len(stage_lookups) == 3 * (jobs + 1)
-        assert profile.jobs()[3] == (
+        assert profile.jobs[3] == (
             [d for d in real_all_detections(profile) if d.job_index == 3],
             [],
         )
-        assert profile.job_indexes() == list(range(jobs + 1))
+        assert sorted(profile.jobs) == list(range(jobs + 1))
 
 
 def _reference_timing(cfg, det):
@@ -812,7 +811,8 @@ def _per_occurrence_references(jobs, warnings):
 
 
 def _per_occurrence_profile(cfg, scripts, registry, sites, install_exclusion):
-    """profile_pipeline with detect_in_text run on every config command."""
+    """profile_pipeline with detect_in_text run on every config command, and
+    all_detections of its result restated per tool."""
     detections = []
     phase_key, base = None, 0
     for job_index, phase, _, text in walk_commands(cfg.jobs):
@@ -832,18 +832,39 @@ def _per_occurrence_profile(cfg, scripts, registry, sites, install_exclusion):
             detections += found
             detected_sites[doc.path] = sites[doc.path]
     detections = registry_module._disambiguate_sonar(cfg, scripts, detections, registry)
-    tools = {}
+    tools, per_tool = {}, []
     for tool_id in sorted({d.tool_id for d in detections}):
-        group = tuple(d for d in detections if d.tool_id == tool_id)
+        group = [d for d in detections if d.tool_id == tool_id]
         sources = {d.source for d in group}
         if sources == {SOURCE_CONFIG}:
-            invocation = INVOCATION_DIRECT
+            tools[tool_id] = INVOCATION_DIRECT
         elif sources == {SOURCE_SCRIPT}:
-            invocation = INVOCATION_SCRIPT
+            tools[tool_id] = INVOCATION_SCRIPT
         else:
-            invocation = INVOCATION_BOTH
-        tools[tool_id] = ToolUsage(invocation, group)
-    return PipelineToolProfile(tools, detected_sites)
+            tools[tool_id] = INVOCATION_BOTH
+        per_tool += [d for d in group if d.script_path is None]
+        for path in sorted(detected_sites):
+            for job_index, phase in detected_sites[path]:
+                per_tool += [
+                    d._replace(job_index=job_index, phase=phase)
+                    for d in group
+                    if d.script_path == path
+                ]
+    jobs = {}
+    for job in cfg.jobs:
+        config = [d for d in detections if d.script_path is None and d.job_index == job.index]
+        script_sites = [
+            (path, phase)
+            for path, path_sites in detected_sites.items()
+            for job_index, phase in path_sites
+            if job_index == job.index
+        ]
+        if config or script_sites:
+            jobs[job.index] = (config, script_sites)
+    by_script = {
+        path: [d for d in detections if d.script_path == path] for path in detected_sites
+    }
+    return PipelineToolProfile(tools, jobs, by_script, detected_sites), per_tool
 
 
 def _per_occurrence_runs_only_tdm(job, is_tool_work):
@@ -868,7 +889,7 @@ def _per_occurrence_placements(cfg, profile, scripts, registry, install_exclusio
             and doc.resolved
             and doc.content is not None
             and placement._substantial_lines(doc.content)
-            <= {d.line_ordinal for d in profile.script_detections(path)}
+            <= {d.line_ordinal for d in profile.scripts.get(path, ())}
         )
 
     def is_tool_work(action):
@@ -965,10 +986,12 @@ def test_repeated_commands_match_per_occurrence_loops(
     profile = profile_pipeline(
         cfg, scripts, registry, install_exclusion=install_exclusion, sites=sites
     )
-    expected = _per_occurrence_profile(cfg, scripts, registry, sites, install_exclusion)
-    assert profile.all_detections() == expected.all_detections()
-    assert profile.tools == expected.tools
-    assert profile.sites == expected.sites
+    expected, per_tool = _per_occurrence_profile(
+        cfg, scripts, registry, sites, install_exclusion
+    )
+    assert profile == expected
+    assert list(profile.scripts) == list(expected.scripts)
+    assert profile.all_detections() == per_tool
 
     by_path = {doc.path: doc for doc in scripts}
     placements = classify_pipeline(

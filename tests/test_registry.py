@@ -191,25 +191,20 @@ class TestDetectInText:
 class TestProfilePipeline:
     def test_example_profile_is_flake8_direct(self, registry, example_config):
         profile = profile_of(registry, example_config)
-        assert {t: u.invocation for t, u in profile.tools.items()} == {
-            "flake8": "direct"
-        }
+        assert profile.tools == {"flake8": "direct"}
 
     def test_script_only_invocation(self, registry):
         cfg = parse_config(make_doc("language: python\nscript: ./lint.sh\n"))
         profile = profile_of(registry, cfg, {"lint.sh": "pylint src/"})
-        assert {t: u.invocation for t, u in profile.tools.items()} == {
-            "pylint": "script"
-        }
+        assert profile.tools == {"pylint": "script"}
 
     def test_both_invocation(self, registry):
         cfg = parse_config(
             make_doc("language: python\nscript:\n  - flake8 .\n  - bash ci/extra.sh\n")
         )
         profile = profile_of(registry, cfg, {"ci/extra.sh": "flake8 -q"})
-        usage = profile.tools["flake8"]
-        assert usage.invocation == "both"
-        sources = {d.source for d in usage.detections}
+        assert profile.tools["flake8"] == "both"
+        sources = {d.source for d in profile.all_detections() if d.tool_id == "flake8"}
         assert sources == {SOURCE_CONFIG, SOURCE_SCRIPT}
 
     def test_unresolved_script_contributes_nothing(self, registry):
@@ -253,7 +248,7 @@ class TestProfilePipeline:
         ]
         assert {d.line_ordinal for d in from_script} == {0, 1}
         # Kept once, at the first site, beside every (job, phase) site.
-        assert [len(usage.detections) for usage in profile.tools.values()] == [1, 1]
+        assert [d.tool_id for d in profile.scripts["ci/lint.sh"]] == ["flake8", "pylint"]
         assert profile.sites == {
             "ci/lint.sh": (
                 (0, PhaseKind.SCRIPT),
@@ -262,6 +257,56 @@ class TestProfilePipeline:
                 (2, PhaseKind.SCRIPT),
             )
         }
+
+    def test_profile_holds_detections_per_job_and_per_script(self, registry):
+        cfg = parse_config(
+            make_doc(
+                "jobs:\n"
+                "  include:\n"
+                "    - script:\n"
+                "        - echo start\n"
+                "        - pylint src\n"
+                "        - flake8 src\n"
+                "        - ./ci/lint.sh\n"
+                "    - script: ./ci/lint.sh\n"
+                "      after_success: ./ci/lint.sh\n"
+            )
+        )
+        script = "shellcheck run.sh\nflake8 tests\n"
+        profile = profile_of(registry, cfg, {"ci/lint.sh": script})
+
+        lint, script_phase, after = "ci/lint.sh", PhaseKind.SCRIPT, PhaseKind.AFTER_SUCCESS
+        assert profile.tools == {"flake8": "both", "pylint": "direct", "shellcheck": "script"}
+        assert profile.jobs == {
+            0: (
+                [
+                    Detection("pylint", SOURCE_CONFIG, None, script_phase, 0, "pylint", 1),
+                    Detection("flake8", SOURCE_CONFIG, None, script_phase, 0, "flake8", 2),
+                ],
+                [(lint, script_phase)],
+            ),
+            1: ([], [(lint, script_phase), (lint, after)]),
+        }
+        # In line order, at the first site.
+        assert profile.scripts == {
+            lint: [
+                Detection("shellcheck", SOURCE_SCRIPT, lint, script_phase, 0, "shellcheck", 0),
+                Detection("flake8", SOURCE_SCRIPT, lint, script_phase, 0, "flake8", 1),
+            ]
+        }
+        assert profile.sites == {lint: ((0, script_phase), (1, script_phase), (1, after))}
+        # Only all_detections() groups by tool: config lines, then sites.
+        listed = [(d.tool_id, d.source, d.job_index, d.phase) for d in profile.all_detections()]
+        assert listed == [
+            ("flake8", SOURCE_CONFIG, 0, script_phase),
+            ("flake8", SOURCE_SCRIPT, 0, script_phase),
+            ("flake8", SOURCE_SCRIPT, 1, script_phase),
+            ("flake8", SOURCE_SCRIPT, 1, after),
+            ("pylint", SOURCE_CONFIG, 0, script_phase),
+            ("shellcheck", SOURCE_SCRIPT, 0, script_phase),
+            ("shellcheck", SOURCE_SCRIPT, 1, script_phase),
+            ("shellcheck", SOURCE_SCRIPT, 1, after),
+        ]
 
     def test_profiling_is_idempotent(self, registry, example_config):
         first = profile_of(registry, example_config)
