@@ -44,15 +44,10 @@ from .script_resolver import (
 
 
 class ParsedConfig(NamedTuple):
-    """What script resolution needs of a parsed config: the parse memo's value."""
+    """What script resolution needs of a parsed config, as memoized."""
 
     warnings: tuple[str, ...]  # the config's, then its script references'
     references: tuple[tuple[str, Site], ...]  # see script_references
-
-
-# Per-process memo of ParsedConfigs, keyed on the config's (path, sha256,
-# invalid_utf8).  Parsing does not depend on the registry, so all share it.
-_parse_memo = BoundedMemo()
 
 
 @dataclass(frozen=True)
@@ -112,19 +107,24 @@ def analyze_document(
     tree: FileTree,
     registry: Registry,
     options: AnalysisOptions = AnalysisOptions(),
+    memo: BoundedMemo | None = None,
 ) -> tuple[PipelineRecord, list[str]]:
     """The pipeline's record for the report, and the entry's warnings.
 
     Raises NotAPipeline / MalformedDocument for unanalyzable input.
 
-    The config's ParsedConfig is memoized on its (path, sha256,
-    invalid_utf8), and the record on that key, `options`, the (path, sha256)
-    of every script the tree gave (None for a missing one) and `registry`.
-    Both are stored on their first sighting.  When the record is not
-    memoized but the ParsedConfig is, the config is parsed again.  A
-    pipeline without tools is neither placed nor judged: its record is
-    TOOLLESS_RECORD whatever the rules would find.
+    `memo` serves one scan share, so every call given it passes the same
+    `registry` and `options`; without one the document is analyzed cold.
+    It holds the config's ParsedConfig under its (path, sha256,
+    invalid_utf8), and the record under that key and the (path, sha256) of
+    every script the tree gave (None for a missing one), each stored on its
+    first sighting.  When the record is not memoized but the ParsedConfig
+    is, the config is parsed again.  A pipeline without tools is neither
+    placed nor judged: its record is TOOLLESS_RECORD whatever the rules
+    would find.
     """
+    if memo is None:
+        memo = BoundedMemo()
     source = (doc.path, doc.sha256 or text_sha256(doc.content), doc.invalid_utf8)
     cfg = None
 
@@ -133,7 +133,7 @@ def analyze_document(
         cfg = parse_config(doc)
         return _parsed(cfg)
 
-    scripts, sites, warnings = _resolve(_parse_memo.get(source, parse), tree, options)
+    scripts, sites, warnings = _resolve(memo.get(source, parse), tree, options)
 
     def derive() -> PipelineRecord:
         config = cfg if cfg is not None else parse_config(doc)
@@ -144,8 +144,8 @@ def analyze_document(
             return TOOLLESS_RECORD
         return pipeline_record(profile, *_judge(config, scripts, profile, registry, options))
 
-    key = (source, options, tuple((script.path, script.sha256) for script in scripts))
-    return registry._analysis_memo.get(key, derive), warnings
+    key = (source, tuple((script.path, script.sha256) for script in scripts))
+    return memo.get(key, derive), warnings
 
 
 def explain_document(
@@ -189,32 +189,23 @@ class ScanResult:
         return sum(1 for entry in self.entries if entry.status == "ok")
 
 
-def _process_entry(
-    entry: ManifestEntry,
-    read,
-    aggregator: Aggregator,
-    registry: Registry,
-    options: AnalysisOptions,
-) -> EntryResult:
-    """Open the entry with ``read`` (as ``materialize``) and analyze it."""
-    try:
-        record, warnings = analyze_document(*read(entry), registry, options)
-    except (NotFound, FileTooLarge, NotAPipeline, MalformedDocument) as exc:
-        return EntryResult(entry.repo_slug, "skipped", message=str(exc))
-    except Exception as exc:  # noqa: BLE001 - entry isolation
-        return EntryResult(entry.repo_slug, "failed", message=str(exc))
-    aggregator.add(entry.repo_slug, record)
-    return EntryResult(entry.repo_slug, "ok", warnings=warnings)
-
-
 def _scan_chunk(
     entries: list[ManifestEntry], read, registry: Registry, options: AnalysisOptions
 ) -> tuple[Aggregator, list[EntryResult]]:
-    """Analyze entries in order, folding every ``ok`` record into one aggregator."""
-    aggregator = Aggregator(registry.version)
-    results = [
-        _process_entry(entry, read, aggregator, registry, options) for entry in entries
-    ]
+    """Open each entry with ``read`` (as ``materialize``) and analyze it, in
+    order and with one memo, folding every ``ok`` record into one aggregator."""
+    aggregator, memo = Aggregator(registry.version), BoundedMemo()
+    results = []
+    for entry in entries:
+        try:
+            record, warnings = analyze_document(*read(entry), registry, options, memo)
+        except (NotFound, FileTooLarge, NotAPipeline, MalformedDocument) as exc:
+            results.append(EntryResult(entry.repo_slug, "skipped", message=str(exc)))
+        except Exception as exc:  # noqa: BLE001 - entry isolation
+            results.append(EntryResult(entry.repo_slug, "failed", message=str(exc)))
+        else:
+            aggregator.add(entry.repo_slug, record)
+            results.append(EntryResult(entry.repo_slug, "ok", warnings=warnings))
     return aggregator, results
 
 

@@ -123,7 +123,7 @@ def _job_restriction(
     else:
         condition, path = cfg.global_condition, "if"
     if condition and _condition_restricts_to_main_push(condition):
-        return True, [(path, condition)]
+        return True, [(path, clip(condition))]
     if _branch_only_restricts(job.branch_only) and not _condition_reenables_pr(
         condition
     ):
@@ -153,16 +153,12 @@ def _late_merging_readings(
 
 def detect_skip_on_failure(cfg: PipelineConfig) -> tuple[bool, Evidence]:
     """True iff allow_failures appears under `jobs` or `matrix`."""
-    if not cfg.allow_failures_present:
-        return False, []
     evidence: Evidence = []
     for key in ("jobs", "matrix"):
         block = cfg.raw.get(key)
         if isinstance(block, dict) and "allow_failures" in block:
             evidence.append((f"{key}.allow_failures", _excerpt(block["allow_failures"])))
-    if not evidence:
-        evidence.append(("jobs.allow_failures", "present"))
-    return True, evidence
+    return bool(evidence), evidence
 
 
 def detect_absent_feedback(cfg: PipelineConfig) -> tuple[bool, Evidence]:

@@ -163,7 +163,6 @@ class PipelineConfig:
     stage_conditions: dict[str, str] = field(default_factory=dict)
     jobs: list[Job] = field(default_factory=list)
     notifications: NotificationConfig | None = None
-    allow_failures_present: bool = False
     global_branch_only: list[str] | None = None
     global_condition: str | None = None
     post_deploy_stages: frozenset[str] = frozenset()
@@ -498,7 +497,19 @@ def _scalar_text(value: Any) -> str | None:
     return None
 
 
-def _command_texts(phase: PhaseKind, value: Any, warnings: list[str]) -> list[str]:
+def _quote(item: Any, quoted: dict[int, str]) -> str:
+    """`clip(repr(item))`, made once per object of one parse: a YAML alias
+    repeats its object, which is then quoted once however often it occurs.
+    `quoted` maps the id of each object quoted so far to its quote."""
+    text = quoted.get(id(item))
+    if text is None:
+        text = quoted[id(item)] = clip(repr(item))
+    return text
+
+
+def _command_texts(
+    phase: PhaseKind, value: Any, warnings: list[str], quoted: dict[int, str]
+) -> list[str]:
     """Flatten a phase entry into shell command strings, preserving order.
 
     Mapping values are deployment-provider blocks: for deploy-family phases
@@ -511,7 +522,7 @@ def _command_texts(phase: PhaseKind, value: Any, warnings: list[str]) -> list[st
         if scalar is not None:
             texts.append(scalar)
         elif isinstance(item, list):
-            texts.extend(_command_texts(phase, item, warnings))
+            texts.extend(_command_texts(phase, item, warnings, quoted))
         elif isinstance(item, dict):
             if phase in DEPLOY_PHASES:
                 for nested in _as_list(item.get("script")):
@@ -524,7 +535,8 @@ def _command_texts(phase: PhaseKind, value: Any, warnings: list[str]) -> list[st
                 )
         elif item is not None:
             warnings.append(
-                f"ignored non-command entry in phase '{phase.value}': {clip(repr(item))}"
+                f"ignored non-command entry in phase '{phase.value}': "
+                f"{_quote(item, quoted)}"
             )
     return texts
 
@@ -532,6 +544,7 @@ def _command_texts(phase: PhaseKind, value: Any, warnings: list[str]) -> list[st
 def _phase_commands(
     entry: dict[str, Any],
     warnings: list[str],
+    quoted: dict[int, str],
     inherited: dict[PhaseKind, tuple[str, ...]] | None = None,
 ) -> dict[PhaseKind, tuple[str, ...]]:
     """The command texts of each phase `entry` declares, keyed in lifecycle
@@ -540,7 +553,7 @@ def _phase_commands(
     phases: dict[PhaseKind, tuple[str, ...]] = {}
     for name, phase in PHASE_BY_NAME.items():
         if name in entry:
-            phases[phase] = tuple(_command_texts(phase, entry[name], warnings))
+            phases[phase] = tuple(_command_texts(phase, entry[name], warnings, quoted))
         elif inherited and phase in inherited:
             phases[phase] = inherited[phase]
     return phases
@@ -603,10 +616,9 @@ def _parse_stages(
     return order, conditions
 
 
-def _include_entries(raw: dict[str, Any]) -> tuple[list[tuple[str, Any]], bool]:
-    """(path, entry) per job entry and allow_failures presence under `jobs`/`matrix`."""
+def _include_entries(raw: dict[str, Any]) -> list[tuple[str, Any]]:
+    """(path, entry) per job entry under `jobs`/`matrix`."""
     entries: list[tuple[str, Any]] = []
-    allow_failures = False
     for key in ("jobs", "matrix"):
         block = raw.get(key)
         if isinstance(block, dict):
@@ -617,11 +629,9 @@ def _include_entries(raw: dict[str, Any]) -> tuple[list[tuple[str, Any]], bool]:
                 )
             elif include is not None:
                 entries.append((f"{key}.include", include))
-            if "allow_failures" in block:
-                allow_failures = True
         elif isinstance(block, list):
             entries.extend((f"{key}[{i}]", entry) for i, entry in enumerate(block))
-    return entries, allow_failures
+    return entries
 
 
 def _build_job(
@@ -630,9 +640,10 @@ def _build_job(
     index: int,
     inherited: dict[PhaseKind, tuple[str, ...]],
     warnings: list[str],
+    quoted: dict[int, str],
 ) -> Job:
     # Globals apply only where the job does not override that phase.
-    phases = _phase_commands(entry, warnings, inherited)
+    phases = _phase_commands(entry, warnings, quoted, inherited)
     stage = entry.get("stage")
     condition = entry.get("if")
     return Job(
@@ -683,15 +694,16 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
     declared_stage_order, stage_conditions = _parse_stages(
         data.get("stages"), warnings
     )
-    inherited = _phase_commands(data, warnings)
+    quoted: dict[int, str] = {}
+    inherited = _phase_commands(data, warnings, quoted)
 
-    entries, allow_failures = _include_entries(data)
+    entries = _include_entries(data)
     jobs: list[Job] = []
     for path, entry in entries:
         if not isinstance(entry, dict):
-            warnings.append(f"ignored non-mapping job entry: {clip(repr(entry))}")
+            warnings.append(f"ignored non-mapping job entry: {_quote(entry, quoted)}")
             continue
-        jobs.append(_build_job(path, entry, len(jobs), inherited, warnings))
+        jobs.append(_build_job(path, entry, len(jobs), inherited, warnings, quoted))
 
     global_condition = data.get("if")
     if not jobs:
@@ -716,7 +728,6 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
         stage_conditions=stage_conditions,
         jobs=jobs,
         notifications=notifications,
-        allow_failures_present=allow_failures,
         global_branch_only=_branch_only(data.get("branches")),
         global_condition=None if global_condition is None else str(global_condition),
         post_deploy_stages=_post_deploy_stages(declared_stage_order, jobs),

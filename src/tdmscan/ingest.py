@@ -158,6 +158,11 @@ def _validate_rel_path(path: str, where: str) -> str:
 def parse_manifest(data: Mapping[str, Any]) -> CorpusManifest:
     if not isinstance(data, Mapping):
         raise ManifestParseError("manifest must be a JSON object")
+    version = data.get("schema_version", MANIFEST_SCHEMA_VERSION)
+    if type(version) is not int or version != MANIFEST_SCHEMA_VERSION:
+        raise ManifestParseError(
+            f"schema_version: {version!r} is not {MANIFEST_SCHEMA_VERSION}"
+        )
     raw_entries = data.get("entries")
     if not isinstance(raw_entries, list):
         raise ManifestParseError("entries: missing or not a list")

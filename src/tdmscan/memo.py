@@ -1,18 +1,18 @@
-"""A thread-safe LRU memo bounded both in values and in estimated bytes.
+"""An LRU memo bounded both in values and in estimated bytes.
 
 Mined corpora repeat whole inputs (templates, forks, boilerplate), so each
-distinct input is worth analyzing once per process.  `BoundedMemo` stores a
-value the first time its key is seen; the scan keys its memos on digests
-and stores small immutable summaries, so a value costs little.  Two caps
-bound what a memo holds however many distinct inputs a corpus has: at most
-`MAX_VALUES` values and at most `MAX_BYTES` estimated bytes (see `weight`),
-least recently used first out.  A value heavier than the byte cap on its
-own is returned but never stored.
+distinct input is worth analyzing once per scan share.  `BoundedMemo`
+stores a value the first time its key is seen; each scan share keys its
+own memo on digests and stores small immutable summaries, so a value costs
+little.  Only its share's thread uses a memo, so it takes no lock.  Two
+caps bound what a memo holds however many distinct inputs a corpus has: at
+most `MAX_VALUES` values and at most `MAX_BYTES` estimated bytes (see
+`weight`), least recently used first out.  A value heavier than the byte
+cap on its own is returned but never stored.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Callable, Generic, Hashable, TypeVar
 
@@ -60,32 +60,28 @@ class BoundedMemo(Generic[V]):
     """An LRU of at most `MAX_VALUES` values and `MAX_BYTES` estimated bytes.
 
     Stored values are shared by every caller that looks the key up and must
-    not be mutated.  `compute` runs outside the lock, and a value is stored
-    only when it returns, so an exception is never memoized.  An entry's
-    weight, its key and value together, is estimated once, when it is
-    stored, and kept beside its value.
+    not be mutated.  A value is stored only when `compute` returns, so an
+    exception is never memoized.  An entry's weight, its key and value
+    together, is estimated once, when it is stored, and kept beside its
+    value.
     """
 
     def __init__(self):
         self._entries: OrderedDict[Hashable, tuple[V, int]] = OrderedDict()
         self.bytes = 0
-        self._lock = threading.Lock()
 
     def get(self, key: Hashable, compute: Callable[[], V]) -> V:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                return entry[0]
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            return entry[0]
         value = compute()
         size = _ENTRY_BYTES + weight((key, value))
         if size > MAX_BYTES:
             return value
-        with self._lock:
-            if key not in self._entries:
-                self._entries[key] = value, size
-                self.bytes += size
-                while len(self._entries) > MAX_VALUES or self.bytes > MAX_BYTES:
-                    _, (_, evicted) = self._entries.popitem(last=False)
-                    self.bytes -= evicted
+        self._entries[key] = value, size
+        self.bytes += size
+        while len(self._entries) > MAX_VALUES or self.bytes > MAX_BYTES:
+            _, (_, evicted) = self._entries.popitem(last=False)
+            self.bytes -= evicted
         return value

@@ -18,7 +18,6 @@ from operator import attrgetter
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .config_model import PhaseKind, PipelineConfig
-from .memo import BoundedMemo
 from .script_resolver import (
     LINE_MEMO_MAX_CHARS,
     LINE_MEMO_SIZE,
@@ -140,16 +139,10 @@ class Registry:
             return self._line_memo(stripped, install_exclusion)
         return _line_hits(self, stripped, install_exclusion)
 
-    @cached_property
-    def _analysis_memo(self) -> BoundedMemo:
-        """analyzer.analyze_document's PipelineRecords under this registry."""
-        return BoundedMemo()
-
     def __getstate__(self) -> dict[str, Any]:
-        # The memos are per process and cannot be pickled; a copy builds its own.
+        # The line memo is per process and cannot be pickled; a copy builds its own.
         state = dict(self.__dict__)
         state.pop("_line_memo", None)
-        state.pop("_analysis_memo", None)
         return state
 
 

@@ -13,7 +13,11 @@ import yaml
 
 from tdmscan.analytics import export_csv_bundle, export_json, percent
 from tdmscan.analyzer import AnalysisOptions, explain_document, scan_entries
-from tdmscan.antipatterns import detect_absent_feedback, detect_email_only
+from tdmscan.antipatterns import (
+    detect_absent_feedback,
+    detect_email_only,
+    detect_skip_on_failure,
+)
 from tdmscan.cli import _entries_from_directory
 from tdmscan.config_model import (
     MalformedDocument,
@@ -331,7 +335,7 @@ def test_criterion_6_antipattern_invariants():
         assert not (absent and email)
 
         expected_skip = "allow_failures" in data.get("jobs", {})
-        assert cfg.allow_failures_present is expected_skip
+        assert detect_skip_on_failure(cfg)[0] is expected_skip
 
         # adding a second enabled channel can only turn email_only off
         augmented = dict(data)

@@ -39,6 +39,18 @@ class TestLateMerging:
             ("jobs.include[0].if", "type = push AND branch = master")
         ]
 
+    def test_evidence_clips_a_long_condition(self, registry):
+        condition = "type = push AND branch = master AND repo = "
+        condition += "a" * (1000 - len(condition))
+        cfg, profile = build(
+            registry, f"jobs:\n  include:\n    - if: {condition}\n      script: flake8 .\n"
+        )
+        findings = evaluate(cfg, profile)
+        assert findings.late_merging_all_jobs is True
+        assert findings.evidence["late_merging"] == [
+            ("jobs.include[0].if", condition[:157] + "...")
+        ]
+
     def test_stage_condition_restricts_its_jobs(self, registry):
         stages = (
             "stages:\n"
@@ -363,7 +375,6 @@ def test_skip_on_failure_equals_allow_failures_presence(data):
     cfg = parse_config(make_doc(yaml.safe_dump(data)))
     expected = "allow_failures" in data.get("jobs", {})
     assert detect_skip_on_failure(cfg)[0] is expected
-    assert cfg.allow_failures_present is expected
 
 
 @given(random_config())

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tdmscan import config_model
+from tdmscan.antipatterns import detect_skip_on_failure
 from tdmscan.config_model import (
     PHASE_BY_NAME,
     MalformedDocument,
@@ -30,7 +31,7 @@ class TestParseListing:
         assert example_config.notifications is None
 
     def test_no_allow_failures(self, example_config):
-        assert example_config.allow_failures_present is False
+        assert detect_skip_on_failure(example_config)[0] is False
 
     def test_lint_job_phases(self, example_config):
         lint = example_config.jobs[0]
@@ -154,13 +155,13 @@ class TestAliasesAndMerging:
         cfg = parse_config(
             make_doc("jobs:\n  include:\n    - script: x\n  allow_failures:\n    - name: x\n")
         )
-        assert cfg.allow_failures_present is True
+        assert detect_skip_on_failure(cfg)[0] is True
 
     def test_allow_failures_under_matrix(self):
         cfg = parse_config(
             make_doc("matrix:\n  include:\n    - script: x\n  allow_failures:\n    - env: A=1\n")
         )
-        assert cfg.allow_failures_present is True
+        assert detect_skip_on_failure(cfg)[0] is True
 
     def test_global_phase_merges_when_not_overridden(self):
         cfg = parse_config(
@@ -296,6 +297,30 @@ class TestWarningsAndEdgeCases:
         for warning in warnings:
             assert warning.startswith(prefix)
             assert len(warning) <= len(prefix) + 160
+
+    def test_an_ignored_object_is_quoted_once_per_parse(self, monkeypatch):
+        # An alias repeats its object: each occurrence still warns, but the
+        # object's repr is made once.  The last set is a distinct object.
+        text = (
+            "x: &s !!set {a: null}\n"
+            "y: &l [b]\n"
+            "script: [*s, *s, *s, !!set {a: null}]\n"
+            "jobs:\n  include: [*l, *l, *l]\n"
+        )
+        quoted = []
+
+        def counting_repr(item):
+            quoted.append(item)
+            return repr(item)
+
+        monkeypatch.setattr(config_model, "repr", counting_repr, raising=False)
+        cfg = parse_config(make_doc(text))
+        assert cfg.warnings == [
+            *["ignored non-command entry in phase 'script': {'a'}"] * 4,
+            *["ignored non-mapping job entry: ['b']"] * 3,
+        ]
+        assert quoted == [{"a"}, {"a"}, ["b"]]
+        assert len({id(item) for item in quoted}) == 3
 
 
 class TestPostDeployStages:

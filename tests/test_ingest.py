@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tdmscan import ingest
-from tdmscan import analyzer
 from tdmscan.analyzer import analyze_document, scan_entries
 from tdmscan.config_model import MalformedDocument, NotAPipeline
 from tdmscan.ingest import (
@@ -215,6 +214,22 @@ class TestManifest:
             del bad["local_root"]
         with pytest.raises(ManifestParseError, match=rf"entries\[0\]\.{field}: "):
             parse_manifest(manifest_data([bad]))
+
+    @pytest.mark.parametrize("version", [1, None], ids=["one", "absent"])
+    def test_schema_version_one_or_absent_accepted(self, version):
+        data = manifest_data([{"repo_slug": "a/b", "config_path": ".travis.yml",
+                               "local_root": "/x"}])
+        if version is None:
+            del data["schema_version"]
+        assert len(parse_manifest(data).entries) == 1
+
+    @pytest.mark.parametrize("version", [2, "x", "1", None, True, 1.0, 0])
+    def test_other_schema_version_rejected(self, version):
+        data = manifest_data([{"repo_slug": "a/b", "config_path": ".travis.yml",
+                               "local_root": "/x"}])
+        data["schema_version"] = version
+        with pytest.raises(ManifestParseError, match="^schema_version: "):
+            parse_manifest(data)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "m.json"
@@ -653,21 +668,18 @@ class TestOneBytePath:
             {f"{self.BASE}/.travis.yml": config, f"{self.BASE}/ci/a.sh": script}, respond
         )
         reads = []
-        # Unmemoized, so the remote record is derived, not looked up under
-        # the local read's digests.
-        with pytest.MonkeyPatch.context() as patch:
-            for memo in (analyzer._parse_memo, registry._analysis_memo):
-                patch.setattr(memo, "get", lambda key, compute: compute())
-            for entry in (local, remote):
-                doc, tree = materialize(entry, session=session, clock=FakeClock())
-                try:
-                    outcome = analyze_document(doc, tree, registry)
-                except (NotAPipeline, MalformedDocument) as exc:
-                    outcome = (type(exc).__name__, str(exc))
-                reads.append(
-                    (doc.content, doc.invalid_utf8, doc.sha256, tree.read("ci/a.sh"),
-                     tree.digests, tree.undecodable, outcome)
-                )
+        # Each analysis is cold, so the remote record is derived, not looked
+        # up under the local read's digests.
+        for entry in (local, remote):
+            doc, tree = materialize(entry, session=session, clock=FakeClock())
+            try:
+                outcome = analyze_document(doc, tree, registry)
+            except (NotAPipeline, MalformedDocument) as exc:
+                outcome = (type(exc).__name__, str(exc))
+            reads.append(
+                (doc.content, doc.invalid_utf8, doc.sha256, tree.read("ci/a.sh"),
+                 tree.digests, tree.undecodable, outcome)
+            )
         assert reads[0] == reads[1]
         assert reads[1][2] == hashlib.sha256(config).hexdigest()
 

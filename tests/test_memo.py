@@ -1,9 +1,7 @@
-"""BoundedMemo: stores on first sighting, its count and byte bounds, the
-weight estimate, and threads."""
+"""BoundedMemo: stores on first sighting, its count and byte bounds, and the
+weight estimate."""
 
 import sys
-import threading
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,58 +130,6 @@ def test_an_exception_is_not_memoized():
         with pytest.raises(ValueError, match="boom"):
             memo.get("bad", fail)
     assert _held(memo) == {}
-
-
-class Yielding:
-    """A key whose hash and equality give other threads a turn."""
-
-    def __init__(self, name):
-        self.name = name
-
-    def __hash__(self):
-        time.sleep(0)
-        return hash(self.name)
-
-    def __eq__(self, other):
-        time.sleep(0)
-        return isinstance(other, Yielding) and other.name == self.name
-
-
-def test_threads_sharing_a_memo_keep_its_bound_and_values(four_values):
-    memo = BoundedMemo()
-    keys = [Yielding(f"k{i}") for i in range(12)]
-    errors = []
-
-    def work(offset):
-        try:
-            for round_ in range(100):
-                for index in range(len(keys)):
-                    key = keys[(index * 7 + offset + round_) % len(keys)]
-                    value = memo.get(key, lambda key=key: ("value", key.name))
-                    if value != ("value", key.name):
-                        errors.append((key.name, value))
-                    with memo._lock:
-                        if len(memo._entries) > memo_module.MAX_VALUES:
-                            errors.append(("size", len(memo._entries)))
-                        if memo.bytes != sum(size for _, size in memo._entries.values()):
-                            errors.append(("bytes", memo.bytes))
-        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert len(memo._entries) == memo_module.MAX_VALUES
-    assert all(value == ("value", key.name) for key, value in _held(memo).items())
 
 
 # Keys drawn from few names, so that hits, evictions and re-stores mix;

@@ -12,7 +12,6 @@ import subprocess
 import sys
 import tempfile
 import textwrap
-import threading
 import time
 import tracemalloc
 import types
@@ -364,25 +363,32 @@ def test_warm_line_memos_give_identical_scans():
 # --- whole-pipeline memos: a hit gives what a cold analysis gives -------------
 
 
-def _cold_parse_memo(monkeypatch):
-    monkeypatch.setattr(analyzer, "_parse_memo", BoundedMemo())
-
-
-def _cold_record(monkeypatch, doc, tree, registry, options=AnalysisOptions()):
+def _cold_record(doc, tree, registry, options=AnalysisOptions()):
     """The record and warnings of an unmemoized explain_document."""
-    _cold_parse_memo(monkeypatch)
     analysis = explain_document(doc, tree, registry, options)
     record = pipeline_record(analysis.profile, analysis.placements, analysis.findings)
     return record, analysis.warnings
 
 
-def _entry_outcome(monkeypatch, entry, registry):
+def _entry_outcome(entry, registry):
     doc, tree = materialize(entry)
     try:
-        record, warnings = _cold_record(monkeypatch, doc, tree, registry)
+        record, warnings = _cold_record(doc, tree, registry)
     except (NotAPipeline, MalformedDocument) as exc:
         return "skipped", str(exc), []
     return "ok", record, warnings
+
+
+def _share_memos(monkeypatch):
+    """The memos the scans' shares make from now on, in order."""
+    memos = []
+
+    def recording():
+        memos.append(BoundedMemo())
+        return memos[-1]
+
+    monkeypatch.setattr(analyzer, "BoundedMemo", recording)
+    return memos
 
 
 def test_duplicated_corpus_matches_entry_by_entry_analysis(monkeypatch):
@@ -395,19 +401,15 @@ def test_duplicated_corpus_matches_entry_by_entry_analysis(monkeypatch):
         for entry in entries
     ]
     reference_registry = shipped_registry()
-    expected = {
-        entry.repo_slug: _entry_outcome(monkeypatch, entry, reference_registry)
-        for entry in tripled
-    }
+    expected = {entry.repo_slug: _entry_outcome(entry, reference_registry) for entry in tripled}
 
-    _cold_parse_memo(monkeypatch)
     registry = shipped_registry()
     records = {}
     parsed = []
     real_analyze, real_parse = analyzer.analyze_document, analyzer.parse_config
 
-    def recording_analyze(doc, tree, registry, options):
-        record, warnings = real_analyze(doc, tree, registry, options)
+    def recording_analyze(doc, tree, registry, options, memo):
+        record, warnings = real_analyze(doc, tree, registry, options, memo)
         records[doc.repo_slug] = record
         return record, warnings
 
@@ -417,6 +419,7 @@ def test_duplicated_corpus_matches_entry_by_entry_analysis(monkeypatch):
 
     monkeypatch.setattr(analyzer, "analyze_document", recording_analyze)
     monkeypatch.setattr(analyzer, "parse_config", counting_parse)
+    memos = _share_memos(monkeypatch)
     result = scan_entries(tripled, registry)
 
     assert sorted(e.slug for e in result.entries) == sorted(expected)
@@ -443,7 +446,29 @@ def test_duplicated_corpus_matches_entry_by_entry_analysis(monkeypatch):
     with open(os.path.join(CORPUS_DIR, "34-not-a-pipeline", ".travis.yml")) as handle:
         assert counts.pop(handle.read()) == 3
     assert set(counts.values()) == {1}
-    assert registry._analysis_memo._entries
+    (memo,) = memos
+    assert memo._entries
+
+
+def test_a_scan_does_not_reuse_an_earlier_scans_work(monkeypatch):
+    # Each scan's shares make their own memos, so a second scan in the same
+    # process parses every pipeline the first one did.
+    parsed = []
+    real_parse = analyzer.parse_config
+
+    def counting_parse(doc):
+        parsed.append(doc.repo_slug)
+        return real_parse(doc)
+
+    monkeypatch.setattr(analyzer, "parse_config", counting_parse)
+    registry = shipped_registry()
+    entries = _entries_from_directory(CORPUS_DIR)
+    first = scan_entries(entries, registry)
+    calls = len(parsed)
+    second = scan_entries(entries, registry)
+    assert calls == len(entries)
+    assert parsed == parsed[:calls] * 2
+    assert _outcomes(second) == _outcomes(first)
 
 
 def _leaves(value):
@@ -456,26 +481,24 @@ def _leaves(value):
 
 
 def test_memos_hold_records_of_plain_keys(monkeypatch):
-    """The memos keep what the report and script resolution read, under
-    digest keys: no parsed model, job or file text."""
-    _cold_parse_memo(monkeypatch)
-    registry = shipped_registry()
+    """A share's memo keeps what the report and script resolution read,
+    under digest keys: no parsed model, job or file text."""
+    memos = _share_memos(monkeypatch)
     entries = _entries_from_directory(CORPUS_DIR)
-    for _ in range(2):
-        scan_entries(entries, registry)
-    values = [value for value, _ in registry._analysis_memo._entries.values()]
-    assert len(values) == len(entries) - 1
-    for value in values:
+    scan_entries(entries, shipped_registry())
+    (memo,) = memos
+    parsed = {key: value for key, (value, _) in memo._entries.items() if len(key) == 3}
+    records = {key: value for key, (value, _) in memo._entries.items() if len(key) == 2}
+    assert len(parsed) == len(records) == len(entries) - 1
+    for value in records.values():
         assert type(value) is PipelineRecord
         assert type(value.keys) is tuple
         for key in value.keys:
             assert type(key) is tuple and key
             assert {type(field) for field in key} <= {str, int, bool}, key
         assert value.flags is None or {type(flag) for flag in value.flags} == {bool}
-    parsed = [value for value, _ in analyzer._parse_memo._entries.values()]
-    assert len(parsed) == len(entries) - 1
-    assert any(value.references for value in parsed)
-    for value in parsed:
+    assert any(value.references for value in parsed.values())
+    for value in parsed.values():
         assert type(value) is ParsedConfig
         assert {type(warning) for warning in value.warnings} <= {str}
         for path, (job_index, phase) in value.references:
@@ -489,31 +512,30 @@ def test_memos_hold_records_of_plain_keys(monkeypatch):
             path = os.path.join(directory, name)
             with open(path, encoding="utf-8", errors="replace") as handle:
                 texts.add(handle.read())
-    keys = [*analyzer._parse_memo._entries, *registry._analysis_memo._entries]
-    for key in keys:
+    for key in memo._entries:
         for leaf in _leaves(key):
-            assert type(leaf) in (str, bool, type(None), AnalysisOptions), key
+            assert type(leaf) in (str, bool, type(None)), key
             if type(leaf) is str:
                 assert leaf not in texts, key
                 assert "\n" not in leaf and len(leaf) <= 64, key
-    # A config key is (path, sha256, invalid_utf8); a record's adds the
-    # options and each script's (path, sha256 or None).
-    for path, digest, invalid_utf8 in analyzer._parse_memo._entries:
+    # A config key is (path, sha256, invalid_utf8); a record's is that key
+    # and each script's (path, sha256 or None).
+    for path, digest, invalid_utf8 in parsed:
         assert path == ".travis.yml" and re.fullmatch("[0-9a-f]{64}", digest)
         assert type(invalid_utf8) is bool
-    for source, options, scripts in registry._analysis_memo._entries:
-        assert source in analyzer._parse_memo._entries
-        assert options == AnalysisOptions()
+    for source, scripts in records:
+        assert source in parsed
         for path, digest in scripts:
             assert digest is None or re.fullmatch("[0-9a-f]{64}", digest)
 
 
 def test_records_share_equal_key_tuples(monkeypatch):
-    _cold_parse_memo(monkeypatch)
     monkeypatch.setattr(analytics, "_SHARED_KEYS", {})
-    registry = shipped_registry()
-    scan_entries(_entries_from_directory(CORPUS_DIR), registry)
-    keys = [key for record, _ in registry._analysis_memo._entries.values() for key in record.keys]
+    memos = _share_memos(monkeypatch)
+    scan_entries(_entries_from_directory(CORPUS_DIR), shipped_registry())
+    (memo,) = memos
+    records = [value for value, _ in memo._entries.values() if type(value) is PipelineRecord]
+    keys = [key for record in records for key in record.keys]
     canonical = {}
     for key in keys:
         assert canonical.setdefault(key, key) is key
@@ -626,7 +648,7 @@ def _write_corpus(root, corpus):
 @given(corpus=_diff_corpus, option_sets=_diff_options)
 def test_memos_leave_every_scan_byte_unchanged(corpus, option_sets):
     def scans():
-        """Each option set's scan at 1 and at 2 workers, one memo state for all."""
+        """Each option set's scan at 1 and at 2 workers, one registry for all."""
         registry = shipped_registry()
         outputs = []
         for options in option_sets:
@@ -641,10 +663,8 @@ def test_memos_leave_every_scan_byte_unchanged(corpus, option_sets):
     with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
         entries = _write_corpus(root, corpus)
         patch.setattr(analyzer, "_usable_cpus", lambda: 2)
-        patch.setattr(analyzer, "_parse_memo", BoundedMemo())
         memoized = scans()
-        patch.setattr(analyzer, "_parse_memo", _PassThrough())
-        patch.setattr(Registry, "_analysis_memo", _PassThrough())
+        patch.setattr(analyzer, "BoundedMemo", _PassThrough)
         patch.setattr(
             Registry,
             "_line_memo",
@@ -687,17 +707,47 @@ _VARIANTS = {
 
 
 @pytest.mark.parametrize("variant", sorted(_VARIANTS))
-def test_memoized_analysis_is_not_shared_across_a_difference(monkeypatch, variant):
-    _cold_parse_memo(monkeypatch)
+def test_memoized_analysis_is_not_shared_across_a_difference(monkeypatch, tmp_path, variant):
+    change = _VARIANTS[variant]
+    other = change.get("registry")
+    options = change.get("options", AnalysisOptions())
     registry = shipped_registry()
+    reference_registry = other(shipped_registry()) if other else shipped_registry()
+    if other or "options" in change:
+        # A share's memo serves one registry and one set of options, so a
+        # second scan in this process, under the variant's, derives its own.
+        (tmp_path / "ci").mkdir()
+        (tmp_path / ".travis.yml").write_text(_LINT_CONFIG)
+        (tmp_path / "ci" / "lint.sh").write_text(_LINT_FILES["ci/lint.sh"])
+        entries = [
+            ManifestEntry(f"acme/p{i}", ".travis.yml", None, local_root=str(tmp_path))
+            for i in range(3)
+        ]
+        analyzed = []
+        real_analyze = analyzer.analyze_document
+
+        def recording_analyze(*args):
+            analyzed.append(real_analyze(*args))
+            return analyzed[-1]
+
+        monkeypatch.setattr(analyzer, "analyze_document", recording_analyze)
+        scan_entries(entries, registry)
+        scan_entries(entries, other(registry) if other else registry, options)
+        base, variant = analyzed[:3], analyzed[3:]
+        assert base[2][0] is base[1][0] and variant[2][0] is variant[1][0]
+        assert variant[0][0] is not base[0][0]
+        doc, tree = materialize(entries[0])
+        assert base[0] == _cold_record(doc, tree, shipped_registry())
+        assert variant[0] == _cold_record(doc, tree, reference_registry, options)
+        return
+
+    memo = BoundedMemo()
     base_doc = RawDocument("acme/base", ".travis.yml", _LINT_CONFIG)
     base = [
-        analyze_document(base_doc, MappingTree(_LINT_FILES), registry)[0]
+        analyze_document(base_doc, MappingTree(_LINT_FILES), registry, options, memo)[0]
         for _ in range(3)
     ]
     assert base[2] is base[1]
-
-    change = _VARIANTS[variant]
     doc = RawDocument(
         "acme/variant",
         change.get("path", base_doc.path),
@@ -705,18 +755,9 @@ def test_memoized_analysis_is_not_shared_across_a_difference(monkeypatch, varian
         invalid_utf8=change.get("invalid_utf8", False),
     )
     files = change.get("files", _LINT_FILES)
-    options = change.get("options", AnalysisOptions())
-    other = change.get("registry")
-    variant_registry = other(registry) if other else registry
-    tree = MappingTree(files)
-    record, warnings = analyze_document(doc, tree, variant_registry, options)
+    record, warnings = analyze_document(doc, MappingTree(files), registry, options, memo)
     assert record is not base[2]
-
-    reference_registry = other(shipped_registry()) if other else shipped_registry()
-    reference = _cold_record(
-        monkeypatch, doc, MappingTree(files), reference_registry, options
-    )
-    assert (record, warnings) == reference
+    assert (record, warnings) == _cold_record(doc, MappingTree(files), reference_registry)
 
 
 @pytest.mark.parametrize(
@@ -724,16 +765,19 @@ def test_memoized_analysis_is_not_shared_across_a_difference(monkeypatch, varian
     [("script: [unclosed\n", MalformedDocument), ("just: data\n", NotAPipeline)],
     ids=["malformed", "not-a-pipeline"],
 )
-def test_failures_keep_their_own_messages(monkeypatch, content, error):
-    _cold_parse_memo(monkeypatch)
-    registry = shipped_registry()
+def test_failures_keep_their_own_messages(content, error):
+    registry, memo = shipped_registry(), BoundedMemo()
     for path in ["a/.travis.yml"] * 3 + ["b/.travis.yml"] * 3 + ["a/.travis.yml"]:
         with pytest.raises(error) as raised:
             analyze_document(
-                RawDocument(f"acme/{path}", path, content), MappingTree({}), registry
+                RawDocument(f"acme/{path}", path, content),
+                MappingTree({}),
+                registry,
+                AnalysisOptions(),
+                memo,
             )
         assert str(raised.value).startswith(f"{path}: ")
-    assert not analyzer._parse_memo._entries
+    assert not memo._entries
 
 
 @pytest.mark.parametrize(
@@ -745,10 +789,9 @@ def test_failures_keep_their_own_messages(monkeypatch, content, error):
     ids=["tool-less", "with-a-tool"],
 )
 def test_only_pipelines_with_tools_are_placed_and_judged(monkeypatch, content, judged):
-    _cold_parse_memo(monkeypatch)
     doc = RawDocument("acme/demo", ".travis.yml", content)
     tree = MappingTree({"ci/deploy.sh": "git push\n"})
-    expected = _cold_record(monkeypatch, doc, tree, shipped_registry())
+    expected = _cold_record(doc, tree, shipped_registry())
     calls = []
 
     def recording(name):
@@ -768,10 +811,11 @@ def test_only_pipelines_with_tools_are_placed_and_judged(monkeypatch, content, j
 
 
 def test_memos_store_on_the_first_sighting_and_stay_bounded(monkeypatch):
-    _cold_parse_memo(monkeypatch)
+    # Each config holds two values, its ParsedConfig and its record, so a
+    # memo of `bound` values holds the most recent `bound // 2` configs.
     bound = 64
     monkeypatch.setattr(memo_module, "MAX_VALUES", bound)
-    registry = shipped_registry()
+    registry, memo = shipped_registry(), BoundedMemo()
     parsed = []
     real_parse = analyzer.parse_config
 
@@ -779,27 +823,26 @@ def test_memos_store_on_the_first_sighting_and_stay_bounded(monkeypatch):
         parsed.append(doc.repo_slug)
         return real_parse(doc)
 
+    def analyze(doc):
+        return analyze_document(doc, MappingTree({}), registry, AnalysisOptions(), memo)[0]
+
     monkeypatch.setattr(analyzer, "parse_config", counting_parse)
     docs = [
         RawDocument(f"acme/p{i}", ".travis.yml", f"script: flake8 src/p{i}\n")
-        for i in range(bound + 40)
+        for i in range(bound // 2 + 40)
     ]
-    first = [analyze_document(doc, MappingTree({}), registry)[0] for doc in docs]
+    first = [analyze(doc) for doc in docs]
     assert parsed == [doc.repo_slug for doc in docs]
-    memos = (analyzer._parse_memo, registry._analysis_memo)
-    for memo in memos:
-        assert len(memo._entries) == bound
-        assert memo.bytes == sum(size for _, size in memo._entries.values())
-        assert memo.bytes <= memo_module.MAX_BYTES
-    # The most recent `bound` configs are held and read back unparsed; the
-    # oldest were evicted and are parsed again.
+    assert len(memo._entries) == bound
+    assert memo.bytes == sum(size for _, size in memo._entries.values())
+    assert memo.bytes <= memo_module.MAX_BYTES
+    # The most recent configs are held and read back unparsed; the oldest
+    # were evicted and are parsed again.
     parsed.clear()
     for doc, record in reversed(list(zip(docs, first))):
-        copy = replace(doc, repo_slug=f"copy-{doc.repo_slug}")
-        assert analyze_document(copy, MappingTree({}), registry)[0] == record
+        assert analyze(replace(doc, repo_slug=f"copy-{doc.repo_slug}")) == record
     assert parsed == [f"copy-{doc.repo_slug}" for doc in reversed(docs[:40])]
-    for memo in memos:
-        assert len(memo._entries) == bound
+    assert len(memo._entries) == bound
 
 
 _SHARED_DEPLOY = "bash ci/notify.sh\nflake8 src\n"
@@ -810,7 +853,6 @@ def test_recursive_scan_reads_each_distinct_script_once(monkeypatch, tmp_path):
     # its jobs, and two of them carry their own text of a second script.
     # Each pipeline finds a script's references once, however many of its
     # jobs run it.
-    _cold_parse_memo(monkeypatch)
     scripts = {"ci/deploy.sh": _SHARED_DEPLOY, "ci/notify.sh": "echo done\n"}
     entries = []
     for index in range(6):
@@ -844,7 +886,6 @@ def test_recursive_scan_reads_each_distinct_script_once(monkeypatch, tmp_path):
     assert result.report.tool_table["pylint"]["pipelines"] == 2
 
     monkeypatch.setattr(script_resolver, "script_paths", real_script_paths)
-    _cold_parse_memo(monkeypatch)
     cold = scan_entries(entries, shipped_registry(), options)
     assert export_json(cold.report) == export_json(result.report)
     assert _outcomes(cold) == _outcomes(result)
@@ -866,7 +907,7 @@ def _alias_fanout(index):
 
 
 def test_memos_retain_no_more_than_their_caps(monkeypatch, tmp_path):
-    cap, count = 1 << 20, 3
+    cap, count = 1 << 20, 6
     monkeypatch.setattr(memo_module, "MAX_BYTES", cap)
     monkeypatch.setattr(memo_module, "MAX_VALUES", count)
     entries = []
@@ -876,33 +917,31 @@ def test_memos_retain_no_more_than_their_caps(monkeypatch, tmp_path):
         (root / ".travis.yml").write_text(_alias_fanout(index))
         entries.append(ManifestEntry(f"p{index}", ".travis.yml", (), local_root=str(root)))
     registry = shipped_registry()
+    memos = _share_memos(monkeypatch)
     tracemalloc.start()
     try:
-        _cold_parse_memo(monkeypatch)
         result = scan_entries(entries, registry)
         assert [e.status for e in result.entries] == ["ok"] * len(entries)
         # One variable-reference warning per line, then one unresolved script.
         assert all(len(e.warnings) == 8**4 + 1 for e in result.entries)
         del result
-        parse_memo, analysis_memo = analyzer._parse_memo, registry._analysis_memo
+        (memo,) = memos
+        held_types = [type(value) for value, _ in memo._entries.values()]
         # The weight cap holds fewer fan-outs than the count cap would.
-        assert 0 < len(parse_memo._entries) < count
-        assert len(analysis_memo._entries) == count
-        estimated, retained = {}, {}
-        for name, memo in (("parse", parse_memo), ("analysis", analysis_memo)):
-            estimated[name] = memo.bytes
-            assert memo.bytes == sum(size for _, size in memo._entries.values())
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0]
-            memo._entries.clear()
-            gc.collect()
-            retained[name] = held - tracemalloc.get_traced_memory()[0]
+        assert 0 < held_types.count(ParsedConfig) < count // 2
+        assert held_types.count(PipelineRecord) > held_types.count(ParsedConfig)
+        estimated = memo.bytes
+        assert memo.bytes == sum(size for _, size in memo._entries.values())
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        memo._entries.clear()
+        gc.collect()
+        retained = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # What each memo keeps alive is within its own estimate, and so within
+    # What the memo keeps alive is within its own estimate, and so within
     # the cap.
-    for name in ("parse", "analysis"):
-        assert 0 < retained[name] <= estimated[name] <= cap, (retained, estimated)
+    assert 0 < retained <= estimated <= cap, (retained, estimated)
 
 
 @pytest.mark.parametrize("count, workers", [(24, 2), (3, 8)], ids=["24-at-2", "3-at-8"])
@@ -936,13 +975,12 @@ def test_remote_scan_on_threads_matches_one(monkeypatch, count, workers):
     scan_chunk = analyzer._scan_chunk
 
     def recording(share, *args, **kwargs):
-        calls.append((threading.get_ident(), [entry.repo_slug for entry in share]))
+        calls.append([entry.repo_slug for entry in share])
         return scan_chunk(share, *args, **kwargs)
 
     monkeypatch.setattr(analyzer, "_scan_chunk", recording)
 
     def scan(workers):
-        _cold_parse_memo(monkeypatch)
         return scan_entries(
             entries,
             shipped_registry(),
@@ -955,8 +993,7 @@ def test_remote_scan_on_threads_matches_one(monkeypatch, count, workers):
     threaded = scan(workers)
     slugs = sorted(entry.repo_slug for entry in entries)
     shares = [slugs[w::workers] for w in range(min(workers, count))]
-    assert sorted(share for _, share in calls) == shares
-    assert len({thread for thread, _ in calls}) <= len(shares)
+    assert sorted(calls) == shares
     one = scan(1)
     assert _outcomes(threaded) == _outcomes(one)
     assert [e.status for e in one.entries] == ["ok"] * len(entries)
@@ -1032,7 +1069,6 @@ def test_fixture_corpus_served_remotely_gives_the_golden_bytes(
         replace(entry, local_root=None, remote_base_url=f"{base}/{entry.repo_slug}")
         for entry in _entries_from_directory(CORPUS_DIR)
     ]
-    _cold_parse_memo(monkeypatch)
     report = scan_entries(
         entries,
         shipped_registry(),
