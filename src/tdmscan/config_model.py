@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from types import GeneratorType
-from typing import Any
+from typing import Any, Iterator
 
 import yaml
 from yaml.composer import ComposerError
@@ -466,10 +466,58 @@ def _too_many(event) -> ComposerError:
     return ComposerError(None, None, problem, event.start_mark)
 
 
-def clip(text: str, limit: int = 160) -> str:
+_CLIP_LIMIT = 160
+
+
+def clip(text: str, limit: int = _CLIP_LIMIT) -> str:
     """`text`, cut to `limit` characters ending in `...` when longer: what a
     warning or an evidence entry quotes of an input value."""
     return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+def _repr_pieces(value: Any) -> Iterator[str]:
+    """`repr(value)` in order, piece by piece, through the lists, tuples,
+    dicts and sets `_load_yaml` builds; any other value is one piece."""
+    kind = type(value)
+    if kind is dict:
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            if i:
+                yield ", "
+            yield from _repr_pieces(key)
+            yield ": "
+            yield from _repr_pieces(item)
+        yield "}"
+    elif kind is list or kind is tuple or kind is set:
+        if kind is set and not value:
+            yield "set()"
+            return
+        opening, closing = "[]" if kind is list else "()" if kind is tuple else "{}"
+        yield opening
+        for i, item in enumerate(value):
+            if i:
+                yield ", "
+            yield from _repr_pieces(item)
+        if kind is tuple and len(value) == 1:
+            yield ","
+        yield closing
+    else:
+        yield repr(value)
+
+
+def _short_repr(value: Any, limit: int = _CLIP_LIMIT) -> str:
+    """`repr(value)` up to its first piece past `limit` characters, so that
+    `clip` of it is `clip(repr(value))`.  An alias repeats one object, so a
+    list of many aliases of a long string has a repr that grows with their
+    count, not with the input; this one stops within one piece."""
+    pieces: list[str] = []
+    size = 0
+    for piece in _repr_pieces(value):
+        pieces.append(piece)
+        size += len(piece)
+        if size > limit:
+            break
+    return "".join(pieces)
 
 
 def resolve_stage_name(job: Job) -> str:
@@ -503,7 +551,7 @@ def _quote(item: Any, quoted: dict[int, str]) -> str:
     `quoted` maps the id of each object quoted so far to its quote."""
     text = quoted.get(id(item))
     if text is None:
-        text = quoted[id(item)] = clip(repr(item))
+        text = quoted[id(item)] = clip(_short_repr(item))
     return text
 
 

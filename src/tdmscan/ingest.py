@@ -247,14 +247,57 @@ def file_text(tree, path: str, data: bytes) -> str:
     return content
 
 
+# Where `os` opens without following a link and relative to a directory
+# descriptor, LocalTree walks each path that way; elsewhere every read takes
+# the resolve rule.
+_NOFOLLOW = getattr(os, "O_NOFOLLOW", 0)
+_WALKS = bool(_NOFOLLOW) and hasattr(os, "O_DIRECTORY") and os.open in os.supports_dir_fd
+_CLOEXEC = getattr(os, "O_CLOEXEC", 0)
+# A directory is only the base of the next open, which O_PATH allows without
+# read permission.
+_DIRECTORY_FLAGS = (
+    getattr(os, "O_PATH", os.O_RDONLY) | getattr(os, "O_DIRECTORY", 0) | _NOFOLLOW | _CLOEXEC
+)
+# A FIFO must not block the open, nor a terminal become the controlling one.
+_FILE_FLAGS = (
+    os.O_RDONLY
+    | _NOFOLLOW
+    | getattr(os, "O_NONBLOCK", 0)
+    | getattr(os, "O_NOCTTY", 0)
+    | _CLOEXEC
+    | getattr(os, "O_BINARY", 0)
+)
+
+
+def _read_descriptor(fd: int, size: int) -> bytes:
+    """The bytes of `fd`, whose stat gave `size`: up to one byte past `size`,
+    then, if the file grew after the stat, up to one byte past the cap.  A
+    read sized by the stat, not by the cap: reading up to the cap would
+    allocate 1 MiB for every file."""
+    limit = size + 1
+    data = os.read(fd, limit)
+    while len(data) != size:  # at the stat's size the file is whole
+        if len(data) == limit:  # the file grew after the stat
+            if limit > MAX_FILE_BYTES:
+                break
+            limit = MAX_FILE_BYTES + 1
+        chunk = os.read(fd, limit - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
 class LocalTree:
     """File tree over a local directory; optionally limited to listed paths.
 
-    Never touches the network.  Reads go through `file_text`, which records
-    each file's digest in ``digests`` and marks invalid UTF-8 in
-    ``undecodable``.  A file over MAX_FILE_BYTES raises FileTooLarge.  A path
-    through a symlink, as its file or any directory on the way, is absent
-    unless it resolves inside the root.
+    Never touches the network.  Each file is opened once, without following
+    a link, and that descriptor is both checked (a regular file, at most
+    MAX_FILE_BYTES: over it raises FileTooLarge) and read, so the file
+    checked is the file read.  A path through a symlink, as its file or any
+    directory on the way, is read only if it resolves inside the root.
+    Reads go through `file_text`, which records each file's digest in
+    ``digests`` and marks invalid UTF-8 in ``undecodable``.
     """
 
     def __init__(self, root: str, allowed: frozenset[str] | None = None):
@@ -263,41 +306,69 @@ class LocalTree:
         self.digests: dict[str, str] = {}
         self.undecodable: set[str] = set()
 
-    def _through_link(self, directory: str) -> bool:
-        """Whether `directory` or any directory above it is a symlink."""
-        while directory:
-            if stat.S_ISLNK(os.lstat(os.path.join(self.root, directory)).st_mode):
-                return True
-            directory = os.path.dirname(directory)
-        return False
-
     def read(self, path: str) -> str | None:
         if escapes_repo(path):
             return None
         if self.allowed is not None and path not in self.allowed:
             return None
-        full = os.path.join(self.root, path)
+        fd = self._open(path)
+        if fd is None:
+            return None
         try:
-            info = os.lstat(full)
-            if self._through_link(os.path.dirname(path)) or stat.S_ISLNK(info.st_mode):
-                full = os.path.realpath(full)
-                root = os.path.realpath(self.root)
-                if os.path.commonpath([full, root]) != root:
-                    return None
-                info = os.stat(full)
+            info = os.fstat(fd)
+            if not stat.S_ISREG(info.st_mode):
+                return None
+            if info.st_size > MAX_FILE_BYTES:
+                raise FileTooLarge(path)
+            data = _read_descriptor(fd, info.st_size)
+        finally:
+            os.close(fd)
+        return file_text(self, path, data)
+
+    def _open(self, path: str) -> int | None:
+        """A descriptor of `path`, or None where it is absent.  Each
+        directory on the way is opened relative to the one before it, and
+        no link is followed below the root; a path that fails so, other than
+        by being missing, takes the resolve rule."""
+        *directories, name = path.split("/")
+        if name in ("", "."):  # a directory
+            return None
+        if _WALKS:
+            directories = [part for part in directories if part and part != "."]
+            try:
+                if not directories:
+                    return os.open(os.path.join(self.root, name), _FILE_FLAGS)
+                fd = os.open(os.path.join(self.root, directories[0]), _DIRECTORY_FLAGS)
+                try:
+                    for part in directories[1:]:
+                        fd, parent = os.open(part, _DIRECTORY_FLAGS, dir_fd=fd), fd
+                        os.close(parent)
+                    return os.open(name, _FILE_FLAGS, dir_fd=fd)
+                finally:
+                    os.close(fd)
+            except FileNotFoundError:
+                return None
+            except ValueError:  # a NUL or an unencodable character
+                return None
+            except OSError:
+                # A link on the way: Linux gives ELOOP for the file but
+                # ENOTDIR for a directory, so no errno is trusted here.
+                pass
+        return self._open_resolved(path)
+
+    def _open_resolved(self, path: str) -> int | None:
+        """The resolve rule: `path` with every link resolved, opened if it
+        lies inside the root and is a regular file; None otherwise."""
+        try:
+            full = os.path.realpath(os.path.join(self.root, path))
+            root = os.path.realpath(self.root)
+            if os.path.commonpath([full, root]) != root:
+                return None
+            if not stat.S_ISREG(os.stat(full).st_mode):
+                return None
         except (OSError, ValueError):
             return None
-        if not stat.S_ISREG(info.st_mode):
-            return None
-        if info.st_size > MAX_FILE_BYTES:
-            raise FileTooLarge(path)
-        # A read sized by the stat, not by the cap: reading up to the cap
-        # would allocate 1 MiB for every file.
-        with open(full, "rb") as handle:
-            data = handle.read(info.st_size + 1)
-            if len(data) > info.st_size:  # the file grew after the stat
-                data += handle.read(MAX_FILE_BYTES + 1 - len(data))
-        return file_text(self, path, data)
+        return os.open(full, _FILE_FLAGS)
 
 
 class RemoteTree:

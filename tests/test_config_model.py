@@ -1,5 +1,7 @@
+import tracemalloc
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tdmscan import config_model
 from tdmscan.antipatterns import detect_skip_on_failure
@@ -9,6 +11,7 @@ from tdmscan.config_model import (
     NotAPipeline,
     PhaseKind,
     RawDocument,
+    clip,
     parse_config,
     resolve_stage_name,
 )
@@ -308,12 +311,13 @@ class TestWarningsAndEdgeCases:
             "jobs:\n  include: [*l, *l, *l]\n"
         )
         quoted = []
+        short_repr = config_model._short_repr
 
         def counting_repr(item):
             quoted.append(item)
-            return repr(item)
+            return short_repr(item)
 
-        monkeypatch.setattr(config_model, "repr", counting_repr, raising=False)
+        monkeypatch.setattr(config_model, "_short_repr", counting_repr)
         cfg = parse_config(make_doc(text))
         assert cfg.warnings == [
             *["ignored non-command entry in phase 'script': {'a'}"] * 4,
@@ -321,6 +325,66 @@ class TestWarningsAndEdgeCases:
         ]
         assert quoted == [{"a"}, {"a"}, ["b"]]
         assert len({id(item) for item in quoted}) == 3
+
+    def test_aliases_of_a_long_string_are_quoted_in_bounded_memory(self):
+        # One job entry holds 200 aliases of a 500,000-character string.  Its
+        # whole repr would take 100 MB for a warning of 191 characters; the
+        # parse peaks at 1.4 MiB under tracemalloc, and 4 MiB is the bound.
+        text = (
+            "language: python\nx: &s " + "a" * 500_000 + "\n"
+            "jobs:\n  include:\n    - [" + ", ".join(["*s"] * 200) + "]\n"
+        )
+        doc = make_doc(text)
+        tracemalloc.start()
+        try:
+            cfg = parse_config(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        # clip(repr(entry)), whose first 160 characters a short list shares.
+        quote = clip(repr(["a" * 200]))
+        assert cfg.warnings == [f"ignored non-mapping job entry: {quote}"]
+        assert len(cfg.warnings[0]) == 191
+
+
+# Values of the kinds `_load_yaml` builds: scalars, and lists, dicts, sets
+# and pair lists (lists of key/value tuples) of them, keyed by scalars.  An
+# alias repeats one object, as `[value] * 3` does.
+_KEYS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=12)
+)
+_SCALARS = st.one_of(_KEYS, st.text(max_size=300), st.binary(max_size=8), st.dates())
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(_KEYS, children, max_size=5),
+        st.sets(_KEYS, max_size=5),
+        st.lists(st.tuples(_KEYS, children), max_size=5),
+        children.map(lambda value: [value] * 3),
+    ),
+    max_leaves=30,
+)
+
+
+class TestShortRepr:
+    @settings(max_examples=300)
+    @given(_VALUES, st.integers(3, 200))
+    def test_clips_as_the_whole_repr_does(self, value, limit):
+        whole = repr(value)
+        short = config_model._short_repr(value, limit)
+        assert clip(short, limit) == clip(whole, limit)
+        assert whole.startswith(short)
+        if len(whole) <= limit:
+            assert short == whole
+
+    @pytest.mark.parametrize(
+        "value",
+        [set(), (), ("a",), (1, [2, {3: 4}]), [(None, set())], {"k": {1.5}}, [[], {}]],
+    )
+    def test_empty_and_one_item_containers(self, value):
+        assert config_model._short_repr(value) == repr(value)
 
 
 class TestPostDeployStages:

@@ -2,9 +2,13 @@ import copy
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
+import shutil
+import stat
 import sys
+import threading
 import types
 
 import pytest
@@ -26,11 +30,14 @@ from tdmscan.ingest import (
     RateLimited,
     RemoteTree,
     TokenBucket,
+    escapes_repo,
     load_manifest,
     materialize,
     parse_manifest,
     text_sha256,
 )
+
+from conftest import CORPUS_DIR
 
 
 class FakeClock:
@@ -375,6 +382,204 @@ class TestLocalMaterialize:
         assert result.message == "a/b: missing .travis.yml"
 
 
+def resolve_and_contain(root, path):
+    """What reading `path` under `root` gives by the resolve rule alone:
+    every link resolved, the path kept only inside the resolved root, and
+    read only as a regular file.  The outcome is (text, digests,
+    undecodable) or None, or the type of the exception raised."""
+    if escapes_repo(path) or path.rsplit("/", 1)[-1] in ("", "."):
+        return None  # outside the repository, or a directory by its name
+    full = os.path.realpath(os.path.join(root, path))
+    real_root = os.path.realpath(root)
+    if os.path.commonpath([full, real_root]) != real_root:
+        return None
+    try:
+        info = os.stat(full)
+    except OSError:
+        return None
+    if not stat.S_ISREG(info.st_mode):
+        return None
+    if info.st_size > MAX_FILE_BYTES:
+        return FileTooLarge
+    with open(full, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8"), {path: hashlib.sha256(data).hexdigest()}, set()
+    except UnicodeDecodeError:
+        text = data.decode("utf-8", errors="replace")
+        return text, {path: hashlib.sha256(data).hexdigest()}, {path}
+
+
+def read_outcome(root, path):
+    """`LocalTree(root).read(path)` in the terms of `resolve_and_contain`."""
+    tree = LocalTree(root)
+    try:
+        text = tree.read(path)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+    return None if text is None else (text, tree.digests, tree.undecodable)
+
+
+_NAMES = ("a", "b", "c")
+_PARTS = st.lists(st.sampled_from(_NAMES), min_size=1, max_size=3)
+# What sits at a path of a generated tree.  A link points inside the root
+# (by a relative or an absolute target), outside it, or nowhere.
+_NODES = st.one_of(
+    st.tuples(st.just("file"), st.binary(max_size=24)),
+    st.tuples(st.just("file"), st.sampled_from([b"ok\xff\xfe", "caf\xe9\n".encode()])),
+    st.tuples(st.just("sized"), st.sampled_from([MAX_FILE_BYTES, MAX_FILE_BYTES + 1])),
+    st.tuples(st.sampled_from(["dir", "fifo"])),
+    st.tuples(st.sampled_from(["inside", "absolute", "outside", "dangling"]), _PARTS),
+)
+# Every path of one to three names, and paths that name no file.
+_QUERIES = [
+    "/".join(parts)
+    for depth in (1, 2, 3)
+    for parts in itertools.product(_NAMES, repeat=depth)
+] + ["", ".", "./a", "a//b", "a/./b", "a/", "b/.", "missing/a"]
+
+
+def _build_tree(base, nodes):
+    """A root under `base` holding `nodes` ((path parts, node) pairs; one
+    whose place is taken or whose parent cannot be made is left out), and a
+    directory beside it in which `a` is a file and `b` and `c` are
+    directories, to three levels."""
+    root = base / "repo"
+    root.mkdir()
+    for depth in (0, 1, 2):
+        for parts in itertools.product(("b", "c"), repeat=depth):
+            directory = base.joinpath("outside", *parts)
+            directory.mkdir(parents=True, exist_ok=True)
+            (directory / "a").write_text("outside " + "/".join(parts))
+    for parts, node in nodes:
+        path = root.joinpath(*parts)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if os.path.lexists(path):
+                continue
+        except OSError:
+            continue
+        kind = node[0]
+        if kind == "file":
+            path.write_bytes(node[1])
+        elif kind == "sized":
+            with open(path, "wb") as handle:
+                handle.truncate(node[1])  # sparse: no bytes written
+        elif kind == "dir":
+            path.mkdir()
+        elif kind == "fifo":
+            os.mkfifo(path)
+        elif kind == "inside":
+            up = "/".join([".."] * (len(parts) - 1))
+            os.symlink(os.path.join(up, *node[1]) if up else os.path.join(*node[1]), path)
+        elif kind == "absolute":
+            os.symlink(root.joinpath(*node[1]), path)
+        elif kind == "outside":
+            os.symlink(base.joinpath("outside", *node[1]), path)
+        else:
+            os.symlink(base / "nowhere", path)
+    os.symlink(root, base / "linked-root")
+    return root
+
+
+class TestOneOpenPerFile:
+    """Each local file is opened once, with no link followed; what a read
+    gives is what the resolve rule alone gives."""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @settings(max_examples=60, deadline=None)
+    @given(nodes=st.lists(st.tuples(_PARTS, _NODES), max_size=12))
+    @example(nodes=[(["a"], ("inside", ["b"])), (["b", "a"], ("file", b"x"))])
+    @example(nodes=[(["a"], ("outside", ["b"])), (["b"], ("inside", ["a", "a"]))])
+    @example(nodes=[(["a", "b"], ("sized", MAX_FILE_BYTES + 1)), (["c"], ("fifo",))])
+    @example(nodes=[(["a"], ("inside", ["a"])), (["b"], ("absolute", ["c"]))])
+    def test_reads_as_the_resolve_rule(self, tmp_path_factory, nodes):
+        base = tmp_path_factory.mktemp("tree")
+        root = _build_tree(base, nodes)
+        for tree_root in (str(root), str(base / "linked-root")):
+            for path in _QUERIES:
+                assert read_outcome(tree_root, path) == resolve_and_contain(
+                    tree_root, path
+                ), (tree_root, path)
+
+    def test_without_no_follow_opens_every_read_resolves(self, tmp_path, monkeypatch):
+        root = _build_tree(
+            tmp_path,
+            [
+                (["a"], ("file", b"x")),
+                (["b"], ("inside", ["c"])),
+                (["c", "a"], ("file", b"\xff")),
+                (["c", "b"], ("outside", ["a"])),
+            ],
+        )
+        monkeypatch.setattr(ingest, "_WALKS", False)
+        for path in _QUERIES:
+            assert read_outcome(str(root), path) == resolve_and_contain(str(root), path)
+
+    def test_a_file_that_cannot_be_opened_raises(self, tmp_path, monkeypatch):
+        (tmp_path / "ci").mkdir()
+        (tmp_path / "ci" / "lint.sh").write_text("flake8 .\n")
+        real_open = os.open
+
+        def refuse_the_script(path, flags, *args, **kwargs):
+            if os.path.basename(path) == "lint.sh":
+                raise PermissionError(13, "Permission denied", path)
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refuse_the_script)
+        with pytest.raises(PermissionError):
+            LocalTree(str(tmp_path)).read("ci/lint.sh")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_a_fifo_config_is_skipped_without_blocking(self, tmp_path, registry):
+        os.mkfifo(tmp_path / ".travis.yml")
+        entry = ManifestEntry("a/b", ".travis.yml", (), local_root=str(tmp_path))
+        results = []
+        scan = threading.Thread(
+            target=lambda: results.append(scan_entries([entry], registry)), daemon=True
+        )
+        scan.start()
+        scan.join(timeout=10)
+        assert not scan.is_alive(), "reading a FIFO blocked"
+        (result,) = results[0].entries
+        assert (result.status, result.message) == ("skipped", "a/b: missing .travis.yml")
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd") or not hasattr(os, "mkfifo"),
+        reason="lists descriptors through Linux's /proc",
+    )
+    def test_a_scan_leaves_no_descriptor_open(self, tmp_path, registry):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS_DIR, corpus)
+        big = corpus / "zz-big"
+        (big / "ci" / "nested").mkdir(parents=True)
+        (big / "ci" / "nested" / "ok.sh").write_text("pylint src\n")
+        (big / ".travis.yml").write_text(
+            "script: bash ci/big.sh && bash ci/dir.sh && bash ci/nested/ok.sh\n"
+        )
+        with open(big / "ci" / "big.sh", "wb") as handle:
+            handle.truncate(MAX_FILE_BYTES + 1)
+        (big / "ci" / "dir.sh").mkdir()
+        linked = corpus / "zz-linked"
+        (linked / "ci").mkdir(parents=True)
+        (linked / "ci" / "lint.sh").write_text("flake8 .\n")
+        (linked / "tools").symlink_to("ci")
+        (linked / ".travis.yml").write_text("script: bash tools/lint.sh\n")
+        (corpus / "zz-fifo").mkdir()
+        os.mkfifo(corpus / "zz-fifo" / ".travis.yml")
+        entries = [
+            ManifestEntry(name, ".travis.yml", None, local_root=str(corpus / name))
+            for name in sorted(os.listdir(corpus))
+        ]
+        before = sorted(os.listdir("/proc/self/fd"))
+        results = {result.slug: result for result in scan_entries(entries, registry).entries}
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert len(results) == len(os.listdir(CORPUS_DIR)) + 3
+        assert results["zz-big"].warnings[0].startswith("script not read: ci/big.sh is over")
+        assert results["zz-linked"].status == "ok" and results["zz-linked"].warnings == []
+        assert results["zz-fifo"].status == "skipped"
+
+
 # Text with lone surrogates, which UTF-8 cannot encode strictly.
 _TEXT = st.text(st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr)))
 
@@ -450,14 +655,14 @@ class TestByteCap:
     @pytest.mark.parametrize("size", [100, MAX_FILE_BYTES + 1])
     def test_file_grown_after_the_stat_is_read_to_the_cap(self, tmp_path, monkeypatch, size):
         (tmp_path / "grown.sh").write_text("x" * size)
-        real_lstat = os.lstat
+        real_fstat = os.fstat
 
-        def stat_of_ten_bytes(path):
-            fields = list(real_lstat(path))
+        def stat_of_ten_bytes(fd):
+            fields = list(real_fstat(fd))
             fields[6] = 10  # st_size
             return os.stat_result(fields)
 
-        monkeypatch.setattr(os, "lstat", stat_of_ten_bytes)
+        monkeypatch.setattr(os, "fstat", stat_of_ten_bytes)
         tree = LocalTree(str(tmp_path))
         if size > MAX_FILE_BYTES:
             with pytest.raises(FileTooLarge):
