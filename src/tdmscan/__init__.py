@@ -15,13 +15,7 @@ from .analyzer import (
     explain_document,
     scan_entries,
 )
-from .antipatterns import (
-    FindingSet,
-    detect_absent_feedback,
-    detect_email_only,
-    detect_skip_on_failure,
-    evaluate,
-)
+from .antipatterns import FindingSet, evaluate
 from .config_model import (
     Job,
     MalformedDocument,

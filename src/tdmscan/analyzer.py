@@ -86,20 +86,27 @@ def _resolve(parsed: ParsedConfig, tree: FileTree, options: AnalysisOptions):
     return scripts, sites, warnings
 
 
-def _judge(
+def _profiled(
     cfg: PipelineConfig,
     scripts: list[ScriptDocument],
-    profile: PipelineToolProfile,
+    sites: dict[str, tuple[Site, ...]],
     registry: Registry,
     options: AnalysisOptions,
-) -> tuple[list[PlacementResult], FindingSet]:
-    """The pipeline's placements and anti-pattern findings."""
-    scripts_by_path = {script.path: script for script in scripts}
-    placements = classify_pipeline(
-        cfg, profile, scripts_by_path, registry, install_exclusion=options.install_exclusion
+):
+    """The pipeline's tool profile, and a function judging it: its placements
+    and anti-pattern findings."""
+    profile = profile_pipeline(
+        cfg, scripts, registry, install_exclusion=options.install_exclusion, sites=sites
     )
-    findings = evaluate(cfg, profile, late_merging_mode=options.late_merging_mode)
-    return placements, findings
+
+    def judge() -> tuple[list[PlacementResult], FindingSet]:
+        scripts_by_path = {script.path: script for script in scripts}
+        placements = classify_pipeline(
+            cfg, profile, scripts_by_path, registry, install_exclusion=options.install_exclusion
+        )
+        return placements, evaluate(cfg, profile, late_merging_mode=options.late_merging_mode)
+
+    return profile, judge
 
 
 def analyze_document(
@@ -137,12 +144,8 @@ def analyze_document(
 
     def derive() -> PipelineRecord:
         config = cfg if cfg is not None else parse_config(doc)
-        profile = profile_pipeline(
-            config, scripts, registry, install_exclusion=options.install_exclusion, sites=sites
-        )
-        if not profile.tools:
-            return TOOLLESS_RECORD
-        return pipeline_record(profile, *_judge(config, scripts, profile, registry, options))
+        profile, judge = _profiled(config, scripts, sites, registry, options)
+        return pipeline_record(profile, *judge()) if profile.tools else TOOLLESS_RECORD
 
     key = (source, tuple((script.path, script.sha256) for script in scripts))
     return memo.get(key, derive), warnings
@@ -154,18 +157,17 @@ def explain_document(
     registry: Registry,
     options: AnalysisOptions = AnalysisOptions(),
 ) -> PipelineAnalysis:
-    """The pipeline's full profile, placements and findings with evidence.
+    """The pipeline's full profile, placements and findings, whose evidence
+    is built when read.
 
     Not memoized: `tdmscan analyze` prints every detection and placement,
-    which no scan reads.  Raises like analyze_document.
+    which no scan reads.  Unlike a scan, it places and judges a pipeline
+    without tools too.  Raises like analyze_document.
     """
     cfg = parse_config(doc)
     scripts, sites, warnings = _resolve(_parsed(cfg), tree, options)
-    profile = profile_pipeline(
-        cfg, scripts, registry, install_exclusion=options.install_exclusion, sites=sites
-    )
-    placements, findings = _judge(cfg, scripts, profile, registry, options)
-    return PipelineAnalysis(doc.repo_slug, profile, placements, findings, warnings)
+    profile, judge = _profiled(cfg, scripts, sites, registry, options)
+    return PipelineAnalysis(doc.repo_slug, profile, *judge(), warnings)
 
 
 @dataclass

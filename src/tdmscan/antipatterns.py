@@ -5,6 +5,11 @@ main/master.  Skip-on-Failure: allow_failures present.  Absent Feedback: no
 enabled notification channel.  Email-only: email is the sole enabled
 channel.  Absent Feedback and Email-only are mutually exclusive by
 construction.
+
+Each rule decides its flag first and returns it with a function that builds
+its evidence, the (config path, excerpt) pairs behind a true flag.  Nothing
+calls that function but a read of `FindingSet.evidence`, which only
+`tdmscan analyze` makes: a scan keeps the flags alone.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any
+from functools import cached_property
+from typing import Any, Callable
 
 from .config_model import Job, PipelineConfig, clip
 from .registry import PipelineToolProfile
@@ -23,6 +29,9 @@ LATE_MERGING_MODE_PIPELINE = "pipeline"
 LATE_MERGING_MODE_JOB = "job"
 
 Evidence = list[tuple[str, str]]
+Build = Callable[[], Evidence]
+# A rule's flag and its evidence builder; `list` builds no evidence.
+Rule = tuple[bool, Build]
 
 _MAIN_BRANCHES = frozenset({"main", "master"})
 _PR_TYPES = frozenset({"pull_request", "pr"})
@@ -44,7 +53,8 @@ _NEGATES = re.compile(r"(?<![^\s()])NOT[\s(]+\Z", re.IGNORECASE)
 
 @dataclass
 class FindingSet:
-    """Anti-pattern booleans for one pipeline plus supporting evidence."""
+    """Anti-pattern booleans for one pipeline, and the builders of its true
+    findings' evidence, which is built on the first read of `evidence`."""
 
     late_merging: bool = False
     skip_on_failure: bool = False
@@ -52,18 +62,17 @@ class FindingSet:
     email_only: bool = False
     late_merging_all_jobs: bool = False
     late_merging_any_job: bool = False
-    evidence: dict[str, Evidence] = field(default_factory=dict)
+    builders: dict[str, Build] = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def evidence(self) -> dict[str, Evidence]:
+        return {name: build() for name, build in self.builders.items()}
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "late_merging": self.late_merging,
-            "skip_on_failure": self.skip_on_failure,
-            "absent_feedback": self.absent_feedback,
-            "email_only": self.email_only,
-        }
+        return {name: getattr(self, name) for name in FINDING_NAMES}
 
     def true_findings(self) -> list[str]:
-        return [name for name in FINDING_NAMES if self.as_dict()[name]]
+        return [name for name in FINDING_NAMES if getattr(self, name)]
 
 
 def _excerpt(value: Any) -> str:
@@ -108,9 +117,7 @@ def _branch_only_restricts(only: list[str] | None) -> bool:
     return {branch.lower() for branch in only} <= _MAIN_BRANCHES
 
 
-def _job_restriction(
-    cfg: PipelineConfig, job: Job
-) -> tuple[bool, Evidence]:
+def _job_restriction(cfg: PipelineConfig, job: Job) -> Rule:
     """Whether `job` runs only on push builds of main/master, by the first
     condition it has of its own, its stage's and the global one, or by a
     `branches: only:` list that no such condition widens to pull requests."""
@@ -123,65 +130,54 @@ def _job_restriction(
     else:
         condition, path = cfg.global_condition, "if"
     if condition and _condition_restricts_to_main_push(condition):
-        return True, [(path, clip(condition))]
-    if _branch_only_restricts(job.branch_only) and not _condition_reenables_pr(
-        condition
-    ):
-        return True, [(f"{job.entry_path}.branches.only", _excerpt(job.branch_only))]
-    if _branch_only_restricts(cfg.global_branch_only) and not _condition_reenables_pr(
-        condition
-    ):
-        return True, [("branches.only", _excerpt(cfg.global_branch_only))]
-    return False, []
+        return True, lambda: [(path, clip(condition))]
+    if _condition_reenables_pr(condition):
+        return False, list
+    if _branch_only_restricts(job.branch_only):
+        return True, lambda: [(f"{job.entry_path}.branches.only", _excerpt(job.branch_only))]
+    if _branch_only_restricts(cfg.global_branch_only):
+        return True, lambda: [("branches.only", _excerpt(cfg.global_branch_only))]
+    return False, list
 
 
 def _late_merging_readings(
     cfg: PipelineConfig, profile: PipelineToolProfile
-) -> tuple[bool, bool, Evidence]:
-    """All-jobs and any-job readings plus the restricted jobs' evidence."""
+) -> tuple[bool, bool, Build]:
+    """All-jobs and any-job readings, and the restricted jobs' evidence."""
     indexes = sorted(profile.jobs)
-    evidence: Evidence = []
-    restricted_jobs = 0
-    for index in indexes:
-        restricted, job_evidence = _job_restriction(cfg, cfg.jobs[index])
-        if restricted:
-            restricted_jobs += 1
-            evidence.extend(job_evidence)
-    all_jobs = bool(indexes) and restricted_jobs == len(indexes)
-    return all_jobs, restricted_jobs > 0, evidence
+    rules = [_job_restriction(cfg, cfg.jobs[index]) for index in indexes]
+    builds = [build for restricted, build in rules if restricted]
+    all_jobs = bool(indexes) and len(builds) == len(indexes)
+    return all_jobs, bool(builds), lambda: [pair for build in builds for pair in build()]
 
 
-def detect_skip_on_failure(cfg: PipelineConfig) -> tuple[bool, Evidence]:
+def detect_skip_on_failure(cfg: PipelineConfig) -> Rule:
     """True iff allow_failures appears under `jobs` or `matrix`."""
-    evidence: Evidence = []
-    for key in ("jobs", "matrix"):
-        block = cfg.raw.get(key)
-        if isinstance(block, dict) and "allow_failures" in block:
-            evidence.append((f"{key}.allow_failures", _excerpt(block["allow_failures"])))
-    return bool(evidence), evidence
+    blocks = [
+        (key, cfg.raw[key])
+        for key in ("jobs", "matrix")
+        if isinstance(cfg.raw.get(key), dict) and "allow_failures" in cfg.raw[key]
+    ]
+    return bool(blocks), lambda: [
+        (f"{key}.allow_failures", _excerpt(block["allow_failures"])) for key, block in blocks
+    ]
 
 
-def detect_absent_feedback(cfg: PipelineConfig) -> tuple[bool, Evidence]:
+def detect_absent_feedback(cfg: PipelineConfig) -> Rule:
     """No notifications section, or one without any enabled channel."""
     notifications = cfg.notifications
     if notifications is None:
-        return True, [("notifications", "absent")]
-    if not notifications.channels:
-        return True, [("notifications", _excerpt(notifications.raw))]
-    return False, []
+        return True, lambda: [("notifications", "absent")]
+    return not notifications.channels, lambda: [("notifications", _excerpt(notifications.raw))]
 
 
-def detect_email_only(cfg: PipelineConfig) -> tuple[bool, Evidence]:
-    """Email is declared, enabled, and the only enabled channel."""
+def detect_email_only(cfg: PipelineConfig) -> Rule:
+    """Email is declared, enabled, and the only enabled channel (which only
+    a mapping of channels can declare)."""
     notifications = cfg.notifications
     if notifications is None or notifications.channels != frozenset({"email"}):
-        return False, []
-    raw_email = (
-        notifications.raw.get("email")
-        if isinstance(notifications.raw, dict)
-        else notifications.raw
-    )
-    return True, [("notifications.email", _excerpt(raw_email))]
+        return False, list
+    return True, lambda: [("notifications.email", _excerpt(notifications.raw["email"]))]
 
 
 def evaluate(
@@ -189,30 +185,18 @@ def evaluate(
     profile: PipelineToolProfile,
     late_merging_mode: str = LATE_MERGING_MODE_PIPELINE,
 ) -> FindingSet:
-    """Run all four rules and assemble the FindingSet."""
-    late_all, late_any, late_evidence = _late_merging_readings(cfg, profile)
-    skip, skip_evidence = detect_skip_on_failure(cfg)
-    absent, absent_evidence = detect_absent_feedback(cfg)
-    email, email_evidence = detect_email_only(cfg)
-
+    """Run all four rules; the FindingSet keeps the true findings' builders."""
+    late_all, late_any, late_build = _late_merging_readings(cfg, profile)
     late = late_any if late_merging_mode == LATE_MERGING_MODE_JOB else late_all
-
-    evidence: dict[str, Evidence] = {}
-    if late:
-        evidence["late_merging"] = late_evidence
-    if skip:
-        evidence["skip_on_failure"] = skip_evidence
-    if absent:
-        evidence["absent_feedback"] = absent_evidence
-    if email:
-        evidence["email_only"] = email_evidence
-
+    rules = {
+        "late_merging": (late, late_build),
+        "skip_on_failure": detect_skip_on_failure(cfg),
+        "absent_feedback": detect_absent_feedback(cfg),
+        "email_only": detect_email_only(cfg),
+    }
     return FindingSet(
-        late_merging=late,
-        skip_on_failure=skip,
-        absent_feedback=absent,
-        email_only=email,
+        **{name: flag for name, (flag, _) in rules.items()},
         late_merging_all_jobs=late_all,
         late_merging_any_job=late_any,
-        evidence=evidence,
+        builders={name: build for name, (flag, build) in rules.items() if flag},
     )

@@ -40,6 +40,11 @@ AUTH_TOKEN_ENV = "TDMSCAN_FETCH_TOKEN"
 MAX_FILE_BYTES = 1 << 20
 FETCH_CHUNK_BYTES = 64 * 1024  # a remote body over the cap stops within one chunk
 
+# Why a LocalTree read a path as None, as its ``unread`` records it; a path
+# it records no reason for is missing.
+_NOT_A_FILE = "is not a regular file"
+_OUTSIDE = "resolves outside the repository"
+
 
 class ManifestParseError(ValueError):
     pass
@@ -297,7 +302,9 @@ class LocalTree:
     checked is the file read.  A path through a symlink, as its file or any
     directory on the way, is read only if it resolves inside the root.
     Reads go through `file_text`, which records each file's digest in
-    ``digests`` and marks invalid UTF-8 in ``undecodable``.
+    ``digests`` and marks invalid UTF-8 in ``undecodable``.  A path read as
+    None because it is no regular file, or lies outside the root, gets that
+    reason in ``unread``, from what its open or the resolve rule saw.
     """
 
     def __init__(self, root: str, allowed: frozenset[str] | None = None):
@@ -305,6 +312,7 @@ class LocalTree:
         self.allowed = allowed
         self.digests: dict[str, str] = {}
         self.undecodable: set[str] = set()
+        self.unread: dict[str, str] = {}
 
     def read(self, path: str) -> str | None:
         if escapes_repo(path):
@@ -317,6 +325,7 @@ class LocalTree:
         try:
             info = os.fstat(fd)
             if not stat.S_ISREG(info.st_mode):
+                self.unread[path] = _NOT_A_FILE
                 return None
             if info.st_size > MAX_FILE_BYTES:
                 raise FileTooLarge(path)
@@ -363,8 +372,10 @@ class LocalTree:
             full = os.path.realpath(os.path.join(self.root, path))
             root = os.path.realpath(self.root)
             if os.path.commonpath([full, root]) != root:
+                self.unread[path] = _OUTSIDE
                 return None
             if not stat.S_ISREG(os.stat(full).st_mode):
+                self.unread[path] = _NOT_A_FILE
                 return None
         except (OSError, ValueError):
             return None
@@ -456,7 +467,8 @@ def materialize(
     """Produce (RawDocument, tree) for one manifest entry.
 
     Local entries never touch the network.  The config is read first
-    (missing -> NotFound, over MAX_FILE_BYTES -> FileTooLarge; either way the
+    (missing, not a regular file or outside the repository -> NotFound, whose
+    message says which; over MAX_FILE_BYTES -> FileTooLarge; either way the
     entry is skippable), then the tree reads only declared script paths, a
     remote one fetching each when read.  `script_paths` None sets no
     allow-list; only directory enumeration and `tdmscan analyze` build such.
@@ -475,7 +487,10 @@ def materialize(
     # config read first (unrestricted), then restrict reads to scripts
     content = tree.read(entry.config_path)
     if content is None:
-        raise NotFound(f"{entry.repo_slug}: missing {entry.config_path}")
+        # A remote read gives None only for a missing file.
+        reason = tree.unread.get(entry.config_path) if entry.is_local else None
+        problem = f"{entry.config_path} {reason}" if reason else f"missing {entry.config_path}"
+        raise NotFound(f"{entry.repo_slug}: {problem}")
     if entry.script_paths is not None:
         tree.allowed = frozenset(entry.script_paths)
     doc = RawDocument(

@@ -242,7 +242,7 @@ class TestSkipOnFailure:
         )
         flagged, evidence = detect_skip_on_failure(cfg)
         assert flagged is True
-        assert evidence[0][0] == "jobs.allow_failures"
+        assert evidence() == [("jobs.allow_failures", '[{"name": "Lint"}]')]
 
     def test_example_config_not_flagged(self, example_config):
         assert detect_skip_on_failure(example_config)[0] is False
@@ -254,14 +254,14 @@ class TestSkipOnFailure:
         )
         flagged, evidence = detect_skip_on_failure(cfg)
         assert flagged is True
-        assert evidence[0][0] == "matrix.allow_failures"
+        assert evidence() == [("matrix.allow_failures", '[{"env": "A=1"}]')]
 
 
 class TestAbsentFeedback:
     def test_no_notifications_key(self, example_config):
         flagged, evidence = detect_absent_feedback(example_config)
         assert flagged is True
-        assert evidence == [("notifications", "absent")]
+        assert evidence() == [("notifications", "absent")]
 
     def test_email_true_not_flagged(self, registry):
         cfg, _ = build(registry, "script: x\nnotifications:\n  email: true\n")
@@ -271,7 +271,7 @@ class TestAbsentFeedback:
         cfg, _ = build(registry, "script: x\nnotifications:\n  email: false\n")
         flagged, evidence = detect_absent_feedback(cfg)
         assert flagged is True
-        assert evidence
+        assert evidence() == [("notifications", '{"email": false}')]
 
     def test_section_without_channels_flagged(self, registry):
         cfg, _ = build(registry, "script: x\nnotifications:\n  on_success: never\n")
@@ -286,7 +286,7 @@ class TestEmailOnly:
         )
         flagged, evidence = detect_email_only(cfg)
         assert flagged is True
-        assert evidence
+        assert evidence() == [("notifications.email", '{"recipients": ["a@b.c"]}')]
 
     def test_second_channel_unflags(self, registry):
         cfg, _ = build(
@@ -323,6 +323,136 @@ class TestEvidenceCompleteness:
         for name in findings.true_findings():
             assert findings.evidence[name], name
 
+
+_PUSH_MASTER = "type = push AND branch = master"
+_ABSENT = {"absent_feedback": [("notifications", "absent")]}
+
+# (id, config, evidence under the pipeline reading, under the job reading);
+# None for the job reading means the same as under the pipeline reading.
+_EVIDENCE_TABLE = [
+    (
+        "job-if",
+        f"jobs:\n  include:\n    - if: {_PUSH_MASTER}\n      script: flake8 .\n",
+        {"late_merging": [("jobs.include[0].if", _PUSH_MASTER)], **_ABSENT},
+        None,
+    ),
+    (
+        "stage-if",
+        f"stages:\n  - name: lint\n    if: {_PUSH_MASTER}\n"
+        "jobs:\n  include:\n    - stage: lint\n      script: flake8 src\n",
+        {"late_merging": [("stages[lint].if", _PUSH_MASTER)], **_ABSENT},
+        None,
+    ),
+    (
+        "global-if",
+        f"if: {_PUSH_MASTER}\nscript: flake8 .\n",
+        {"late_merging": [("if", _PUSH_MASTER)], **_ABSENT},
+        None,
+    ),
+    (
+        "job-branches-only",
+        "jobs:\n  include:\n    - branches: {only: [main]}\n      script: flake8 .\n",
+        {"late_merging": [("jobs.include[0].branches.only", '["main"]')], **_ABSENT},
+        None,
+    ),
+    (
+        "global-branches-only",
+        "branches:\n  only: [main, master]\n"
+        "jobs:\n  include:\n    - script: flake8 a\n    - script: pylint b\n",
+        {"late_merging": [("branches.only", '["main", "master"]')] * 2, **_ABSENT},
+        None,
+    ),
+    (
+        "every-job-restricted",
+        "jobs:\n  include:\n    - branches: {only: [master]}\n      script: flake8 a\n"
+        "    - if: branch = main AND type = push\n      script: pylint b\n",
+        {
+            "late_merging": [
+                ("jobs.include[0].branches.only", '["master"]'),
+                ("jobs.include[1].if", "branch = main AND type = push"),
+            ],
+            **_ABSENT,
+        },
+        None,
+    ),
+    (
+        "some-jobs-restricted",
+        "jobs:\n  include:\n    - branches: {only: [master]}\n      script: flake8 a\n"
+        "    - script: flake8 b\n"
+        "    - if: branch = main AND type = push\n      script: pylint c\n",
+        _ABSENT,
+        {
+            "late_merging": [
+                ("jobs.include[0].branches.only", '["master"]'),
+                ("jobs.include[2].if", "branch = main AND type = push"),
+            ],
+            **_ABSENT,
+        },
+    ),
+    (
+        "jobs-allow-failures",
+        "jobs:\n  include:\n    - script: x\n  allow_failures:\n    - name: Lint\n",
+        {"skip_on_failure": [("jobs.allow_failures", '[{"name": "Lint"}]')], **_ABSENT},
+        None,
+    ),
+    (
+        "matrix-allow-failures",
+        "matrix:\n  include:\n    - script: x\n  allow_failures:\n    - env: A=1\n",
+        {"skip_on_failure": [("matrix.allow_failures", '[{"env": "A=1"}]')], **_ABSENT},
+        None,
+    ),
+    (
+        "both-allow-failures",
+        "jobs:\n  include:\n    - script: x\n  allow_failures:\n    - name: Lint\n"
+        "matrix:\n  allow_failures: true\n",
+        {
+            "skip_on_failure": [
+                ("jobs.allow_failures", '[{"name": "Lint"}]'),
+                ("matrix.allow_failures", "true"),
+            ],
+            **_ABSENT,
+        },
+        None,
+    ),
+    ("absent-notifications", "script: x\n", _ABSENT, None),
+    (
+        "disabled-channels",
+        "script: x\nnotifications:\n  email: false\n  slack: {enabled: false}\n",
+        {
+            "absent_feedback": [
+                ("notifications", '{"email": false, "slack": {"enabled": false}}')
+            ]
+        },
+        None,
+    ),
+    (
+        "email-mapping",
+        "script: x\nnotifications:\n  email:\n    recipients: [a@b.c]\n",
+        {"email_only": [("notifications.email", '{"recipients": ["a@b.c"]}')]},
+        None,
+    ),
+    (
+        "email-bare-value",
+        "script: x\nnotifications:\n  email: a@b.c\n  slack: false\n",
+        {"email_only": [("notifications.email", '"a@b.c"')]},
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize("mode", ["pipeline", "job"])
+@pytest.mark.parametrize(
+    "text, pipeline_evidence, job_evidence",
+    [case[1:] for case in _EVIDENCE_TABLE],
+    ids=[case[0] for case in _EVIDENCE_TABLE],
+)
+def test_evidence_pairs(registry, mode, text, pipeline_evidence, job_evidence):
+    """Every evidence branch, with its exact (path, excerpt) pairs in order."""
+    cfg, profile = build(registry, text)
+    findings = evaluate(cfg, profile, late_merging_mode=mode)
+    expected = job_evidence if mode == "job" and job_evidence is not None else pipeline_evidence
+    assert findings.evidence == expected
+    assert findings.true_findings() == list(expected)
 
 _CHANNEL_VALUE = st.one_of(
     st.booleans(),

@@ -137,7 +137,7 @@ class TestAnalyze:
         for path in [tmp_path / "repo", tmp_path / "repo" / ".travis.yml"]:
             code, out, err = run_cli(capsys, "analyze", str(path))
             assert code == 1
-            assert err == "NotFound: repo: missing .travis.yml\n"
+            assert err == "NotFound: repo: .travis.yml resolves outside the repository\n"
             assert out == ""
 
     def test_no_install_exclusion_flag(self, capsys, tmp_path):

@@ -379,7 +379,42 @@ class TestLocalMaterialize:
         entry = ManifestEntry("a/b", ".travis.yml", (), local_root=str(root))
         result = scan_entries([entry], registry).entries[0]
         assert result.status == "skipped"
-        assert result.message == "a/b: missing .travis.yml"
+        assert result.message == "a/b: .travis.yml resolves outside the repository"
+
+    @pytest.mark.parametrize(
+        "layout, config, message",
+        [
+            ("absent", ".travis.yml", "missing .travis.yml"),
+            ("dangling-link", ".travis.yml", "missing .travis.yml"),
+            ("directory", ".travis.yml", ".travis.yml is not a regular file"),
+            ("link-to-directory", ".travis.yml", ".travis.yml is not a regular file"),
+            (
+                "under-outside-link",
+                "ci/.travis.yml",
+                "ci/.travis.yml resolves outside the repository",
+            ),
+        ],
+        ids=["absent", "dangling-link", "directory", "link-to-directory", "under-outside-link"],
+    )
+    def test_an_unread_config_is_skipped_saying_why(
+        self, tmp_path, registry, layout, config, message
+    ):
+        root = tmp_path / "repo"
+        root.mkdir()
+        (tmp_path / "outside").mkdir()
+        (tmp_path / "outside" / ".travis.yml").write_text("script: flake8 .\n")
+        if layout == "dangling-link":
+            (root / ".travis.yml").symlink_to("nowhere.yml")
+        elif layout == "directory":
+            (root / ".travis.yml").mkdir()
+        elif layout == "link-to-directory":
+            (root / "ci").mkdir()
+            (root / ".travis.yml").symlink_to("ci")
+        elif layout == "under-outside-link":
+            (root / "ci").symlink_to(tmp_path / "outside")
+        entry = ManifestEntry("a/b", config, (), local_root=str(root))
+        (result,) = scan_entries([entry], registry).entries
+        assert (result.status, result.message) == ("skipped", f"a/b: {message}")
 
 
 def resolve_and_contain(root, path):
@@ -542,7 +577,10 @@ class TestOneOpenPerFile:
         scan.join(timeout=10)
         assert not scan.is_alive(), "reading a FIFO blocked"
         (result,) = results[0].entries
-        assert (result.status, result.message) == ("skipped", "a/b: missing .travis.yml")
+        assert (result.status, result.message) == (
+            "skipped",
+            "a/b: .travis.yml is not a regular file",
+        )
 
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/fd") or not hasattr(os, "mkfifo"),

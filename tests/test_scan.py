@@ -22,7 +22,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdmscan import analytics, analyzer, script_resolver, shipped_registry
+from tdmscan import analytics, analyzer, antipatterns, script_resolver, shipped_registry
 from tdmscan import registry as registry_module
 from tdmscan import memo as memo_module
 from tdmscan.analytics import (
@@ -38,7 +38,7 @@ from tdmscan.analyzer import (
     explain_document,
     scan_entries,
 )
-from tdmscan.cli import _entries_from_directory
+from tdmscan.cli import _entries_from_directory, main
 from tdmscan.config_model import (
     Job,
     MalformedDocument,
@@ -58,7 +58,7 @@ from tdmscan.memo import BoundedMemo
 from tdmscan.registry import Registry
 
 from conftest import CORPUS_DIR, MappingTree
-from test_golden import OTHER_SCAN_SHA256, SCAN_SHA256
+from test_golden import OTHER_OPTIONS, OTHER_SCAN_SHA256, SCAN_SHA256
 from test_ingest import FakeClock, FakeResponse, FakeSession, ServingSession
 
 
@@ -358,6 +358,47 @@ def test_warm_line_memos_give_identical_scans():
         assert copy.message.replace("copy-", "", 1) == original.message
         assert copy.warnings == original.warnings
     assert _outcomes(doubled)[: len(entries)] == _outcomes(cold)
+
+
+def _count_evidence_builds(monkeypatch, log):
+    """Append a line to `log` per `_excerpt` and per `clip` call of the
+    rules, forked children's too; every evidence pair but an absent
+    section's is built by one or both."""
+    for name in ("_excerpt", "clip"):
+
+        def counting(value, real=getattr(antipatterns, name), name=name):
+            with open(log, "a") as handle:
+                handle.write(name + "\n")
+            return real(value)
+
+        monkeypatch.setattr(antipatterns, name, counting)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_scan_builds_no_evidence(monkeypatch, registry, two_cpus, tmp_path, workers):
+    log = tmp_path / "builds"
+    _count_evidence_builds(monkeypatch, log)
+    result = scan_entries(_entries_from_directory(CORPUS_DIR), registry, workers=workers)
+    assert sum(entry.status == "ok" for entry in result.entries) == 38
+    assert result.report.antipattern_prevalence["absent_feedback"]["count"] > 0
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("flags", [[], OTHER_OPTIONS], ids=["default", "other-options"])
+def test_analyze_builds_each_printed_pair_once(monkeypatch, capsys, tmp_path, flags):
+    log = tmp_path / "builds"
+    _count_evidence_builds(monkeypatch, log)
+    pairs = []
+    for name in sorted(os.listdir(CORPUS_DIR)):
+        if main(["analyze", os.path.join(CORPUS_DIR, name), *flags]) == 0:
+            evidence = json.loads(capsys.readouterr().out)["evidence"]
+            pairs += [pair for found in evidence.values() for pair in found]
+    capsys.readouterr()
+    built = Counter(log.read_text().splitlines())
+    conditions = sum(path == "if" or path.endswith(".if") for path, _ in pairs)
+    absent = pairs.count(["notifications", "absent"])
+    assert absent and conditions
+    assert built == {"_excerpt": len(pairs) - conditions - absent, "clip": len(pairs) - absent}
 
 
 # --- whole-pipeline memos: a hit gives what a cold analysis gives -------------
