@@ -35,6 +35,7 @@ from .ingest import (
     ManifestParseError,
     NotFound,
     RateLimited,
+    fetch_corpus,
     load_manifest,
     materialize,
 )

@@ -23,11 +23,10 @@ from .config_model import (
     parse_config,
 )
 from .ingest import (
-    FetchPolicy,
     FileTooLarge,
     ManifestEntry,
+    ManifestParseError,
     NotFound,
-    TokenBucket,
     materialize,
     text_sha256,
 )
@@ -192,15 +191,15 @@ class ScanResult:
 
 
 def _scan_chunk(
-    entries: list[ManifestEntry], read, registry: Registry, options: AnalysisOptions
+    entries: list[ManifestEntry], registry: Registry, options: AnalysisOptions
 ) -> tuple[Aggregator, list[EntryResult]]:
-    """Open each entry with ``read`` (as ``materialize``) and analyze it, in
-    order and with one memo, folding every ``ok`` record into one aggregator."""
+    """Materialize and analyze each entry, in order and with one memo,
+    folding every ``ok`` record into one aggregator."""
     aggregator, memo = Aggregator(registry.version), BoundedMemo()
     results = []
     for entry in entries:
         try:
-            record, warnings = analyze_document(*read(entry), registry, options, memo)
+            record, warnings = analyze_document(*materialize(entry), registry, options, memo)
         except (NotFound, FileTooLarge, NotAPipeline, MalformedDocument) as exc:
             results.append(EntryResult(entry.repo_slug, "skipped", message=str(exc)))
         except Exception as exc:  # noqa: BLE001 - entry isolation
@@ -234,7 +233,7 @@ def _scan_forked(
     """
 
     def share(worker: int) -> tuple[Aggregator, list[EntryResult]]:
-        return _scan_chunk(shares[worker], materialize, registry, options)
+        return _scan_chunk(shares[worker], registry, options)
 
     # Imported and compiled once, before the fork, so every child inherits
     # both: a child that imported pickle itself began its share about 8 ms
@@ -327,81 +326,39 @@ def _child_parts(
     return value
 
 
-def _scan_remote(
-    shares: list[list[ManifestEntry]],
-    registry: Registry,
-    options: AnalysisOptions,
-    policy: FetchPolicy,
-    session,
-    clock,
-) -> list[tuple[Aggregator, list[EntryResult]]]:
-    """Remote fetches wait on I/O: overlap the shares on threads sharing one
-    rate limit and one session; without the caller's, one is opened for the scan."""
-    if session is None:
-        try:
-            import requests
-        except ImportError:
-            pass  # each remote entry then fails on the import in materialize
-        else:
-            with requests.Session() as session:
-                return _scan_remote(shares, registry, options, policy, session, clock)
-    read = partial(
-        materialize,
-        policy=policy,
-        session=session,
-        clock=clock,
-        bucket=TokenBucket(policy.max_requests_per_hour, clock),
-    )
-
-    def scan(share: list[ManifestEntry]) -> tuple[Aggregator, list[EntryResult]]:
-        return _scan_chunk(share, read, registry, options)
-
-    if len(shares) <= 1:
-        return [scan(share) for share in shares]
-    # Imported here, as a local scan never needs it: it pulls in `logging`.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-        return list(pool.map(scan, shares))
-
-
 def scan_entries(
     entries: list[ManifestEntry],
     registry: Registry,
     options: AnalysisOptions = AnalysisOptions(),
-    policy: FetchPolicy | None = None,
-    session=None,
-    clock=None,
     workers: int = 1,
 ) -> ScanResult:
     """Analyze every entry and aggregate; failures are isolated per entry.
 
     Entries are taken in slug order (the last entry wins a repeated slug)
     and dealt into at most n strided shares, share ``w`` holding every n-th
-    entry from the ``w``-th.  Local entries are CPU-bound: n is ``workers``
-    capped at the usable CPUs, this process scans share 0 and a child
-    forked from it scans each other share, inheriting the loaded package
-    and registry (without ``os.fork`` every entry runs here).  A manifest
-    with remote entries runs its n = ``workers`` shares on threads that
-    share the caller's session and one rate limit.  The partial aggregates
-    merge in any order to the same report, and each share's results go
-    back to its entries' places, so the scan is the same for any number of
-    workers.
+    entry from the ``w``-th; n is ``workers`` capped at the usable CPUs.
+    This process scans share 0 and a child forked from it scans each other
+    share, inheriting the loaded package and registry (without ``os.fork``
+    every entry runs here).  The partial aggregates merge in any order to
+    the same report, and each share's results go back to its entries'
+    places, so the scan is the same for any number of workers.  Every entry
+    must be local: a remote one raises ManifestParseError before any entry
+    is read, since `tdmscan fetch` must copy it first.
     """
     by_slug = {entry.repo_slug: entry for entry in entries}
     ordered = [by_slug[slug] for slug in sorted(by_slug)]
-    if all(entry.is_local for entry in ordered):
-        n = min(workers, _usable_cpus()) if hasattr(os, "fork") else 1
-        shares = _deal(ordered, max(1, n))
-        if len(shares) > 1:
-            parts = _scan_forked(shares, registry, options)
-        else:
-            parts = [_scan_chunk(share, materialize, registry, options) for share in shares]
+    for entry in ordered:
+        if not entry.is_local:
+            raise ManifestParseError(
+                f"{entry.repo_slug}: a remote entry is not scanned; copy the "
+                "corpus with `tdmscan fetch` and scan the manifest it writes"
+            )
+    n = min(workers, _usable_cpus()) if hasattr(os, "fork") else 1
+    shares = _deal(ordered, max(1, n))
+    if len(shares) > 1:
+        parts = _scan_forked(shares, registry, options)
     else:
-        shares = _deal(ordered, max(1, workers))
-        parts = _scan_remote(
-            shares, registry, options, policy or FetchPolicy(), session, clock
-        )
+        parts = [_scan_chunk(share, registry, options) for share in shares]
 
     aggregator = Aggregator(registry.version)
     results: list[EntryResult] = [None] * len(ordered)

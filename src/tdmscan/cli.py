@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands: `analyze` one config or directory, `scan` a corpus (manifest
-or directory layout), `registry-validate` a registry file, and `report` to
-re-export a saved JSON report.  Standard output carries only data;
+Subcommands: `analyze` one config or directory, `fetch` the remote entries
+of a manifest to a local directory, `scan` a corpus of local entries
+(manifest or directory layout), `registry-validate` a registry file, and
+`report` to re-export a saved JSON report.  Standard output carries only data;
 diagnostics go to standard error.  Exit codes: 0 success, 1 internal error
 or invalid input, 2 not-a-pipeline.
 """
@@ -29,6 +30,7 @@ from .ingest import (
     ManifestEntry,
     ManifestParseError,
     NotFound,
+    fetch_corpus,
     load_manifest,
     materialize,
 )
@@ -46,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Static analyzer for Travis-style CI pipelines: detects "
             "technical-debt tool usage, classifies placement and timing, "
             "flags configuration anti-patterns, and aggregates corpus "
-            f"statistics. Remote fetches read an auth token from ${AUTH_TOKEN_ENV}."
+            "statistics."
         ),
     )
     common = argparse.ArgumentParser(add_help=False)
@@ -78,6 +80,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("path", help=f"a {CONFIG_FILENAME} file or a directory containing one")
 
+    fetch = sub.add_parser(
+        "fetch",
+        help="copy a manifest's remote entries to a local directory",
+        description=(
+            "Fetch each remote entry's config and listed scripts over HTTP(S) "
+            "into DIR/repos/, and write DIR/manifest.json naming the copies "
+            "as local entries, for `tdmscan scan`. Files already in DIR are "
+            "not fetched again. An auth token is read from "
+            f"${AUTH_TOKEN_ENV} and sent over https only."
+        ),
+    )
+    fetch.add_argument("manifest", help="manifest JSON with remote entries")
+    fetch.add_argument("--out", required=True, metavar="DIR", help="output directory")
+    fetch.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="fetch entries on N threads that share one rate limit (default 1)",
+    )
+
     scan = sub.add_parser(
         "scan", parents=[common], help="scan a corpus manifest or directory layout"
     )
@@ -95,10 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "analyze entries with N workers (default 1): local entries run in "
-            "at most N processes, one per usable CPU, where this process scans "
-            "one share and N-1 forked children scan the rest; manifests with "
-            "remote entries run on N threads that share one fetch rate limit"
+            "analyze entries in at most N processes (default 1), one per "
+            "usable CPU: this process scans one share and N-1 forked children "
+            "scan the rest"
         ),
     )
 
@@ -239,6 +261,15 @@ def _write_outputs(report: CorpusReport, out_dir: str, fmt: str | None) -> list[
     return _write_files(_render(report, fmt), out_dir)
 
 
+def _cmd_fetch(args) -> int:
+    entries = load_manifest(args.manifest).entries
+    manifest = fetch_corpus(entries, args.out, workers=max(1, args.workers))
+    for slug, message in manifest["failed"].items():
+        print(f"{slug}: {message}", file=sys.stderr)
+    print(os.path.join(args.out, "manifest.json"))
+    return EXIT_ERROR if manifest["failed"] else EXIT_OK
+
+
 def _cmd_scan(args) -> int:
     registry = _load_registry(args)
     if os.path.isdir(args.path):
@@ -291,6 +322,7 @@ def _cmd_report(args) -> int:
 
 _COMMANDS = {
     "analyze": _cmd_analyze,
+    "fetch": _cmd_fetch,
     "scan": _cmd_scan,
     "registry-validate": _cmd_registry_validate,
     "report": _cmd_report,

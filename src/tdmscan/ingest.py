@@ -1,11 +1,13 @@
-"""Corpus inputs: local directory layouts, JSON manifests, and an optional
-rate-limited HTTP fetcher for raw config/script files.
+"""Corpus inputs: local directory layouts, JSON manifests, and a
+rate-limited HTTP fetcher that copies remote entries' raw files to disk.
 
 A manifest is the interchange point with whatever large-scale harvesting
 produced the corpus; each entry names one pipeline (repo slug, config path,
 script paths) sourced either from a local root or a remote raw-content base
-URL.  Entry failures are isolated: one bad entry never aborts a run.  Both
-trees turn the bytes they read into text and a digest through `file_text`.
+URL.  A scan reads local entries only: `fetch_corpus` first copies each
+remote entry's config and listed scripts into a directory and writes a
+manifest of local entries naming the copies.  Entry failures are isolated:
+one bad entry never aborts a run.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import os
 import stat
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Protocol
-from urllib.parse import urlsplit
+from urllib.parse import quote, urlsplit
 
 from .config_model import RawDocument
 
@@ -55,7 +57,8 @@ class DuplicateSlug(ManifestParseError):
 
 
 class NotFound(RuntimeError):
-    """A required remote or local file does not exist."""
+    """A local entry's config is missing, not a regular file or outside the
+    repository."""
 
 
 class RateLimited(RuntimeError):
@@ -237,21 +240,6 @@ def text_sha256(content: str) -> str:
     return sha256(content.encode("utf-8", errors="surrogatepass")).hexdigest()
 
 
-def file_text(tree, path: str, data: bytes) -> str:
-    """The text of `path`, read by `tree` as `data`; FileTooLarge over the cap.
-    Invalid UTF-8 is replaced and marks `path` in ``tree.undecodable``, and
-    ``tree.digests[path]`` takes the sha256 of `data`."""
-    if len(data) > MAX_FILE_BYTES:
-        raise FileTooLarge(path)
-    try:
-        content = data.decode("utf-8")
-    except UnicodeDecodeError:
-        content = data.decode("utf-8", errors="replace")
-        tree.undecodable.add(path)
-    tree.digests[path] = sha256(data).hexdigest()
-    return content
-
-
 # Where `os` opens without following a link and relative to a directory
 # descriptor, LocalTree walks each path that way; elsewhere every read takes
 # the resolve rule.
@@ -301,9 +289,9 @@ class LocalTree:
     MAX_FILE_BYTES: over it raises FileTooLarge) and read, so the file
     checked is the file read.  A path through a symlink, as its file or any
     directory on the way, is read only if it resolves inside the root.
-    Reads go through `file_text`, which records each file's digest in
-    ``digests`` and marks invalid UTF-8 in ``undecodable``.  A path read as
-    None because it is no regular file, or lies outside the root, gets that
+    Invalid UTF-8 is replaced and marks the path in ``undecodable``, and
+    ``digests`` takes the sha256 of each file's bytes.  A path read as None
+    because it is no regular file, or lies outside the root, gets that
     reason in ``unread``, from what its open or the resolve rule saw.
     """
 
@@ -332,7 +320,15 @@ class LocalTree:
             data = _read_descriptor(fd, info.st_size)
         finally:
             os.close(fd)
-        return file_text(self, path, data)
+        if len(data) > MAX_FILE_BYTES:  # the file grew after the stat
+            raise FileTooLarge(path)
+        try:
+            content = data.decode("utf-8")
+        except UnicodeDecodeError:
+            content = data.decode("utf-8", errors="replace")
+            self.undecodable.add(path)
+        self.digests[path] = sha256(data).hexdigest()
+        return content
 
     def _open(self, path: str) -> int | None:
         """A descriptor of `path`, or None where it is absent.  Each
@@ -383,14 +379,13 @@ class LocalTree:
 
 
 class RemoteTree:
-    """Fetches raw files over HTTPS on every read, honoring a shared rate limit.
+    """Fetches raw files over HTTPS as bytes, honoring a shared rate limit.
 
-    Bodies are streamed, and go through `file_text` as LocalTree's bytes do;
-    a response's charset is ignored, and a body stops downloading once past
-    MAX_FILE_BYTES (FileTooLarge).  404 resolves to None; throttled or failing
-    responses and transport errors, mid-body too, are retried within the
-    policy's budget, then raise RateLimited.  Any other exception propagates
-    at once.  Every response is closed.
+    Bodies are streamed, a response's charset is ignored, and a body stops
+    downloading once past MAX_FILE_BYTES (FileTooLarge).  404 resolves to
+    None; throttled or failing responses and transport errors, mid-body too,
+    are retried within the policy's budget, then raise RateLimited.  Any
+    other exception propagates at once.  Every response is closed.
     """
 
     def __init__(
@@ -400,16 +395,12 @@ class RemoteTree:
         session,
         bucket: TokenBucket,
         clock: Clock | None = None,
-        allowed: frozenset[str] | None = None,
     ):
         self.base_url = base_url.rstrip("/")
         self.policy = policy
         self.session = session
         self.bucket = bucket
         self.clock = clock or SystemClock()
-        self.allowed = allowed
-        self.digests: dict[str, str] = {}
-        self.undecodable: set[str] = set()
 
     def _headers(self) -> dict[str, str]:
         # The token goes over HTTPS only: over plain HTTP anyone on the path
@@ -419,16 +410,11 @@ class RemoteTree:
             return {"Authorization": f"token {token}"}
         return {}
 
-    def read(self, path: str) -> str | None:
+    def fetch(self, path: str) -> bytes | None:
+        """The body of `path` as served with status 200, or None on 404.  A
+        path that escapes the repository is None and never requested."""
         if escapes_repo(path):
             return None
-        if self.allowed is not None and path not in self.allowed:
-            return None
-        data = self._fetch(path)
-        return None if data is None else file_text(self, path, data)
-
-    def _fetch(self, path: str) -> bytes | None:
-        """The body of `path` as served with status 200, or None on 404."""
         url = f"{self.base_url}/{path}"
         attempts = 0
         while True:
@@ -457,38 +443,141 @@ class RemoteTree:
             self.clock.sleep(min(2.0 * attempts, 30.0))
 
 
-def materialize(
-    entry: ManifestEntry,
-    policy: FetchPolicy | None = None,
+# What a fetched manifest's ``files`` map gives a path that was not written.
+MISSING = "missing"
+OVER_THE_CAP = "over the cap"
+
+
+def _write_whole(path: str, data: bytes) -> None:
+    """Write `path` through `path`.part, so it is never seen half written."""
+    part = path + ".part"
+    with open(part, "wb") as handle:
+        handle.write(data)
+    os.replace(part, path)
+
+
+def _fetch_file(tree: RemoteTree, root: str, path: str) -> str:
+    """The sha256 of `path` as copied under `root`, or why it is not there.
+    A copy already on disk is kept, and its digest read from it, without a
+    request."""
+    if escapes_repo(path):
+        return MISSING
+    target = os.path.join(root, path)
+    try:
+        with open(target, "rb") as handle:
+            return sha256(handle.read()).hexdigest()
+    except FileNotFoundError:
+        pass
+    try:
+        data = tree.fetch(path)
+    except FileTooLarge:
+        return OVER_THE_CAP
+    if data is None:
+        return MISSING
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    _write_whole(target, data)
+    return sha256(data).hexdigest()
+
+
+def _entry_data(entry: ManifestEntry) -> dict[str, Any]:
+    """`entry` as a manifest entry object; a script list of None is written
+    as an empty one."""
+    data = {
+        "repo_slug": entry.repo_slug,
+        "config_path": entry.config_path,
+        "script_paths": list(entry.script_paths or ()),
+    }
+    if entry.is_local:
+        data["local_root"] = entry.local_root
+    else:
+        data["remote_base_url"] = entry.remote_base_url
+    return data
+
+
+def fetch_corpus(
+    entries: list[ManifestEntry],
+    out_dir: str,
+    policy: FetchPolicy = FetchPolicy(),
     session=None,
     clock: Clock | None = None,
-    bucket: TokenBucket | None = None,
-):
-    """Produce (RawDocument, tree) for one manifest entry.
+    workers: int = 1,
+) -> dict[str, Any]:
+    """Copy every remote entry's config and listed scripts under `out_dir`,
+    then write `out_dir`/manifest.json; return the manifest written.
 
-    Local entries never touch the network.  The config is read first
-    (missing, not a regular file or outside the repository -> NotFound, whose
-    message says which; over MAX_FILE_BYTES -> FileTooLarge; either way the
-    entry is skippable), then the tree reads only declared script paths, a
-    remote one fetching each when read.  `script_paths` None sets no
-    allow-list; only directory enumeration and `tdmscan analyze` build such.
+    Entries are taken in slug order (the last entry wins a repeated slug).
+    A remote entry's files go to ``repos/<slug quoted with safe="">/<path>``,
+    and its manifest entry names that directory as its absolute
+    ``local_root``, keeps its ``script_paths``, and maps each path in
+    ``files`` to its sha256, MISSING (404) or OVER_THE_CAP.  A file is
+    written whole through a ``.part`` file, and one already present is not
+    fetched again, so a re-run resumes an interrupted fetch.  Local entries
+    are written unchanged.  An entry whose fetch raises, or whose slug
+    names no directory ("", "." or ".."), is left out of ``entries`` and
+    maps its slug to the message in ``failed``.
+
+    Entries are handed out one at a time to `workers` threads, which share
+    one session (the caller's, or one opened here) and one token bucket;
+    `session` and `clock` exist so tests can pass fakes.
     """
-    if entry.is_local:
-        tree = LocalTree(entry.local_root)
-    else:
-        policy = policy or FetchPolicy()
-        if session is None:
-            import requests
+    if session is None:
+        import requests
 
-            session = requests.Session()
-        if bucket is None:
-            bucket = TokenBucket(policy.max_requests_per_hour, clock)
+        with requests.Session() as session:
+            return fetch_corpus(entries, out_dir, policy, session, clock, workers)
+    from concurrent.futures import ThreadPoolExecutor
+
+    bucket = TokenBucket(policy.max_requests_per_hour, clock)
+    repos = os.path.join(os.path.abspath(out_dir), "repos")
+
+    def fetch(entry: ManifestEntry) -> dict[str, Any] | str:
+        if entry.is_local:
+            return _entry_data(entry)
+        name = quote(entry.repo_slug, safe="")
+        if name in ("", ".", ".."):
+            return f"slug {entry.repo_slug!r} cannot name a directory; nothing fetched"
+        root = os.path.join(repos, name)
         tree = RemoteTree(entry.remote_base_url, policy, session, bucket, clock)
-    # config read first (unrestricted), then restrict reads to scripts
+        paths = dict.fromkeys((entry.config_path, *(entry.script_paths or ())))
+        try:
+            files = {path: _fetch_file(tree, root, path) for path in paths}
+        except Exception as exc:  # noqa: BLE001 - entry isolation
+            return str(exc)
+        local = replace(entry, local_root=root, remote_base_url=None)
+        return {**_entry_data(local), "files": files}
+
+    by_slug = {entry.repo_slug: entry for entry in entries}
+    slugs = sorted(by_slug)
+    written, failed = [], {}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for slug, outcome in zip(slugs, pool.map(fetch, [by_slug[s] for s in slugs])):
+            if isinstance(outcome, str):
+                failed[slug] = outcome
+            else:
+                written.append(outcome)
+    manifest = {"schema_version": MANIFEST_SCHEMA_VERSION, "entries": written, "failed": failed}
+    os.makedirs(out_dir, exist_ok=True)
+    _write_whole(
+        os.path.join(out_dir, "manifest.json"),
+        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
+    )
+    return manifest
+
+
+def materialize(entry: ManifestEntry):
+    """Produce (RawDocument, LocalTree) for one local manifest entry.
+
+    Never touches the network.  The config is read first (missing, not a
+    regular file or outside the repository -> NotFound, whose message says
+    which; over MAX_FILE_BYTES -> FileTooLarge; either way the entry is
+    skippable), then the tree reads only declared script paths.
+    `script_paths` None sets no allow-list; only directory enumeration and
+    `tdmscan analyze` build such.
+    """
+    tree = LocalTree(entry.local_root)
     content = tree.read(entry.config_path)
     if content is None:
-        # A remote read gives None only for a missing file.
-        reason = tree.unread.get(entry.config_path) if entry.is_local else None
+        reason = tree.unread.get(entry.config_path)
         problem = f"{entry.config_path} {reason}" if reason else f"missing {entry.config_path}"
         raise NotFound(f"{entry.repo_slug}: {problem}")
     if entry.script_paths is not None:

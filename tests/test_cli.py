@@ -1,7 +1,10 @@
 import json
 import os
 import shutil
+import sys
 import time
+import types
+from contextlib import nullcontext
 
 import pytest
 
@@ -9,6 +12,7 @@ from tdmscan.cli import _entries_from_directory, main
 from tdmscan.ingest import MAX_FILE_BYTES
 
 from conftest import CORPUS_DIR, EXAMPLE_CONFIG, MappingTree
+from test_ingest import FakeResponse, RaisingSession, ServingSession
 
 
 INVALID_UTF8_CONFIG = b"# caf\xe9 \xff\xfe\nlanguage: python\nscript:\n  - mypy pkg\n"
@@ -375,6 +379,90 @@ def test_scan_and_analyze_resolve_a_script_through_a_linked_directory(capsys, tm
     report = json.loads((out_dir / "report.json").read_text())
     assert report["tool_table"]["flake8"]["pipelines"] == 1
     assert report["tool_table"]["flake8"]["script"] == 1
+
+
+class TestFetch:
+    BASE = "https://raw.example.org"
+
+    def corpus_manifests(self, tmp_path):
+        """A remote and a local manifest of the fixture corpus, each entry
+        listing every file of its directory, and the files served."""
+        remote, local, files = [], [], {}
+        for entry in _entries_from_directory(CORPUS_DIR):
+            paths = []
+            for directory, _, names in os.walk(entry.local_root):
+                for name in names:
+                    full = os.path.join(directory, name)
+                    path = os.path.relpath(full, entry.local_root).replace(os.sep, "/")
+                    paths.append(path)
+                    with open(full, "rb") as handle:
+                        files[f"{self.BASE}/{entry.repo_slug}/{path}"] = handle.read()
+            common = {"repo_slug": entry.repo_slug, "config_path": ".travis.yml",
+                      "script_paths": sorted(paths)}
+            remote.append({**common, "remote_base_url": f"{self.BASE}/{entry.repo_slug}"})
+            local.append({**common, "local_root": entry.local_root})
+        paths = []
+        for name, entries in (("remote.json", remote), ("local.json", local)):
+            (tmp_path / name).write_text(json.dumps({"schema_version": 1, "entries": entries}))
+            paths.append(str(tmp_path / name))
+        return paths, files
+
+    @staticmethod
+    def serve(monkeypatch, session):
+        """Make `requests.Session()` open `session`."""
+        monkeypatch.setitem(
+            sys.modules, "requests", types.SimpleNamespace(Session=lambda: nullcontext(session))
+        )
+
+    def test_scan_of_a_remote_entry_exits_1_naming_fetch(self, capsys, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"schema_version": 1, "entries": [
+            {"repo_slug": "acme/remote", "config_path": ".travis.yml",
+             "remote_base_url": "https://raw.example.org/acme/remote/main"},
+        ]}))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "scan", str(manifest), "--out", str(out_dir))
+        assert code == 1
+        assert out == ""
+        assert not out_dir.exists()
+        assert err.startswith("ManifestParseError: acme/remote: ")
+        assert "`tdmscan fetch`" in err
+
+    def test_fetch_then_scan_equals_a_local_scan(self, capsys, tmp_path, monkeypatch):
+        (remote, local), files = self.corpus_manifests(tmp_path)
+        session = ServingSession(files, FakeResponse)
+        self.serve(monkeypatch, session)
+        fetched = tmp_path / "fetched"
+        code, out, err = run_cli(
+            capsys, "fetch", remote, "--out", str(fetched), "--workers", "2"
+        )
+        assert (code, out, err) == (0, f"{fetched / 'manifest.json'}\n", "")
+        assert sorted(session.calls) == sorted(files)
+        for manifest, out_dir in ((fetched / "manifest.json", "a"), (local, "b")):
+            code, _, _ = run_cli(capsys, "scan", str(manifest), "--out", str(tmp_path / out_dir))
+            assert code == 0
+        report = (tmp_path / "a" / "report.json").read_bytes()
+        assert report == (tmp_path / "b" / "report.json").read_bytes()
+
+    def test_failed_entries_exit_1_naming_each(self, capsys, tmp_path, monkeypatch):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"schema_version": 1, "entries": [
+            {"repo_slug": slug, "config_path": ".travis.yml",
+             "remote_base_url": f"https://raw.example.org/{index}"}
+            for index, slug in enumerate(["..", "acme/a"])
+        ]}))
+        self.serve(monkeypatch, RaisingSession(TypeError("unexpected keyword")))
+        out_dir = tmp_path / "fetched"
+        code, _, err = run_cli(capsys, "fetch", str(manifest), "--out", str(out_dir))
+        assert code == 1
+        assert err.splitlines() == [
+            "..: slug '..' cannot name a directory; nothing fetched",
+            "acme/a: unexpected keyword",
+        ]
+        written = json.loads((out_dir / "manifest.json").read_text())
+        assert written["entries"] == []
+        assert sorted(written["failed"]) == ["..", "acme/a"]
+        assert os.listdir(out_dir) == ["manifest.json"]
 
 
 class TestRegistryValidate:

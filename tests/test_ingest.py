@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import shutil
+import socket
 import stat
 import sys
 import threading
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tdmscan import ingest
-from tdmscan.analyzer import analyze_document, scan_entries
-from tdmscan.config_model import MalformedDocument, NotAPipeline
+from tdmscan.analytics import export_json
+from tdmscan.analyzer import scan_entries
 from tdmscan.ingest import (
     FETCH_CHUNK_BYTES,
     MAX_FILE_BYTES,
@@ -31,6 +32,7 @@ from tdmscan.ingest import (
     RemoteTree,
     TokenBucket,
     escapes_repo,
+    fetch_corpus,
     load_manifest,
     materialize,
     parse_manifest,
@@ -146,11 +148,6 @@ class RaisingSession:
         raise self.error
 
 
-class RefusingSession:
-    def get(self, *args, **kwargs):
-        raise AssertionError("network access attempted in local mode")
-
-
 def manifest_data(entries):
     return {"schema_version": 1, "created_at": "2026-01-05", "notes": "", "entries": entries}
 
@@ -256,27 +253,21 @@ class TestLocalMaterialize:
     def test_local_entry(self, tmp_path):
         root = self.make_repo(tmp_path)
         entry = ManifestEntry("a/b", ".travis.yml", ("ci/lint.sh",), local_root=root)
-        doc, tree = materialize(entry, session=RefusingSession())
-        assert doc.repo_slug == "a/b"
-        assert "flake8" in tree.read("ci/lint.sh")
-
-    def test_local_mode_never_touches_network(self, tmp_path):
-        root = self.make_repo(tmp_path)
-        entry = ManifestEntry("a/b", ".travis.yml", ("ci/lint.sh",), local_root=root)
-        doc, tree = materialize(entry, session=RefusingSession())
-        tree.read("ci/lint.sh")
-        tree.read("nope.sh")
-
-    def test_local_entry_builds_no_fetch_policy(self, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a local entry built a fetch policy")
-
-        monkeypatch.setattr(ingest, "FetchPolicy", refuse)
-        root = self.make_repo(tmp_path)
-        entry = ManifestEntry("a/b", ".travis.yml", ("ci/lint.sh",), local_root=root)
         doc, tree = materialize(entry)
         assert doc.repo_slug == "a/b"
         assert "flake8" in tree.read("ci/lint.sh")
+
+    def test_local_mode_never_touches_network(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("network access attempted in local mode")
+
+        monkeypatch.setattr(socket, "socket", refuse)
+        monkeypatch.setitem(sys.modules, "requests", None)  # importing it fails
+        root = self.make_repo(tmp_path)
+        entry = ManifestEntry("a/b", ".travis.yml", ("ci/lint.sh",), local_root=root)
+        doc, tree = materialize(entry)
+        tree.read("ci/lint.sh")
+        tree.read("nope.sh")
 
     def test_tree_restricted_to_declared_scripts(self, tmp_path):
         root = self.make_repo(tmp_path)
@@ -732,30 +723,49 @@ class TestByteCap:
         # Two-byte characters: the cap counts bytes, not characters.
         session = FakeSession(
             {
-                f"{base}/.travis.yml": [FakeResponse(200, "script: x\n")],
                 f"{base}/ok.sh": [FakeResponse(200, "é" * (MAX_FILE_BYTES // 2))],
                 f"{base}/big.sh": [FakeResponse(200, "é" * (MAX_FILE_BYTES // 2 + 1))],
             }
         )
-        entry = ManifestEntry(
-            "acme/demo", ".travis.yml", ("ok.sh", "big.sh"), remote_base_url=base
-        )
-        _, tree = materialize(entry, session=session, clock=FakeClock())
-        assert len(tree.read("ok.sh")) == MAX_FILE_BYTES // 2
+        tree = remote_tree(base, session)
+        assert len(tree.fetch("ok.sh")) == MAX_FILE_BYTES
         with pytest.raises(FileTooLarge, match=self.CAP_MESSAGE):
-            tree.read("big.sh")
-        assert "big.sh" not in tree.digests
+            tree.fetch("big.sh")
 
-    def test_remote_config_over_the_cap_raises(self):
+    def test_remote_config_over_the_cap_raises(self, tmp_path, registry):
+        # The fetch records the cap; the copy lacks the config, so its scan
+        # skips the entry as missing.
         base = "https://raw.example.org/acme/demo/main"
         body = self.padded("script: x\n", MAX_FILE_BYTES + 1)
         session = FakeSession({f"{base}/.travis.yml": [FakeResponse(200, body)]})
-        entry = ManifestEntry("acme/demo", ".travis.yml", (), remote_base_url=base)
         with pytest.raises(FileTooLarge, match=self.CAP_MESSAGE):
-            materialize(entry, session=session, clock=FakeClock())
+            remote_tree(base, session).fetch(".travis.yml")
+        entry = ManifestEntry("acme/demo", ".travis.yml", (), remote_base_url=base)
+        manifest = fetch_corpus([entry], str(tmp_path), session=session, clock=FakeClock())
+        (written,) = manifest["entries"]
+        assert written["files"] == {".travis.yml": "over the cap"}
+        assert not os.path.exists(os.path.join(written["local_root"], ".travis.yml"))
+        result = scan_entries(load_manifest(str(tmp_path / "manifest.json")).entries, registry)
+        assert [(e.status, e.message) for e in result.entries] == [
+            ("skipped", "acme/demo: missing .travis.yml")
+        ]
+
+
+def remote_tree(base, session, policy=FetchPolicy(), clock=None):
+    """A RemoteTree over `base` with a bucket of its own."""
+    clock = clock or FakeClock()
+    bucket = TokenBucket(policy.max_requests_per_hour, clock)
+    return RemoteTree(base, policy, session, bucket, clock)
+
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 class TestRemoteMaterialize:
+    """RemoteTree.fetch and fetch_corpus: what is requested, retried and
+    written for a remote entry."""
+
     BASE = "https://raw.example.org/acme/demo/main"
 
     def entry(self, scripts=("ci/a.sh",)):
@@ -763,47 +773,87 @@ class TestRemoteMaterialize:
             "acme/demo", ".travis.yml", tuple(scripts), remote_base_url=self.BASE
         )
 
-    def test_remote_fetch_and_provenance(self):
+    def test_remote_fetch_and_provenance(self, tmp_path):
         session = FakeSession(
             {
                 f"{self.BASE}/.travis.yml": [FakeResponse(200, "script: ./ci/a.sh\n")],
                 f"{self.BASE}/ci/a.sh": [FakeResponse(200, "flake8 .\n")],
             }
         )
-        doc, tree = materialize(self.entry(), session=session, clock=FakeClock())
-        assert "script" in doc.content
+        manifest = fetch_corpus(
+            [self.entry()], str(tmp_path / "out"), session=session, clock=FakeClock()
+        )
+        root = str(tmp_path / "out" / "repos" / "acme%2Fdemo")
+        assert manifest == {
+            "schema_version": 1,
+            "entries": [
+                {
+                    "repo_slug": "acme/demo",
+                    "config_path": ".travis.yml",
+                    "script_paths": ["ci/a.sh"],
+                    "local_root": root,
+                    "files": {
+                        ".travis.yml": sha(b"script: ./ci/a.sh\n"),
+                        "ci/a.sh": sha(b"flake8 .\n"),
+                    },
+                }
+            ],
+            "failed": {},
+        }
+        with open(tmp_path / "out" / "manifest.json") as handle:
+            assert json.load(handle) == manifest
+        assert (tmp_path / "out" / "repos" / "acme%2Fdemo" / "ci" / "a.sh").read_bytes() == (
+            b"flake8 .\n"
+        )
+        assert [url for url, _ in session.calls] == [
+            f"{self.BASE}/.travis.yml", f"{self.BASE}/ci/a.sh"
+        ]
+        doc, tree = materialize(load_manifest(str(tmp_path / "out" / "manifest.json")).entries[0])
+        assert doc.sha256 == sha(b"script: ./ci/a.sh\n")
         assert tree.read("ci/a.sh") == "flake8 .\n"
-        assert session.calls[-1][0] == f"{self.BASE}/ci/a.sh"
-        assert tree.digests["ci/a.sh"] == hashlib.sha256(b"flake8 .\n").hexdigest()
 
-    def test_missing_script_resolves_to_none(self):
+    def test_missing_script_resolves_to_none(self, tmp_path):
         session = FakeSession(
             {f"{self.BASE}/.travis.yml": [FakeResponse(200, "script: x\n")]}
         )
-        _, tree = materialize(self.entry(), session=session, clock=FakeClock())
-        assert tree.read("ci/a.sh") is None
+        assert remote_tree(self.BASE, session).fetch("ci/a.sh") is None
+        manifest = fetch_corpus([self.entry()], str(tmp_path), session=session, clock=FakeClock())
+        (written,) = manifest["entries"]
+        assert written["files"]["ci/a.sh"] == "missing"
+        assert not os.path.exists(os.path.join(written["local_root"], "ci"))
 
-    def test_missing_config_raises_not_found(self):
-        session = FakeSession({})
-        with pytest.raises(NotFound):
-            materialize(self.entry(), session=session, clock=FakeClock())
-
-    def test_undeclared_script_not_fetched(self):
-        session = FakeSession(
-            {f"{self.BASE}/.travis.yml": [FakeResponse(200, "script: x\n")]}
+    def test_missing_config_raises_not_found(self, tmp_path):
+        manifest = fetch_corpus(
+            [self.entry()], str(tmp_path), session=FakeSession({}), clock=FakeClock()
         )
-        _, tree = materialize(self.entry(scripts=()), session=session, clock=FakeClock())
-        assert tree.read("ci/other.sh") is None
+        assert manifest["entries"][0]["files"] == {".travis.yml": "missing", "ci/a.sh": "missing"}
+        with pytest.raises(NotFound, match="^acme/demo: missing .travis.yml$"):
+            materialize(load_manifest(str(tmp_path / "manifest.json")).entries[0])
+
+    def test_undeclared_script_not_fetched(self, tmp_path):
+        session = FakeSession(
+            {f"{self.BASE}/.travis.yml": [FakeResponse(200, "script: ./ci/other.sh\n")],
+             f"{self.BASE}/ci/other.sh": [FakeResponse(200, "flake8\n")]}
+        )
+        manifest = fetch_corpus(
+            [self.entry(scripts=())], str(tmp_path), session=session, clock=FakeClock()
+        )
+        assert list(manifest["entries"][0]["files"]) == [".travis.yml"]
         assert len(session.calls) == 1  # config only
 
-    def test_retry_budget_exhaustion(self):
+    def test_retry_budget_exhaustion(self, tmp_path, capsys):
         clock = FakeClock()
         session = FakeSession(
             {f"{self.BASE}/.travis.yml": [FakeResponse(429)]}
         )
         policy = FetchPolicy(max_requests_per_hour=1000, retry_budget=2)
         with pytest.raises(RateLimited):
-            materialize(self.entry(), policy=policy, session=session, clock=clock)
+            remote_tree(self.BASE, session, policy, clock).fetch(".travis.yml")
+        manifest = fetch_corpus([self.entry()], str(tmp_path), policy, session, clock)
+        assert manifest["entries"] == []
+        assert manifest["failed"] == {
+            "acme/demo": f"retry budget exhausted fetching {self.BASE}/.travis.yml"
+        }
 
     def test_retry_then_success(self):
         clock = FakeClock()
@@ -815,45 +865,47 @@ class TestRemoteMaterialize:
                 ]
             }
         )
-        doc, _ = materialize(self.entry(), session=session, clock=clock)
-        assert doc.content == "script: x\n"
-        assert clock.sleeps  # backed off once
+        assert remote_tree(self.BASE, session, clock=clock).fetch(".travis.yml") == b"script: x\n"
+        assert clock.sleeps == [2.0]  # backed off once
 
-    def test_non_transport_error_fails_the_entry_at_once(self, registry):
+    def test_non_transport_error_fails_the_entry_at_once(self, tmp_path):
         clock = FakeClock()
         session = RaisingSession(TypeError("get() got an unexpected keyword"))
-        result = scan_entries(
+        manifest = fetch_corpus(
             [self.entry()],
-            registry,
+            str(tmp_path),
             policy=FetchPolicy(max_requests_per_hour=2),
             session=session,
             clock=clock,
         )
         assert len(session.calls) == 1
         assert clock.sleeps == []
-        assert [(e.status, e.message) for e in result.entries] == [
-            ("failed", "get() got an unexpected keyword")
-        ]
+        assert manifest["entries"] == []
+        assert manifest["failed"] == {"acme/demo": "get() got an unexpected keyword"}
 
     def test_transport_error_is_retried_until_rate_limited(self):
         clock = FakeClock()
         session = RaisingSession(ConnectionError("connection reset"))
         policy = FetchPolicy(max_requests_per_hour=1000, retry_budget=2)
         with pytest.raises(RateLimited):
-            materialize(self.entry(), policy=policy, session=session, clock=clock)
+            remote_tree(self.BASE, session, policy, clock).fetch(".travis.yml")
         assert len(session.calls) == 3
         assert clock.sleeps == [2.0, 4.0]
 
-    def test_auth_token_header_from_env(self, monkeypatch):
+    def test_auth_token_header_from_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("TDMSCAN_FETCH_TOKEN", "sekret")
         session = FakeSession(
             {f"{self.BASE}/.travis.yml": [FakeResponse(200, "script: x\n")]}
         )
-        _, tree = materialize(self.entry(), session=session, clock=FakeClock())
-        _, headers = session.calls[0]
-        assert headers == {"Authorization": "token sekret"}
-        # token never lands in the recorded digests
-        assert "sekret" not in json.dumps(tree.digests)
+        fetch_corpus([self.entry()], str(tmp_path), session=session, clock=FakeClock())
+        assert [headers for _, headers in session.calls] == [
+            {"Authorization": "token sekret"}
+        ] * 2
+        # the token never lands in what is written
+        for directory, _, names in os.walk(tmp_path):
+            for name in names:
+                with open(os.path.join(directory, name), "rb") as handle:
+                    assert b"sekret" not in handle.read()
 
     @pytest.mark.parametrize(
         "base, headers",
@@ -866,9 +918,8 @@ class TestRemoteMaterialize:
     )
     def test_auth_token_goes_over_https_only(self, monkeypatch, base, headers):
         monkeypatch.setenv("TDMSCAN_FETCH_TOKEN", "sekret")
-        entry = ManifestEntry("acme/demo", ".travis.yml", (), remote_base_url=base)
         session = FakeSession({f"{base}/.travis.yml": [FakeResponse(200, "script: x\n")]})
-        materialize(entry, session=session, clock=FakeClock())
+        remote_tree(base, session).fetch(".travis.yml")
         assert [sent for _, sent in session.calls] == [headers]
 
 
@@ -881,9 +932,16 @@ _FRAGMENTS = st.sampled_from(
 _FILE_BYTES = st.lists(_FRAGMENTS, max_size=8).map(b"".join)
 
 
+def scan_outcome(entries, registry):
+    """A scan's entry outcomes and report.json bytes."""
+    result = scan_entries(entries, registry)
+    outcomes = [(e.slug, e.status, e.message, e.warnings) for e in result.entries]
+    return outcomes, export_json(result.report)
+
+
 class TestOneBytePath:
-    """A remote read turns bytes into text, flag and digest as a local one
-    does, stops downloading at the cap, and closes every response."""
+    """A fetch writes the bytes served, whatever charset a response
+    declares, stops downloading at the cap, and closes every response."""
 
     BASE = "https://raw.example.org/acme/demo/main"
 
@@ -910,37 +968,24 @@ class TestOneBytePath:
         session = ServingSession(
             {f"{self.BASE}/.travis.yml": config, f"{self.BASE}/ci/a.sh": script}, respond
         )
-        reads = []
-        # Each analysis is cold, so the remote record is derived, not looked
-        # up under the local read's digests.
-        for entry in (local, remote):
-            doc, tree = materialize(entry, session=session, clock=FakeClock())
-            try:
-                outcome = analyze_document(doc, tree, registry)
-            except (NotAPipeline, MalformedDocument) as exc:
-                outcome = (type(exc).__name__, str(exc))
-            reads.append(
-                (doc.content, doc.invalid_utf8, doc.sha256, tree.read("ci/a.sh"),
-                 tree.digests, tree.undecodable, outcome)
-            )
-        assert reads[0] == reads[1]
-        assert reads[1][2] == hashlib.sha256(config).hexdigest()
+        out = tmp_path_factory.mktemp("fetched")
+        fetch_corpus([remote], str(out), session=session, clock=FakeClock())
+        copy = out / "repos" / "a%2Fb"
+        assert (copy / ".travis.yml").read_bytes() == config
+        assert (copy / "ci" / "a.sh").read_bytes() == script
+        fetched = load_manifest(str(out / "manifest.json")).entries
+        assert scan_outcome(fetched, registry) == scan_outcome([local], registry)
 
     def test_body_over_the_cap_stops_downloading(self):
         big = FakeResponse(200, b"x" * (3 * MAX_FILE_BYTES))
-        session = FakeSession(
-            {f"{self.BASE}/.travis.yml": [FakeResponse(200, "script: x\n")],
-             f"{self.BASE}/big.sh": [big]}
-        )
-        entry = ManifestEntry("acme/demo", ".travis.yml", ("big.sh",), remote_base_url=self.BASE)
-        _, tree = materialize(entry, session=session, clock=FakeClock())
+        session = FakeSession({f"{self.BASE}/big.sh": [big]})
         with pytest.raises(FileTooLarge):
-            tree.read("big.sh")
+            remote_tree(self.BASE, session).fetch("big.sh")
         served = session.served[-1]
         assert MAX_FILE_BYTES < served.drawn <= MAX_FILE_BYTES + FETCH_CHUNK_BYTES
         assert served.closed
 
-    def test_every_response_is_closed(self):
+    def test_every_response_is_closed(self, tmp_path):
         clock = FakeClock()
         session = FakeSession(
             {
@@ -951,11 +996,13 @@ class TestOneBytePath:
         entry = ManifestEntry(
             "acme/demo", ".travis.yml", ("big.sh", "missing.sh"), remote_base_url=self.BASE
         )
-        _, tree = materialize(entry, session=session, clock=clock)
-        assert tree.read("missing.sh") is None
-        with pytest.raises(FileTooLarge):
-            tree.read("big.sh")
-        assert [r.status_code for r in session.served] == [503, 200, 404, 200]
+        manifest = fetch_corpus([entry], str(tmp_path), session=session, clock=clock)
+        assert manifest["entries"][0]["files"] == {
+            ".travis.yml": sha(b"script: x\n"),
+            "big.sh": "over the cap",
+            "missing.sh": "missing",
+        }
+        assert [r.status_code for r in session.served] == [503, 200, 200, 404]
         assert all(r.closed for r in session.served)
 
     def test_transport_error_mid_body_is_retried(self):
@@ -969,29 +1016,18 @@ class TestOneBytePath:
                 ]
             }
         )
-        entry = ManifestEntry("acme/demo", ".travis.yml", (), remote_base_url=self.BASE)
-        doc, _ = materialize(entry, session=session, clock=clock)
-        assert doc.content == body
+        assert remote_tree(self.BASE, session, clock=clock).fetch(".travis.yml") == body.encode()
         assert clock.sleeps == [2.0]
         assert len(session.calls) == 2
         assert all(r.closed for r in session.served)
 
     def test_each_read_fetches_and_escapes_are_never_fetched(self):
-        session = FakeSession(
-            {f"{self.BASE}/.travis.yml": [FakeResponse(200, "script: x\n")],
-             f"{self.BASE}/a.sh": [FakeResponse(200, "pylint src\n")]}
-        )
-        _, tree = materialize(
-            ManifestEntry("acme/demo", ".travis.yml", None, remote_base_url=self.BASE),
-            session=session,
-            clock=FakeClock(),
-        )
-        assert tree.read("a.sh") == tree.read("a.sh") == "pylint src\n"
-        assert tree.read("../a.sh") is None
-        assert tree.read("/a.sh") is None
-        assert [url for url, _ in session.calls] == [
-            f"{self.BASE}/.travis.yml", f"{self.BASE}/a.sh", f"{self.BASE}/a.sh"
-        ]
+        session = FakeSession({f"{self.BASE}/a.sh": [FakeResponse(200, "pylint src\n")]})
+        tree = remote_tree(self.BASE, session)
+        assert tree.fetch("a.sh") == tree.fetch("a.sh") == b"pylint src\n"
+        assert tree.fetch("../a.sh") is None
+        assert tree.fetch("/a.sh") is None
+        assert [url for url, _ in session.calls] == [f"{self.BASE}/a.sh"] * 2
 
 
 class TestTokenBucket:
@@ -1007,7 +1043,7 @@ class TestTokenBucket:
         bucket.acquire()
         assert clock.time == pytest.approx(3600.0)
 
-    def test_rate_limit_applies_across_five_files(self):
+    def test_rate_limit_applies_across_five_files(self, tmp_path):
         clock = FakeClock()
         base = "https://raw.example.org/r/main"
         responses = {f"{base}/.travis.yml": [FakeResponse(200, "script: x\n")]}
@@ -1017,9 +1053,8 @@ class TestTokenBucket:
         session = FakeSession(responses)
         entry = ManifestEntry("r", ".travis.yml", scripts, remote_base_url=base)
         policy = FetchPolicy(max_requests_per_hour=2)
-        _, tree = materialize(entry, policy=policy, session=session, clock=clock)
-        for script in scripts:
-            tree.read(script)
+        fetch_corpus([entry], str(tmp_path), policy, session, clock)
+        assert len(session.calls) == 5
         # 5 requests on a 2/hour budget: burst of 2, then 1800 s spacing
         assert clock.time == pytest.approx(3 * 1800.0)
 
@@ -1029,10 +1064,11 @@ class TestTokenBucket:
 
 
 class TestRemoteScan:
-    def test_two_workers_fetch_through_the_callers_session(self, monkeypatch, registry):
-        # Remote entries run on threads in this process, so the caller's
-        # session sees every request and the entries share one rate limit.
-        # A scan that dropped the session would open a default one; make
+    def test_two_workers_fetch_through_the_callers_session(
+        self, monkeypatch, registry, tmp_path
+    ):
+        # The fetch threads share the caller's session and one rate limit.
+        # A fetch that dropped the session would open a default one; make
         # that fail at once instead of reaching the network.
         def no_default_session():
             raise AssertionError("the caller's session was not used")
@@ -1054,20 +1090,159 @@ class TestRemoteScan:
             ManifestEntry("acme/b", ".travis.yml", ("ci/lint.sh",), remote_base_url=base_b),
             ManifestEntry("acme/a", ".travis.yml", (), remote_base_url=base_a),
         ]
-        result = scan_entries(
+        manifest = fetch_corpus(
             entries,
-            registry,
+            str(tmp_path),
             policy=FetchPolicy(max_requests_per_hour=2),
             session=session,
             clock=clock,
             workers=2,
         )
+        assert [e["repo_slug"] for e in manifest["entries"]] == ["acme/a", "acme/b"]
+        assert sorted(url for url, _ in session.calls) == sorted(session.responses)
+        # 3 requests on one 2/hour budget: the third waits 1800 s.  Separate
+        # budgets per entry would never wait.
+        assert clock.time == pytest.approx(1800.0)
+        result = scan_entries(load_manifest(str(tmp_path / "manifest.json")).entries, registry)
         assert [(e.slug, e.status) for e in result.entries] == [
             ("acme/a", "ok"),
             ("acme/b", "ok"),
         ]
-        assert sorted(url for url, _ in session.calls) == sorted(session.responses)
         assert sorted(result.report.tool_table) == ["flake8", "pylint"]
-        # 3 requests on one 2/hour budget: the third waits 1800 s.  Separate
-        # budgets per entry would never wait.
-        assert clock.time == pytest.approx(1800.0)
+
+    def test_a_remote_entry_is_not_scanned(self, tmp_path, registry, monkeypatch):
+        read = []
+        monkeypatch.setattr(
+            "tdmscan.analyzer.materialize", lambda entry: read.append(entry) or None
+        )
+        entries = [
+            ManifestEntry("acme/a", ".travis.yml", (), local_root=str(tmp_path)),
+            ManifestEntry("acme/b", ".travis.yml", (), remote_base_url="https://x.org/b"),
+        ]
+        with pytest.raises(ManifestParseError, match="^acme/b: .*`tdmscan fetch`"):
+            scan_entries(entries, registry)
+        assert read == []
+
+
+class TestFetch:
+    """Where `fetch_corpus` writes, and how a second run resumes the first."""
+
+    @staticmethod
+    def serve(slugs):
+        """(entries, files) serving one config per slug, naming its slug."""
+        entries, files = [], {}
+        for index, slug in enumerate(slugs):
+            base = f"https://raw.example.org/{index}"
+            files[f"{base}/.travis.yml"] = f"script: flake8 {slug!r}\n".encode()
+            files[f"{base}/ci/a.sh"] = f"pylint {index}\n".encode()
+            entries.append(
+                ManifestEntry(slug, ".travis.yml", ("ci/a.sh",), remote_base_url=base)
+            )
+        return entries, files
+
+    def test_slugs_write_nothing_outside_the_directory(self, tmp_path):
+        slugs = ["..", ".", "", "../x", "a/../../b", "/abs", "acme", "acme/demo", "%2E%2E"]
+        entries, files = self.serve(slugs)
+        session = ServingSession(files, FakeResponse)
+        out = tmp_path / "deep" / "out"
+        manifest = fetch_corpus(entries, str(out), session=session, clock=FakeClock())
+        refused = {"..", ".", ""}
+        assert sorted(manifest["failed"]) == sorted(refused)
+        assert all("cannot name a directory" in m for m in manifest["failed"].values())
+        # Nothing was requested for a refused slug.
+        assert len(session.calls) == 2 * (len(slugs) - len(refused))
+        written = {}
+        for directory, _, names in os.walk(tmp_path):
+            for name in names:
+                path = os.path.join(directory, name)
+                with open(path, "rb") as handle:
+                    written[os.path.relpath(path, out)] = handle.read()
+        roots = {}
+        for entry in manifest["entries"]:
+            root = os.path.relpath(entry["local_root"], out)
+            assert os.path.dirname(root) == "repos"
+            roots[entry["repo_slug"]] = root
+        assert len(set(roots.values())) == len(roots) == len(slugs) - len(refused)
+        # Every file written is the manifest or a file of exactly one entry,
+        # holding what that entry's base served.
+        expected = {"manifest.json"}
+        for index, slug in enumerate(slugs):
+            if slug in refused:
+                continue
+            for path in (".travis.yml", "ci/a.sh"):
+                name = os.path.join(roots[slug], path)
+                assert written[name] == files[f"https://raw.example.org/{index}/{path}"]
+                expected.add(name)
+        assert set(written) == expected
+
+    @staticmethod
+    def relative(manifest, out):
+        for entry in manifest["entries"]:
+            entry["local_root"] = os.path.relpath(entry["local_root"], out)
+        return manifest
+
+    @pytest.mark.parametrize("interrupt", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("k", [0, 1, 4, 7])
+    def test_an_interrupted_fetch_resumes(self, tmp_path, k, interrupt):
+        entries, files = self.serve(["acme/a", "acme/b", "acme/c", "acme/d"])
+        # acme/c lists a script the server lacks; it is asked for every run.
+        del files["https://raw.example.org/2/ci/a.sh"]
+
+        class Interrupted(ServingSession):
+            def get(self, url, **kwargs):
+                if len(self.calls) >= k:
+                    raise interrupt("connection dropped")
+                return super().get(url, **kwargs)
+
+        whole = tmp_path / "whole"
+        expected = fetch_corpus(
+            entries, str(whole), session=ServingSession(files, FakeResponse), clock=FakeClock()
+        )
+        out = tmp_path / "out"
+        first = Interrupted(files, FakeResponse)
+        if interrupt is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                fetch_corpus(entries, str(out), session=first, clock=FakeClock())
+            assert not (out / "manifest.json").exists()
+        else:
+            manifest = fetch_corpus(entries, str(out), session=first, clock=FakeClock())
+            assert len(manifest["entries"]) + len(manifest["failed"]) == 4
+            assert manifest["failed"] or k >= 7
+        kept = {url for url in first.calls[:k] if url in files}
+        second = ServingSession(files, FakeResponse)
+        resumed = fetch_corpus(entries, str(out), session=second, clock=FakeClock())
+        assert not kept & set(second.calls)
+        assert sorted(second.calls) == sorted(
+            set(files) - kept | {"https://raw.example.org/2/ci/a.sh"}
+        )
+        assert not [p for p in out.rglob("*") if p.name.endswith(".part")]
+        assert json.loads((out / "manifest.json").read_text()) == resumed
+        assert self.relative(resumed, out) == self.relative(expected, whole)
+
+    def test_a_write_cut_short_is_fetched_again(self, tmp_path, monkeypatch):
+        # A fetch stopped between writing a script and renaming it into
+        # place leaves no file under the script's name, so the next run
+        # requests it again rather than taking a partial copy as whole.
+        entries, files = self.serve(["acme/a"])
+        rename = os.replace
+
+        def stop_at_the_script(source, target):
+            if target.endswith("a.sh"):
+                raise KeyboardInterrupt
+            rename(source, target)
+
+        monkeypatch.setattr(os, "replace", stop_at_the_script)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            fetch_corpus(
+                entries, str(out), session=ServingSession(files, FakeResponse), clock=FakeClock()
+            )
+        monkeypatch.undo()
+        copy = out / "repos" / "acme%2Fa"
+        assert (copy / ".travis.yml").exists()
+        assert not (copy / "ci" / "a.sh").exists()
+        second = ServingSession(files, FakeResponse)
+        fetch_corpus(entries, str(out), session=second, clock=FakeClock())
+        assert second.calls == ["https://raw.example.org/0/ci/a.sh"]
+        assert (copy / "ci" / "a.sh").read_bytes() == files["https://raw.example.org/0/ci/a.sh"]
+        assert not [p for p in out.rglob("*") if p.name.endswith(".part")]

@@ -52,6 +52,8 @@ from tdmscan.ingest import (
     FileTooLarge,
     ManifestEntry,
     NotFound,
+    fetch_corpus,
+    load_manifest,
     materialize,
 )
 from tdmscan.memo import BoundedMemo
@@ -985,66 +987,104 @@ def test_memos_retain_no_more_than_their_caps(monkeypatch, tmp_path):
     assert 0 < retained <= estimated <= cap, (retained, estimated)
 
 
-@pytest.mark.parametrize("count, workers", [(24, 2), (3, 8)], ids=["24-at-2", "3-at-8"])
-def test_remote_scan_on_threads_matches_one(monkeypatch, count, workers):
-    def no_default_session():
-        raise AssertionError("the caller's session was not used")
+# Configs of commands (tool invocations, script references, invalid UTF-8),
+# or any bytes; scripts of such lines.
+_COMMANDS = st.sampled_from(
+    [b"flake8 .", b"./ci/a.sh", b"bash ci/b.sh && make", b"pip install bandit",
+     b"echo caf\xe9", b"echo \xff\xfe", b"pylint src"]
+)
+_CONFIGS = st.builds(
+    lambda commands, tail: b"language: python\nscript:\n"
+    + b"".join(b"  - " + command + b"\n" for command in commands)
+    + tail,
+    st.lists(_COMMANDS, max_size=5),
+    st.sampled_from([b"", b"notifications:\n  email: false\n"]),
+) | st.binary(max_size=20)
+_SCRIPT_LINES = st.sampled_from(
+    [b"pylint src\n", b"flake8 .\n", b"echo caf\xe9\n", b"\xff\n", b"./ci/b.sh\n"]
+)
+_SCRIPTS = ("ci/a.sh", "ci/b.sh")
 
-    monkeypatch.setitem(
-        sys.modules, "requests", types.SimpleNamespace(Session=no_default_session)
-    )
-    configs = {
-        "direct": ("script: flake8 .\n", {}),
-        "script": ("script: ./ci/lint.sh\n", {"ci/lint.sh": "pylint src\n"}),
-        "missing": ("script: ./ci/lint.sh && make\n", {}),
-    }
-    responses = {}
-    entries = []
-    for index in range(count):
-        name = sorted(configs)[index % 3]
-        config, files = configs[name]
-        base = f"https://raw.example.org/acme/{name}{index}/main"
-        responses[f"{base}/.travis.yml"] = [FakeResponse(200, config)]
-        for path, text in files.items():
-            responses[f"{base}/{path}"] = [FakeResponse(200, text)]
-        entries.append(
-            ManifestEntry(
-                f"acme/{name}{index:02d}", ".travis.yml", ("ci/lint.sh",), remote_base_url=base
+
+@st.composite
+def _served_corpora(draw):
+    """Repositories of (config, scripts, listed paths, faults): a config or
+    script of None is missing, and each fault makes a file's first request
+    fail (503, or a transport error mid-body)."""
+    repos = []
+    for _ in range(draw(st.integers(1, 6))):
+        config = draw(st.none() | _CONFIGS)
+        scripts = {
+            path: draw(st.none() | st.lists(_SCRIPT_LINES, max_size=4).map(b"".join))
+            for path in _SCRIPTS
+        }
+        listed = draw(st.lists(st.sampled_from(_SCRIPTS), unique=True))
+        faults = draw(
+            st.dictionaries(
+                st.sampled_from((".travis.yml",) + _SCRIPTS), st.sampled_from(["503", "reset"])
             )
         )
-    calls = []
-    scan_chunk = analyzer._scan_chunk
+        repos.append((config, scripts, listed, faults))
+    return repos
 
-    def recording(share, *args, **kwargs):
-        calls.append([entry.repo_slug for entry in share])
-        return scan_chunk(share, *args, **kwargs)
 
-    monkeypatch.setattr(analyzer, "_scan_chunk", recording)
+def _serve(repos, local_dir):
+    """The session's responses for `repos`, and their remote and local
+    entries; each file present is also written under `local_dir`."""
+    responses, remote, local = {}, [], []
+    for index, (config, scripts, listed, faults) in enumerate(repos):
+        slug, base = f"acme/r{index}", f"https://raw.example.org/r{index}"
+        root = os.path.join(local_dir, f"r{index}")
+        for path, body in {".travis.yml": config, **scripts}.items():
+            served = [FakeResponse(404) if body is None else FakeResponse(200, body)]
+            if path in faults:
+                fault = faults[path]
+                if fault == "reset" and body:
+                    failing = FakeResponse(200, body, error=ConnectionResetError("reset"))
+                else:
+                    failing = FakeResponse(503)
+                served.insert(0, failing)
+            responses[f"{base}/{path}"] = served
+            if body is not None:
+                os.makedirs(os.path.dirname(os.path.join(root, path)), exist_ok=True)
+                with open(os.path.join(root, path), "wb") as handle:
+                    handle.write(body)
+        remote.append(ManifestEntry(slug, ".travis.yml", tuple(listed), remote_base_url=base))
+        local.append(ManifestEntry(slug, ".travis.yml", tuple(listed), local_root=root))
+    return responses, remote, local
 
-    def scan(workers):
-        return scan_entries(
-            entries,
-            shipped_registry(),
-            policy=FetchPolicy(max_requests_per_hour=10_000),
-            session=FakeSession(responses),
-            clock=FakeClock(),
-            workers=workers,
+
+@pytest.mark.parametrize("workers", [1, 4])
+@settings(max_examples=30, deadline=None)
+@given(repos=_served_corpora())
+def test_fetched_corpus_scans_as_its_local_copy(workers, repos):
+    registry = shipped_registry()
+    with tempfile.TemporaryDirectory() as scratch:
+        responses, remote, local = _serve(repos, os.path.join(scratch, "local"))
+        out = os.path.join(scratch, "fetched")
+        manifest = fetch_corpus(
+            remote, out, session=FakeSession(responses), clock=FakeClock(), workers=workers
         )
+        assert manifest["failed"] == {}
+        fetched = scan_entries(load_manifest(os.path.join(out, "manifest.json")).entries, registry)
+        copied = scan_entries(local, registry)
+    assert _outcomes(fetched) == _outcomes(copied)
+    assert export_json(fetched.report) == export_json(copied.report)
 
-    threaded = scan(workers)
-    slugs = sorted(entry.repo_slug for entry in entries)
-    shares = [slugs[w::workers] for w in range(min(workers, count))]
-    assert sorted(calls) == shares
-    one = scan(1)
-    assert _outcomes(threaded) == _outcomes(one)
-    assert [e.status for e in one.entries] == ["ok"] * len(entries)
-    assert export_json(threaded.report) == export_json(one.report)
-    assert export_csv_bundle(threaded.report) == export_csv_bundle(one.report)
-    assert sorted(one.report.tool_table) == ["flake8", "pylint"]
+
+class _ClosingSession(FakeSession):
+    closed = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.closed = True
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_remote_scan_without_a_session_opens_one(monkeypatch, workers):
+def test_remote_scan_without_a_session_opens_one(monkeypatch, tmp_path, workers):
+    # fetch_corpus without a session opens one for the whole fetch.
     responses = {}
     entries = []
     for index in range(5):
@@ -1053,32 +1093,23 @@ def test_remote_scan_without_a_session_opens_one(monkeypatch, workers):
         entries.append(
             ManifestEntry(f"acme/p{index}", ".travis.yml", (), remote_base_url=base)
         )
-    class ClosingSession(FakeSession):
-        closed = False
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            self.closed = True
-
     sessions = []
 
     def counting_session():
-        sessions.append(ClosingSession(responses))
+        sessions.append(_ClosingSession(responses))
         return sessions[-1]
 
     monkeypatch.setitem(
         sys.modules, "requests", types.SimpleNamespace(Session=counting_session)
     )
-    result = scan_entries(
+    manifest = fetch_corpus(
         entries,
-        shipped_registry(),
+        str(tmp_path),
         policy=FetchPolicy(max_requests_per_hour=10_000),
         clock=FakeClock(),
         workers=workers,
     )
-    assert [e.status for e in result.entries] == ["ok"] * 5
+    assert len(manifest["entries"]) == 5
     assert len(sessions) == 1
     assert len(sessions[0].calls) == 5
     assert sessions[0].closed
@@ -1094,29 +1125,37 @@ def test_remote_scan_without_a_session_opens_one(monkeypatch, workers):
     ids=["default", "other"],
 )
 def test_fixture_corpus_served_remotely_gives_the_golden_bytes(
-    monkeypatch, workers, options, golden
+    tmp_path, workers, options, golden
 ):
-    # Every corpus file served at <base>/<slug>/<path>; with no allow-list
-    # the remote trees may read any of them, as the local ones may.
+    # Every corpus file served at <base>/<slug>/<path> and listed in its
+    # entry, so the fetched copy holds every file the local scan may read.
     base = "https://raw.example.org"
     files = {}
+    listed = {}
     for directory, _, names in os.walk(CORPUS_DIR):
         for name in names:
             full = os.path.join(directory, name)
-            rel = os.path.relpath(full, CORPUS_DIR).replace(os.sep, "/")
+            slug, path = os.path.relpath(full, CORPUS_DIR).replace(os.sep, "/").split("/", 1)
+            listed.setdefault(slug, []).append(path)
             with open(full, "rb") as handle:
-                files[f"{base}/{rel}"] = handle.read()
+                files[f"{base}/{slug}/{path}"] = handle.read()
     entries = [
-        replace(entry, local_root=None, remote_base_url=f"{base}/{entry.repo_slug}")
+        replace(
+            entry,
+            local_root=None,
+            remote_base_url=f"{base}/{entry.repo_slug}",
+            script_paths=tuple(sorted(listed.get(entry.repo_slug, ()))),
+        )
         for entry in _entries_from_directory(CORPUS_DIR)
     ]
+    out = str(tmp_path / "fetched")
+    session = ServingSession(files, FakeResponse)
+    manifest = fetch_corpus(entries, out, session=session, clock=FakeClock(), workers=workers)
+    assert manifest["failed"] == {}
     report = scan_entries(
-        entries,
+        load_manifest(os.path.join(out, "manifest.json")).entries,
         shipped_registry(),
         options,
-        policy=FetchPolicy(max_requests_per_hour=100_000),
-        session=ServingSession(files, FakeResponse),
-        clock=FakeClock(),
         workers=workers,
     ).report
     csvs = export_csv_bundle(report)
