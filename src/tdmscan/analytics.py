@@ -22,7 +22,6 @@ from operator import itemgetter
 from typing import Any, Callable, Mapping, NamedTuple, get_args, get_origin, get_type_hints
 
 from .antipatterns import FINDING_NAMES, FindingSet
-from .memo import MAX_VALUES
 from .placement import PlacementKind, PlacementResult, TimingKind
 from .registry import (
     INVOCATION_BOTH,
@@ -81,24 +80,14 @@ class PipelineRecord(NamedTuple):
 
 TOOLLESS_RECORD = PipelineRecord(keys=(("pipeline",),), flags=None)
 
-# One canonical tuple per distinct counter key, shared by every record that
-# holds the key: a corpus has few distinct keys, and memoized records would
-# otherwise each keep their own copies.  Past MAX_VALUES distinct keys a new
-# key stays unshared (threads racing at the bound may each add one more).
-# `memo.weight` still counts a record's keys as its own.
-_SHARED_KEYS: dict[tuple, tuple] = {}
-
-
-def _shared(key: tuple) -> tuple:
-    if len(_SHARED_KEYS) < MAX_VALUES:
-        return _SHARED_KEYS.setdefault(key, key)
-    return _SHARED_KEYS.get(key, key)
-
-
 def pipeline_record(
-    profile: PipelineToolProfile, placements: list[PlacementResult], findings: FindingSet
+    profile: PipelineToolProfile,
+    placements: list[PlacementResult],
+    findings: FindingSet,
+    share: Callable[[tuple], tuple] = lambda key: key,
 ) -> PipelineRecord:
-    """The PipelineRecord of one analyzed pipeline."""
+    """The PipelineRecord of one analyzed pipeline; each counter key is
+    passed through `share` (see `memo.BoundedMemo.share`)."""
     tools = sorted(profile.tools)
     if not tools:
         return TOOLLESS_RECORD
@@ -119,7 +108,7 @@ def pipeline_record(
         for source, timing in placement.source_timings.items():
             source = "direct" if source == SOURCE_CONFIG else "script"
             keys.append(("row", label, source, kind, timing.value))
-    return PipelineRecord(tuple(map(_shared, keys)), flags)
+    return PipelineRecord(tuple(map(share, keys)), flags)
 
 
 @dataclass

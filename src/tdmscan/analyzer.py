@@ -124,7 +124,8 @@ def analyze_document(
     It holds the config's ParsedConfig under its (path, sha256,
     invalid_utf8), and the record under that key and the (path, sha256) of
     every script the tree gave (None for a missing one), each stored on its
-    first sighting.  When the record is not memoized but the ParsedConfig
+    first sighting; the record's counter keys are shared through the memo
+    (`BoundedMemo.share`).  When the record is not memoized but the ParsedConfig
     is, the config is parsed again.  A pipeline without tools is neither
     placed nor judged: its record is TOOLLESS_RECORD whatever the rules
     would find.
@@ -144,7 +145,9 @@ def analyze_document(
     def derive() -> PipelineRecord:
         config = cfg if cfg is not None else parse_config(doc)
         profile, judge = _profiled(config, scripts, sites, registry, options)
-        return pipeline_record(profile, *judge()) if profile.tools else TOOLLESS_RECORD
+        if not profile.tools:
+            return TOOLLESS_RECORD
+        return pipeline_record(profile, *judge(), memo.share)
 
     key = (source, tuple((script.path, script.sha256) for script in scripts))
     return memo.get(key, derive), warnings

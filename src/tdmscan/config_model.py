@@ -545,6 +545,12 @@ def _scalar_text(value: Any) -> str | None:
     return None
 
 
+def _label(value: Any) -> str:
+    """A stage, condition or branch as text: a scalar as a command reads it
+    (`true`, not `True`), anything else through `str`."""
+    return _scalar_text(value) or str(value)
+
+
 def _quote(item: Any, quoted: dict[int, str]) -> str:
     """`clip(repr(item))`, made once per object of one parse: a YAML alias
     repeats its object, which is then quoted once however often it occurs.
@@ -613,7 +619,7 @@ def _branch_only(value: Any) -> list[str] | None:
     only = value.get("only")
     if only is None:
         return None
-    return [str(item) for item in _as_list(only)]
+    return [_label(item) for item in _as_list(only)]
 
 
 def _channel_enabled(value: Any) -> bool:
@@ -655,12 +661,12 @@ def _parse_stages(
             if name is None:
                 warnings.append("ignored stages entry without a name")
                 continue
-            label = str(name)
+            label = _label(name)
             order.append(label)
             if "if" in entry:
-                conditions[label] = str(entry["if"])
+                conditions[label] = _label(entry["if"])
         elif entry is not None:
-            order.append(str(entry))
+            order.append(_label(entry))
     return order, conditions
 
 
@@ -696,9 +702,9 @@ def _build_job(
     condition = entry.get("if")
     return Job(
         index=index,
-        stage_name=None if stage is None else str(stage),
+        stage_name=None if stage is None else _label(stage),
         phases=phases,
-        condition=None if condition is None else str(condition),
+        condition=None if condition is None else _label(condition),
         branch_only=_branch_only(entry.get("branches")),
         entry_path=path,
     )
@@ -760,7 +766,7 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
             Job(
                 index=0,
                 phases=inherited,
-                condition=None if global_condition is None else str(global_condition),
+                condition=None if global_condition is None else _label(global_condition),
             )
         ]
 
@@ -777,7 +783,7 @@ def parse_config(doc: RawDocument) -> PipelineConfig:
         jobs=jobs,
         notifications=notifications,
         global_branch_only=_branch_only(data.get("branches")),
-        global_condition=None if global_condition is None else str(global_condition),
+        global_condition=None if global_condition is None else _label(global_condition),
         post_deploy_stages=_post_deploy_stages(declared_stage_order, jobs),
         raw=data,
         warnings=warnings,

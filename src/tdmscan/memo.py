@@ -8,7 +8,8 @@ little.  Only its share's thread uses a memo, so it takes no lock.  Two
 caps bound what a memo holds however many distinct inputs a corpus has: at
 most `MAX_VALUES` values and at most `MAX_BYTES` estimated bytes (see
 `weight`), least recently used first out.  A value heavier than the byte
-cap on its own is returned but never stored.
+cap on its own is returned but never stored.  A memo also shares equal
+record keys (`share`), so its table of keys ends with its share too.
 """
 
 from __future__ import annotations
@@ -69,6 +70,15 @@ class BoundedMemo(Generic[V]):
     def __init__(self):
         self._entries: OrderedDict[Hashable, tuple[V, int]] = OrderedDict()
         self.bytes = 0
+        self._keys: dict[tuple, tuple] = {}
+
+    def share(self, key: tuple) -> tuple:
+        """The first tuple equal to `key` this memo was given; each weight
+        still counts it.  Past `MAX_VALUES` distinct keys a new key comes
+        back as given and is not kept."""
+        if len(self._keys) < MAX_VALUES:
+            return self._keys.setdefault(key, key)
+        return self._keys.get(key, key)
 
     def get(self, key: Hashable, compute: Callable[[], V]) -> V:
         entry = self._entries.get(key)

@@ -12,20 +12,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property
 from importlib import resources
 from operator import attrgetter
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .config_model import PhaseKind, PipelineConfig
-from .script_resolver import (
-    LINE_MEMO_MAX_CHARS,
-    LINE_MEMO_SIZE,
-    ScriptDocument,
-    Site,
-    command_lines,
-    shell_line,
-)
+from .script_resolver import ScriptDocument, ShellLine, Site, command_lines, shell_line
 
 TOOL_TYPES = frozenset(
     {"linter", "static_analyzer", "formatter", "linter_analyzer", "architecture_analyzer"}
@@ -125,25 +118,20 @@ class Registry:
             compile_anchored("|".join(reversed(grouped))),
         )
 
-    @cached_property
-    def _line_memo(self):
-        """`_line_hits` for this registry, memoized on (line, install_exclusion).
-
-        Bound to the instance, so a lookup never hashes the tool specs.
-        """
-        return lru_cache(maxsize=LINE_MEMO_SIZE)(partial(_line_hits, self))
-
     def line_hits(self, stripped: str, install_exclusion: bool) -> tuple[tuple[str, str], ...]:
-        """`_line_hits` of one stripped line, memoized for short lines."""
-        if len(stripped) <= LINE_MEMO_MAX_CHARS:
-            return self._line_memo(stripped, install_exclusion)
-        return _line_hits(self, stripped, install_exclusion)
+        """`_line_hits` of one stripped line, kept on its `shell_line`.
 
-    def __getstate__(self) -> dict[str, Any]:
-        # The line memo is per process and cannot be pickled; a copy builds its own.
-        state = dict(self.__dict__)
-        state.pop("_line_memo", None)
-        return state
+        The line's `tool_hits` holds the hits of the last registry and
+        install-exclusion setting that asked, the registry compared by
+        identity (never hashed); another asker recomputes and replaces them.
+        """
+        line = shell_line(stripped)
+        held = line.tool_hits
+        if held is not None and held[0] is self and held[1] == install_exclusion:
+            return held[2]
+        hits = _line_hits(self, line, install_exclusion)
+        line.tool_hits = self, install_exclusion, hits
+        return hits
 
 
 class SourceContext(NamedTuple):
@@ -335,14 +323,14 @@ def _candidate_tools(registry: Registry, parts: Sequence[str]) -> Sequence[ToolS
 
 
 def _line_hits(
-    registry: Registry, stripped: str, install_exclusion: bool
+    registry: Registry, line: ShellLine, install_exclusion: bool
 ) -> tuple[tuple[str, str], ...]:
     """(tool id, matched text) per tool found on one stripped, non-comment line.
 
     With `install_exclusion`, only the segments that install no package (see
     `script_resolver.ShellLine`) are searched.
     """
-    parts = shell_line(stripped).searched if install_exclusion else (stripped,)
+    parts = line.searched if install_exclusion else (line.text,)
     if not parts:
         return ()
     hits = []

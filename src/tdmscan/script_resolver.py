@@ -9,8 +9,9 @@ starting with ``./``, and the path argument of an interpreter invocation
 that run them; `collect_script_documents` reads each referenced script once
 and gives every script's sites, which detection, placement and timing read.
 Tool detection, reference scanning and placement read each stripped line
-through one memoized value, `shell_line`: the segments detection searches
-and, per action, the two ceremony flags and the reference events.
+through one memoized value, `shell_line`: the segments detection searches,
+per action the two ceremony flags and the reference events, and the tool
+hits the registry last found there.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ SCRIPT_CEREMONY_HEADS = CEREMONY_HEADS | frozenset(
     }
 )
 
-# Memos of one stripped line (its ShellLine here, its tool hits per
-# registry): at most this many lines, each at most this long (longer lines
-# are worked every time).
+# The ShellLine memo: at most this many lines, each at most this long (a
+# longer line gets a fresh ShellLine every time).
 LINE_MEMO_SIZE = 4096
 LINE_MEMO_MAX_CHARS = 256
 
@@ -266,10 +266,12 @@ class ShellLine:
     not a package install: what detection searches when it excludes
     installs.  Only a segment holding an INSTALLER_HINT match is tokenized
     for that.  `actions`, its LineActions, are worked out on first read:
-    detection reads every line, the other layers only some.
+    detection reads every line, the other layers only some.  `tool_hits` is
+    None until `registry.Registry.line_hits` stores there the (registry,
+    install_exclusion, hits) of the last detection that asked.
     """
 
-    __slots__ = ("text", "searched", "_actions")
+    __slots__ = ("text", "searched", "_actions", "tool_hits")
 
     def __init__(self, text: str):
         self.text = text
@@ -282,6 +284,7 @@ class ShellLine:
             )
         )
         self._actions: tuple[LineAction, ...] | None = None
+        self.tool_hits: tuple | None = None
 
     @property
     def actions(self) -> tuple[LineAction, ...]:

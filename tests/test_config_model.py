@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdmscan import config_model
+from tdmscan.analyzer import analyze_document, explain_document
 from tdmscan.antipatterns import detect_skip_on_failure
 from tdmscan.config_model import (
     PHASE_BY_NAME,
@@ -17,7 +18,7 @@ from tdmscan.config_model import (
 )
 from tdmscan.script_resolver import script_references
 
-from conftest import make_doc, walk_commands
+from conftest import MappingTree, make_doc, walk_commands
 
 
 class TestParseListing:
@@ -141,6 +142,33 @@ class TestStageNames:
         )
         assert cfg.declared_stage_order == ["test", "deploy"]
         assert cfg.stage_conditions == {"deploy": "branch = master"}
+
+    def test_boolean_labels_read_as_commands_read_them(self, registry):
+        # YAML reads `yes`, `on` and `true` as booleans; a label spells one
+        # the way a command does, `true` rather than Python's `True`.
+        doc = make_doc(
+            "stages: [yes, {name: lint, if: true}]\n"
+            "branches: {only: [on]}\n"
+            "if: no\n"
+            "jobs:\n"
+            "  include:\n"
+            "    - stage: true\n"
+            "      if: off\n"
+            "      branches: {only: [off, 2]}\n"
+            "      script: [true, flake8 src]\n"
+        )
+        cfg = parse_config(doc)
+        assert cfg.declared_stage_order == ["true", "lint"]
+        assert cfg.stage_conditions == {"lint": "true"}
+        assert cfg.global_branch_only == ["true"]
+        assert cfg.global_condition == "false"
+        (job,) = cfg.jobs
+        assert (job.stage_name, job.condition, job.branch_only) == ("true", "false", ["false", "2"])
+        assert job.phases[PhaseKind.SCRIPT] == ("true", "flake8 src")
+        placement = explain_document(doc, MappingTree({}), registry).placements[0]
+        assert placement.stage_label == "true"
+        record, _ = analyze_document(doc, MappingTree({}), registry)
+        assert {key[1] for key in record.keys if key[0] == "row"} == {"true"}
 
 
 class TestAliasesAndMerging:

@@ -592,52 +592,113 @@ def test_line_memo_matches_per_tool_loop(registry, drawn, pool, data):
 
 
 def test_line_memo_is_bounded():
+    # A line's hits live on its ShellLine, so the shell_line memo bounds them.
     registry = shipped_registry()
+    memo = script_resolver._memo_shell_line
+    memo.cache_clear()
     bound = script_resolver.LINE_MEMO_SIZE
     lines = [f"flake8 src/p{i} && pip install pylint{i}" for i in range(bound + 200)]
     first = [detect_in_text(line, registry, CTX) for line in lines]
-    info = registry._line_memo.cache_info()
+    info = memo.cache_info()
     assert info.misses == len(lines)
     assert info.currsize == bound
-    # The oldest lines were evicted; matching them again gives the same hits.
+    assert script_resolver.shell_line(lines[-1]).tool_hits[0] is registry
+    # The oldest lines were evicted with their hits; matching them again gives
+    # the same hits.
     for line, detections in zip(lines[:300], first[:300]):
         assert detect_in_text(line, registry, CTX) == detections
         assert detections == _per_tool_detect(line, registry, CTX, True)
-    assert registry._line_memo.cache_info().currsize == bound
+    assert memo.cache_info().currsize == bound
 
 
 def test_long_lines_skip_the_line_memo():
     registry = shipped_registry()
+    script_resolver._memo_shell_line.cache_clear()
     line = "flake8 " + "x" * script_resolver.LINE_MEMO_MAX_CHARS
-    detections = detect_in_text(line, registry, CTX)
-    assert tool_ids(detections) == ["flake8"]
-    assert detections == _per_tool_detect(line, registry, CTX, True)
-    assert registry._line_memo.cache_info().currsize == 0
+    for install_exclusion in (True, False, True):
+        detections = detect_in_text(line, registry, CTX, install_exclusion)
+        assert tool_ids(detections) == ["flake8"]
+        assert detections == _per_tool_detect(line, registry, CTX, install_exclusion)
+    assert script_resolver._memo_shell_line.cache_info().currsize == 0
 
 
 def test_line_memo_is_per_instance_and_lazy(monkeypatch):
     first, second = shipped_registry(), shipped_registry()
-    assert "_line_memo" not in first.__dict__
+    script_resolver._memo_shell_line.cache_clear()
+    line = script_resolver.shell_line("pylint src && pip install flake8")
+    assert line.tool_hits is None
     # A lookup never hashes the registry (that walks every ToolSpec).
     monkeypatch.setattr(
         registry_module.Registry, "__hash__", lambda self: pytest.fail("hashed")
     )
-    assert tool_ids(detect_in_text("pylint src", first, CTX)) == ["pylint"]
-    assert second._line_memo is not first._line_memo
-    assert second._line_memo.cache_info().currsize == 0
+    pylint = (("pylint", "pylint"),)
+    both = (("flake8", "flake8"), ("pylint", "pylint"))
+    # The slot holds the last asker's hits; another registry or the other
+    # setting recomputes them and takes the slot.
+    for registry, install_exclusion, hits in [
+        (first, True, pylint),
+        (first, True, pylint),
+        (second, True, pylint),
+        (second, False, both),
+        (first, False, both),
+        (first, True, pylint),
+    ]:
+        assert registry.line_hits(line.text, install_exclusion) == hits
+        held = line.tool_hits
+        assert held[0] is registry and held[1] is install_exclusion and held[2] == hits
+    assert script_resolver.shell_line(line.text) is line
 
 
-def test_registry_with_a_line_memo_pickles():
+def test_registry_pickles_after_detection():
     registry = shipped_registry()
     detect_in_text("flake8 .", registry, CTX)
     doc = make_doc("script: flake8 .\n")
     copy = pickle.loads(pickle.dumps(registry))
     assert copy == registry
-    assert "_line_memo" not in copy.__dict__
     assert tool_ids(detect_in_text("flake8 .", copy, CTX)) == ["flake8"]
     record, _ = analyze_document(doc, MappingTree({}), copy)
     assert [key for key in record.keys if key[0] == "tool"] == [("tool", "flake8", "direct")]
     assert record == analyze_document(doc, MappingTree({}), shipped_registry())[0]
+
+
+# Two registries whose hits differ on the same lines: the shipped one and one
+# of three tools with their own ids.
+_SHIPPED = shipped_registry()
+_THREE_TOOLS = _small_registry([["flake8"], ["pylint", "pip"], ["eslint"]])
+_LONG_TAIL = "x" * script_resolver.LINE_MEMO_MAX_CHARS
+_SLOT_LINES = [
+    "flake8 src",
+    "pip install flake8",
+    "pip install pylint && pylint src",
+    "npm i eslint ; eslint .",
+    "sudo pip3 install flake8 | tee log",
+    "echo done",
+    f"flake8 {_LONG_TAIL}",
+    f"pip install flake8 && echo {_LONG_TAIL}",
+]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([_SHIPPED, _THREE_TOOLS]),
+            st.booleans(),
+            st.sampled_from(_SLOT_LINES),
+        ),
+        min_size=1,
+        max_size=24,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_line_slot_matches_cold_line_hits(steps):
+    # Lines stay in the shell_line memo across steps and examples, so each
+    # lookup may find the slot filled by either registry and either setting.
+    for registry, install_exclusion, stripped in steps:
+        cold = registry_module._line_hits(
+            registry, script_resolver.ShellLine(stripped), install_exclusion
+        )
+        assert registry.line_hits(stripped, install_exclusion) == cold
+
 
 
 # --- the hot-path records are named tuples --------------------------------------

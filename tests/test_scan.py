@@ -17,7 +17,6 @@ import tracemalloc
 import types
 from collections import Counter
 from dataclasses import replace
-from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,15 +336,28 @@ def test_local_scan_imports_neither_openssl_nor_thread_pool(tmp_path):
     assert (tmp_path / "report.json").is_file()
 
 
-def test_warm_line_memos_give_identical_scans():
+def test_warm_line_memos_give_identical_scans(monkeypatch):
     # One fresh registry in this process: the first scan fills the line
-    # memos, the second and the duplicated entries read them back.
+    # memo and its tool hits, the second and the duplicated entries read
+    # them back.
     registry = shipped_registry()
-    script_resolver._memo_shell_line.cache_clear()
+    memo = script_resolver._memo_shell_line
+    memo.cache_clear()
     entries = _entries_from_directory(CORPUS_DIR)
     cold = scan_entries(entries, registry)
+    misses = memo.cache_info().misses
+    recomputed = []
+    real_line_hits = registry_module._line_hits
+
+    def recording(registry, line, install_exclusion):
+        recomputed.append(line.text)
+        return real_line_hits(registry, line, install_exclusion)
+
+    monkeypatch.setattr(registry_module, "_line_hits", recording)
     warm = scan_entries(entries, registry)
-    assert registry._line_memo.cache_info().hits > 0
+    assert memo.cache_info().misses == misses
+    # Only a line too long for the memo is matched again.
+    assert all(len(text) > script_resolver.LINE_MEMO_MAX_CHARS for text in recomputed)
     assert export_json(warm.report) == export_json(cold.report)
     assert export_csv_bundle(warm.report) == export_csv_bundle(cold.report)
     assert _outcomes(warm) == _outcomes(cold)
@@ -573,7 +585,6 @@ def test_memos_hold_records_of_plain_keys(monkeypatch):
 
 
 def test_records_share_equal_key_tuples(monkeypatch):
-    monkeypatch.setattr(analytics, "_SHARED_KEYS", {})
     memos = _share_memos(monkeypatch)
     scan_entries(_entries_from_directory(CORPUS_DIR), shipped_registry())
     (memo,) = memos
@@ -582,20 +593,23 @@ def test_records_share_equal_key_tuples(monkeypatch):
     canonical = {}
     for key in keys:
         assert canonical.setdefault(key, key) is key
+        assert memo.share(tuple(list(key))) is key
     assert len(canonical) < len(keys)
 
 
 def test_shared_key_table_is_bounded(monkeypatch):
-    monkeypatch.setattr(analytics, "_SHARED_KEYS", {})
-    monkeypatch.setattr(analytics, "MAX_VALUES", 2)
+    monkeypatch.setattr(memo_module, "MAX_VALUES", 2)
+    memo = BoundedMemo()
     first, second, third = (("tool", name, "direct") for name in "abc")
-    assert analytics._shared(first) is first
-    assert analytics._shared(tuple(list(first))) is first
-    assert analytics._shared(second) is second
+    assert memo.share(first) is first
+    assert memo.share(tuple(list(first))) is first
+    assert memo.share(second) is second
     # Past the bound a new key comes back as given and is not stored.
     copy = tuple(list(third))
-    assert analytics._shared(third) is third and analytics._shared(copy) is copy
-    assert list(analytics._SHARED_KEYS) == [first, second]
+    assert memo.share(third) is third and memo.share(copy) is copy
+    assert list(memo._keys) == [first, second]
+    # Each memo shares its own keys.
+    assert BoundedMemo().share(tuple(list(first))) is not first
 
 
 # --- whole-scan differential: memos on against memos off ---------------------
@@ -660,10 +674,13 @@ _diff_options = st.lists(
 
 
 class _PassThrough:
-    """A memo that stores nothing."""
+    """A memo that stores nothing and shares no key."""
 
     def get(self, key, compute):
         return compute()
+
+    def share(self, key):
+        return key
 
 
 def _write_corpus(root, corpus):
@@ -708,11 +725,7 @@ def test_memos_leave_every_scan_byte_unchanged(corpus, option_sets):
         patch.setattr(analyzer, "_usable_cpus", lambda: 2)
         memoized = scans()
         patch.setattr(analyzer, "BoundedMemo", _PassThrough)
-        patch.setattr(
-            Registry,
-            "_line_memo",
-            property(lambda registry: partial(registry_module._line_hits, registry)),
-        )
+        # A fresh ShellLine per lookup holds no tool hits either.
         patch.setattr(script_resolver, "_memo_shell_line", script_resolver.ShellLine)
         unmemoized = scans()
     assert memoized == unmemoized
