@@ -220,8 +220,8 @@ def _usable_cpus() -> int:
 
 
 def _deal(entries: list[ManifestEntry], n: int) -> list[list[ManifestEntry]]:
-    """At most ``n`` strided shares: share ``w`` holds ``entries[w::n]``."""
-    return [entries[w::n] for w in range(min(n, len(entries)))]
+    """One to ``n`` strided shares: share ``w`` holds ``entries[w::n]``."""
+    return [entries[w::n] for w in range(max(1, min(n, len(entries))))]
 
 
 def _scan_forked(
@@ -238,12 +238,13 @@ def _scan_forked(
     def share(worker: int) -> tuple[Aggregator, list[EntryResult]]:
         return _scan_chunk(shares[worker], registry, options)
 
-    # Imported and compiled once, before the fork, so every child inherits
-    # both: a child that imported pickle itself began its share about 8 ms
-    # later.
-    import pickle  # noqa: F401
+    if len(shares) > 1:
+        # Imported and compiled once, before the fork, so every child
+        # inherits both: a child that imported pickle itself began its share
+        # about 8 ms later.
+        import pickle  # noqa: F401
 
-    registry._unions
+        registry._unions
     children: dict[int, int] = {}  # child pid -> read end of its pipe
     try:
         for worker in range(1, len(shares)):
@@ -356,12 +357,8 @@ def scan_entries(
                 f"{entry.repo_slug}: a remote entry is not scanned; copy the "
                 "corpus with `tdmscan fetch` and scan the manifest it writes"
             )
-    n = min(workers, _usable_cpus()) if hasattr(os, "fork") else 1
-    shares = _deal(ordered, max(1, n))
-    if len(shares) > 1:
-        parts = _scan_forked(shares, registry, options)
-    else:
-        parts = [_scan_chunk(share, registry, options) for share in shares]
+    n = max(1, min(workers, _usable_cpus())) if hasattr(os, "fork") else 1
+    parts = _scan_forked(_deal(ordered, n), registry, options)
 
     aggregator = Aggregator(registry.version)
     results: list[EntryResult] = [None] * len(ordered)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Callable
 
 from .config_model import Job, PipelineConfig, clip
@@ -47,8 +47,9 @@ _CLAUSE = re.compile(
 _NOT_A_RESTRICTION = re.compile(
     r"(?<![^\s()])(?:OR(?![^\s(])|NOT[\s(]+(?:type|branch)\b)", re.IGNORECASE
 )
-# A `NOT` ending the text before a clause: `NOT type = x`, `NOT (type = x)`.
-_NEGATES = re.compile(r"(?<![^\s()])NOT[\s(]+\Z", re.IGNORECASE)
+# A `NOT` run; a clause starting where one ends is negated: `NOT type = x`,
+# `NOT (type = x)`.
+_NOT = re.compile(r"(?<![^\s()])NOT[\s(]+", re.IGNORECASE)
 
 
 @dataclass
@@ -79,36 +80,24 @@ def _excerpt(value: Any) -> str:
     return clip(json.dumps(value, sort_keys=True, default=str))
 
 
-def _clause_values(condition: str, key: str) -> set[str]:
-    """The values of `condition`'s `key` clauses that no `NOT` precedes."""
-    values: set[str] = set()
+def _condition_reading(condition: str) -> tuple[bool, bool]:
+    """Whether `condition` restricts to push builds of main/master, and
+    whether it re-enables pull requests, from its `type` and `branch`
+    clauses that no `NOT` precedes, read in one pass."""
+    negated = {match.end() for match in _NOT.finditer(condition)}
+    values: dict[str, set[str]] = {"type": set(), "branch": set()}
     for match in _CLAUSE.finditer(condition):
-        if match.group(1).lower() != key or _NEGATES.search(condition, 0, match.start()):
+        if match.start() in negated:
             continue
         body = match.group(3) if match.group(3) is not None else match.group(2)
         for token in re.split(r"[,\s]+", body):
             token = token.strip("\"'")
             if token:
-                values.add(token.lower())
-    return values
-
-
-def _condition_restricts_to_main_push(condition: str) -> bool:
-    if _NOT_A_RESTRICTION.search(condition):
-        return False
-    types = _clause_values(condition, "type")
-    branches = _clause_values(condition, "branch")
-    if "push" not in types or types & _OTHER_TYPES:
-        return False
-    if not branches or not branches <= _MAIN_BRANCHES:
-        return False
-    return True
-
-
-def _condition_reenables_pr(condition: str | None) -> bool:
-    if not condition:
-        return False
-    return bool(_clause_values(condition, "type") & _PR_TYPES)
+                values[match.group(1).lower()].add(token.lower())
+    types, branches = values["type"], values["branch"]
+    push_only = "push" in types and not types & _OTHER_TYPES
+    restricts = push_only and bool(branches) and branches <= _MAIN_BRANCHES
+    return restricts and not _NOT_A_RESTRICTION.search(condition), bool(types & _PR_TYPES)
 
 
 def _branch_only_restricts(only: list[str] | None) -> bool:
@@ -117,10 +106,11 @@ def _branch_only_restricts(only: list[str] | None) -> bool:
     return {branch.lower() for branch in only} <= _MAIN_BRANCHES
 
 
-def _job_restriction(cfg: PipelineConfig, job: Job) -> Rule:
+def _job_restriction(cfg: PipelineConfig, job: Job, read: Callable) -> Rule:
     """Whether `job` runs only on push builds of main/master, by the first
-    condition it has of its own, its stage's and the global one, or by a
-    `branches: only:` list that no such condition widens to pull requests."""
+    condition it has of its own, its stage's and the global one, as `read`
+    reads it, or by a `branches: only:` list that no such condition widens to
+    pull requests."""
     stage_condition = cfg.stage_conditions.get(job.stage_name)
     if job.condition:
         condition = job.condition
@@ -129,9 +119,10 @@ def _job_restriction(cfg: PipelineConfig, job: Job) -> Rule:
         condition, path = stage_condition, f"stages[{job.stage_name}].if"
     else:
         condition, path = cfg.global_condition, "if"
-    if condition and _condition_restricts_to_main_push(condition):
+    restricts, reenables_pr = read(condition) if condition else (False, False)
+    if restricts:
         return True, lambda: [(path, clip(condition))]
-    if _condition_reenables_pr(condition):
+    if reenables_pr:
         return False, list
     if _branch_only_restricts(job.branch_only):
         return True, lambda: [(f"{job.entry_path}.branches.only", _excerpt(job.branch_only))]
@@ -143,9 +134,11 @@ def _job_restriction(cfg: PipelineConfig, job: Job) -> Rule:
 def _late_merging_readings(
     cfg: PipelineConfig, profile: PipelineToolProfile
 ) -> tuple[bool, bool, Build]:
-    """All-jobs and any-job readings, and the restricted jobs' evidence."""
+    """All-jobs and any-job readings, and the restricted jobs' evidence.
+    Each distinct condition is read once, whichever jobs share it."""
     indexes = sorted(profile.jobs)
-    rules = [_job_restriction(cfg, cfg.jobs[index]) for index in indexes]
+    read = cache(_condition_reading)
+    rules = [_job_restriction(cfg, cfg.jobs[index], read) for index in indexes]
     builds = [build for restricted, build in rules if restricted]
     all_jobs = bool(indexes) and len(builds) == len(indexes)
     return all_jobs, bool(builds), lambda: [pair for build in builds for pair in build()]

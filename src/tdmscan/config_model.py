@@ -338,7 +338,7 @@ def _load_yaml(text: str) -> tuple[Any, list[str]]:
     # the mappings level by level, each level in document order.
     duplicates.sort(key=lambda duplicate: duplicate[:2])
     return data, [
-        f"duplicate key '{key}': last occurrence wins" for _, _, key in duplicates
+        f"duplicate key '{clip(key)}': last occurrence wins" for _, _, key in duplicates
     ]
 
 

@@ -177,8 +177,7 @@ def normalize_script_path(token: str) -> str:
     normalize to the empty string and are dropped by callers.
     """
     path = token.replace("\\", "/")
-    while path.startswith("./"):
-        path = path[2:]
+    path = path[re.match(r"(?:\./)*", path).end() :]
     path = re.sub(r"/{2,}", "/", path)
     if not path.strip("./"):
         return ""
@@ -265,26 +264,33 @@ class ShellLine:
     `searched` holds the line's segments (split on every operator) that are
     not a package install: what detection searches when it excludes
     installs.  Only a segment holding an INSTALLER_HINT match is tokenized
-    for that.  `actions`, its LineActions, are worked out on first read:
-    detection reads every line, the other layers only some.  `tool_hits` is
-    None until `registry.Registry.line_hits` stores there the (registry,
-    install_exclusion, hits) of the last detection that asked.
+    for that.  `searched` and `actions`, its LineActions, are worked out on
+    first read: detection reads `searched` only when it excludes installs,
+    and the other layers read the `actions` of only some lines.
+    `tool_hits` is None until `registry.Registry.line_hits` stores there the
+    (registry, install_exclusion, hits) of the last detection that asked.
     """
 
-    __slots__ = ("text", "searched", "_actions", "tool_hits")
+    __slots__ = ("text", "_searched", "_actions", "tool_hits")
 
     def __init__(self, text: str):
         self.text = text
-        self.searched = tuple(
-            segment
-            for segment in split_segments(text)
-            if not (
-                INSTALLER_HINT.search(segment)
-                and is_installer(strip_wrappers(shell_tokens(segment)))
-            )
-        )
+        self._searched: tuple[str, ...] | None = None
         self._actions: tuple[LineAction, ...] | None = None
         self.tool_hits: tuple | None = None
+
+    @property
+    def searched(self) -> tuple[str, ...]:
+        if self._searched is None:
+            self._searched = tuple(
+                segment
+                for segment in split_segments(self.text)
+                if not (
+                    INSTALLER_HINT.search(segment)
+                    and is_installer(strip_wrappers(shell_tokens(segment)))
+                )
+            )
+        return self._searched
 
     @property
     def actions(self) -> tuple[LineAction, ...]:

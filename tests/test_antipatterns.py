@@ -1,7 +1,11 @@
+import re
+from collections import Counter
+
 import pytest
 import yaml
 from hypothesis import given, strategies as st
 
+from tdmscan import antipatterns
 from tdmscan.antipatterns import (
     detect_absent_feedback,
     detect_email_only,
@@ -518,3 +522,126 @@ def test_adding_second_channel_never_sets_email_only(data):
     assert detect_email_only(cfg2)[0] is False
     # and absent feedback is also impossible once a live channel exists
     assert detect_absent_feedback(cfg2)[0] is False
+
+
+# --- the condition reader -----------------------------------------------------
+
+# The reference readings, one function each: a clause's `NOT` is looked for
+# in all the text before it, once per key and once per reading.
+_NEGATES = re.compile(r"(?<![^\s()])NOT[\s(]+\Z", re.IGNORECASE)
+
+
+def _clause_values(condition, key):
+    values = set()
+    for match in antipatterns._CLAUSE.finditer(condition):
+        if match.group(1).lower() != key or _NEGATES.search(condition, 0, match.start()):
+            continue
+        body = match.group(3) if match.group(3) is not None else match.group(2)
+        for token in re.split(r"[,\s]+", body):
+            token = token.strip("\"'")
+            if token:
+                values.add(token.lower())
+    return values
+
+
+def _condition_restricts_to_main_push(condition):
+    if antipatterns._NOT_A_RESTRICTION.search(condition):
+        return False
+    types = _clause_values(condition, "type")
+    branches = _clause_values(condition, "branch")
+    if "push" not in types or types & antipatterns._OTHER_TYPES:
+        return False
+    return bool(branches) and branches <= antipatterns._MAIN_BRANCHES
+
+
+def _condition_reenables_pr(condition):
+    return bool(condition) and bool(_clause_values(condition, "type") & antipatterns._PR_TYPES)
+
+
+_WORDS = [
+    "type", "TYPE", "Type", "branch", "Branch", "=", "==", "IN", "in", "In",
+    "(", ")", "(push, master)", "IN (pr, 'push')", "IN (\"main\",master)",
+    "NOT", "not", "NOT(", "(NOT", "OR", "or", "OR(", ")OR", "AND", "and",
+    "push", "'push'", '"push"', "pull_request", "pr", "PR", "cron", "api",
+    "master", "main", "'Main'", "dev", ",", "x", "typewriter", "NOTtype",
+    "branch = NOT type = x", "branch = NOT type = pr", "tag IS present",
+]
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_WORDS), st.sampled_from(["", " ", " ", "  ", "\t"])),
+        max_size=14,
+    )
+)
+def test_condition_reading_matches_the_two_reading_passes(parts):
+    condition = "".join(word + space for word, space in parts)
+    assert antipatterns._condition_reading(condition) == (
+        _condition_restricts_to_main_push(condition),
+        _condition_reenables_pr(condition),
+    )
+
+
+@pytest.mark.parametrize(
+    "condition, reading",
+    [
+        ("type = push AND branch = master", (True, False)),
+        ("type = pr", (False, True)),
+        ("NOT type = pr", (False, False)),
+        ("not (type = pr)", (False, False)),
+        ("branch = NOT type = pr", (False, False)),
+        ("NOT branch = dev AND type = pr", (False, True)),
+        ("NOTtype = pr", (False, False)),
+        ("type = push AND branch = master OR type = api", (False, False)),
+    ],
+)
+def test_condition_reading(condition, reading):
+    assert antipatterns._condition_reading(condition) == reading
+
+
+def _counting_reader(monkeypatch):
+    calls = Counter()
+    real_reading = antipatterns._condition_reading
+
+    def counting_reading(condition):
+        calls[condition] += 1
+        return real_reading(condition)
+
+    monkeypatch.setattr(antipatterns, "_condition_reading", counting_reading)
+    return calls
+
+
+def test_each_distinct_condition_is_read_once_per_pipeline(registry, monkeypatch):
+    calls = _counting_reader(monkeypatch)
+    text = (
+        "if: type = push AND branch = master\n"
+        "stages:\n  - name: lint\n    if: type = pull_request\n  - name: test\n"
+        "jobs:\n  include:\n"
+        + "".join(f"    - stage: lint\n      script: flake8 {i}\n" for i in range(3))
+        + "".join(f"    - stage: test\n      script: pylint {i}\n" for i in range(4))
+    )
+    cfg, profile = build(registry, text)
+    assert len(profile.jobs) == 7
+    findings = evaluate(cfg, profile)
+    assert (findings.late_merging_all_jobs, findings.late_merging_any_job) == (False, True)
+    assert calls == {"type = push AND branch = master": 1, "type = pull_request": 1}
+    # The reading is kept for one pipeline, not across pipelines.
+    evaluate(cfg, profile)
+    assert calls == {"type = push AND branch = master": 2, "type = pull_request": 2}
+
+
+def test_a_long_condition_shared_by_aliased_jobs_is_read_once(registry, monkeypatch):
+    # 2,000 tool jobs, one alias each, sharing one 300 KB `if:`: read once,
+    # in one linear pass.
+    clause = "type = push AND branch = master AND "
+    condition = clause * (300_000 // len(clause)) + "branch = main"
+    text = (
+        f"jobs:\n  include:\n    - &job\n      if: {condition}\n      script: flake8 .\n"
+        + "    - *job\n" * 1999
+    )
+    calls = _counting_reader(monkeypatch)
+    cfg, profile = build(registry, text)
+    assert len(profile.jobs) == 2000
+    findings = evaluate(cfg, profile)
+    assert findings.late_merging_all_jobs is True
+    assert calls == {condition: 1}

@@ -28,6 +28,7 @@ from tdmscan.config_model import (
     NotAPipeline,
     PipelineConfig,
     _load_yaml,
+    clip,
     parse_config,
 )
 
@@ -306,6 +307,18 @@ def test_nested_duplicates_warn_level_by_level():
         "duplicate key 'e': last occurrence wins",
         "duplicate key 'c': last occurrence wins",
     ]
+
+
+def test_duplicate_key_warnings_clip_an_aliased_key():
+    # A 100,000-character key repeated 2,000 times through its alias: each
+    # warning quotes the key clipped, not the whole key once per duplicate.
+    key = "x" * 100_000
+    text = f"? &k {key}\n: 0\n" + "*k : 1\n" * 2000
+    data, warnings = _load_yaml(text)
+    assert data == {key: 1}
+    assert len(warnings) == 2000
+    assert set(warnings) == {f"duplicate key '{clip(key)}': last occurrence wins"}
+    assert sum(map(len, warnings)) < 2000 * 250
 
 
 @pytest.mark.parametrize(

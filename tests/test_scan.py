@@ -318,7 +318,7 @@ def test_local_scan_imports_neither_openssl_nor_thread_pool(tmp_path):
         _write_outputs(result.report, {str(tmp_path)!r}, None)
         modules = [
             "hashlib", "_hashlib", "concurrent.futures", "logging",
-            "requests", "urllib3",
+            "requests", "urllib3", "pickle",
         ]
         print(json.dumps({{
             "ok": result.succeeded,
@@ -1176,3 +1176,31 @@ def test_fixture_corpus_served_remotely_gives_the_golden_bytes(
     for name in sorted(csvs):
         digest.update(csvs[name])
     assert digest.hexdigest() == golden
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_empty_corpus_gives_an_empty_scan(workers):
+    registry = shipped_registry()
+    result = scan_entries([], registry, workers=workers)
+    assert result.entries == [] and result.warnings == []
+    assert result.report == analytics.Aggregator(registry.version).report()
+
+
+def test_a_scan_without_install_exclusion_builds_no_segments(monkeypatch):
+    # Detection then searches each line's whole text, so no line needs its
+    # segments split and installer-checked.
+    built = []
+    real_searched = script_resolver.ShellLine.searched
+
+    def recording_searched(line):
+        built.append(line.text)
+        return real_searched.fget(line)
+
+    monkeypatch.setattr(script_resolver.ShellLine, "searched", property(recording_searched))
+    script_resolver._memo_shell_line.cache_clear()
+    entries = _entries_from_directory(CORPUS_DIR)
+    options = AnalysisOptions(install_exclusion=False)
+    assert scan_entries(entries, shipped_registry(), options).succeeded == 38
+    assert built == []
+    assert scan_entries(entries, shipped_registry()).succeeded == 38
+    assert built

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from functools import lru_cache
 
@@ -104,6 +105,20 @@ class TestNormalization:
 
     def test_double_slash_collapsed(self):
         assert normalize_script_path("ci//x.sh") == "ci/x.sh"
+
+    @staticmethod
+    def _looped(token: str) -> str:
+        """The normal form with the leading `./` pairs stripped one by one."""
+        path = token.replace("\\", "/")
+        while path.startswith("./"):
+            path = path[2:]
+        path = re.sub(r"/{2,}", "/", path)
+        return "" if not path.strip("./") else path
+
+    @given(st.lists(st.sampled_from(["./", ".", "/", "\\", "..", "a", ".sh", " "]), max_size=12))
+    def test_matches_stripping_pairs_one_by_one(self, parts):
+        token = "".join(parts)
+        assert normalize_script_path(token) == self._looped(token)
 
 
 class TestResolution:
@@ -364,13 +379,18 @@ class TestShellLine:
         monkeypatch.setattr(script_resolver, "shell_tokens", counting_shell_tokens)
         script_resolver._memo_shell_line.cache_clear()
         lines = ["make | tee && pip install x | grep x", "./a.sh | cat", "echo hi"]
-        # The segments detection searches: an install hint in the segment.
+        # Nothing is tokenized until a layer reads the line.
         for line in lines:
             script_resolver.shell_line(line)
+        assert tokenized == []
+        # The segments detection searches: an install hint in the segment.
+        for line in lines:
+            script_resolver.shell_line(line).searched
+            script_resolver.shell_line(line).searched
         assert tokenized == ["pip install x"]
+        tokenized.clear()
         # The actions: each action, and for a reference hint on the line each
         # of its segments, once.
-        tokenized.clear()
         for line in lines:
             script_resolver.shell_line(line).actions
             script_resolver.shell_line(line).actions
