@@ -38,8 +38,10 @@ _PR_TYPES = frozenset({"pull_request", "pr"})
 _OTHER_TYPES = frozenset({"pull_request", "pr", "cron", "api"})
 
 # Tolerant clause matcher: `type`/`branch`, then `=`, `==` or `IN (...)`.
+# A list's body holds no `(`: a `(` that is never closed is given up at the
+# next `(`, not at the end of the condition, so the search stays linear.
 _CLAUSE = re.compile(
-    r"\b(type|branch)\s*(?:==|=|\bIN\b|\bin\b)\s*(\(([^)]*)\)|[^\s()]+)",
+    r"\b(type|branch)\s*(?:==|=|\bIN\b|\bin\b)\s*(\(([^()]*)\)|[^\s()]+)",
     re.IGNORECASE,
 )
 # What keeps a condition from restricting: any `OR`, or a `NOT` before a

@@ -663,7 +663,7 @@ def _parse_stages(
                 continue
             label = _label(name)
             order.append(label)
-            if "if" in entry:
+            if entry.get("if") is not None:
                 conditions[label] = _label(entry["if"])
         elif entry is not None:
             order.append(_label(entry))

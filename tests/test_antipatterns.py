@@ -1,4 +1,5 @@
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -144,6 +145,16 @@ class TestLateMerging:
             findings = evaluate(cfg, profile)
             assert findings.late_merging_all_jobs is False, condition
             assert findings.evidence.get("late_merging") is None, condition
+
+    def test_stage_if_without_a_value_leaves_the_global_condition(self, registry):
+        cfg, profile = build(
+            registry,
+            "if: type = push AND branch = main\n"
+            "stages:\n  - name: lint\n    if:\n"
+            "jobs:\n  include:\n    - stage: lint\n      script: flake8 .\n",
+        )
+        assert cfg.stage_conditions == {}
+        assert evaluate(cfg, profile).late_merging_all_jobs is True
 
     def test_branches_only_superset_not_flagged(self, registry):
         cfg, profile = build(
@@ -593,10 +604,49 @@ def test_condition_reading_matches_the_two_reading_passes(parts):
         ("NOT branch = dev AND type = pr", (False, True)),
         ("NOTtype = pr", (False, False)),
         ("type = push AND branch = master OR type = api", (False, False)),
+        # A list that holds a `(` is no clause at all.
+        ("type IN (push, (api)) AND branch = main", (False, False)),
     ],
 )
 def test_condition_reading(condition, reading):
     assert antipatterns._condition_reading(condition) == reading
+
+
+# The reference clause pattern: its list body runs to the first `)`, across
+# any `(`, so an unclosed `(` is searched to the end of the condition.
+_CLAUSE_TO_FIRST_CLOSE = re.compile(
+    r"\b(type|branch)\s*(?:==|=|\bIN\b|\bin\b)\s*(\(([^)]*)\)|[^\s()]+)",
+    re.IGNORECASE,
+)
+_FLAT_WORDS = [word for word in _WORDS if "(" not in word and ")" not in word]
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+_FLAT_GROUP = st.lists(
+    st.tuples(st.sampled_from(_FLAT_WORDS), st.sampled_from(["", " ", ", ", ","])),
+    max_size=5,
+).map(lambda parts: "({})".format("".join(word + space for word, space in parts)))
+_FLAT_VALUE = st.one_of(st.sampled_from(_FLAT_WORDS), _FLAT_GROUP)
+_FLAT_CLAUSE = st.tuples(
+    st.sampled_from(["type", "Branch"]), _SPACE, st.sampled_from(["=", "==", "IN", "in"]),
+    _SPACE, _FLAT_VALUE,
+).map("".join)
+
+
+@given(st.lists(st.tuples(st.one_of(_FLAT_VALUE, _FLAT_CLAUSE), _SPACE), max_size=10))
+def test_balanced_unnested_parentheses_read_as_before(parts):
+    condition = "".join(word + space for word, space in parts)
+    old_clauses = [m.groups() for m in _CLAUSE_TO_FIRST_CLOSE.finditer(condition)]
+    assert [m.groups() for m in antipatterns._CLAUSE.finditer(condition)] == old_clauses
+    reading = antipatterns._condition_reading(condition)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(antipatterns, "_CLAUSE", _CLAUSE_TO_FIRST_CLOSE)
+        assert antipatterns._condition_reading(condition) == reading
+
+
+def test_unclosed_parentheses_are_read_in_linear_time():
+    condition = "type = (" * 20000  # 160 KB, no `(` ever closed
+    start = time.perf_counter()
+    assert antipatterns._condition_reading(condition) == (False, False)
+    assert time.perf_counter() - start < 1.0
 
 
 def _counting_reader(monkeypatch):
